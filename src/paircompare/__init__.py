@@ -2,119 +2,25 @@
 
 The package answers one recurring question: given per-item correctness for
 two systems, is one actually better, and by enough to matter?  It offers the
-frequentist tools (two-proportion z-test, confidence intervals, a paired
-permutation test), their Bayesian counterparts (beta-binomial posteriors,
-highest-density intervals with a practical-equivalence region, interval-null
-Bayes factors, and an MCMC cross-check), plus simulations that demonstrate
-where the frequentist answers quietly depend on intentions: stopping rules
-and optional stopping.
+frequentist tools (two-proportion z-test, confidence intervals), their
+Bayesian counterparts (beta-binomial posteriors, highest-density intervals
+with a practical-equivalence region, interval-null Bayes factors, and an
+MCMC cross-check), plus simulations that demonstrate where the frequentist
+answers quietly depend on intentions: stopping rules and optional stopping.
+
+The names exported here are the ones the command line uses and the report
+it writes; each statistical building block stays importable from its
+submodule (``paircompare.frequentist``, ``paircompare.posterior``, ...).
 """
 
 __version__ = "0.1.0"
 
-from .bayes import (
-    PRIOR_PRESETS,
-    BetaParams,
-    EventProbability,
-    HierarchicalModel,
-    PosteriorPair,
-    conjugate_update,
-    event_probability,
-    event_probability_from_samples,
-    model_log_density,
-    posterior_pair,
-)
-from .config import (
-    AnalysisConfig,
-    load_observations,
-    parse_config,
-    parse_config_file,
-    render_config,
-)
-from .core import (
-    DatasetObs,
-    Decision,
-    DecisionValue,
-    Direction,
-    Hypothesis,
-    HypothesisKind,
-    LatentParams,
-    ObservationMode,
-    ObservationSet,
-    pool_datasets,
-    pooled_counts,
-    validate,
-)
-from .errors import (
-    AssessmentError,
-    ConfigError,
-    DegenerateChains,
-    DegenerateTest,
-    DomainError,
-    EmptyDataset,
-    IngestError,
-    IoError,
-    MalformedObservations,
-    TooFewSamples,
-    UnstableEstimate,
-)
-from .frequentist import (
-    CiMode,
-    ConfidenceInterval,
-    PermutationResult,
-    ZTestResult,
-    diff_confidence_interval,
-    paired_permutation_test,
-    two_proportion_z_test,
-)
-from .mcmc import (
-    InitStrategy,
-    McmcConfig,
-    Trace,
-    ess,
-    export_trace,
-    rhat,
-    run_chains,
-)
-from .numerics import (
-    RngStream,
-    log_binomial_coefficient,
-    regularized_incomplete_beta,
-    sample_beta,
-    std_normal_cdf,
-    std_normal_quantile,
-)
-from .posterior import (
-    BayesFactorResult,
-    Hdi,
-    MarginAssessment,
-    RopeRelation,
-    RopeVerdict,
-    assess_margin_hypothesis,
-    bayes_factor_interval_null,
-    hdi_from_samples,
-    interval_probability_quadrature,
-    rope_decision,
-)
-from .reporting import (
-    AnalysisOutcome,
-    AssessmentReport,
-    assumptions_checklist,
-    emit_plot_data,
-    lint_phrasing,
-    run_analysis,
-)
-from .simulations import (
-    OptionalStoppingReport,
-    PriorSweepRow,
-    StoppingComparison,
-    Tail,
-    optional_stopping_fpr,
-    prior_sensitivity_sweep,
-    pvalue_fixed_n,
-    pvalue_fixed_successes,
-    stopping_comparison,
-)
+from .bayes import PRIOR_PRESETS
+from .config import AnalysisConfig, load_observations, parse_config_file, render_config
+from .core import pooled_counts
+from .errors import AssessmentError, ConfigError
+from .reporting import AnalysisOutcome, AssessmentReport, run_analysis
+from .simulations import optional_stopping_fpr, prior_sensitivity_sweep, stopping_comparison
 
 __all__ = [
     "__version__",
@@ -122,83 +28,14 @@ __all__ = [
     "AnalysisOutcome",
     "AssessmentError",
     "AssessmentReport",
-    "BayesFactorResult",
-    "BetaParams",
-    "CiMode",
-    "ConfidenceInterval",
     "ConfigError",
-    "DatasetObs",
-    "Decision",
-    "DecisionValue",
-    "DegenerateChains",
-    "DegenerateTest",
-    "Direction",
-    "DomainError",
-    "EmptyDataset",
-    "EventProbability",
-    "Hdi",
-    "HierarchicalModel",
-    "Hypothesis",
-    "HypothesisKind",
-    "IngestError",
-    "InitStrategy",
-    "IoError",
-    "LatentParams",
-    "MalformedObservations",
-    "MarginAssessment",
-    "McmcConfig",
-    "ObservationMode",
-    "ObservationSet",
-    "OptionalStoppingReport",
     "PRIOR_PRESETS",
-    "PermutationResult",
-    "PosteriorPair",
-    "PriorSweepRow",
-    "RngStream",
-    "RopeRelation",
-    "RopeVerdict",
-    "StoppingComparison",
-    "Tail",
-    "TooFewSamples",
-    "Trace",
-    "UnstableEstimate",
-    "ZTestResult",
-    "assess_margin_hypothesis",
-    "assumptions_checklist",
-    "bayes_factor_interval_null",
-    "conjugate_update",
-    "diff_confidence_interval",
-    "emit_plot_data",
-    "ess",
-    "event_probability",
-    "event_probability_from_samples",
-    "export_trace",
-    "hdi_from_samples",
-    "interval_probability_quadrature",
-    "lint_phrasing",
     "load_observations",
-    "log_binomial_coefficient",
-    "model_log_density",
     "optional_stopping_fpr",
-    "paired_permutation_test",
-    "parse_config",
     "parse_config_file",
-    "pool_datasets",
     "pooled_counts",
-    "posterior_pair",
     "prior_sensitivity_sweep",
-    "pvalue_fixed_n",
-    "pvalue_fixed_successes",
-    "regularized_incomplete_beta",
     "render_config",
-    "rhat",
-    "rope_decision",
     "run_analysis",
-    "run_chains",
-    "sample_beta",
-    "std_normal_cdf",
-    "std_normal_quantile",
     "stopping_comparison",
-    "two_proportion_z_test",
-    "validate",
 ]

@@ -108,31 +108,6 @@ def beta_log_pdf(theta: float, params: BetaParams) -> float:
     return norm + (a - 1.0) * math.log(theta) + (b - 1.0) * math.log1p(-theta)
 
 
-def model_log_density(model: HierarchicalModel, params, obs: ObservationSet) -> float:
-    """Log joint density of latent rates and observed counts.
-
-    ``params`` is anything exposing ``theta1`` and ``theta2`` (for example
-    ``LatentParams``) or a plain pair.  Counts are pooled across datasets,
-    which the factorized binomial likelihood makes exact.  Returns -inf when
-    either rate sits outside the open unit interval.  The binomial
-    coefficients are omitted: they shift the density by a constant fixed per
-    model instance and data set.
-    """
-    if hasattr(params, "theta1"):
-        theta1, theta2 = params.theta1, params.theta2
-    else:
-        theta1, theta2 = params
-    (c1, t1), (c2, t2) = pooled_counts(validate(obs))
-    total = 0.0
-    for theta, prior, c, t in ((theta1, model.prior1, c1, t1),
-                               (theta2, model.prior2, c2, t2)):
-        if not 0.0 < theta < 1.0:
-            return -math.inf
-        total += beta_log_pdf(theta, prior)
-        total += c * math.log(theta) + (t - c) * math.log1p(-theta)
-    return total
-
-
 def event_probability(pair: PosteriorPair, hypothesis: Hypothesis, n_mc: int,
                       rng: RngStream) -> EventProbability:
     """Posterior probability of a hypothesis event by paired independent draws.
@@ -166,15 +141,10 @@ def event_probability_from_samples(diff_samples, hypothesis: Hypothesis) -> Even
 
 
 def _event_mask(diffs: np.ndarray, hypothesis: Hypothesis) -> np.ndarray:
-    kind = hypothesis.kind
-    if kind is HypothesisKind.DIRECTIONAL_MARGIN:
+    if hypothesis.kind is HypothesisKind.DIRECTIONAL_MARGIN:
         if hypothesis.direction is Direction.GREATER:
             return diffs > hypothesis.margin
         if hypothesis.direction is Direction.LESS:
             return diffs < hypothesis.margin
         return np.abs(diffs) > hypothesis.margin
-    if kind is HypothesisKind.INTERVAL_NULL:
-        return np.abs(diffs - hypothesis.margin) < hypothesis.rope_radius
-    # A point null has zero posterior probability under a continuous model;
-    # the empirical frequency reflects that.
-    return diffs == hypothesis.margin
+    return np.abs(diffs - hypothesis.margin) < hypothesis.rope_radius

@@ -101,15 +101,6 @@ def _cmd_analyze(args: argparse.Namespace, conjugate_only: bool) -> int:
     return EXIT_OK
 
 
-def _effective_counts(config):
-    obs = load_observations(config)
-    if len(obs.datasets) > 1:
-        raise ConfigError(
-            "several datasets need pool = true; analyze them separately otherwise",
-            section="data", key="pool")
-    return pooled_counts(obs)
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = parse_config_file(args.config, _collect_overrides(args))
     sim = config.simulate
@@ -154,7 +145,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
               f"at nominal alpha = {report.nominal_alpha:g}")
 
     else:
-        counts = _effective_counts(config)
+        counts = pooled_counts(load_observations(config))
         rows = prior_sensitivity_sweep(
             counts, PRIOR_PRESETS, sim.sweep_epsilon, sim.sweep_n_mc, seed,
             config.analysis.hdi_mass)

@@ -11,7 +11,8 @@ from __future__ import annotations
 import configparser
 import csv
 import io
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
+from enum import Enum
 from pathlib import Path
 
 from .bayes import BetaParams, PRIOR_PRESETS
@@ -230,7 +231,7 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> Analysis
     model = _parse_model(raw.get("model"))
     analysis = _parse_analysis(raw.get("analysis"))
     mcmc = _parse_mcmc(raw.get("mcmc"))
-    output = _parse_output(raw.get("output"))
+    output = _read_fields(_Section("output", raw.get("output") or {}), OutputConfig)
     simulate = _parse_simulate(raw.get("simulate"))
     return AnalysisConfig(analysis=analysis, data=data, model=model,
                           mcmc=mcmc, output=output, simulate=simulate)
@@ -307,107 +308,76 @@ def _parse_model(values: dict[str, str] | None) -> ModelConfig:
         "prior")
 
 
+_READERS = {"bool": _Section.get_bool, "int": _Section.get_int,
+            "float": _Section.get_float, "str": _Section.get_str}
+
+
+def _read_fields(sec: _Section, cls):
+    """An instance of dataclass ``cls`` read from one section.
+
+    Each field's annotation (or, for enums and lists, its default) picks the
+    parser, and absent keys keep the field default, so every default lives
+    only in the dataclass.  A field without a default reads as ``None``.
+    """
+    sec.reject_unknown(tuple(f.name for f in fields(cls)))
+    values = {}
+    for f in fields(cls):
+        default = None if f.default is MISSING else f.default
+        if isinstance(default, Enum):
+            choices = {member.value: member for member in type(default)}
+            values[f.name] = sec.get_choice(f.name, choices, default)
+        elif isinstance(default, tuple):
+            values[f.name] = sec.get_list(f.name, default)
+        else:
+            values[f.name] = _READERS[f.type](sec, f.name, default)
+    return cls(**values)
+
+
+def _check_ranges(sec: _Section, checks) -> None:
+    """Raise on the first ``(key, ok, message)`` whose ``ok`` is false."""
+    for key, ok, message in checks:
+        if not ok:
+            raise sec.error(message, key)
+
+
 def _parse_analysis(values: dict[str, str] | None) -> AnalysisOptions:
     sec = _Section("analysis", values or {})
-    sec.reject_unknown(("seed", "methods", "alpha", "ci_level", "ci_mode",
-                        "hdi_mass", "rope_radius", "margin", "direction", "n_mc"))
-    seed = sec.get_int("seed", None)
-    if seed is None:
+    a = _read_fields(sec, AnalysisOptions)
+    if a.seed is None:
         raise sec.error("missing required key (set it here or pass --seed)", "seed")
-    if seed < 0:
-        raise sec.error("seed must be non-negative", "seed")
-    methods = sec.get_list("methods", KNOWN_METHODS)
-    for m in methods:
+    for m in a.methods:
         if m not in KNOWN_METHODS:
             raise sec.error(
                 f"unknown method {m!r} (expected a subset of {', '.join(KNOWN_METHODS)})",
                 "methods")
-    if len(set(methods)) != len(methods):
-        raise sec.error("methods must not repeat", "methods")
-    alpha = sec.get_float("alpha", 0.05)
-    if not 0.0 < alpha < 1.0:
-        raise sec.error("alpha must lie in (0, 1)", "alpha")
-    ci_level = sec.get_float("ci_level", 0.95)
-    if not 0.0 < ci_level < 1.0:
-        raise sec.error("ci_level must lie in (0, 1)", "ci_level")
-    ci_mode = sec.get_choice("ci_mode", {m.value: m for m in CiMode},
-                             CiMode.STANDARD_TWO_SIDED)
-    hdi_mass = sec.get_float("hdi_mass", 0.95)
-    if not 0.0 < hdi_mass <= 1.0:
-        raise sec.error("hdi_mass must lie in (0, 1]", "hdi_mass")
-    rope_radius = sec.get_float("rope_radius", 0.01)
-    if not 0.0 < rope_radius < 1.0:
-        raise sec.error("rope_radius must lie in (0, 1)", "rope_radius")
-    margin = sec.get_float("margin", 0.01)
-    if not -1.0 <= margin <= 1.0:
-        raise sec.error("margin must lie in [-1, 1]", "margin")
-    direction = sec.get_choice("direction", {d.value: d for d in Direction},
-                               Direction.GREATER)
-    n_mc = sec.get_int("n_mc", 100_000)
-    if n_mc < 1000:
-        raise sec.error("n_mc must be at least 1000", "n_mc")
-    return AnalysisOptions(seed=seed, methods=methods, alpha=alpha,
-                           ci_level=ci_level, ci_mode=ci_mode, hdi_mass=hdi_mass,
-                           rope_radius=rope_radius, margin=margin,
-                           direction=direction, n_mc=n_mc)
+    _check_ranges(sec, [
+        ("seed", a.seed >= 0, "seed must be non-negative"),
+        ("methods", len(set(a.methods)) == len(a.methods), "methods must not repeat"),
+        ("alpha", 0.0 < a.alpha < 1.0, "alpha must lie in (0, 1)"),
+        ("ci_level", 0.0 < a.ci_level < 1.0, "ci_level must lie in (0, 1)"),
+        ("hdi_mass", 0.0 < a.hdi_mass <= 1.0, "hdi_mass must lie in (0, 1]"),
+        ("rope_radius", 0.0 < a.rope_radius < 1.0, "rope_radius must lie in (0, 1)"),
+        ("margin", -1.0 <= a.margin <= 1.0, "margin must lie in [-1, 1]"),
+        ("n_mc", a.n_mc >= 1000, "n_mc must be at least 1000"),
+    ])
+    return a
 
 
 def _parse_mcmc(values: dict[str, str] | None) -> McmcOptions:
-    if values is None:
-        return McmcOptions()
-    sec = _Section("mcmc", values)
-    sec.reject_unknown(("enabled", "chains", "warmup", "draws", "init"))
-    enabled = sec.get_bool("enabled", True)
-    chains = sec.get_int("chains", 4)
-    if chains < 2:
-        raise sec.error("need at least 2 chains", "chains")
-    warmup = sec.get_int("warmup", 1000)
-    if warmup < 0:
-        raise sec.error("warmup must be non-negative", "warmup")
-    draws = sec.get_int("draws", 5000)
-    if draws < 1:
-        raise sec.error("draws must be positive", "draws")
-    init = sec.get_choice("init", {s.value: s for s in InitStrategy},
-                          InitStrategy.MLE_JITTER)
-    return McmcOptions(enabled=enabled, chains=chains, warmup=warmup,
-                       draws=draws, init=init)
-
-
-def _parse_output(values: dict[str, str] | None) -> OutputConfig:
-    if values is None:
-        return OutputConfig()
-    sec = _Section("output", values)
-    sec.reject_unknown(("report", "plot_dir", "trace_dir", "sim_dir"))
-    defaults = OutputConfig()
-    return OutputConfig(
-        report=sec.get_str("report", defaults.report),
-        plot_dir=sec.get_str("plot_dir", defaults.plot_dir),
-        trace_dir=sec.get_str("trace_dir", defaults.trace_dir),
-        sim_dir=sec.get_str("sim_dir", defaults.sim_dir),
-    )
+    sec = _Section("mcmc", values or {})
+    m = _read_fields(sec, McmcOptions)
+    _check_ranges(sec, [
+        ("chains", m.chains >= 2, "need at least 2 chains"),
+        ("warmup", m.warmup >= 0, "warmup must be non-negative"),
+        ("draws", m.draws >= 1, "draws must be positive"),
+    ])
+    return m
 
 
 def _parse_simulate(values: dict[str, str] | None) -> SimulateConfig:
-    if values is None:
-        return SimulateConfig()
-    sec = _Section("simulate", values)
-    sec.reject_unknown(("stopping_successes", "stopping_trials", "stopping_null_rate",
-                        "looks_step", "looks_max", "os_alpha", "os_trials", "os_theta",
-                        "sweep_epsilon", "sweep_n_mc"))
-    defaults = SimulateConfig()
-    cfg = SimulateConfig(
-        stopping_successes=sec.get_int("stopping_successes", defaults.stopping_successes),
-        stopping_trials=sec.get_int("stopping_trials", defaults.stopping_trials),
-        stopping_null_rate=sec.get_float("stopping_null_rate", defaults.stopping_null_rate),
-        looks_step=sec.get_int("looks_step", defaults.looks_step),
-        looks_max=sec.get_int("looks_max", defaults.looks_max),
-        os_alpha=sec.get_float("os_alpha", defaults.os_alpha),
-        os_trials=sec.get_int("os_trials", defaults.os_trials),
-        os_theta=sec.get_float("os_theta", defaults.os_theta),
-        sweep_epsilon=sec.get_float("sweep_epsilon", defaults.sweep_epsilon),
-        sweep_n_mc=sec.get_int("sweep_n_mc", defaults.sweep_n_mc),
-    )
-    checks = [
+    sec = _Section("simulate", values or {})
+    cfg = _read_fields(sec, SimulateConfig)
+    _check_ranges(sec, [(key, ok, "value out of range") for key, ok in [
         ("stopping_trials", cfg.stopping_trials >= 1),
         ("stopping_successes", 0 <= cfg.stopping_successes <= cfg.stopping_trials),
         ("stopping_null_rate", 0.0 < cfg.stopping_null_rate <= 1.0),
@@ -418,10 +388,7 @@ def _parse_simulate(values: dict[str, str] | None) -> SimulateConfig:
         ("os_theta", 0.0 < cfg.os_theta < 1.0),
         ("sweep_epsilon", 0.0 < cfg.sweep_epsilon < 1.0),
         ("sweep_n_mc", cfg.sweep_n_mc >= 1000),
-    ]
-    for key, ok in checks:
-        if not ok:
-            raise sec.error("value out of range", key)
+    ]])
     return cfg
 
 
@@ -443,15 +410,15 @@ def render_config(config: AnalysisConfig) -> str:
         d = config.data
         lines.append("[data]")
         lines.append(f"format = {d.mode.value}")
-        lines.append(f"systems = {d.systems[0]}, {d.systems[1]}")
+        lines.append(f"systems = {_render_value(d.systems)}")
         if d.counts is not None:
             (c1, t1), (c2, t2) = d.counts
             lines.append(f"counts = {c1}/{t1}, {c2}/{t2}")
         if d.files:
-            lines.append(f"files = {', '.join(d.files)}")
+            lines.append(f"files = {_render_value(d.files)}")
         if d.names:
-            lines.append(f"names = {', '.join(d.names)}")
-        lines.append(f"pool = {'true' if d.pool else 'false'}")
+            lines.append(f"names = {_render_value(d.names)}")
+        lines.append(f"pool = {_render_value(d.pool)}")
         lines.append("")
     m = config.model
     lines.append("[model]")
@@ -460,48 +427,25 @@ def render_config(config: AnalysisConfig) -> str:
     else:
         lines.append(f"prior = {m.prior.alpha!r}, {m.prior.beta!r}")
     lines.append("")
-    a = config.analysis
-    lines.extend([
-        "[analysis]",
-        f"seed = {a.seed}",
-        f"methods = {', '.join(a.methods)}",
-        f"alpha = {a.alpha!r}",
-        f"ci_level = {a.ci_level!r}",
-        f"ci_mode = {a.ci_mode.value}",
-        f"hdi_mass = {a.hdi_mass!r}",
-        f"rope_radius = {a.rope_radius!r}",
-        f"margin = {a.margin!r}",
-        f"direction = {a.direction.value}",
-        f"n_mc = {a.n_mc}",
-        "",
-    ])
-    mc = config.mcmc
-    lines.extend([
-        "[mcmc]",
-        f"enabled = {'true' if mc.enabled else 'false'}",
-        f"chains = {mc.chains}",
-        f"warmup = {mc.warmup}",
-        f"draws = {mc.draws}",
-        f"init = {mc.init.value}",
-        "",
-    ])
-    o = config.output
-    lines.extend([
-        "[output]",
-        f"report = {o.report}",
-        f"plot_dir = {o.plot_dir}",
-        f"trace_dir = {o.trace_dir}",
-        f"sim_dir = {o.sim_dir}",
-        "",
-    ])
-    s = config.simulate
-    lines.append("[simulate]")
-    for f_ in fields(SimulateConfig):
-        value = getattr(s, f_.name)
-        rendered = repr(value) if isinstance(value, float) else str(value)
-        lines.append(f"{f_.name} = {rendered}")
-    lines.append("")
+    for name, section in (("analysis", config.analysis), ("mcmc", config.mcmc),
+                          ("output", config.output), ("simulate", config.simulate)):
+        lines.append(f"[{name}]")
+        lines.extend(f"{f.name} = {_render_value(getattr(section, f.name))}"
+                     for f in fields(section))
+        lines.append("")
     return "\n".join(lines)
+
+
+def _render_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return ", ".join(value)
+    return str(value)
 
 
 def load_observations(config: AnalysisConfig) -> ObservationSet:
@@ -509,12 +453,14 @@ def load_observations(config: AnalysisConfig) -> ObservationSet:
 
     Inline counts become a single aggregate dataset; files are read as CSV
     (UTF-8, LF or CRLF).  When the config asks for pooling, counts are summed
-    into one dataset here.  The result has passed :func:`core.validate`.
+    into one dataset here, so the result always holds exactly one dataset.
+    It has passed :func:`core.validate`.
 
     Raises
     ------
     ConfigError
-        If the config has no [data] section.
+        If the config has no [data] section, or lists several datasets
+        without ``pool = true`` (per-dataset runs need per-dataset configs).
     IngestError
         For unreadable or structurally invalid files, with path and row.
     """
@@ -539,7 +485,11 @@ def load_observations(config: AnalysisConfig) -> ObservationSet:
     obs = ObservationSet(mode=d.mode, datasets=tuple(datasets), system_names=d.systems)
     obs = validate(obs)
     if d.pool:
-        obs = pool_datasets(obs)
+        return pool_datasets(obs)
+    if len(obs.datasets) > 1:
+        raise ConfigError(
+            "several datasets need pool = true; analyze them separately otherwise",
+            section="data", key="pool")
     return obs
 
 

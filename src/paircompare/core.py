@@ -7,7 +7,7 @@ the statistical layers never have to re-derive them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, EmptyDataset, MalformedObservations
@@ -25,7 +25,6 @@ class Direction(Enum):
 
 
 class HypothesisKind(Enum):
-    POINT_NULL = "point_null"
     INTERVAL_NULL = "interval_null"
     DIRECTIONAL_MARGIN = "directional_margin"
 
@@ -45,27 +44,9 @@ class Decision:
 
 
 @dataclass(frozen=True)
-class LatentParams:
-    """Inherent correctness rates (theta1, theta2), each in [0, 1]."""
-
-    theta1: float
-    theta2: float
-
-    def __post_init__(self):
-        for name, v in (("theta1", self.theta1), ("theta2", self.theta2)):
-            if not 0.0 <= v <= 1.0:
-                raise DomainError(f"{name} must lie in [0, 1], got {v!r}")
-
-    @property
-    def diff(self) -> float:
-        return self.theta1 - self.theta2
-
-
-@dataclass(frozen=True)
 class Hypothesis:
     """A claim about the latent accuracy difference theta1 - theta2.
 
-    ``POINT_NULL``            the difference equals ``margin`` exactly.
     ``INTERVAL_NULL``         the difference lies within ``rope_radius`` of
                               ``margin``.
     ``DIRECTIONAL_MARGIN``    the difference exceeds ``margin`` in the sense
@@ -94,21 +75,17 @@ class DatasetObs:
 
     Exactly one of ``per_item`` and ``aggregate`` is populated.  ``per_item``
     holds ``(item_id, outcome1, outcome2)`` triples with 0/1 outcomes;
-    ``aggregate`` holds one ``(correct, total)`` pair per system.  After
-    :func:`validate` runs, per-item datasets also carry ``derived_aggregate``.
+    ``aggregate`` holds one ``(correct, total)`` pair per system.
     """
 
     name: str
     per_item: tuple[tuple[str, int, int], ...] | None = None
     aggregate: tuple[tuple[int, int], tuple[int, int]] | None = None
-    derived_aggregate: tuple[tuple[int, int], tuple[int, int]] | None = None
 
     def counts(self) -> tuple[tuple[int, int], tuple[int, int]]:
         """Per-system (correct, total) pairs, derived on demand for per-item data."""
         if self.aggregate is not None:
             return self.aggregate
-        if self.derived_aggregate is not None:
-            return self.derived_aggregate
         c1, c2, total = derive_aggregate(self)
         return ((c1, total), (c2, total))
 
@@ -123,10 +100,9 @@ class ObservationSet:
 
 
 def validate(obs: ObservationSet) -> ObservationSet:
-    """Check structural invariants and attach derived aggregates.
+    """Check structural invariants and return ``obs`` unchanged.
 
-    Returns a new ``ObservationSet``; validating an already-validated set is
-    a no-op.  Raises ``MalformedObservations`` on structural problems and
+    Raises ``MalformedObservations`` on structural problems and
     ``EmptyDataset`` when there is nothing to analyze.
     """
     n1, n2 = obs.system_names
@@ -137,7 +113,6 @@ def validate(obs: ObservationSet) -> ObservationSet:
     if not obs.datasets:
         raise EmptyDataset("observation set contains no datasets")
     seen = set()
-    validated = []
     for ds in obs.datasets:
         if not ds.name:
             raise MalformedObservations("dataset names must be non-empty")
@@ -149,8 +124,7 @@ def validate(obs: ObservationSet) -> ObservationSet:
                 raise MalformedObservations(
                     f"dataset {ds.name!r} must carry per-item outcomes only in per-item mode"
                 )
-            c1, c2, total = derive_aggregate(ds)
-            validated.append(replace(ds, derived_aggregate=((c1, total), (c2, total))))
+            derive_aggregate(ds)
         else:
             if ds.aggregate is None or ds.per_item is not None:
                 raise MalformedObservations(
@@ -165,8 +139,7 @@ def validate(obs: ObservationSet) -> ObservationSet:
                     raise MalformedObservations(
                         f"dataset {ds.name!r}: correct count {correct} outside [0, {total}] for {sysname!r}"
                     )
-            validated.append(ds)
-    return replace(obs, datasets=tuple(validated))
+    return obs
 
 
 def derive_aggregate(dataset: DatasetObs) -> tuple[int, int, int]:
@@ -226,22 +199,3 @@ def pooled_counts(obs: ObservationSet) -> tuple[tuple[int, int], tuple[int, int]
     """Per-system (correct, total) summed over every dataset."""
     pooled = pool_datasets(obs)
     return pooled.datasets[0].aggregate
-
-
-def swap_systems(obs: ObservationSet) -> ObservationSet:
-    """Relabel system1 as system2 and vice versa, swapping every outcome pair."""
-    swapped = []
-    for ds in obs.datasets:
-        per_item = None
-        if ds.per_item is not None:
-            per_item = tuple((i, o2, o1) for (i, o1, o2) in ds.per_item)
-        aggregate = None
-        if ds.aggregate is not None:
-            aggregate = (ds.aggregate[1], ds.aggregate[0])
-        derived = None
-        if ds.derived_aggregate is not None:
-            derived = (ds.derived_aggregate[1], ds.derived_aggregate[0])
-        swapped.append(replace(ds, per_item=per_item, aggregate=aggregate,
-                               derived_aggregate=derived))
-    return replace(obs, datasets=tuple(swapped),
-                   system_names=(obs.system_names[1], obs.system_names[0]))

@@ -35,6 +35,10 @@ class UnstableEstimate(AssessmentError):
     """A Monte Carlo component is too close to zero for a reliable ratio."""
 
 
+class ConvergenceFailure(AssessmentError):
+    """An iterative numeric kernel stopped before reaching its accuracy target."""
+
+
 class ConfigError(AssessmentError):
     """A configuration file or override is invalid.
 

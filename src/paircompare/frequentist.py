@@ -1,5 +1,5 @@
-"""Frequentist procedures: the two-proportion z-test, confidence intervals
-for the accuracy difference, and a paired permutation test."""
+"""Frequentist procedures: the two-proportion z-test and confidence
+intervals for the accuracy difference."""
 
 from __future__ import annotations
 
@@ -7,11 +7,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .core import DatasetObs, Direction, derive_aggregate
+from .core import Direction
 from .errors import DegenerateTest, DomainError
-from .numerics import RngStream, _as_generator, std_normal_cdf, std_normal_quantile
+from .numerics import std_normal_cdf, std_normal_quantile
 
 
 class CiMode(Enum):
@@ -51,22 +49,41 @@ class ConfidenceInterval:
     critical: float
 
 
-@dataclass(frozen=True)
-class PermutationResult:
-    p_value: float
-    statistic: float
-    n_items: int
-    n_nonzero: int
-    method: str  # "exact" or "monte_carlo"
-    n_resamples: int
-
-
 def _check_counts(correct1: int, total1: int, correct2: int, total2: int) -> None:
     for correct, total in ((correct1, total1), (correct2, total2)):
         if total < 1:
             raise DomainError(f"totals must be at least 1, got {total!r}")
         if not 0 <= correct <= total:
             raise DomainError(f"correct count {correct!r} outside [0, {total!r}]")
+
+
+def pooled_z(correct1: int, total1: int, correct2: int, total2: int,
+             direction: Direction) -> tuple[float, float, float, float]:
+    """``(z, p_value, pooled_rate, sigma)`` of the pooled two-proportion z-test.
+
+    The one kernel behind :func:`two_proportion_z_test`, the pooled interval
+    and the optional-stopping looks.  Counts are not checked, so per-look
+    callers pay only for the arithmetic.
+
+    Raises
+    ------
+    DegenerateTest
+        When the pooled rate is exactly 0 or 1, which makes ``sigma`` zero.
+    """
+    pooled = (correct1 + correct2) / (total1 + total2)
+    if pooled == 0.0 or pooled == 1.0:
+        raise DegenerateTest(
+            f"pooled rate is {pooled:g}; the z statistic is undefined for these counts"
+        )
+    sigma = math.sqrt(pooled * (1.0 - pooled) * (1.0 / total1 + 1.0 / total2))
+    z = (correct1 / total1 - correct2 / total2) / sigma
+    if direction is Direction.GREATER:
+        p_value = std_normal_cdf(-z)
+    elif direction is Direction.LESS:
+        p_value = std_normal_cdf(z)
+    else:
+        p_value = min(1.0, 2.0 * std_normal_cdf(-abs(z)))
+    return z, p_value, pooled, sigma
 
 
 def two_proportion_z_test(correct1: int, total1: int, correct2: int, total2: int,
@@ -83,26 +100,12 @@ def two_proportion_z_test(correct1: int, total1: int, correct2: int, total2: int
         When the pooled rate is exactly 0 or 1, which makes ``sigma`` zero.
     """
     _check_counts(correct1, total1, correct2, total2)
-    p1 = correct1 / total1
-    p2 = correct2 / total2
-    pooled = (correct1 + correct2) / (total1 + total2)
-    if pooled == 0.0 or pooled == 1.0:
-        raise DegenerateTest(
-            f"pooled rate is {pooled:g}; the z statistic is undefined for these counts"
-        )
-    sigma = math.sqrt(pooled * (1.0 - pooled) * (1.0 / total1 + 1.0 / total2))
-    z = (p1 - p2) / sigma
-    if direction is Direction.GREATER:
-        p_value = std_normal_cdf(-z)
-    elif direction is Direction.LESS:
-        p_value = std_normal_cdf(z)
-    else:
-        p_value = min(1.0, 2.0 * std_normal_cdf(-abs(z)))
+    z, p_value, pooled, sigma = pooled_z(correct1, total1, correct2, total2, direction)
     return ZTestResult(
         z=z,
         p_value=p_value,
         direction=direction,
-        diff=p1 - p2,
+        diff=correct1 / total1 - correct2 / total2,
         pooled_rate=pooled,
         sigma=sigma,
         counts=((correct1, total1), (correct2, total2)),
@@ -134,10 +137,7 @@ def diff_confidence_interval(correct1: int, total1: int, correct2: int, total2: 
     p2 = correct2 / total2
     diff = p1 - p2
     if mode is CiMode.ONE_SIDED_POOLED_Z:
-        pooled = (correct1 + correct2) / (total1 + total2)
-        if pooled == 0.0 or pooled == 1.0:
-            raise DegenerateTest("pooled rate is 0 or 1; the interval has no width")
-        sigma = math.sqrt(pooled * (1.0 - pooled) * (1.0 / total1 + 1.0 / total2))
+        sigma = pooled_z(correct1, total1, correct2, total2, Direction.GREATER)[3]
         critical = std_normal_quantile(level)
     else:
         sigma = math.sqrt(p1 * (1.0 - p1) / total1 + p2 * (1.0 - p2) / total2)
@@ -154,60 +154,3 @@ def diff_confidence_interval(correct1: int, total1: int, correct2: int, total2: 
         sigma=sigma,
         critical=critical,
     )
-
-
-_EXACT_LIMIT = 20
-_ENUM_CHUNK = 1 << 16
-
-
-def paired_permutation_test(dataset: DatasetObs, rng: RngStream | None = None,
-                            n_resamples: int = 10_000) -> PermutationResult:
-    """One-sided paired permutation test on per-item outcomes.
-
-    The statistic is the mean outcome difference.  Items where the systems
-    agree contribute no variation but stay in the denominator.  With at most
-    20 disagreeing items all sign assignments are enumerated; beyond that,
-    ``n_resamples`` random assignments are drawn and the observed assignment
-    counts toward the numerator, so the p-value can never be zero.
-
-    Returns the probability of a permuted statistic at least as large as the
-    observed one.
-    """
-    if dataset.per_item is None:
-        raise DomainError(f"dataset {dataset.name!r} has no per-item outcomes")
-    _, _, total = derive_aggregate(dataset)
-    diffs = np.array([o1 - o2 for (_, o1, o2) in dataset.per_item], dtype=np.int64)
-    nonzero = diffs[diffs != 0]
-    m = int(nonzero.size)
-    observed_sum = int(nonzero.sum())
-    statistic = observed_sum / total
-
-    if m == 0:
-        return PermutationResult(1.0, statistic, total, 0, "exact", 0)
-
-    if m <= _EXACT_LIMIT:
-        hits = 0
-        n_assignments = 1 << m
-        shifts = np.arange(m, dtype=np.uint32)
-        for start in range(0, n_assignments, _ENUM_CHUNK):
-            masks = np.arange(start, min(start + _ENUM_CHUNK, n_assignments), dtype=np.uint32)
-            # Cast before the affine map: in uint32, 0 * 2 - 1 would wrap.
-            signs = ((masks[:, None] >> shifts) & 1).astype(np.int64) * 2 - 1
-            sums = signs @ nonzero
-            hits += int(np.count_nonzero(sums >= observed_sum))
-        return PermutationResult(hits / n_assignments, statistic, total, m,
-                                 "exact", n_assignments)
-
-    if n_resamples < 1:
-        raise DomainError(f"n_resamples must be positive, got {n_resamples!r}")
-    gen = _as_generator(rng if rng is not None else RngStream(0))
-    hits = 0
-    done = 0
-    while done < n_resamples:
-        chunk = min(n_resamples - done, _ENUM_CHUNK)
-        signs = gen.integers(0, 2, size=(chunk, m), dtype=np.int64) * 2 - 1
-        sums = signs @ nonzero
-        hits += int(np.count_nonzero(sums >= observed_sum))
-        done += chunk
-    p_value = (hits + 1) / (n_resamples + 1)
-    return PermutationResult(p_value, statistic, total, m, "monte_carlo", n_resamples)

@@ -26,6 +26,8 @@ from .numerics import RngStream, sample_beta
 # Post-adaptation acceptance rates are expected to land in this band.
 TARGET_ACCEPT_BAND = (0.2, 0.5)
 _ADAPT_TARGET = 0.35
+# Logit-scale proposal step each chain starts warmup with.
+_INITIAL_STEP = 0.5
 
 # Convergence thresholds; crossing either marks the trace non-converged.
 RHAT_THRESHOLD = 1.01
@@ -48,7 +50,6 @@ class McmcConfig:
     warmup: int = 1000
     draws: int = 5000
     init: InitStrategy = InitStrategy.MLE_JITTER
-    initial_step: float = 0.5
 
     def __post_init__(self):
         if self.chains < 2:
@@ -57,8 +58,6 @@ class McmcConfig:
             raise DomainError(f"warmup must be non-negative, got {self.warmup!r}")
         if self.draws < 1:
             raise DomainError(f"draws must be positive, got {self.draws!r}")
-        if self.initial_step <= 0.0:
-            raise DomainError(f"initial_step must be positive, got {self.initial_step!r}")
 
 
 @dataclass
@@ -209,7 +208,7 @@ def _run_single_chain(log_post, model, counts, config: McmcConfig, chain: int):
     noise = gen.standard_normal((total, 2))
     unifs = gen.random(total)
 
-    step = config.initial_step
+    step = _INITIAL_STEP
     lp = log_post(e1, e2)
     out = np.empty((config.draws, 2))
     accepted = 0

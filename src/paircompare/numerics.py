@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceFailure, DomainError
 
 _SQRT_2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -103,7 +103,7 @@ def _beta_cf(a: float, b: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _CF_EPS:
             return h
-    raise ArithmeticError(
+    raise ConvergenceFailure(
         f"incomplete beta continued fraction did not converge for a={a}, b={b}, x={x}"
     )
 
@@ -119,6 +119,9 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     ------
     DomainError
         If ``a <= 0``, ``b <= 0``, or ``x`` is outside [0, 1].
+    ConvergenceFailure
+        If the continued fraction has not converged after 500 terms, which
+        happens near the mean once ``a + b`` reaches about 1e7.
     """
     if a <= 0.0 or b <= 0.0:
         raise DomainError(f"incomplete beta requires a > 0 and b > 0, got a={a!r}, b={b!r}")

@@ -1,5 +1,5 @@
 """Posterior summaries and decisions: highest-density intervals, ROPE
-verdicts, interval-null Bayes factors, and margin assessments."""
+verdicts, and interval-null Bayes factors."""
 
 from __future__ import annotations
 
@@ -18,6 +18,9 @@ MIN_HDI_SAMPLES = 100
 # Any Bayes-factor component below this many expected hits is too noisy to
 # put in a ratio.
 MIN_COMPONENT_HITS = 10
+# Simpson grid over [0, 1] for the quadrature cross-check; odd, so the
+# panels pair up.
+_QUAD_POINTS = 4001
 
 
 @dataclass(frozen=True)
@@ -71,16 +74,6 @@ class BayesFactorResult:
     quadrature_prior_p0: float
     quadrature_post_p0: float
     quadrature_bf01: float
-
-
-@dataclass(frozen=True)
-class MarginAssessment:
-    """Posterior probability that system1 beats system2 by more than ``margin``."""
-
-    margin: float
-    probability: float
-    mc_se: float
-    n_mc: int
 
 
 def hdi_from_samples(samples, mass: float = 0.95) -> Hdi:
@@ -147,28 +140,25 @@ def _beta_pdf_grid(params: BetaParams, t: np.ndarray) -> np.ndarray:
 
 
 def interval_probability_quadrature(params1: BetaParams, params2: BetaParams,
-                                    radius: float, center: float = 0.0,
-                                    n_points: int = 4001) -> float:
-    """P(|theta1 - theta2 - center| < radius) for independent Beta variates.
+                                    radius: float) -> float:
+    """P(|theta1 - theta2| < radius) for independent Beta variates.
 
     Simpson integration of the Beta(params1) density against the CDF
     difference of Beta(params2), everything built from the incomplete beta.
     """
     if radius <= 0.0:
         raise DomainError(f"radius must be positive, got {radius!r}")
-    if n_points % 2 == 0:
-        n_points += 1
-    t = np.linspace(0.0, 1.0, n_points)
+    t = np.linspace(0.0, 1.0, _QUAD_POINTS)
     pdf1 = _beta_pdf_grid(params1, t)
 
     def cdf2(v: float) -> float:
         return regularized_incomplete_beta(params2.alpha, params2.beta, min(max(v, 0.0), 1.0))
 
-    upper = np.array([cdf2(v - center + radius) for v in t])
-    lower = np.array([cdf2(v - center - radius) for v in t])
+    upper = np.array([cdf2(v + radius) for v in t])
+    lower = np.array([cdf2(v - radius) for v in t])
     integrand = pdf1 * (upper - lower)
     h = t[1] - t[0]
-    weights = np.ones(n_points)
+    weights = np.ones(_QUAD_POINTS)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     return float(np.dot(weights, integrand) * h / 3.0)
@@ -251,17 +241,3 @@ def _interval_prob_exact_or_quadrature(p1: BetaParams, p2: BetaParams,
         # Two independent uniforms: P(|U1 - U2| < eps) = 2 eps - eps^2.
         return 2.0 * epsilon - epsilon * epsilon
     return interval_probability_quadrature(p1, p2, epsilon)
-
-
-def assess_margin_hypothesis(posteriors: PosteriorPair, margin: float,
-                             n_mc: int, rng: RngStream) -> MarginAssessment:
-    """Posterior probability that theta1 - theta2 exceeds ``margin``."""
-    if not -1.0 <= margin <= 1.0:
-        raise DomainError(f"margin must lie in [-1, 1], got {margin!r}")
-    if n_mc < 1000:
-        raise DomainError(f"n_mc must be at least 1000, got {n_mc!r}")
-    gen = _as_generator(rng)
-    d = sample_beta(posteriors.post1.alpha, posteriors.post1.beta, gen, size=n_mc) \
-        - sample_beta(posteriors.post2.alpha, posteriors.post2.beta, gen, size=n_mc)
-    p = float(np.count_nonzero(d > margin)) / n_mc
-    return MarginAssessment(margin, p, math.sqrt(p * (1.0 - p) / n_mc), n_mc)

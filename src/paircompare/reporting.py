@@ -36,7 +36,6 @@ from .core import (
     ObservationSet,
     pooled_counts,
 )
-from .errors import ConfigError
 from .frequentist import diff_confidence_interval, two_proportion_z_test
 from .fsio import atomic_write_text
 from .mcmc import McmcConfig, Trace, export_trace, run_chains
@@ -195,13 +194,9 @@ def run_analysis(config: AnalysisConfig, write: bool = True) -> AnalysisOutcome:
     ------
     ConfigError
         If the config lacks data, or several datasets are listed without
-        ``pool = true`` (per-dataset runs need per-dataset configs).
+        ``pool = true`` (see :func:`config.load_observations`).
     """
     obs = load_observations(config)
-    if len(obs.datasets) > 1:
-        raise ConfigError(
-            "several datasets need pool = true; analyze them separately otherwise",
-            section="data", key="pool")
     counts = pooled_counts(obs)
     (c1, t1), (c2, t2) = counts
     opts = config.analysis

@@ -16,9 +16,9 @@ import numpy as np
 
 from .bayes import BetaParams, PosteriorPair, conjugate_update
 from .core import Direction
-from .errors import DomainError
-from .frequentist import two_proportion_z_test
-from .numerics import RngStream, log_binomial_coefficient, sample_beta, std_normal_cdf
+from .errors import DegenerateTest, DomainError
+from .frequentist import pooled_z
+from .numerics import RngStream, log_binomial_coefficient, sample_beta
 from .posterior import Hdi, bayes_factor_interval_null, hdi_from_samples
 
 # Stream indices reserved by the prior sweep so rows never share draws.
@@ -181,10 +181,14 @@ def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int
         gen = RngStream(master_seed, t).generator
         outcomes1 = gen.random(n_max) < theta
         outcomes2 = gen.random(n_max) < theta
-        cum1 = np.cumsum(outcomes1)[look_arr - 1]
-        cum2 = np.cumsum(outcomes2)[look_arr - 1]
+        cum1 = np.cumsum(outcomes1)[look_arr - 1].tolist()
+        cum2 = np.cumsum(outcomes2)[look_arr - 1].tolist()
         for i, n in enumerate(looks):
-            if _z_test_rejects(int(cum1[i]), int(cum2[i]), n, nominal_alpha, direction):
+            try:
+                p_value = pooled_z(cum1[i], n, cum2[i], n, direction)[1]
+            except DegenerateTest:
+                continue  # all successes or all failures so far: nothing to reject
+            if p_value < nominal_alpha:
                 false_positives += 1
                 first_rejections[i] += 1
                 break
@@ -198,24 +202,6 @@ def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int
         first_rejection_counts=tuple(first_rejections),
         master_seed=master_seed,
     )
-
-
-def _z_test_rejects(c1: int, c2: int, n: int, alpha: float,
-                    direction: Direction) -> bool:
-    # Inline two-proportion z-test on equal-sized arms; kept in lockstep with
-    # frequentist.two_proportion_z_test (see the cross-check in the tests).
-    pooled = (c1 + c2) / (2.0 * n)
-    if pooled == 0.0 or pooled == 1.0:
-        return False
-    sigma = math.sqrt(pooled * (1.0 - pooled) * 2.0 / n)
-    z = ((c1 - c2) / n) / sigma
-    if direction is Direction.GREATER:
-        p = std_normal_cdf(-z)
-    elif direction is Direction.LESS:
-        p = std_normal_cdf(z)
-    else:
-        p = min(1.0, 2.0 * std_normal_cdf(-abs(z)))
-    return p < alpha
 
 
 def prior_sensitivity_sweep(counts: tuple[tuple[int, int], tuple[int, int]],

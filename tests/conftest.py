@@ -1,9 +1,16 @@
+import os
 import shutil
 from pathlib import Path
 
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+# Tests that start `python -m paircompare.cli` run it from a temporary
+# directory, where a relative PYTHONPATH no longer finds the package; put the
+# absolute src path first so subprocesses import this checkout.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,6 @@ from paircompare.bayes import (
     conjugate_update,
     event_probability,
     event_probability_from_samples,
-    model_log_density,
     posterior_pair,
 )
 from paircompare.core import (
@@ -107,38 +106,6 @@ def test_beta_log_pdf_outside_support():
     assert beta_log_pdf(-0.3, UNIFORM) == -math.inf
 
 
-def test_model_log_density_differences_match_posterior():
-    # Up to an additive constant the joint density in theta equals the
-    # product of the conjugate posteriors, so log-density differences between
-    # points must match scipy's posterior logpdf differences.
-    model = HierarchicalModel(UNIFORM, BetaParams(3.0, 1.5))
-    obs = easy_obs()
-    post1 = scipy.stats.beta(1.0 + 1721, 1.0 + 655)
-    post2 = scipy.stats.beta(3.0 + 1637, 1.5 + 739)
-    points = [(0.72, 0.69), (0.70, 0.70), (0.74, 0.66), (0.5, 0.5)]
-    base = model_log_density(model, points[0], obs)
-    base_ref = post1.logpdf(points[0][0]) + post2.logpdf(points[0][1])
-    for point in points[1:]:
-        ours = model_log_density(model, point, obs) - base
-        ref = post1.logpdf(point[0]) + post2.logpdf(point[1]) - base_ref
-        assert ours == pytest.approx(ref, abs=1e-8)
-
-
-def test_model_log_density_outside_support():
-    model = HierarchicalModel(UNIFORM, UNIFORM)
-    assert model_log_density(model, (0.0, 0.5), easy_obs()) == -math.inf
-    assert model_log_density(model, (0.5, 1.0), easy_obs()) == -math.inf
-
-
-def test_model_log_density_accepts_latent_params():
-    from paircompare.core import LatentParams
-
-    model = HierarchicalModel(UNIFORM, UNIFORM)
-    by_pair = model_log_density(model, (0.7, 0.6), easy_obs())
-    by_params = model_log_density(model, LatentParams(0.7, 0.6), easy_obs())
-    assert by_pair == by_params
-
-
 def test_event_probability_superiority_easy():
     # P(theta1 > theta2) on the worked example; center frozen from a
     # quadrature evaluation (0.996276), tolerance covers Monte Carlo noise.
@@ -189,9 +156,6 @@ def test_event_masks_from_samples():
 
     interval = Hypothesis(HypothesisKind.INTERVAL_NULL, 0.0, rope_radius=0.05)
     assert event_probability_from_samples(diffs, interval).estimate == 3 / 5
-
-    point = Hypothesis(HypothesisKind.POINT_NULL, 0.3)
-    assert event_probability_from_samples(diffs, point).estimate == 1 / 5
 
 
 def test_event_probability_from_samples_validation():

@@ -1,12 +1,17 @@
 """End-to-end command-line behavior, including exit codes."""
 
 import json
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import paircompare
 from paircompare.cli import EXIT_ERROR, EXIT_NONCONVERGENCE, EXIT_OK, main
+
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
 def run_cli(monkeypatch, tree, *argv):
@@ -168,7 +173,56 @@ def test_console_script_subprocess(fixture_tree):
         cwd=fixture_tree, capture_output=True, text=True)
     assert result.returncode == EXIT_OK, result.stderr
     assert "report written to" in result.stdout
-    installed = subprocess.run(["paircompare", "version"],
-                               capture_output=True, text=True)
-    assert installed.returncode == EXIT_OK
-    assert installed.stdout.startswith("paircompare ")
+    # The entry point pyproject.toml declares, called the way a console
+    # script calls it, so the check holds without installing the package.
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    scripts = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["scripts"]
+    module, func = scripts["paircompare"].split(":")
+    entry = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; sys.argv = ['paircompare', 'version']; "
+         f"from {module} import {func}; sys.exit({func}())"],
+        cwd=fixture_tree, capture_output=True, text=True)
+    assert entry.returncode == EXIT_OK, entry.stderr
+    assert entry.stdout.startswith("paircompare ")
+    if shutil.which("paircompare"):
+        installed = subprocess.run(["paircompare", "version"],
+                                   capture_output=True, text=True)
+        assert installed.returncode == EXIT_OK
+        assert installed.stdout.startswith("paircompare ")
+
+
+def test_incomplete_beta_nonconvergence_is_a_handled_error(fixture_tree, monkeypatch, capsys):
+    # 10^7 items per system push the incomplete beta's continued fraction
+    # past its term limit; the CLI reports that as an error, not a traceback.
+    code = run_cli(monkeypatch, fixture_tree,
+                   "oracle", "--config", "configs/arc_easy.cfg",
+                   "--set", "data.counts=7000000/10000000, 6995000/10000000",
+                   "--set", "analysis.rope_radius=0.0005")
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "did not converge" in err
+
+
+def test_package_exports_what_the_cli_and_report_use():
+    assert paircompare.__all__ == [
+        "__version__",
+        "AnalysisConfig",
+        "AnalysisOutcome",
+        "AssessmentError",
+        "AssessmentReport",
+        "ConfigError",
+        "PRIOR_PRESETS",
+        "load_observations",
+        "optional_stopping_fpr",
+        "parse_config_file",
+        "pooled_counts",
+        "prior_sensitivity_sweep",
+        "render_config",
+        "run_analysis",
+        "stopping_comparison",
+    ]
+    namespace: dict = {}
+    exec("from paircompare import *", namespace)
+    assert set(paircompare.__all__) <= namespace.keys()

@@ -1,5 +1,7 @@
 """Config grammar, render/parse round-trips, and observation ingestion."""
 
+import dataclasses
+import hashlib
 import textwrap
 
 import pytest
@@ -109,6 +111,30 @@ def test_fixture_configs_round_trip(configs_dir):
     for path in sorted(configs_dir.glob("*.cfg")):
         config = parse_config_file(path)
         assert parse_config(render_config(config)) == config
+
+
+# provenance.config_sha256 of each shipped config as `oracle` (MCMC off) and
+# `analyze` render it.  The report hashes render_config's text, so these pin
+# the canonical form byte for byte.
+PINNED_CONFIG_SHA256 = {
+    "arc_easy": ("1e32d2f52bfab953c65124df464d125fa9fde9b3325b1f3efa656b306882b923",
+                 "89df322b2804275ef823a3ef1ae2fa63f3e38b9c6949d4566fcacd81fdc5bedc"),
+    "arc_challenge": ("c20fbdb661d6e58d9cf9ee5a01e4de58e3c6fb7dc93dd74024ea73f9efa9ade7",
+                      "b8f830c64162d668b3f32975f74148d8bbcfacb527dc5115d8e6549f975f5b7c"),
+    "arc_pooled": ("ad916876ad4e972db9940f6b4ae6cb9998ce13694968cb2052eb1bfeaf84b26e",
+                   "ede2b898b4bee92c74c2f66710d7918a49c3c08e0a54cfdc15701b47fa7c84e7"),
+    "per_item_demo": ("7ef997a1a7d080832873e10a0cb5258dac8d0d9e13ebd88cd9f673eb30a6fd87",
+                      "7ef997a1a7d080832873e10a0cb5258dac8d0d9e13ebd88cd9f673eb30a6fd87"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CONFIG_SHA256))
+def test_fixture_config_hashes_pinned(configs_dir, name):
+    config = parse_config_file(configs_dir / f"{name}.cfg")
+    oracle = dataclasses.replace(config, mcmc=dataclasses.replace(config.mcmc, enabled=False))
+    digests = tuple(hashlib.sha256(render_config(c).encode("utf-8")).hexdigest()
+                    for c in (oracle, config))
+    assert digests == PINNED_CONFIG_SHA256[name]
 
 
 @given(seed=st.integers(0, 2**31),

@@ -9,13 +9,11 @@ from paircompare.core import (
     Direction,
     Hypothesis,
     HypothesisKind,
-    LatentParams,
     ObservationMode,
     ObservationSet,
     derive_aggregate,
     pool_datasets,
     pooled_counts,
-    swap_systems,
     validate,
 )
 from paircompare.errors import (
@@ -91,7 +89,7 @@ def test_validate_attaches_derived_aggregate():
             ("q1", 1, 0), ("q2", 1, 1), ("q3", 0, 0))),),
     )
     validated = validate(obs)
-    assert validated.datasets[0].derived_aggregate == ((2, 3), (1, 3))
+    assert validated.datasets[0].counts() == ((2, 3), (1, 3))
 
 
 def test_derive_aggregate_rejects_duplicate_items():
@@ -118,21 +116,6 @@ def test_pool_datasets_sums_counts():
     assert len(pooled.datasets) == 1
     assert pooled.datasets[0].counts() == ((2287, 3548), (2133, 3548))
     assert pooled_counts(pooled) == ((2287, 3548), (2133, 3548))
-
-
-def test_swap_systems_swaps_counts_and_names():
-    swapped = swap_systems(validate(aggregate_obs()))
-    assert swapped.datasets[0].counts() == ((1637, 2376), (1721, 2376))
-    assert swapped.system_names == ("system2", "system1")
-
-
-def test_latent_params_diff_and_range():
-    params = LatentParams(0.7, 0.4)
-    assert params.diff == pytest.approx(0.3)
-    with pytest.raises(DomainError):
-        LatentParams(1.2, 0.5)
-    with pytest.raises(DomainError):
-        LatentParams(0.5, -0.1)
 
 
 def test_hypothesis_interval_null_needs_radius():

@@ -1,27 +1,23 @@
-"""z-test, confidence intervals, and the paired permutation test.
+"""z-test and confidence intervals.
 
 Expected values marked as frozen were computed with scipy (normal CDF and
-quantile) or exact enumeration before these tests were written.
+quantile) before these tests were written.
 """
 
-import itertools
 import math
 
-import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paircompare.core import DatasetObs, Direction
+from paircompare.core import Direction
 from paircompare.errors import DegenerateTest, DomainError
 from paircompare.frequentist import (
     CiMode,
     diff_confidence_interval,
-    paired_permutation_test,
     two_proportion_z_test,
 )
-from paircompare.numerics import RngStream
 
 EASY = (1721, 2376, 1637, 2376)
 CHALLENGE = (566, 1172, 496, 1172)
@@ -149,76 +145,3 @@ def test_ci_level_validation():
         diff_confidence_interval(*EASY, level=0.0)
     with pytest.raises(DomainError):
         diff_confidence_interval(*EASY, level=1.0)
-
-
-def exhaustive_permutation_pvalue(pairs):
-    """Independent oracle: enumerate every sign assignment directly."""
-    diffs = [o1 - o2 for _, o1, o2 in pairs]
-    nonzero = [d for d in diffs if d != 0]
-    if not nonzero:
-        return 1.0
-    observed = sum(nonzero)
-    hits = 0
-    for signs in itertools.product((1, -1), repeat=len(nonzero)):
-        if sum(s * d for s, d in zip(signs, nonzero)) >= observed:
-            hits += 1
-    return hits / 2 ** len(nonzero)
-
-
-def make_dataset(outcomes):
-    return DatasetObs(name="d", per_item=tuple(
-        (f"q{i}", o1, o2) for i, (o1, o2) in enumerate(outcomes)))
-
-
-@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)),
-                min_size=1, max_size=12))
-@settings(max_examples=60, deadline=None)
-def test_permutation_exact_matches_bruteforce(outcomes):
-    result = paired_permutation_test(make_dataset(outcomes))
-    assert result.method == "exact"
-    assert result.p_value == pytest.approx(
-        exhaustive_permutation_pvalue(
-            [(f"q{i}", o1, o2) for i, (o1, o2) in enumerate(outcomes)]),
-        abs=1e-12)
-
-
-def test_permutation_all_ties_pvalue_one():
-    result = paired_permutation_test(make_dataset([(1, 1), (0, 0), (1, 1)]))
-    assert result.p_value == 1.0
-    assert result.n_nonzero == 0
-
-
-def test_permutation_monte_carlo_close_to_exact():
-    # 24 informative pairs forces the resampling path.  With every nonzero
-    # diff equal to +-1, a sign flip makes each contribution an independent
-    # +-1, so the permuted sum is 2*Binomial(24, 1/2) - 24 and
-    # P(sum >= 16 - 8) = P(B >= 16) = 635813/8388608 exactly.
-    outcomes = [(1, 0)] * 16 + [(0, 1)] * 8 + [(1, 1)] * 6
-    data = make_dataset(outcomes)
-    mc = paired_permutation_test(data, rng=RngStream(11, 0), n_resamples=40_000)
-    assert mc.method == "monte_carlo"
-    exact_p = 635813 / 8388608
-    se = math.sqrt(exact_p * (1.0 - exact_p) / 40_000)
-    assert abs(mc.p_value - exact_p) < 4.0 * se + 2.0 / 40_000
-
-
-def test_permutation_monte_carlo_deterministic():
-    outcomes = [(1, 0)] * 15 + [(0, 1)] * 7 + [(1, 1), (0, 0)] * 3
-    a = paired_permutation_test(make_dataset(outcomes), rng=RngStream(5, 2))
-    b = paired_permutation_test(make_dataset(outcomes), rng=RngStream(5, 2))
-    assert a.p_value == b.p_value
-    assert a.method == "monte_carlo"
-
-
-def test_permutation_pvalue_never_zero():
-    # The +1 correction keeps Monte Carlo p-values strictly positive.
-    outcomes = [(1, 0)] * 30
-    result = paired_permutation_test(make_dataset(outcomes),
-                                     rng=RngStream(3, 1), n_resamples=500)
-    assert result.p_value >= 1.0 / 501.0
-
-
-def test_permutation_statistic_is_mean_difference():
-    outcomes = [(1, 0), (1, 0), (0, 1), (1, 1)]
-    result = paired_permutation_test(make_dataset(outcomes))
-    assert result.statistic == pytest.approx((2 - 1) / 4)

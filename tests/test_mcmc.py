@@ -136,8 +136,6 @@ def test_config_validation():
         McmcConfig(master_seed=1, warmup=-1)
     with pytest.raises(DomainError):
         McmcConfig(master_seed=1, draws=0)
-    with pytest.raises(DomainError):
-        McmcConfig(master_seed=1, initial_step=0.0)
 
 
 @pytest.fixture(scope="module")

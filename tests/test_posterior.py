@@ -12,14 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paircompare.bayes import BetaParams, PosteriorPair
-from paircompare.core import DecisionValue
+from paircompare.bayes import BetaParams, PosteriorPair, event_probability
+from paircompare.core import DecisionValue, Direction, Hypothesis, HypothesisKind
 from paircompare.errors import DomainError, TooFewSamples, UnstableEstimate
 from paircompare.numerics import RngStream
 from paircompare.posterior import (
     Hdi,
     RopeRelation,
-    assess_margin_hypothesis,
     bayes_factor_interval_null,
     hdi_from_samples,
     interval_probability_quadrature,
@@ -250,15 +249,18 @@ def test_bayes_factor_validation():
 
 
 def test_margin_assessment_easy_frozen():
-    # P(theta1 - theta2 > 0.01) = 0.972497 by quadrature.
-    result = assess_margin_hypothesis(EASY_POSTS, 0.01, 100_000, RngStream(21, 0))
-    assert result.probability == pytest.approx(0.972497, abs=0.004)
+    # P(theta1 - theta2 > 0.01) = 0.972497 by quadrature; a margin is assessed
+    # through the one event-probability route.
+    margin = Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.01, direction=Direction.GREATER)
+    result = event_probability(EASY_POSTS, margin, 100_000, RngStream(21, 0))
+    assert result.estimate == pytest.approx(0.972497, abs=0.004)
     assert result.mc_se == pytest.approx(
-        math.sqrt(result.probability * (1 - result.probability) / 100_000), rel=1e-9)
+        math.sqrt(result.estimate * (1 - result.estimate) / 100_000), rel=1e-9)
 
 
 def test_margin_assessment_validation():
     with pytest.raises(DomainError):
-        assess_margin_hypothesis(EASY_POSTS, 1.5, 10_000, RngStream(1, 0))
+        Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 1.5)
     with pytest.raises(DomainError):
-        assess_margin_hypothesis(EASY_POSTS, 0.0, 10, RngStream(1, 0))
+        event_probability(EASY_POSTS, Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.0),
+                          10, RngStream(1, 0))

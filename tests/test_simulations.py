@@ -11,8 +11,8 @@ import scipy.stats
 
 from paircompare.bayes import PRIOR_PRESETS, BetaParams, conjugate_update
 from paircompare.core import Direction
-from paircompare.errors import DomainError
-from paircompare.frequentist import two_proportion_z_test
+from paircompare.errors import DegenerateTest, DomainError
+from paircompare.frequentist import pooled_z, two_proportion_z_test
 from paircompare.simulations import (
     Tail,
     optional_stopping_fpr,
@@ -21,7 +21,6 @@ from paircompare.simulations import (
     pvalue_fixed_successes,
     stopping_comparison,
 )
-from paircompare.simulations import _z_test_rejects
 
 # Exact tails for 7 successes in 24 trials at a fair-coin null, computed with
 # integer arithmetic: sum_{k<=7} C(24,k) / 2^24 and the matching
@@ -104,8 +103,9 @@ def test_stopping_comparison_same_data_different_pvalues():
 
 
 def test_zsubtest_agrees_with_public_ztest():
-    # The simulation uses an inlined equal-arm z-test for speed; it must
-    # reach the same reject/keep verdicts as the public implementation.
+    # The optional-stopping looks call the shared pooled_z kernel directly;
+    # it must give exactly the public z-test's statistic and p-value, and
+    # treat the same counts as degenerate.
     import numpy as np
     gen = np.random.default_rng(404)
     for _ in range(300):
@@ -113,11 +113,32 @@ def test_zsubtest_agrees_with_public_ztest():
         c1 = int(gen.integers(0, n + 1))
         c2 = int(gen.integers(0, n + 1))
         if c1 + c2 == 0 or c1 + c2 == 2 * n:
-            assert not _z_test_rejects(c1, c2, n, 0.05, Direction.TWO_SIDED)
+            with pytest.raises(DegenerateTest):
+                pooled_z(c1, n, c2, n, Direction.TWO_SIDED)
+            with pytest.raises(DegenerateTest):
+                two_proportion_z_test(c1, n, c2, n, Direction.TWO_SIDED)
             continue
         for direction in Direction:
-            public = two_proportion_z_test(c1, n, c2, n, direction).p_value < 0.05
-            assert _z_test_rejects(c1, c2, n, 0.05, direction) == public
+            public = two_proportion_z_test(c1, n, c2, n, direction)
+            z, p_value, pooled, sigma = pooled_z(c1, n, c2, n, direction)
+            assert (z, p_value, pooled, sigma) == (
+                public.z, public.p_value, public.pooled_rate, public.sigma)
+
+
+# Per-direction outcome of 500 null trials with 20 looks (seed 1729): the
+# false-positive count and each look's first rejections, pinned so that any
+# change to the per-look z-test or the trial streams shows up exactly.
+PINNED_PEEKING = {
+    Direction.GREATER: (99, (30, 8, 11, 3, 3, 8, 5, 8, 3, 1, 0, 2, 0, 3, 3, 1, 3, 5, 2, 0)),
+    Direction.LESS: (103, (20, 9, 7, 8, 7, 11, 9, 2, 3, 5, 1, 6, 2, 2, 2, 3, 1, 3, 1, 1)),
+    Direction.TWO_SIDED: (113, (22, 10, 10, 9, 8, 10, 5, 5, 7, 6, 0, 2, 4, 3, 3, 1, 4, 2, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+def test_optional_stopping_pinned_counts(direction):
+    report = optional_stopping_fpr(range(10, 201, 10), 0.5, 0.05, 500, 1729, direction)
+    assert (report.false_positives, report.first_rejection_counts) == PINNED_PEEKING[direction]
 
 
 def test_optional_stopping_single_look_holds_nominal_level():
