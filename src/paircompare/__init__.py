@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 
 from .bayes import PRIOR_PRESETS
 from .config import AnalysisConfig, load_observations, parse_config_file, render_config
-from .core import pooled_counts
 from .errors import AssessmentError, ConfigError
 from .reporting import AnalysisOutcome, AssessmentReport, run_analysis
 from .simulations import optional_stopping_fpr, prior_sensitivity_sweep, stopping_comparison
@@ -33,7 +32,6 @@ __all__ = [
     "load_observations",
     "optional_stopping_fpr",
     "parse_config_file",
-    "pooled_counts",
     "prior_sensitivity_sweep",
     "render_config",
     "run_analysis",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Hypothesis, HypothesisKind, Direction, ObservationSet, pooled_counts, validate
+from .core import Counts, Direction, Hypothesis, HypothesisKind
 from .errors import DomainError
 from .numerics import RngStream, _as_generator, sample_beta
 
@@ -50,14 +50,6 @@ PRIOR_PRESETS: dict[str, BetaParams] = {
 
 
 @dataclass(frozen=True)
-class HierarchicalModel:
-    """Priors for the two latent rates; the data layer is binomial."""
-
-    prior1: BetaParams
-    prior2: BetaParams
-
-
-@dataclass(frozen=True)
 class PosteriorPair:
     """Independent Beta posteriors for (theta1, theta2)."""
 
@@ -90,13 +82,10 @@ def conjugate_update(prior: BetaParams, correct: int, total: int) -> BetaParams:
     return BetaParams(prior.alpha + correct, prior.beta + (total - correct))
 
 
-def posterior_pair(model: HierarchicalModel, obs: ObservationSet) -> PosteriorPair:
-    """Conjugate posteriors from all observations, counts pooled across datasets."""
-    (c1, t1), (c2, t2) = pooled_counts(validate(obs))
-    return PosteriorPair(
-        conjugate_update(model.prior1, c1, t1),
-        conjugate_update(model.prior2, c2, t2),
-    )
+def posterior_pair(prior: BetaParams, counts: Counts) -> PosteriorPair:
+    """Conjugate posteriors of both systems under one shared prior."""
+    (c1, t1), (c2, t2) = counts
+    return PosteriorPair(conjugate_update(prior, c1, t1), conjugate_update(prior, c2, t2))
 
 
 def beta_log_pdf(theta: float, params: BetaParams) -> float:

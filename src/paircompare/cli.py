@@ -20,7 +20,6 @@ from pathlib import Path
 from . import __version__
 from .bayes import PRIOR_PRESETS
 from .config import load_observations, parse_config_file
-from .core import pooled_counts
 from .errors import AssessmentError, ConfigError
 from .fsio import atomic_write_text
 from .reporting import run_analysis
@@ -145,7 +144,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
               f"at nominal alpha = {report.nominal_alpha:g}")
 
     else:
-        counts = pooled_counts(load_observations(config))
+        counts = load_observations(config).counts
         rows = prior_sensitivity_sweep(
             counts, PRIOR_PRESETS, sim.sweep_epsilon, sim.sweep_n_mc, seed,
             config.analysis.hdi_mass)

@@ -16,17 +16,11 @@ from enum import Enum
 from pathlib import Path
 
 from .bayes import BetaParams, PRIOR_PRESETS
-from .core import (
-    DatasetObs,
-    Direction,
-    ObservationMode,
-    ObservationSet,
-    pool_datasets,
-    validate,
-)
-from .errors import ConfigError, IngestError, IoError
+from .core import Counts, Direction, ObservationMode
+from .errors import ConfigError, IngestError, IoError, MalformedObservations
 from .frequentist import CiMode
-from .mcmc import InitStrategy
+from .mcmc import McmcConfig
+from .numerics import FIRST_RESERVED_STREAM
 
 KNOWN_METHODS = ("pvalue", "ci", "hdi_rope", "bayes_factor")
 
@@ -34,7 +28,7 @@ KNOWN_METHODS = ("pvalue", "ci", "hdi_rope", "bayes_factor")
 @dataclass(frozen=True)
 class DataConfig:
     mode: ObservationMode
-    counts: tuple[tuple[int, int], tuple[int, int]] | None = None
+    counts: Counts | None = None
     files: tuple[str, ...] = ()
     names: tuple[str, ...] = ()
     systems: tuple[str, str] = ("system1", "system2")
@@ -59,15 +53,6 @@ class AnalysisOptions:
     margin: float = 0.01
     direction: Direction = Direction.GREATER
     n_mc: int = 100_000
-
-
-@dataclass(frozen=True)
-class McmcOptions:
-    enabled: bool = True
-    chains: int = 4
-    warmup: int = 1000
-    draws: int = 5000
-    init: InitStrategy = InitStrategy.MLE_JITTER
 
 
 @dataclass(frozen=True)
@@ -97,7 +82,7 @@ class AnalysisConfig:
     analysis: AnalysisOptions
     data: DataConfig | None = None
     model: ModelConfig = ModelConfig()
-    mcmc: McmcOptions = McmcOptions()
+    mcmc: McmcConfig = McmcConfig()
     output: OutputConfig = OutputConfig()
     simulate: SimulateConfig = SimulateConfig()
     # Directory the config file came from; relative data paths resolve
@@ -266,7 +251,7 @@ def _parse_data(values: dict[str, str] | None) -> DataConfig | None:
                       systems=(systems[0], systems[1]), pool=pool)
 
 
-def _parse_counts(sec: _Section) -> tuple[tuple[int, int], tuple[int, int]]:
+def _parse_counts(sec: _Section) -> Counts:
     parts = sec.get_list("counts", ())
     if len(parts) != 2:
         raise sec.error("expected two correct/total pairs", "counts")
@@ -363,11 +348,14 @@ def _parse_analysis(values: dict[str, str] | None) -> AnalysisOptions:
     return a
 
 
-def _parse_mcmc(values: dict[str, str] | None) -> McmcOptions:
+def _parse_mcmc(values: dict[str, str] | None) -> McmcConfig:
     sec = _Section("mcmc", values or {})
-    m = _read_fields(sec, McmcOptions)
+    m = _read_fields(sec, McmcConfig)
     _check_ranges(sec, [
         ("chains", m.chains >= 2, "need at least 2 chains"),
+        # Chain k draws from stream k; higher indices belong to other draws.
+        ("chains", m.chains < FIRST_RESERVED_STREAM,
+         f"chains must stay below {FIRST_RESERVED_STREAM}, the first reserved stream index"),
         ("warmup", m.warmup >= 0, "warmup must be non-negative"),
         ("draws", m.draws >= 1, "draws must be positive"),
     ])
@@ -448,19 +436,30 @@ def _render_value(value) -> str:
     return str(value)
 
 
-def load_observations(config: AnalysisConfig) -> ObservationSet:
-    """Materialize the observation set a config points at.
+@dataclass(frozen=True)
+class Observations:
+    """What ingest hands every later layer: one dataset's per-system counts."""
 
-    Inline counts become a single aggregate dataset; files are read as CSV
-    (UTF-8, LF or CRLF).  When the config asks for pooling, counts are summed
-    into one dataset here, so the result always holds exactly one dataset.
-    It has passed :func:`core.validate`.
+    systems: tuple[str, str]
+    name: str
+    counts: Counts
+
+
+def load_observations(config: AnalysisConfig) -> Observations:
+    """Read the observations a config points at and fold them into counts.
+
+    Inline counts are used as given; files are read as CSV (UTF-8, LF or
+    CRLF), per-item rows summed as they are read.  When the config asks for
+    pooling, the datasets' counts are summed into one dataset named
+    ``pooled``.  This is the only place that knows the observation format.
 
     Raises
     ------
     ConfigError
         If the config has no [data] section, or lists several datasets
         without ``pool = true`` (per-dataset runs need per-dataset configs).
+    MalformedObservations
+        If two datasets share a name.
     IngestError
         For unreadable or structurally invalid files, with path and row.
     """
@@ -469,28 +468,30 @@ def load_observations(config: AnalysisConfig) -> ObservationSet:
                           section="data")
     d = config.data
     if d.counts is not None:
-        name = d.names[0] if d.names else "inline"
-        datasets = [DatasetObs(name=name, aggregate=d.counts)]
+        datasets = [(d.names[0] if d.names else "inline", d.counts)]
     else:
+        read = _read_aggregate_csv if d.mode is ObservationMode.AGGREGATE else _read_per_item_csv
         datasets = []
         for i, file_name in enumerate(d.files):
             path = Path(file_name)
             if not path.is_absolute() and config.base_dir is not None:
                 path = Path(config.base_dir) / path
             name = d.names[i] if d.names else path.stem
-            if d.mode is ObservationMode.AGGREGATE:
-                datasets.append(_read_aggregate_csv(path, name, d.systems))
-            else:
-                datasets.append(_read_per_item_csv(path, name, d.systems))
-    obs = ObservationSet(mode=d.mode, datasets=tuple(datasets), system_names=d.systems)
-    obs = validate(obs)
+            datasets.append((name, read(path, d.systems)))
+    names = [name for name, _ in datasets]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise MalformedObservations(f"duplicate dataset name {name!r}")
     if d.pool:
-        return pool_datasets(obs)
-    if len(obs.datasets) > 1:
+        pooled = tuple((sum(c[k][0] for _, c in datasets), sum(c[k][1] for _, c in datasets))
+                       for k in (0, 1))
+        return Observations(d.systems, "pooled", pooled)
+    if len(datasets) > 1:
         raise ConfigError(
             "several datasets need pool = true; analyze them separately otherwise",
             section="data", key="pool")
-    return obs
+    [(name, counts)] = datasets
+    return Observations(d.systems, name, counts)
 
 
 def _open_rows(path: Path):
@@ -501,7 +502,7 @@ def _open_rows(path: Path):
     return list(csv.reader(io.StringIO(text, newline="")))
 
 
-def _read_aggregate_csv(path: Path, name: str, systems: tuple[str, str]) -> DatasetObs:
+def _read_aggregate_csv(path: Path, systems: tuple[str, str]) -> Counts:
     rows = _open_rows(path)
     if not rows or rows[0] != ["system", "correct", "total"]:
         raise IngestError("expected header 'system,correct,total'", path=str(path), row=1)
@@ -529,10 +530,10 @@ def _read_aggregate_csv(path: Path, name: str, systems: tuple[str, str]) -> Data
     for system in systems:
         if system not in by_system:
             raise IngestError(f"no row for system {system!r}", path=str(path))
-    return DatasetObs(name=name, aggregate=(by_system[systems[0]], by_system[systems[1]]))
+    return (by_system[systems[0]], by_system[systems[1]])
 
 
-def _read_per_item_csv(path: Path, name: str, systems: tuple[str, str]) -> DatasetObs:
+def _read_per_item_csv(path: Path, systems: tuple[str, str]) -> Counts:
     rows = _open_rows(path)
     if not rows:
         raise IngestError("file is empty", path=str(path))
@@ -542,7 +543,7 @@ def _read_per_item_csv(path: Path, name: str, systems: tuple[str, str]) -> Datas
             f"expected header 'item_id,{systems[0]},{systems[1]}'", path=str(path), row=1)
     col1 = header.index(systems[0])
     col2 = header.index(systems[1])
-    items = []
+    correct = [0, 0]
     seen = set()
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
@@ -556,13 +557,12 @@ def _read_per_item_csv(path: Path, name: str, systems: tuple[str, str]) -> Datas
         if item_id in seen:
             raise IngestError(f"duplicate item_id {item_id!r}", path=str(path), row=lineno)
         seen.add(item_id)
-        outcomes = []
-        for col in (col1, col2):
+        for k, col in enumerate((col1, col2)):
             if cells[col] not in ("0", "1"):
                 raise IngestError(f"outcomes must be 0 or 1, got {cells[col]!r}",
                                   path=str(path), row=lineno)
-            outcomes.append(int(cells[col]))
-        items.append((item_id, outcomes[0], outcomes[1]))
-    if not items:
+            correct[k] += cells[col] == "1"
+    if not seen:
         raise IngestError("no data rows", path=str(path))
-    return DatasetObs(name=name, per_item=tuple(items))
+    n = len(seen)
+    return ((correct[0], n), (correct[1], n))

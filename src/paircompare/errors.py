@@ -15,10 +15,6 @@ class MalformedObservations(AssessmentError):
     """Observation data violates a structural requirement."""
 
 
-class EmptyDataset(AssessmentError):
-    """A dataset carries no observations, so nothing can be estimated."""
-
-
 class DegenerateTest(AssessmentError):
     """The test statistic is undefined for these counts (zero variance)."""
 

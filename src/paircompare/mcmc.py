@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bayes import HierarchicalModel
-from .core import ObservationSet, pooled_counts, validate
+from .bayes import BetaParams
+from .core import Counts
 from .errors import DegenerateChains, DomainError, IoError, TooFewSamples
 from .fsio import atomic_write_text
 from .numerics import RngStream, sample_beta
@@ -45,19 +45,13 @@ class InitStrategy(Enum):
 
 @dataclass(frozen=True)
 class McmcConfig:
-    master_seed: int
+    """The ``[mcmc]`` section; ``config._parse_mcmc`` range-checks it."""
+
+    enabled: bool = True
     chains: int = 4
     warmup: int = 1000
     draws: int = 5000
     init: InitStrategy = InitStrategy.MLE_JITTER
-
-    def __post_init__(self):
-        if self.chains < 2:
-            raise DomainError(f"need at least 2 chains for diagnostics, got {self.chains!r}")
-        if self.warmup < 0:
-            raise DomainError(f"warmup must be non-negative, got {self.warmup!r}")
-        if self.draws < 1:
-            raise DomainError(f"draws must be positive, got {self.draws!r}")
 
 
 @dataclass
@@ -114,27 +108,28 @@ def _logit(p: float) -> float:
     return math.log(p) - math.log1p(-p)
 
 
-def run_chains(model: HierarchicalModel, obs: ObservationSet, config: McmcConfig) -> Trace:
+def run_chains(prior: BetaParams, counts: Counts, config: McmcConfig,
+               master_seed: int) -> Trace:
     """Sample the posterior of (theta1, theta2) with random-walk Metropolis.
 
     The proposal is an isotropic Gaussian step on the logit scale.  During
     warmup only, the step size follows a multiplicative stochastic
     approximation toward a 0.35 acceptance rate and is frozen afterwards.
-    Identical ``(model, obs, config)`` inputs reproduce the trace bit for
-    bit.
+    Both rates share ``prior``.  Identical inputs reproduce the trace bit for
+    bit; ``config.enabled`` is the caller's business and is not read here.
 
     Convergence is flagged, not fatal: the returned trace carries
     ``converged`` plus human-readable warnings whenever the split-chain
     R-hat exceeds 1.01 or the effective sample size falls below 400.
     """
-    (c1, t1), (c2, t2) = pooled_counts(validate(obs))
+    (c1, t1), (c2, t2) = counts
     # Posterior on the logit scale, including the transform Jacobian:
     # lp = -sum_i [ A_i softplus(-eta_i) + B_i softplus(eta_i) ] + const,
     # with A_i = alpha_i + correct_i and B_i = beta_i + total_i - correct_i.
-    a_1 = model.prior1.alpha + c1
-    b_1 = model.prior1.beta + (t1 - c1)
-    a_2 = model.prior2.alpha + c2
-    b_2 = model.prior2.beta + (t2 - c2)
+    a_1 = prior.alpha + c1
+    b_1 = prior.beta + (t1 - c1)
+    a_2 = prior.alpha + c2
+    b_2 = prior.beta + (t2 - c2)
 
     def log_post(e1: float, e2: float) -> float:
         return -(a_1 * _softplus(-e1) + b_1 * _softplus(e1)
@@ -145,7 +140,7 @@ def run_chains(model: HierarchicalModel, obs: ObservationSet, config: McmcConfig
     step_sizes = []
     for chain in range(config.chains):
         samples, rate, step = _run_single_chain(
-            log_post, model, (c1, t1, c2, t2), config, chain)
+            log_post, prior, (c1, t1, c2, t2), config, master_seed, chain)
         all_samples[chain] = samples
         accept_rates.append(rate)
         step_sizes.append(step)
@@ -184,16 +179,17 @@ def run_chains(model: HierarchicalModel, obs: ObservationSet, config: McmcConfig
         step_sizes=tuple(step_sizes),
         rhat=(rhats[0], rhats[1]),
         ess=(esses[0], esses[1]),
-        master_seed=config.master_seed,
+        master_seed=master_seed,
         warmup=config.warmup,
         converged=not warnings,
         warnings=tuple(warnings),
     )
 
 
-def _run_single_chain(log_post, model, counts, config: McmcConfig, chain: int):
+def _run_single_chain(log_post, prior, counts, config: McmcConfig, master_seed: int,
+                      chain: int):
     c1, t1, c2, t2 = counts
-    stream = RngStream(config.master_seed, chain)
+    stream = RngStream(master_seed, chain)
     gen = stream.generator
 
     if config.init is InitStrategy.MLE_JITTER:
@@ -201,8 +197,8 @@ def _run_single_chain(log_post, model, counts, config: McmcConfig, chain: int):
         e1 = _logit((c1 + 1.0) / (t1 + 2.0)) + 0.2 * jitter[0]
         e2 = _logit((c2 + 1.0) / (t2 + 2.0)) + 0.2 * jitter[1]
     else:
-        e1 = _logit(sample_beta(model.prior1.alpha, model.prior1.beta, gen))
-        e2 = _logit(sample_beta(model.prior2.alpha, model.prior2.beta, gen))
+        e1 = _logit(sample_beta(prior.alpha, prior.beta, gen))
+        e2 = _logit(sample_beta(prior.alpha, prior.beta, gen))
 
     total = config.warmup + config.draws
     noise = gen.standard_normal((total, 2))
@@ -323,6 +319,12 @@ def _autocovariance(x: np.ndarray) -> np.ndarray:
     return acov / n
 
 
+def finite_or_null(values) -> list:
+    """Diagnostics as JSON values: degenerate or too-short chains yield
+    inf/nan R-hat and ESS, which JSON writes as null."""
+    return [v if math.isfinite(v) else None for v in values]
+
+
 def export_trace(trace: Trace, out_dir) -> list[Path]:
     """Write one CSV per chain plus a JSON diagnostics sidecar.
 
@@ -346,8 +348,8 @@ def export_trace(trace: Trace, out_dir) -> list[Path]:
     diagnostics = {
         "accept_rates": list(trace.accept_rates),
         "step_sizes": list(trace.step_sizes),
-        "rhat": list(trace.rhat),
-        "ess": list(trace.ess),
+        "rhat": finite_or_null(trace.rhat),
+        "ess": finite_or_null(trace.ess),
         "master_seed": trace.master_seed,
         "chains": int(trace.samples.shape[0]),
         "draws": int(trace.samples.shape[1]),
@@ -356,6 +358,6 @@ def export_trace(trace: Trace, out_dir) -> list[Path]:
         "warnings": list(trace.warnings),
     }
     path = out / "diagnostics.json"
-    atomic_write_text(path, json.dumps(diagnostics, indent=2) + "\n")
+    atomic_write_text(path, json.dumps(diagnostics, indent=2, allow_nan=False) + "\n")
     written.append(path)
     return written

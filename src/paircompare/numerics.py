@@ -158,6 +158,24 @@ def log_binomial_coefficient(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
+# Stream indices under one master seed, by consumer.  Every consumer of one
+# run draws from its own index, so no two share draws:
+#
+#   0 .. chains-1     MCMC chain k                    (mcmc.run_chains)
+#   10_000            conjugate posterior draws       (reporting)
+#   10_001            Bayes-factor Monte Carlo        (reporting)
+#   20_000 + 2i, +1   prior-sweep row i: BF, HDI      (simulations)
+#   0 .. trials-1     optional-stopping trial t       (simulations; a command
+#                                                      of its own)
+#
+# ``[mcmc] chains`` must stay below FIRST_RESERVED_STREAM, which the config
+# grammar enforces.
+STREAM_POSTERIOR_DRAWS = 10_000
+STREAM_BAYES_FACTOR = 10_001
+STREAM_SWEEP_BASE = 20_000
+FIRST_RESERVED_STREAM = STREAM_POSTERIOR_DRAWS
+
+
 @dataclass
 class RngStream:
     """Deterministic random stream keyed by ``(master_seed, stream_index)``.

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import platform
 import re
 from dataclasses import dataclass
@@ -20,26 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bayes import (
-    EventProbability,
-    HierarchicalModel,
-    event_probability_from_samples,
-    posterior_pair,
-)
-from .config import AnalysisConfig, load_observations, render_config
-from .core import (
-    Decision,
-    DecisionValue,
-    Direction,
-    Hypothesis,
-    HypothesisKind,
-    ObservationSet,
-    pooled_counts,
-)
+from .bayes import EventProbability, event_probability_from_samples, posterior_pair
+from .config import AnalysisConfig, Observations, load_observations, render_config
+from .core import Decision, DecisionValue, Direction, Hypothesis, HypothesisKind
 from .frequentist import diff_confidence_interval, two_proportion_z_test
 from .fsio import atomic_write_text
-from .mcmc import McmcConfig, Trace, export_trace, run_chains
-from .numerics import RngStream, sample_beta
+from .mcmc import Trace, export_trace, finite_or_null, run_chains
+from .numerics import STREAM_BAYES_FACTOR, STREAM_POSTERIOR_DRAWS, RngStream, sample_beta
 from .posterior import Hdi, bayes_factor_interval_null, hdi_from_samples, rope_decision
 
 REPORT_FORMAT = "two-system-assessment/1"
@@ -48,11 +34,6 @@ REPORT_FORMAT = "two-system-assessment/1"
 # speak clearly enough for a call in either direction.
 BF_ACCEPT_THRESHOLD = 3.0
 BF_REJECT_THRESHOLD = 1.0 / 3.0
-
-# Stream indices for the analysis-level Monte Carlo consumers.  Chains use
-# indices 0..chains-1, so these start far above any plausible chain count.
-_STREAM_POSTERIOR_DRAWS = 10_000
-_STREAM_BAYES_FACTOR = 10_001
 
 _QUALIFIED = re.compile(r"(?:statistical(?:ly)?|practical(?:ly)?)\s+$", re.IGNORECASE)
 _SIGNIFICANCE = re.compile(r"significan\w*", re.IGNORECASE)
@@ -197,7 +178,7 @@ def run_analysis(config: AnalysisConfig, write: bool = True) -> AnalysisOutcome:
         ``pool = true`` (see :func:`config.load_observations`).
     """
     obs = load_observations(config)
-    counts = pooled_counts(obs)
+    counts = obs.counts
     (c1, t1), (c2, t2) = counts
     opts = config.analysis
 
@@ -256,21 +237,13 @@ def run_analysis(config: AnalysisConfig, write: bool = True) -> AnalysisOutcome:
     trace: Trace | None = None
     posterior_samples = None
     if needs_posterior:
-        model = HierarchicalModel(config.model.prior, config.model.prior)
-        posts = posterior_pair(model, obs)
-        gen = RngStream(opts.seed, _STREAM_POSTERIOR_DRAWS).generator
+        posts = posterior_pair(config.model.prior, counts)
+        gen = RngStream(opts.seed, STREAM_POSTERIOR_DRAWS).generator
         theta1 = sample_beta(posts.post1.alpha, posts.post1.beta, gen, size=opts.n_mc)
         theta2 = sample_beta(posts.post2.alpha, posts.post2.beta, gen, size=opts.n_mc)
         posterior_samples = (theta1, theta2)
         if config.mcmc.enabled:
-            mcmc_config = McmcConfig(
-                master_seed=opts.seed,
-                chains=config.mcmc.chains,
-                warmup=config.mcmc.warmup,
-                draws=config.mcmc.draws,
-                init=config.mcmc.init,
-            )
-            trace = run_chains(model, obs, mcmc_config)
+            trace = run_chains(config.model.prior, counts, config.mcmc, opts.seed)
 
         if "hdi_rope" in methods:
             block, decision, sentence = _hdi_rope_block(
@@ -282,7 +255,7 @@ def run_analysis(config: AnalysisConfig, write: bool = True) -> AnalysisOutcome:
         if "bayes_factor" in methods:
             bf = bayes_factor_interval_null(
                 (config.model.prior, config.model.prior), posts,
-                opts.rope_radius, opts.n_mc, RngStream(opts.seed, _STREAM_BAYES_FACTOR))
+                opts.rope_radius, opts.n_mc, RngStream(opts.seed, STREAM_BAYES_FACTOR))
             mcmc_block = None
             if trace is not None:
                 post_p0 = event_probability_from_samples(
@@ -329,7 +302,7 @@ def run_analysis(config: AnalysisConfig, write: bool = True) -> AnalysisOutcome:
 
     report = AssessmentReport(
         provenance=_provenance(config),
-        data=_data_block(obs, counts),
+        data=_data_block(obs),
         results=results,
         decisions={
             name: {"value": d.value.value, "basis": d.basis}
@@ -424,17 +397,11 @@ def _provenance(config: AnalysisConfig) -> dict:
     }
 
 
-def _data_block(obs: ObservationSet, counts) -> dict:
-    (c1, t1), (c2, t2) = counts
+def _data_block(obs: Observations) -> dict:
+    (c1, t1), (c2, t2) = obs.counts
     return {
-        "systems": list(obs.system_names),
-        "datasets": [
-            {
-                "name": ds.name,
-                "counts": [list(pair) for pair in ds.counts()],
-            }
-            for ds in obs.datasets
-        ],
+        "systems": list(obs.systems),
+        "datasets": [{"name": obs.name, "counts": [list(pair) for pair in obs.counts]}],
         "effective": {
             "correct": [c1, c2],
             "totals": [t1, t2],
@@ -447,10 +414,6 @@ def _data_block(obs: ObservationSet, counts) -> dict:
 def _mcmc_block(trace: Trace | None, config: AnalysisConfig) -> dict | None:
     if trace is None:
         return None
-    def finite_or_null(values):
-        # Degenerate chains yield inf/nan diagnostics; JSON gets null there.
-        return [v if math.isfinite(v) else None for v in values]
-
     return {
         "chains": int(trace.samples.shape[0]),
         "draws": int(trace.samples.shape[1]),

@@ -14,15 +14,12 @@ from enum import Enum
 
 import numpy as np
 
-from .bayes import BetaParams, PosteriorPair, conjugate_update
-from .core import Direction
+from .bayes import BetaParams, posterior_pair
+from .core import Counts, Direction
 from .errors import DegenerateTest, DomainError
 from .frequentist import pooled_z
-from .numerics import RngStream, log_binomial_coefficient, sample_beta
+from .numerics import STREAM_SWEEP_BASE, RngStream, log_binomial_coefficient, sample_beta
 from .posterior import Hdi, bayes_factor_interval_null, hdi_from_samples
-
-# Stream indices reserved by the prior sweep so rows never share draws.
-_SWEEP_STREAM_BASE = 20_000
 
 
 class Tail(Enum):
@@ -204,7 +201,7 @@ def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int
     )
 
 
-def prior_sensitivity_sweep(counts: tuple[tuple[int, int], tuple[int, int]],
+def prior_sensitivity_sweep(counts: Counts,
                             priors: dict[str, BetaParams],
                             epsilon: float, n_mc: int, master_seed: int,
                             hdi_mass: float = 0.95) -> list[PriorSweepRow]:
@@ -216,17 +213,13 @@ def prior_sensitivity_sweep(counts: tuple[tuple[int, int], tuple[int, int]],
     """
     if not priors:
         raise DomainError("priors must not be empty")
-    (c1, t1), (c2, t2) = counts
     rows = []
     for i, label in enumerate(sorted(priors)):
         prior = priors[label]
-        posts = PosteriorPair(
-            conjugate_update(prior, c1, t1),
-            conjugate_update(prior, c2, t2),
-        )
-        bf_stream = RngStream(master_seed, _SWEEP_STREAM_BASE + 2 * i)
+        posts = posterior_pair(prior, counts)
+        bf_stream = RngStream(master_seed, STREAM_SWEEP_BASE + 2 * i)
         bf = bayes_factor_interval_null((prior, prior), posts, epsilon, n_mc, bf_stream)
-        hdi_stream = RngStream(master_seed, _SWEEP_STREAM_BASE + 2 * i + 1)
+        hdi_stream = RngStream(master_seed, STREAM_SWEEP_BASE + 2 * i + 1)
         gen = hdi_stream.generator
         diffs = sample_beta(posts.post1.alpha, posts.post1.beta, gen, size=n_mc) \
             - sample_beta(posts.post2.alpha, posts.post2.beta, gen, size=n_mc)

@@ -21,18 +21,14 @@ import pytest
 from paircompare.bayes import (
     PRIOR_PRESETS,
     BetaParams,
-    HierarchicalModel,
     event_probability,
     posterior_pair,
 )
 from paircompare.core import (
-    DatasetObs,
     DecisionValue,
     Direction,
     Hypothesis,
     HypothesisKind,
-    ObservationMode,
-    ObservationSet,
 )
 from paircompare.frequentist import CiMode, diff_confidence_interval, two_proportion_z_test
 from paircompare.mcmc import McmcConfig, run_chains
@@ -47,18 +43,11 @@ from paircompare.simulations import optional_stopping_fpr, prior_sensitivity_swe
 
 EASY = ((1721, 2376), (1637, 2376))
 POOLED = ((2287, 3548), (2133, 3548))
-UNIFORM = HierarchicalModel(BetaParams(1.0, 1.0), BetaParams(1.0, 1.0))
-
-
-def observations(counts) -> ObservationSet:
-    return ObservationSet(
-        mode=ObservationMode.AGGREGATE,
-        datasets=(DatasetObs(name="acceptance", aggregate=counts),),
-    )
+UNIFORM = BetaParams(1.0, 1.0)
 
 
 def posterior_diff_samples(counts, n, seed=1729, stream=10_000):
-    posts = posterior_pair(UNIFORM, observations(counts))
+    posts = posterior_pair(UNIFORM, counts)
     gen = RngStream(seed, stream).generator
     theta1 = sample_beta(posts.post1.alpha, posts.post1.beta, gen, size=n)
     theta2 = sample_beta(posts.post2.alpha, posts.post2.beta, gen, size=n)
@@ -85,14 +74,13 @@ def test_criterion_03_superiority_probability_by_both_routes():
     # P(theta1 > theta2 | data) = 0.996 from the conjugate posterior, and
     # independently from a from-scratch Metropolis run that must also pass
     # its own convergence gates.
-    posts = posterior_pair(UNIFORM, observations(EASY))
+    posts = posterior_pair(UNIFORM, EASY)
     superiority = Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.0,
                              direction=Direction.GREATER)
     conjugate = event_probability(posts, superiority, 100_000, RngStream(1729, 0))
     assert conjugate.estimate == pytest.approx(0.996, abs=0.003)
 
-    trace = run_chains(UNIFORM, observations(EASY),
-                       McmcConfig(master_seed=1729, chains=4, warmup=1000, draws=5000))
+    trace = run_chains(UNIFORM, EASY, McmcConfig(chains=4, warmup=1000, draws=5000), 1729)
     assert all(r < 1.01 for r in trace.rhat)
     assert all(e > 400.0 for e in trace.ess)
     assert trace.converged
@@ -117,7 +105,7 @@ def test_criterion_05_interval_null_bayes_factor():
     # around 1.38: the benchmark data barely move the prior odds.  The
     # prior-side Monte Carlo component must agree with its closed form,
     # P(|U1 - U2| < 0.01) = 2(0.01) - 0.01^2 = 0.0199.
-    posts = posterior_pair(UNIFORM, observations(EASY))
+    posts = posterior_pair(UNIFORM, EASY)
     bf = bayes_factor_interval_null((BetaParams(1.0, 1.0), BetaParams(1.0, 1.0)),
                                     posts, 0.01, 100_000, RngStream(1729, 10_001))
     assert 1.25 <= bf.bf01 <= 1.55
@@ -152,15 +140,9 @@ def test_criterion_07_sampler_recovers_conjugate_posteriors():
         c1 = int(gen.binomial(total1, rate1))
         c2 = int(gen.binomial(total2, rate2))
         prior = BetaParams(float(gen.uniform(0.5, 8.0)), float(gen.uniform(0.5, 8.0)))
-        model = HierarchicalModel(prior, prior)
-        obs = ObservationSet(
-            mode=ObservationMode.AGGREGATE,
-            datasets=(DatasetObs(name=f"fixture{i}",
-                                 aggregate=((c1, total1), (c2, total2))),))
-        trace = run_chains(model, obs,
-                           McmcConfig(master_seed=9000 + i, chains=4,
-                                      warmup=500, draws=2500))
-        posts = posterior_pair(model, obs)
+        counts = ((c1, total1), (c2, total2))
+        trace = run_chains(prior, counts, McmcConfig(chains=4, warmup=500, draws=2500), 9000 + i)
+        posts = posterior_pair(prior, counts)
         merged = trace.merged()
         for param, exact in enumerate((posts.post1, posts.post2)):
             draws = merged[:, param]

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from paircompare.bayes import (
     PRIOR_PRESETS,
     BetaParams,
-    HierarchicalModel,
     PosteriorPair,
     beta_log_pdf,
     conjugate_update,
@@ -19,25 +18,12 @@ from paircompare.bayes import (
     event_probability_from_samples,
     posterior_pair,
 )
-from paircompare.core import (
-    DatasetObs,
-    Direction,
-    Hypothesis,
-    HypothesisKind,
-    ObservationMode,
-    ObservationSet,
-)
+from paircompare.core import Direction, Hypothesis, HypothesisKind
 from paircompare.errors import DomainError
 from paircompare.numerics import RngStream
 
 UNIFORM = BetaParams(1.0, 1.0)
-
-
-def easy_obs():
-    return ObservationSet(
-        mode=ObservationMode.AGGREGATE,
-        datasets=(DatasetObs(name="easy", aggregate=((1721, 2376), (1637, 2376))),),
-    )
+EASY = ((1721, 2376), (1637, 2376))
 
 
 def test_beta_params_validation():
@@ -83,7 +69,7 @@ def test_conjugate_update_shapes(correct, extra, alpha, beta):
 
 
 def test_posterior_pair_easy():
-    posts = posterior_pair(HierarchicalModel(UNIFORM, UNIFORM), easy_obs())
+    posts = posterior_pair(UNIFORM, EASY)
     assert posts.post1 == BetaParams(1722.0, 656.0)
     assert posts.post2 == BetaParams(1638.0, 740.0)
     # Posterior mean of the better system: 1722 / 2378.
@@ -109,7 +95,7 @@ def test_beta_log_pdf_outside_support():
 def test_event_probability_superiority_easy():
     # P(theta1 > theta2) on the worked example; center frozen from a
     # quadrature evaluation (0.996276), tolerance covers Monte Carlo noise.
-    posts = posterior_pair(HierarchicalModel(UNIFORM, UNIFORM), easy_obs())
+    posts = posterior_pair(UNIFORM, EASY)
     hyp = Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.0, direction=Direction.GREATER)
     result = event_probability(posts, hyp, 100_000, RngStream(42, 0))
     assert result.estimate == pytest.approx(0.996276, abs=0.003)
@@ -119,14 +105,14 @@ def test_event_probability_superiority_easy():
 
 def test_event_probability_beyond_margin_easy():
     # P(theta1 - theta2 > 0.01); frozen quadrature value 0.972497.
-    posts = posterior_pair(HierarchicalModel(UNIFORM, UNIFORM), easy_obs())
+    posts = posterior_pair(UNIFORM, EASY)
     hyp = Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.01, direction=Direction.GREATER)
     result = event_probability(posts, hyp, 100_000, RngStream(42, 1))
     assert result.estimate == pytest.approx(0.972497, abs=0.004)
 
 
 def test_event_probability_deterministic():
-    posts = posterior_pair(HierarchicalModel(UNIFORM, UNIFORM), easy_obs())
+    posts = posterior_pair(UNIFORM, EASY)
     hyp = Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.0)
     a = event_probability(posts, hyp, 5000, RngStream(9, 4))
     b = event_probability(posts, hyp, 5000, RngStream(9, 4))
@@ -134,7 +120,7 @@ def test_event_probability_deterministic():
 
 
 def test_event_probability_rejects_small_n():
-    posts = posterior_pair(HierarchicalModel(UNIFORM, UNIFORM), easy_obs())
+    posts = posterior_pair(UNIFORM, EASY)
     with pytest.raises(DomainError):
         event_probability(posts, Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.0),
                           999, RngStream(1, 0))

@@ -205,6 +205,14 @@ def test_incomplete_beta_nonconvergence_is_a_handled_error(fixture_tree, monkeyp
     assert "did not converge" in err
 
 
+def test_duplicate_dataset_names_are_a_handled_error(fixture_tree, monkeypatch, capsys):
+    code = run_cli(monkeypatch, fixture_tree,
+                   "analyze", "--config", "configs/arc_pooled.cfg",
+                   "--set", "data.names=a, a")
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == "error: duplicate dataset name 'a'\n"
+
+
 def test_package_exports_what_the_cli_and_report_use():
     assert paircompare.__all__ == [
         "__version__",
@@ -217,7 +225,6 @@ def test_package_exports_what_the_cli_and_report_use():
         "load_observations",
         "optional_stopping_fpr",
         "parse_config_file",
-        "pooled_counts",
         "prior_sensitivity_sweep",
         "render_config",
         "run_analysis",

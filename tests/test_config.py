@@ -13,7 +13,6 @@ from paircompare.config import (
     AnalysisConfig,
     AnalysisOptions,
     DataConfig,
-    McmcOptions,
     ModelConfig,
     OutputConfig,
     SimulateConfig,
@@ -25,7 +24,8 @@ from paircompare.config import (
 from paircompare.core import Direction, ObservationMode
 from paircompare.errors import ConfigError, IngestError, IoError
 from paircompare.frequentist import CiMode
-from paircompare.mcmc import InitStrategy
+from paircompare.mcmc import InitStrategy, McmcConfig
+from paircompare.numerics import FIRST_RESERVED_STREAM
 
 MINIMAL = "[analysis]\nseed = 1\n"
 
@@ -69,7 +69,7 @@ def test_minimal_config_gets_defaults():
     assert config.analysis.alpha == 0.05
     assert config.analysis.ci_mode is CiMode.STANDARD_TWO_SIDED
     assert config.analysis.direction is Direction.GREATER
-    assert config.mcmc == McmcOptions()
+    assert config.mcmc == McmcConfig()
     assert config.output == OutputConfig()
     assert config.simulate == SimulateConfig()
     assert config.base_dir is None
@@ -91,8 +91,8 @@ ROUND_TRIP_VARIANTS = [
                         files=("a.csv", "b.csv"), names=("a", "b"),
                         systems=("baseline", "candidate"), pool=True),
         model=ModelConfig(prior_label="custom", prior=BetaParams(2.5, 0.5)),
-        mcmc=McmcOptions(enabled=False, chains=8, warmup=200, draws=50,
-                         init=InitStrategy.PRIOR_DRAW),
+        mcmc=McmcConfig(enabled=False, chains=8, warmup=200, draws=50,
+                        init=InitStrategy.PRIOR_DRAW),
         output=OutputConfig(report="r.json", plot_dir="p", trace_dir="t", sim_dir="s"),
         simulate=SimulateConfig(stopping_successes=3, stopping_trials=9,
                                 stopping_null_rate=0.25, looks_step=5, looks_max=50,
@@ -299,6 +299,18 @@ def test_mcmc_section_errors(line, key):
     assert err.value.key == key
 
 
+def test_mcmc_chains_stop_below_reserved_streams():
+    # Chain k draws from stream k, so a chain count reaching the first
+    # reserved index would replay the posterior-draw stream.
+    last_ok = FIRST_RESERVED_STREAM - 1
+    assert parse_config(MINIMAL + f"[mcmc]\nchains = {last_ok}\n").mcmc.chains == last_ok
+    for chains in (FIRST_RESERVED_STREAM, FIRST_RESERVED_STREAM + 1):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + f"[mcmc]\nchains = {chains}\n")
+        assert (err.value.section, err.value.key) == ("mcmc", "chains")
+        assert "reserved" in str(err.value)
+
+
 def test_simulate_range_check():
     with pytest.raises(ConfigError) as err:
         parse_config(MINIMAL + "[simulate]\nlooks_step = 1\n")
@@ -343,10 +355,11 @@ def test_comments_and_blank_lines_ignored():
 def test_load_inline_counts_naming():
     config = parse_config(data_section("format = aggregate\ncounts = 3/5, 2/5"))
     obs = load_observations(config)
-    assert obs.datasets[0].name == "inline"
+    assert obs.name == "inline"
+    assert obs.counts == ((3, 5), (2, 5))
     named = parse_config(data_section(
         "format = aggregate\ncounts = 3/5, 2/5\nnames = demo"))
-    assert load_observations(named).datasets[0].name == "demo"
+    assert load_observations(named).name == "demo"
 
 
 def test_load_requires_data_section():
@@ -357,9 +370,8 @@ def test_load_requires_data_section():
 def test_load_fixture_files_resolve_against_config_dir(configs_dir):
     config = parse_config_file(configs_dir / "arc_pooled.cfg")
     obs = load_observations(config)
-    assert len(obs.datasets) == 1
-    assert obs.datasets[0].name == "pooled"
-    assert obs.datasets[0].aggregate == ((2287, 3548), (2133, 3548))
+    assert obs.name == "pooled"
+    assert obs.counts == ((2287, 3548), (2133, 3548))
 
 
 def test_load_uses_file_stem_when_names_omitted(tmp_path):
@@ -369,8 +381,8 @@ def test_load_uses_file_stem_when_names_omitted(tmp_path):
     import dataclasses
     config = dataclasses.replace(config, base_dir=str(tmp_path))
     obs = load_observations(config)
-    assert obs.datasets[0].name == "panel"
-    assert obs.datasets[0].aggregate == ((4, 9), (2, 9))
+    assert obs.name == "panel"
+    assert obs.counts == ((4, 9), (2, 9))
 
 
 def test_load_handles_bom_and_crlf(tmp_path):
@@ -383,7 +395,7 @@ def test_load_handles_bom_and_crlf(tmp_path):
     for file_name in ("a.csv", "b.csv"):
         config = parse_config(data_section(f"format = aggregate\nfiles = {file_name}"))
         config = dataclasses.replace(config, base_dir=str(tmp_path))
-        results.append(load_observations(config).datasets[0].aggregate)
+        results.append(load_observations(config).counts)
     assert results[0] == results[1] == ((4, 9), (2, 9))
 
 
@@ -448,8 +460,7 @@ def test_per_item_columns_may_be_swapped(tmp_path):
     # The header names the columns, so their order is free.
     config = per_item_config(tmp_path,
                              "item_id,system2,system1\nq1,0,1\nq2,1,1\nq3,0,0\n")
-    obs = load_observations(config)
-    assert obs.datasets[0].per_item == (("q1", 1, 0), ("q2", 1, 1), ("q3", 0, 0))
+    assert load_observations(config).counts == ((2, 3), (1, 3))
 
 
 def test_load_missing_data_file(tmp_path):

@@ -8,8 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from paircompare.bayes import BetaParams, HierarchicalModel, posterior_pair
-from paircompare.core import DatasetObs, ObservationMode, ObservationSet
+from paircompare.bayes import BetaParams, posterior_pair
 from paircompare.errors import DegenerateChains, DomainError, TooFewSamples
 from paircompare.mcmc import (
     ESS_THRESHOLD,
@@ -25,14 +24,8 @@ from paircompare.mcmc import (
     run_chains,
 )
 
-UNIFORM_MODEL = HierarchicalModel(BetaParams(1.0, 1.0), BetaParams(1.0, 1.0))
-
-
-def easy_obs() -> ObservationSet:
-    return ObservationSet(
-        mode=ObservationMode.AGGREGATE,
-        datasets=(DatasetObs(name="easy", aggregate=((1721, 2376), (1637, 2376))),),
-    )
+UNIFORM = BetaParams(1.0, 1.0)
+EASY = ((1721, 2376), (1637, 2376))
 
 
 def test_metropolis_rule():
@@ -129,19 +122,10 @@ def test_ess_input_validation():
         ess(np.zeros((2, 3, 50)))
 
 
-def test_config_validation():
-    with pytest.raises(DomainError):
-        McmcConfig(master_seed=1, chains=1)
-    with pytest.raises(DomainError):
-        McmcConfig(master_seed=1, warmup=-1)
-    with pytest.raises(DomainError):
-        McmcConfig(master_seed=1, draws=0)
-
-
 @pytest.fixture(scope="module")
 def easy_trace() -> Trace:
-    config = McmcConfig(master_seed=1729, chains=4, warmup=1000, draws=5000)
-    return run_chains(UNIFORM_MODEL, easy_obs(), config)
+    config = McmcConfig(chains=4, warmup=1000, draws=5000)
+    return run_chains(UNIFORM, EASY, config, 1729)
 
 
 def test_run_chains_converges_on_real_counts(easy_trace):
@@ -155,7 +139,7 @@ def test_run_chains_converges_on_real_counts(easy_trace):
 
 
 def test_run_chains_recovers_conjugate_posterior(easy_trace):
-    posts = posterior_pair(UNIFORM_MODEL, easy_obs())
+    posts = posterior_pair(UNIFORM, EASY)
     merged = easy_trace.merged()
     for param, exact in enumerate((posts.post1, posts.post2)):
         draws = merged[:, param]
@@ -171,8 +155,8 @@ def test_run_chains_superiority_probability_matches_conjugate(easy_trace):
 
 
 def test_run_chains_bit_identical_reruns(easy_trace):
-    config = McmcConfig(master_seed=1729, chains=4, warmup=1000, draws=5000)
-    again = run_chains(UNIFORM_MODEL, easy_obs(), config)
+    config = McmcConfig(chains=4, warmup=1000, draws=5000)
+    again = run_chains(UNIFORM, EASY, config, 1729)
     assert np.array_equal(again.samples, easy_trace.samples)
     assert again.accept_rates == easy_trace.accept_rates
     assert again.rhat == easy_trace.rhat
@@ -181,22 +165,21 @@ def test_run_chains_bit_identical_reruns(easy_trace):
 def test_chains_keyed_by_index_not_count(easy_trace):
     # Chain i draws from stream (seed, i), so a 2-chain run reproduces the
     # first two chains of the 4-chain run exactly.
-    config = McmcConfig(master_seed=1729, chains=2, warmup=1000, draws=5000)
-    small = run_chains(UNIFORM_MODEL, easy_obs(), config)
+    config = McmcConfig(chains=2, warmup=1000, draws=5000)
+    small = run_chains(UNIFORM, EASY, config, 1729)
     assert np.array_equal(small.samples, easy_trace.samples[:2])
 
 
 def test_run_chains_prior_draw_init():
-    config = McmcConfig(master_seed=7, chains=2, warmup=800, draws=2000,
-                        init=InitStrategy.PRIOR_DRAW)
-    trace = run_chains(UNIFORM_MODEL, easy_obs(), config)
-    posts = posterior_pair(UNIFORM_MODEL, easy_obs())
+    config = McmcConfig(chains=2, warmup=800, draws=2000, init=InitStrategy.PRIOR_DRAW)
+    trace = run_chains(UNIFORM, EASY, config, 7)
+    posts = posterior_pair(UNIFORM, EASY)
     assert abs(trace.merged()[:, 0].mean() - posts.post1.mean) < 0.005
 
 
 def test_run_chains_flags_short_runs_instead_of_failing():
-    config = McmcConfig(master_seed=3, chains=2, warmup=50, draws=40)
-    trace = run_chains(UNIFORM_MODEL, easy_obs(), config)
+    config = McmcConfig(chains=2, warmup=50, draws=40)
+    trace = run_chains(UNIFORM, EASY, config, 3)
     assert not trace.converged
     assert any("effective sample size" in w for w in trace.warnings)
 
@@ -226,3 +209,18 @@ def test_export_trace_diagnostics_sidecar(tmp_path, easy_trace):
     assert sidecar["converged"] is True
     assert sidecar["rhat"] == list(easy_trace.rhat)
     assert sidecar["accept_rates"] == list(easy_trace.accept_rates)
+
+
+def test_export_trace_sidecar_is_strict_json_on_short_runs(tmp_path):
+    # One draw per chain leaves R-hat and ESS undefined; the sidecar writes
+    # null there, never the NaN literal that strict JSON parsers reject.
+    trace = run_chains(UNIFORM, EASY, McmcConfig(chains=2, warmup=10, draws=1), 1729)
+    assert all(math.isnan(v) for v in trace.rhat + trace.ess)
+    export_trace(trace, tmp_path)
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    sidecar = json.loads((tmp_path / "diagnostics.json").read_text(), parse_constant=reject)
+    assert sidecar["rhat"] == [None, None]
+    assert sidecar["ess"] == [None, None]

@@ -150,6 +150,19 @@ def test_data_block_reports_effective_counts():
     assert effective["diff"] == pytest.approx(84 / 2376)
 
 
+@pytest.mark.parametrize("config_name,name,counts", [
+    ("arc_easy", "arc_easy", [[1721, 2376], [1637, 2376]]),
+    ("arc_challenge", "arc_challenge", [[566, 1172], [496, 1172]]),
+    ("arc_pooled", "pooled", [[2287, 3548], [2133, 3548]]),
+    ("per_item_demo", "demo", [[9, 12], [6, 12]]),
+])
+def test_data_block_datasets_pinned(configs_dir, config_name, name, counts):
+    config = parse_config_file(configs_dir / f"{config_name}.cfg",
+                               {"analysis.methods": "pvalue"})
+    data = run_analysis(config, write=False).report.data
+    assert data["datasets"] == [{"name": name, "counts": counts}]
+
+
 def test_multiple_datasets_need_pooling(tmp_path):
     for name in ("a.csv", "b.csv"):
         (tmp_path / name).write_text(
