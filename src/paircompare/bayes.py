@@ -19,16 +19,15 @@ from .numerics import RngStream, _as_generator, sample_beta
 
 @dataclass(frozen=True)
 class BetaParams:
-    """Shape parameters of a Beta distribution; both strictly positive."""
+    """Shape parameters of a Beta distribution; both positive and finite."""
 
     alpha: float
     beta: float
 
     def __post_init__(self):
-        if self.alpha <= 0.0 or self.beta <= 0.0:
-            raise DomainError(
-                f"beta parameters must be positive, got alpha={self.alpha!r}, beta={self.beta!r}"
-            )
+        if not (0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf):  # NaN fails too
+            raise DomainError(f"beta parameters must be positive and finite, "
+                              f"got alpha={self.alpha!r}, beta={self.beta!r}")
 
     @property
     def mean(self) -> float:
@@ -86,15 +85,6 @@ def posterior_pair(prior: BetaParams, counts: Counts) -> PosteriorPair:
     """Conjugate posteriors of both systems under one shared prior."""
     (c1, t1), (c2, t2) = counts
     return PosteriorPair(conjugate_update(prior, c1, t1), conjugate_update(prior, c2, t2))
-
-
-def beta_log_pdf(theta: float, params: BetaParams) -> float:
-    """Log density of Beta(alpha, beta) at ``theta``; -inf outside (0, 1)."""
-    if not 0.0 < theta < 1.0:
-        return -math.inf
-    a, b = params.alpha, params.beta
-    norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-    return norm + (a - 1.0) * math.log(theta) + (b - 1.0) * math.log1p(-theta)
 
 
 def event_probability(pair: PosteriorPair, hypothesis: Hypothesis, n_mc: int,

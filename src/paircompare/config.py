@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import configparser
 import csv
-import io
+import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
@@ -285,8 +285,8 @@ def _parse_model(values: dict[str, str] | None) -> ModelConfig:
         except ValueError:
             raise sec.error(f"expected a preset name or 'alpha, beta', got {raw!r}",
                             "prior") from None
-        if alpha <= 0 or beta <= 0:
-            raise sec.error("prior shape parameters must be positive", "prior")
+        if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
+            raise sec.error("prior shape parameters must be positive and finite", "prior")
         return ModelConfig(prior_label="custom", prior=BetaParams(alpha, beta))
     raise sec.error(
         f"expected one of {', '.join(sorted(PRIOR_PRESETS))} or 'alpha, beta', got {raw!r}",
@@ -385,7 +385,7 @@ def parse_config_file(path, overrides: dict[str, str] | None = None) -> Analysis
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read config file {p}: {exc}") from exc
     config = parse_config(text, overrides)
     return replace(config, base_dir=str(p.parent))
@@ -495,19 +495,20 @@ def load_observations(config: AnalysisConfig) -> Observations:
 
 
 def _open_rows(path: Path):
+    """Stream a CSV data file's rows; a read or decode failure at any row is an IngestError."""
     try:
-        text = path.read_text(encoding="utf-8-sig")
-    except OSError as exc:
+        with path.open(encoding="utf-8-sig", newline="") as fh:
+            yield from csv.reader(fh)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise IngestError(f"cannot read data file: {exc}", path=str(path)) from exc
-    return list(csv.reader(io.StringIO(text, newline="")))
 
 
 def _read_aggregate_csv(path: Path, systems: tuple[str, str]) -> Counts:
     rows = _open_rows(path)
-    if not rows or rows[0] != ["system", "correct", "total"]:
+    if next(rows, None) != ["system", "correct", "total"]:
         raise IngestError("expected header 'system,correct,total'", path=str(path), row=1)
     by_system: dict[str, tuple[int, int]] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in enumerate(rows, start=2):
         if not row:
             continue
         if len(row) != 3:
@@ -535,9 +536,10 @@ def _read_aggregate_csv(path: Path, systems: tuple[str, str]) -> Counts:
 
 def _read_per_item_csv(path: Path, systems: tuple[str, str]) -> Counts:
     rows = _open_rows(path)
-    if not rows:
+    first = next(rows, None)
+    if first is None:
         raise IngestError("file is empty", path=str(path))
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in first]
     if len(header) != 3 or header[0] != "item_id" or set(header[1:]) != set(systems):
         raise IngestError(
             f"expected header 'item_id,{systems[0]},{systems[1]}'", path=str(path), row=1)
@@ -545,7 +547,7 @@ def _read_per_item_csv(path: Path, systems: tuple[str, str]) -> Counts:
     col2 = header.index(systems[1])
     correct = [0, 0]
     seen = set()
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in enumerate(rows, start=2):
         if not row:
             continue
         if len(row) != 3:

@@ -9,7 +9,10 @@ random streams.  Accuracy targets (absolute error unless noted):
 * ``std_normal_quantile``         round-trip |quantile(cdf(z)) - z| <= 1e-9
   for z in [-8, 5]; beyond that the CDF saturates against 1 and the float
   spacing of p, not the algorithm, limits what any inverse can recover
-* ``regularized_incomplete_beta`` <= 1e-10
+* ``regularized_incomplete_beta`` <= 1e-10 up to a + b = 10^5.  Beyond that
+  the rounding of its lgamma prefactor grows about linearly with a + b;
+  worst measured within 14 sd of the mean: 9e-10 at 10^6, 7e-9 at 10^7,
+  8e-8 at 10^8, 1e-6 at 10^9
 * ``log_binomial_coefficient``    relative error <= 1e-12
 """
 
@@ -26,8 +29,9 @@ from .errors import ConvergenceFailure, DomainError
 _SQRT_2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-# Continued-fraction evaluation of the incomplete beta.
-_CF_MAX_ITER = 500
+# Continued-fraction evaluation of the incomplete beta.  At the mean it takes
+# about 375 terms at a + b = 10^6 and 3,500 at 10^9; two sd away, under 80.
+_CF_MAX_ITER = 5000
 _CF_EPS = 1e-16
 _CF_TINY = 1e-300
 
@@ -120,8 +124,8 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     DomainError
         If ``a <= 0``, ``b <= 0``, or ``x`` is outside [0, 1].
     ConvergenceFailure
-        If the continued fraction has not converged after 500 terms, which
-        happens near the mean once ``a + b`` reaches about 1e7.
+        If the continued fraction has not converged after 5000 terms, which
+        happens near the mean once ``a + b`` passes about 3e9.
     """
     if a <= 0.0 or b <= 0.0:
         raise DomainError(f"incomplete beta requires a > 0 and b > 0, got a={a!r}, b={b!r}")
@@ -253,10 +257,10 @@ def sample_beta(a: float, b: float, rng, size=None):
     Raises
     ------
     DomainError
-        If either shape parameter is not strictly positive.
+        If either shape parameter is not positive and finite.
     """
-    if a <= 0.0 or b <= 0.0:
-        raise DomainError(f"beta sampling requires a > 0 and b > 0, got a={a!r}, b={b!r}")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):  # a NaN shape would never accept a draw
+        raise DomainError(f"beta sampling requires finite a > 0 and b > 0, got a={a!r}, b={b!r}")
     gen = _as_generator(rng)
     n = 1 if size is None else int(size)
     g1 = _sample_gamma(float(a), gen, n)

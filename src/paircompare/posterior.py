@@ -9,7 +9,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bayes import BetaParams, PosteriorPair, beta_log_pdf
+from .bayes import BetaParams, PosteriorPair
 from .core import Decision, DecisionValue
 from .errors import DomainError, TooFewSamples, UnstableEstimate
 from .numerics import RngStream, _as_generator, regularized_incomplete_beta, sample_beta
@@ -18,9 +18,20 @@ MIN_HDI_SAMPLES = 100
 # Any Bayes-factor component below this many expected hits is too noisy to
 # put in a ratio.
 MIN_COMPONENT_HITS = 10
-# Simpson grid over [0, 1] for the quadrature cross-check; odd, so the
-# panels pair up.
-_QUAD_POINTS = 4001
+# Tanh-sinh (double-exponential) rule on (0, 1), Takahasi & Mori (1974):
+# u = 1 / (1 + exp(-pi sinh t)) at t = k h, |t| <= 4, h = 1/32.  The
+# complement 1 - u comes from the mirrored formula, not by subtraction, so no
+# node rounds onto an endpoint; the outermost sit 6e-38 from it.
+_DE_T = np.arange(-128, 129) / 32.0
+_DE_NODES = 1.0 / (1.0 + np.exp(-np.pi * np.sinh(_DE_T)))
+_DE_COMPLEMENTS = 1.0 / (1.0 + np.exp(np.pi * np.sinh(_DE_T)))
+_DE_WEIGHTS = np.pi * np.cosh(_DE_T) * _DE_NODES * _DE_COMPLEMENTS / 32.0
+# A density with both shapes >= 2 holds under 1e-8 of its mass beyond this
+# many sd of its mean; lower shapes pile mass against an endpoint.
+_WINDOW_SD = 14.0
+# Terms below this share of the largest are skipped; together they move a
+# probability by under 1e-17.
+_NEGLIGIBLE_TERM = 1e-20
 
 
 @dataclass(frozen=True)
@@ -127,41 +138,41 @@ def rope_decision(hdi: Hdi, rope_radius: float, rope_center: float = 0.0) -> Rop
     return RopeVerdict(relation, Decision(value, "hdi_rope"), hdi, (lo, hi))
 
 
-def _beta_pdf_grid(params: BetaParams, t: np.ndarray) -> np.ndarray:
-    vals = np.zeros_like(t)
-    interior = (t > 0.0) & (t < 1.0)
-    vals[interior] = np.exp([beta_log_pdf(v, params) for v in t[interior]])
-    # Endpoint limits exist when the shape parameter is exactly 1.
-    if params.alpha == 1.0:
-        vals[t == 0.0] = math.exp(beta_log_pdf(1e-12, params))
-    if params.beta == 1.0:
-        vals[t == 1.0] = math.exp(beta_log_pdf(1.0 - 1e-12, params))
-    return vals
-
-
 def interval_probability_quadrature(params1: BetaParams, params2: BetaParams,
                                     radius: float) -> float:
     """P(|theta1 - theta2| < radius) for independent Beta variates.
 
-    Simpson integration of the Beta(params1) density against the CDF
-    difference of Beta(params2), everything built from the incomplete beta.
+    The narrower density is integrated against the CDF band of the other,
+    ``I(t + radius) - I(t - radius)``, by the tanh-sinh rule: over its mean
+    +- 14 sd, or over all of [0, 1] when a shape is below 2, in panels split
+    at ``radius`` and ``1 - radius`` where the band has a kink.  The density
+    is normalised by the same rule.  Against scipy's adaptive quadrature the
+    relative error is at most about 1e-8 up to 10^6 items with shapes >= 0.3
+    and about 1e-6 at 10^9 items, where the incomplete beta's error rules.
+    Below shape 0.3 the mass beyond the outermost node shows: 1e-8 at
+    shape 0.2, 5e-5 at 0.1.
     """
     if radius <= 0.0:
         raise DomainError(f"radius must be positive, got {radius!r}")
-    t = np.linspace(0.0, 1.0, _QUAD_POINTS)
-    pdf1 = _beta_pdf_grid(params1, t)
-
-    def cdf2(v: float) -> float:
-        return regularized_incomplete_beta(params2.alpha, params2.beta, min(max(v, 0.0), 1.0))
-
-    upper = np.array([cdf2(v + radius) for v in t])
-    lower = np.array([cdf2(v - radius) for v in t])
-    integrand = pdf1 * (upper - lower)
-    h = t[1] - t[0]
-    weights = np.ones(_QUAD_POINTS)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    return float(np.dot(weights, integrand) * h / 3.0)
+    if params2.variance < params1.variance:
+        params1, params2 = params2, params1
+    a, b = params1.alpha, params1.beta
+    lo, hi = 0.0, 1.0
+    if min(a, b) >= 2.0:
+        half = _WINDOW_SD * math.sqrt(params1.variance)
+        lo, hi = max(lo, params1.mean - half), min(hi, params1.mean + half)
+    cuts = sorted({lo, hi} | {c for c in (radius, 1.0 - radius) if lo < c < hi})
+    width = np.diff(cuts)[:, None]
+    t = (np.array(cuts[:-1])[:, None] + width * _DE_NODES).ravel()
+    t_complement = (1.0 - np.array(cuts[1:])[:, None] + width * _DE_COMPLEMENTS).ravel()
+    log_terms = (np.log(width * _DE_WEIGHTS).ravel()
+                 + (a - 1.0) * np.log(t) + (b - 1.0) * np.log(t_complement))
+    terms = np.exp(log_terms - log_terms.max())
+    keep = np.flatnonzero(terms > _NEGLIGIBLE_TERM)
+    a2, b2 = params2.alpha, params2.beta
+    band = [regularized_incomplete_beta(a2, b2, min(v + radius, 1.0))
+            - regularized_incomplete_beta(a2, b2, max(v - radius, 0.0)) for v in t[keep].tolist()]
+    return float(np.dot(terms[keep], band) / terms.sum())
 
 
 def bayes_factor_interval_null(priors: tuple[BetaParams, BetaParams],
@@ -214,7 +225,7 @@ def bayes_factor_interval_null(priors: tuple[BetaParams, BetaParams],
     var_log = (post_se / (post_p0 * post_p1)) ** 2 + (prior_se / (prior_p0 * prior_p1)) ** 2
     bf01_se = bf01 * math.sqrt(var_log)
 
-    q_prior = _interval_prob_exact_or_quadrature(prior1, prior2, epsilon)
+    q_prior = interval_probability_quadrature(prior1, prior2, epsilon)
     q_post = interval_probability_quadrature(posteriors.post1, posteriors.post2, epsilon)
     q_bf01 = (q_post / (1.0 - q_post)) / (q_prior / (1.0 - q_prior))
 
@@ -233,11 +244,3 @@ def bayes_factor_interval_null(priors: tuple[BetaParams, BetaParams],
         quadrature_post_p0=q_post,
         quadrature_bf01=q_bf01,
     )
-
-
-def _interval_prob_exact_or_quadrature(p1: BetaParams, p2: BetaParams,
-                                       epsilon: float) -> float:
-    if p1 == BetaParams(1.0, 1.0) and p2 == BetaParams(1.0, 1.0):
-        # Two independent uniforms: P(|U1 - U2| < eps) = 2 eps - eps^2.
-        return 2.0 * epsilon - epsilon * epsilon
-    return interval_probability_quadrature(p1, p2, epsilon)

@@ -193,16 +193,42 @@ def test_console_script_subprocess(fixture_tree):
 
 
 def test_incomplete_beta_nonconvergence_is_a_handled_error(fixture_tree, monkeypatch, capsys):
-    # 10^7 items per system push the incomplete beta's continued fraction
-    # past its term limit; the CLI reports that as an error, not a traceback.
+    # 10^11 items per system push the incomplete beta's continued fraction
+    # past its term limit near the mean; the CLI reports that as an error,
+    # not a traceback.
     code = run_cli(monkeypatch, fixture_tree,
                    "oracle", "--config", "configs/arc_easy.cfg",
-                   "--set", "data.counts=7000000/10000000, 6995000/10000000",
-                   "--set", "analysis.rope_radius=0.0005")
+                   "--set", "data.counts=70005000000/100000000000, 70000000000/100000000000",
+                   "--set", "analysis.rope_radius=0.00005")
     assert code == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "did not converge" in err
+
+
+def test_ten_million_items_complete(fixture_tree, monkeypatch, capsys):
+    # Near the mean at 10^7 items the continued fraction needs about 760
+    # terms; the quadrature's nodes all sit there.
+    code = run_cli(monkeypatch, fixture_tree,
+                   "oracle", "--config", "configs/arc_easy.cfg",
+                   "--set", "data.counts=7000000/10000000, 6995000/10000000",
+                   "--set", "analysis.rope_radius=0.0005")
+    assert code == EXIT_OK
+    report = json.loads((fixture_tree / "out/easy/report.json").read_text())
+    quadrature = report["results"]["bayes_factor"]["quadrature"]
+    assert 0.0 < quadrature["post_p0"] < 1.0
+
+
+@pytest.mark.parametrize("target", ["data/per_item_demo.csv", "configs/per_item_demo.cfg"])
+def test_non_utf8_input_is_a_handled_error(fixture_tree, monkeypatch, capsys, target):
+    path = fixture_tree / target
+    path.write_bytes(path.read_bytes() + b"# \xff\n")
+    code = run_cli(monkeypatch, fixture_tree,
+                   "oracle", "--config", "configs/per_item_demo.cfg")
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "per_item_demo" in err
 
 
 def test_duplicate_dataset_names_are_a_handled_error(fixture_tree, monkeypatch, capsys):

@@ -327,11 +327,15 @@ def test_prior_forms(raw, expected):
     assert (config.model.prior_label, config.model.prior) == expected
 
 
-@pytest.mark.parametrize("raw", ["jeffreys", "1, 2, 3", "-1, 2", "0, 1", "one, two"])
+# A NaN shape passes a "<= 0" test and would hang the gamma sampler.
+@pytest.mark.parametrize("raw", ["jeffreys", "1, 2, 3", "-1, 2", "0, 1", "one, two",
+                                 "nan, 1", "1, nan", "inf, 1", "inf, inf"])
 def test_bad_priors(raw):
-    with pytest.raises(ConfigError) as err:
-        parse_config(MINIMAL + f"[model]\nprior = {raw}\n")
-    assert err.value.key == "prior"
+    for text, overrides in ((MINIMAL + f"[model]\nprior = {raw}\n", None),
+                            (MINIMAL, {"model.prior": raw})):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text, overrides)
+        assert (err.value.section, err.value.key) == ("model", "prior")
 
 
 def test_parse_config_file_missing(tmp_path):
@@ -461,6 +465,18 @@ def test_per_item_columns_may_be_swapped(tmp_path):
     config = per_item_config(tmp_path,
                              "item_id,system2,system1\nq1,0,1\nq2,1,1\nq3,0,0\n")
     assert load_observations(config).counts == ((2, 3), (1, 3))
+
+
+def test_decode_error_after_many_rows_is_an_ingest_error(tmp_path):
+    # Rows are streamed, so the bad byte is met well after the first read.
+    path = tmp_path / "items.csv"
+    rows = "".join(f"q{i},1,0\n" for i in range(20_000))
+    path.write_bytes(f"item_id,system1,system2\n{rows}".encode() + b"\xff,1,0\n")
+    config = parse_config(MINIMAL + f"[data]\nformat = per_item\nfiles = {path}\n")
+    with pytest.raises(IngestError) as err:
+        load_observations(config)
+    assert err.value.path == str(path)
+    assert "cannot read data file" in str(err.value)
 
 
 def test_load_missing_data_file(tmp_path):

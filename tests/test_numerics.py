@@ -5,6 +5,7 @@ imports it.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -213,3 +214,13 @@ def test_sample_beta_domain():
         sample_beta(0.0, 1.0, RngStream(1, 0))
     with pytest.raises(DomainError):
         sample_beta(1.0, -3.0, RngStream(1, 0))
+
+
+@pytest.mark.parametrize("a,b", [(float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 1.0)])
+def test_sample_beta_rejects_non_finite_shapes(a, b):
+    # Such a shape never passes the gamma sampler's acceptance test, so the
+    # generator here fails on its first draw instead of looping forever.
+    gen = mock.create_autospec(np.random.Generator, instance=True)
+    gen.random.side_effect = gen.standard_normal.side_effect = AssertionError("drew")
+    with pytest.raises(DomainError):
+        sample_beta(a, b, gen, size=10)

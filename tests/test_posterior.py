@@ -1,16 +1,18 @@
 """HDI extraction, ROPE decisions, and the interval-null Bayes factor.
 
-Frozen interval probabilities were computed beforehand with scipy's adaptive
-quadrature over the exact beta densities; they check the package's own
-Simpson-rule evaluation from the outside.
+Interval probabilities are checked against scipy's adaptive quadrature over
+the exact beta densities, frozen or recomputed here; they check the
+package's own tanh-sinh evaluation from the outside.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate, special, stats
 
 from paircompare.bayes import BetaParams, PosteriorPair, event_probability
 from paircompare.core import DecisionValue, Direction, Hypothesis, HypothesisKind
@@ -154,10 +156,103 @@ def test_rope_relations_are_exhaustive_and_exclusive(lower, width, radius):
 
 
 def test_quadrature_uniform_pair_closed_form():
-    for eps in (0.005, 0.01, 0.05, 0.2):
+    # From 0.5 on both panel cuts coincide or swap sides.
+    for eps in (0.005, 0.01, 0.05, 0.2, 0.5, 0.75, 1.0):
         expected = 2.0 * eps - eps * eps
         assert interval_probability_quadrature(*UNIFORM_PAIR, eps) == pytest.approx(
             expected, abs=1e-9)
+
+
+def scipy_interval_probability(p1: BetaParams, p2: BetaParams, eps: float) -> float:
+    """Independent reference for P(|X - Y| < eps), X ~ p1 and Y ~ p2.
+
+    scipy's adaptive Gauss-Kronrod quadrature of X's density against Y's CDF
+    band, with density and CDF from Boost.  X should be the narrower of the
+    two, or a steep band inside a wide piece can escape the adaptive rule.
+    A concentrated X (both shapes >= 2) is integrated over its mean +- 14 sd;
+    otherwise over [0, 1], where an end piece next to a shape below 2
+    carries that shape's algebraic endpoint weight, so shapes below 1 stay
+    exact.  Pieces are split where the band bends.
+    """
+    (a1, b1), (a2, b2) = (p1.alpha, p1.beta), (p2.alpha, p2.beta)
+    ln_b = special.betaln(a1, b1)
+
+    def band(t):
+        return special.betainc(a2, b2, min(t + eps, 1.0)) - special.betainc(a2, b2, max(t - eps, 0.0))
+
+    def piece(lo, hi):
+        points = sorted(p for p in {p1.mean, p2.mean - eps, p2.mean + eps, eps, 1.0 - eps}
+                        if lo < p < hi) or None
+        if lo == 0.0 and a1 < 2.0:
+            return integrate.quad(lambda t: math.exp((b1 - 1.0) * math.log1p(-t) - ln_b) * band(t),
+                                  lo, hi, weight="alg", wvar=(a1 - 1.0, 0.0), **opts)[0]
+        if hi == 1.0 and b1 < 2.0:
+            return integrate.quad(lambda t: math.exp((a1 - 1.0) * math.log(t) - ln_b) * band(t),
+                                  lo, hi, weight="alg", wvar=(0.0, b1 - 1.0), **opts)[0]
+        return integrate.quad(lambda t: stats.beta.pdf(t, a1, b1) * band(t),
+                              lo, hi, points=points, **opts)[0]
+
+    opts = dict(epsabs=0.0, epsrel=1e-13, limit=500)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        if min(a1, b1) >= 2.0:
+            half = 14.0 * math.sqrt(p1.variance)
+            return piece(max(0.0, p1.mean - half), min(1.0, p1.mean + half))
+        assert 0.0 < eps < 0.5
+        return piece(0.0, eps) + piece(eps, 1.0 - eps) + piece(1.0 - eps, 1.0)
+
+
+ACCURACY_PRIORS = {"uniform": (1.0, 1.0), "jeffreys": (0.5, 0.5), "skewed": (0.5, 3.0),
+                   "optimistic_weak": (3.0, 1.5), "optimistic_strong": (9.0, 3.0)}
+
+
+def _accuracy_cases():
+    """Prior pairs at radii 1e-3..0.45, and posteriors after 10..10^6 items
+    each, drawn with a fixed seed and always including 0 and all correct;
+    a few pairs have very different totals, so their widths differ."""
+    gen = np.random.default_rng(20190401)
+    for label, prior in ACCURACY_PRIORS.items():
+        for radius in (1e-3, 0.01, 0.1, 0.45):
+            yield f"{label}-prior-{radius}", prior, (0, 0), (0, 0), radius
+        for n in (10, 100, 1000, 10**4, 10**5, 10**6):
+            p = gen.uniform(0.3, 0.9)
+            sd = math.sqrt(2.0 * p * (1.0 - p) / n)
+            gap = round(gen.uniform(0.0, 3.0) * sd * n)
+            c1 = min(n, round(p * n) + gap)
+            radius = float(np.clip(sd * 10 ** gen.uniform(-0.5, 1.0), 1e-3, 0.45))
+            yield f"{label}-{n}", prior, (c1, n), (c1 - gap, n), radius
+            yield f"{label}-{n}-none", prior, (0, n), (gen.integers(0, 3), n), max(radius, 0.02)
+            yield f"{label}-{n}-all", prior, (n, n), (n - gen.integers(0, 3), n), max(radius, 0.02)
+        for n1, n2 in ((10, 10**4), (100, 10**6)):
+            p = gen.uniform(0.3, 0.9)
+            yield f"{label}-{n1}-vs-{n2}", prior, (round(p * n1), n1), (round(p * n2), n2), 0.05
+
+
+def _posteriors(prior, counts1, counts2):
+    return tuple(BetaParams(prior[0] + c, prior[1] + n - c) for c, n in (counts1, counts2))
+
+
+ACCURACY_CASES = list(_accuracy_cases())
+
+
+@pytest.mark.parametrize("label,prior,counts1,counts2,radius", ACCURACY_CASES,
+                         ids=[case[0] for case in ACCURACY_CASES])
+def test_quadrature_matches_scipy(label, prior, counts1, counts2, radius):
+    p1, p2 = _posteriors(prior, counts1, counts2)
+    reference = scipy_interval_probability(*sorted((p1, p2), key=lambda p: p.variance), radius)
+    assert reference >= 1e-6
+    assert interval_probability_quadrature(p1, p2, radius) == pytest.approx(reference, rel=1e-7)
+
+
+@pytest.mark.parametrize("n", [10**7, 10**9])
+@pytest.mark.parametrize("prior", [(1.0, 1.0), (0.5, 0.5), (9.0, 3.0)])
+def test_quadrature_matches_scipy_at_scale(n, prior):
+    # A gap of two posterior sd and a radius of one, as the benchmark draws;
+    # here the incomplete beta's own rounding sets the error.
+    sd = math.sqrt(2.0 * 0.7 * 0.3 / n)
+    p1, p2 = _posteriors(prior, (round((0.7 + sd) * n), n), (round((0.7 - sd) * n), n))
+    reference = scipy_interval_probability(p1, p2, sd)
+    assert interval_probability_quadrature(p1, p2, sd) == pytest.approx(reference, rel=1e-5)
 
 
 def test_quadrature_easy_posteriors_frozen():
