@@ -7,6 +7,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .core import Direction
 from .errors import DegenerateTest, DomainError
 from .numerics import std_normal_cdf, std_normal_quantile
@@ -57,33 +59,43 @@ def _check_counts(correct1: int, total1: int, correct2: int, total2: int) -> Non
             raise DomainError(f"correct count {correct!r} outside [0, {total!r}]")
 
 
+def pooled_statistic(correct1, total1, correct2, total2):
+    """``(z, pooled_rate, sigma)`` of the pooled z-test, on numbers or arrays.
+
+    Each step is one correctly rounded operation, so array cells equal scalar
+    results bit for bit.  A pooled rate of 0 or 1 gives ``sigma`` 0, ``z`` NaN.
+    """
+    pooled = (correct1 + correct2) / (total1 + total2)
+    sigma = np.sqrt(pooled * (1.0 - pooled) * (1.0 / total1 + 1.0 / total2))
+    with np.errstate(invalid="ignore"):
+        z = (correct1 / total1 - correct2 / total2) / sigma
+    return z, pooled, sigma
+
+
 def pooled_z(correct1: int, total1: int, correct2: int, total2: int,
              direction: Direction) -> tuple[float, float, float, float]:
     """``(z, p_value, pooled_rate, sigma)`` of the pooled two-proportion z-test.
 
-    The one kernel behind :func:`two_proportion_z_test`, the pooled interval
-    and the optional-stopping looks.  Counts are not checked, so per-look
-    callers pay only for the arithmetic.
+    The scalar test behind :func:`two_proportion_z_test`, the pooled interval
+    and optional-stopping looks near their critical value; counts are not checked.
 
     Raises
     ------
     DegenerateTest
         When the pooled rate is exactly 0 or 1, which makes ``sigma`` zero.
     """
-    pooled = (correct1 + correct2) / (total1 + total2)
+    z, pooled, sigma = pooled_statistic(correct1, total1, correct2, total2)
     if pooled == 0.0 or pooled == 1.0:
         raise DegenerateTest(
             f"pooled rate is {pooled:g}; the z statistic is undefined for these counts"
         )
-    sigma = math.sqrt(pooled * (1.0 - pooled) * (1.0 / total1 + 1.0 / total2))
-    z = (correct1 / total1 - correct2 / total2) / sigma
     if direction is Direction.GREATER:
         p_value = std_normal_cdf(-z)
     elif direction is Direction.LESS:
         p_value = std_normal_cdf(z)
     else:
         p_value = min(1.0, 2.0 * std_normal_cdf(-abs(z)))
-    return z, p_value, pooled, sigma
+    return float(z), p_value, pooled, float(sigma)
 
 
 def two_proportion_z_test(correct1: int, total1: int, correct2: int, total2: int,

@@ -11,14 +11,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 
 from .bayes import BetaParams, posterior_pair
 from .core import Counts, Direction
-from .errors import DegenerateTest, DomainError
-from .frequentist import pooled_z
-from .numerics import STREAM_SWEEP_BASE, RngStream, log_binomial_coefficient, sample_beta
+from .errors import DomainError
+from .frequentist import pooled_statistic, pooled_z
+from .numerics import (STREAM_SWEEP_BASE, RngStream, log_binomial_coefficient, sample_beta,
+                       std_normal_pdf, std_normal_quantile)
 from .posterior import Hdi, bayes_factor_interval_null, hdi_from_samples
 
 
@@ -149,6 +151,34 @@ def stopping_comparison(successes: int, trials: int, null_rate: float) -> Stoppi
     )
 
 
+# Uniforms per block of trials: 64 KB, below the allocator's mmap threshold.
+_BLOCK_DRAWS = 1 << 13
+
+
+def _look_test(direction: Direction, alpha: float):
+    """``rejects(c1, c2, n)``: ``pooled_z(c1, n, c2, n)[1] < alpha`` for (rows, looks)
+    count arrays and (looks,) sizes.  ``z`` is bit-identical to ``pooled_z``'s and
+    the p-value falls as ``s`` (``z``, ``-z`` or ``|z|``) rises, so only p-value
+    rounding can disagree with ``s > critical``: cells within ``band`` of it (1e-6,
+    plus eight ulps of the tail for subnormal ``alpha``) take ``pooled_z``'s
+    decision.  A NaN ``z`` (pooled rate 0 or 1) never rejects.
+    """
+    tail = max(alpha / 2.0 if direction is Direction.TWO_SIDED else alpha, math.ulp(0.0))
+    critical = -std_normal_quantile(tail)
+    band = 1e-6 + 8.0 * math.ulp(tail) / std_normal_pdf(critical)
+    sign = {Direction.GREATER: 1.0, Direction.LESS: -1.0}.get(direction)
+
+    def rejects(c1, c2, n):
+        z = pooled_statistic(c1, n, c2, n)[0]
+        s = np.abs(z) if sign is None else sign * z
+        reject = s > critical
+        for i, j in np.argwhere(np.abs(s - critical) <= band):
+            reject[i, j] = pooled_z(c1[i, j], n[j], c2[i, j], n[j], direction)[1] < alpha
+        return reject
+
+    return rejects
+
+
 def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int,
                           master_seed: int,
                           direction: Direction = Direction.TWO_SIDED) -> OptionalStoppingReport:
@@ -159,8 +189,16 @@ def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int
     ``nominal_alpha`` at any look.  Trial ``t`` draws from the stream
     ``(master_seed, t)``: trials are independent, reproducible, and the same
     seed reuses the same outcome paths for any subset of looks.
+
+    Trials run in blocks: trial ``t`` fills its buffer row with system 1's
+    ``n_max`` outcomes, then system 2's, as two ``random(n_max)`` calls would.
+    One array z-test decides every (trial, look) cell exactly (``_look_test``),
+    and the buffer holds ``_BLOCK_DRAWS`` uniforms (at least one trial's).
     """
-    looks = tuple(int(n) for n in looks)
+    looks = tuple(looks)
+    if not all(isinstance(n, Integral) for n in (*looks, trials)):
+        raise DomainError("look sizes and trials must be integers")
+    looks = tuple(map(int, looks))
     if not looks or any(n < 2 for n in looks) or list(looks) != sorted(set(looks)):
         raise DomainError("looks must be a strictly increasing sequence of sizes >= 2")
     if not 0.0 < theta < 1.0:
@@ -171,24 +209,20 @@ def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int
         raise DomainError(f"trials must be positive, got {trials!r}")
 
     n_max = looks[-1]
-    look_arr = np.array(looks)
-    false_positives = 0
-    first_rejections = [0] * len(looks)
-    for t in range(trials):
-        gen = RngStream(master_seed, t).generator
-        outcomes1 = gen.random(n_max) < theta
-        outcomes2 = gen.random(n_max) < theta
-        cum1 = np.cumsum(outcomes1)[look_arr - 1].tolist()
-        cum2 = np.cumsum(outcomes2)[look_arr - 1].tolist()
-        for i, n in enumerate(looks):
-            try:
-                p_value = pooled_z(cum1[i], n, cum2[i], n, direction)[1]
-            except DegenerateTest:
-                continue  # all successes or all failures so far: nothing to reject
-            if p_value < nominal_alpha:
-                false_positives += 1
-                first_rejections[i] += 1
-                break
+    sizes = np.array(looks)
+    rejects = _look_test(direction, nominal_alpha)
+    block = np.empty((max(1, _BLOCK_DRAWS // (2 * n_max)), 2 * n_max))
+    first_rejections = np.zeros(len(looks), dtype=np.int64)
+    for start in range(0, trials, len(block)):
+        rows = block[:trials - start]
+        for t, row in enumerate(rows, start):
+            RngStream(master_seed, t).generator.random(out=row)
+        hits = (rows < theta).reshape(len(rows), 2, n_max)
+        counts = np.cumsum(hits, axis=2)[:, :, sizes - 1]
+        reject = rejects(counts[:, 0], counts[:, 1], sizes)
+        first = reject.argmax(axis=1)[reject.any(axis=1)]
+        first_rejections += np.bincount(first, minlength=len(looks))
+    false_positives = int(first_rejections.sum())
     return OptionalStoppingReport(
         looks=looks,
         theta=theta,
@@ -196,7 +230,7 @@ def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int
         trials=trials,
         false_positives=false_positives,
         false_positive_rate=false_positives / trials,
-        first_rejection_counts=tuple(first_rejections),
+        first_rejection_counts=tuple(first_rejections.tolist()),
         master_seed=master_seed,
     )
 

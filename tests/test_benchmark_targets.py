@@ -52,3 +52,25 @@ def test_hook_arguments_sit_where_the_hooks_read_them(tracing):
         checked.add(hook.__name__)
     assert misplaced == []
     assert checked == set(HOOK_ARGUMENTS)
+
+
+def test_optional_stopping_builds_one_stream_per_trial_at_the_traced_name(tracing, monkeypatch):
+    # The tracer counts ``numerics.rng_streams`` by wrapping
+    # ``simulations.RngStream``; the trial loop must look the name up there
+    # and build exactly one stream per trial, or the span and counter go
+    # silent.
+    from paircompare import simulations
+
+    assert ("simulations", "RngStream") in {(m, a) for m, a, _, _ in tracing.SPANS}
+    args = (range(10, 101, 10), 0.5, 0.05, 37, 2024)
+    plain = simulations.optional_stopping_fpr(*args)
+    stream = simulations.RngStream
+    calls = []
+
+    def counting(*a, **k):
+        calls.append(a)
+        return stream(*a, **k)
+
+    monkeypatch.setattr(simulations, "RngStream", counting)
+    assert simulations.optional_stopping_fpr(*args) == plain
+    assert calls == [(2024, t) for t in range(37)]

@@ -6,15 +6,20 @@ any part of this package.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 from paircompare.bayes import PRIOR_PRESETS, BetaParams, conjugate_update
 from paircompare.core import Direction
 from paircompare.errors import DegenerateTest, DomainError
 from paircompare.frequentist import pooled_z, two_proportion_z_test
+from paircompare.numerics import RngStream
 from paircompare.simulations import (
+    _BLOCK_DRAWS,
     Tail,
+    _look_test,
     optional_stopping_fpr,
     prior_sensitivity_sweep,
     pvalue_fixed_n,
@@ -103,10 +108,10 @@ def test_stopping_comparison_same_data_different_pvalues():
 
 
 def test_zsubtest_agrees_with_public_ztest():
-    # The optional-stopping looks call the shared pooled_z kernel directly;
+    # The optional-stopping looks near their critical value call the shared
+    # pooled_z kernel (see test_look_test_matches_pooled_z_on_every_cell);
     # it must give exactly the public z-test's statistic and p-value, and
     # treat the same counts as degenerate.
-    import numpy as np
     gen = np.random.default_rng(404)
     for _ in range(300):
         n = int(gen.integers(2, 400))
@@ -191,6 +196,131 @@ def test_optional_stopping_validation():
         optional_stopping_fpr([50], 0.5, 0.0, 100, 1)
     with pytest.raises(DomainError):
         optional_stopping_fpr([50], 0.5, 0.05, 0, 1)
+    # Non-integer look sizes and trial counts are refused, not truncated.
+    for looks, trials in (([10.5], 100), ([10, 20.5], 100), ([10.0], 100),
+                          ([50], 2.5), ([50], 100.0), ([50], np.float64(3))):
+        with pytest.raises(DomainError):
+            optional_stopping_fpr(looks, 0.5, 0.05, trials, 1)
+    with pytest.raises(DomainError):
+        optional_stopping_fpr([True, 50], 0.5, 0.05, 100, 1)
+    # numpy integers and bools are integers.
+    plain = optional_stopping_fpr([10, 20], 0.5, 0.05, 30, 1)
+    assert optional_stopping_fpr(np.array([10, 20]), 0.5, 0.05, np.int64(30), 1) == plain
+    assert optional_stopping_fpr((n for n in (10, 20)), 0.5, 0.05, 30, 1) == plain
+    assert optional_stopping_fpr([10, 20], 0.5, 0.05, True, 1).trials == 1
+
+
+def _scalar_first_rejection(looks, theta, alpha, seed, t, direction):
+    """Reference for one trial: two draws from its stream, then pooled_z at
+    each look until the first rejection.  Returns that look's index or None."""
+    gen = RngStream(seed, t).generator
+    cum1 = np.cumsum(gen.random(looks[-1]) < theta)
+    cum2 = np.cumsum(gen.random(looks[-1]) < theta)
+    for i, n in enumerate(looks):
+        try:
+            if pooled_z(int(cum1[n - 1]), n, int(cum2[n - 1]), n, direction)[1] < alpha:
+                return i
+        except DegenerateTest:
+            pass
+    return None
+
+
+def _assert_look_test_matches_pooled_z(c1, c2, n, alphas):
+    c1, c2 = c1.reshape(-1, 1), c2.reshape(-1, 1)
+    degenerate = (c1[:, 0] + c2[:, 0]) % (2 * n) == 0
+    for direction in Direction:
+        p_values = np.array([math.nan if d else pooled_z(a, n, b, n, direction)[1]
+                             for a, b, d in zip(c1[:, 0].tolist(), c2[:, 0].tolist(),
+                                                degenerate)])
+        for alpha in alphas:
+            mask = _look_test(direction, alpha)(c1, c2, np.array([n]))[:, 0]
+            assert not mask[degenerate].any()
+            assert np.array_equal(mask[~degenerate], p_values[~degenerate] < alpha), \
+                (direction, alpha)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 57, 150])
+def test_look_test_matches_pooled_z_on_every_cell(n):
+    # The array look test must reject exactly where pooled_z's p-value is
+    # below alpha, on every (c1, c2) cell, and never on a degenerate one.
+    c1, c2 = np.meshgrid(np.arange(n + 1), np.arange(n + 1))
+    _assert_look_test_matches_pooled_z(c1, c2, n, (1e-320, 1e-12, 0.05, 0.5, 0.9999999))
+
+
+@pytest.mark.parametrize("n", [740, 795, 833])
+def test_look_test_matches_pooled_z_at_subnormal_alpha(n):
+    # |z| reaches the critical value of a subnormal alpha (about 38) only in
+    # the corners of large grids.  There the p-value's rounding moves some
+    # decisions by up to 1e-2 in z; at these sizes a band of 1e-6 alone would
+    # get cells wrong at each of these alphas.
+    low, high = np.meshgrid(np.arange(121), np.arange(n - 120, n + 1))
+    for c1, c2 in ((high, low), (low, high)):
+        _assert_look_test_matches_pooled_z(c1, c2, n, (5e-324, 1e-323, 1e-320))
+
+
+def _exact_fpr(looks, theta, alpha, direction):
+    """Exact false-positive rate of the repeated pooled z-test (Armitage,
+    McPherson & Rowe, JRSS A 132(2), 1969).  The joint pmf of the two arms'
+    success counts is carried from look to look, convolved on each axis with
+    the binomial pmf of the new items, and the rejection region's mass is
+    removed at each look."""
+    pmf = np.ones((1, 1))
+    prev = 0
+    rate = 0.0
+    for n in looks:
+        kernel = scipy.stats.binom.pmf(np.arange(n - prev + 1), n - prev, theta)
+        grown = np.zeros((n + 1, prev + 1))
+        for j, w in enumerate(kernel):
+            grown[j:j + prev + 1, :] += w * pmf
+        pmf = np.zeros((n + 1, n + 1))
+        for j, w in enumerate(kernel):
+            pmf[:, j:j + prev + 1] += w * grown
+        counts = np.arange(n + 1, dtype=float)
+        c1, c2 = counts[:, None], counts[None, :]
+        pooled = (c1 + c2) / (2.0 * n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = (c1 - c2) / n / np.sqrt(pooled * (1.0 - pooled) * 2.0 / n)
+        if direction is Direction.GREATER:
+            p = 0.5 * scipy.special.erfc(z / math.sqrt(2.0))
+        elif direction is Direction.LESS:
+            p = 0.5 * scipy.special.erfc(-z / math.sqrt(2.0))
+        else:
+            p = np.minimum(1.0, scipy.special.erfc(np.abs(z) / math.sqrt(2.0)))
+        reject = (pooled > 0.0) & (pooled < 1.0) & (p < alpha)
+        rate += float(pmf[reject].sum())
+        pmf[reject] = 0.0
+        prev = n
+    return rate
+
+
+@pytest.mark.parametrize("looks,direction", [
+    (tuple(range(10, 501, 10)), Direction.TWO_SIDED),  # criterion 9's schedule
+    ((500,), Direction.GREATER),                       # criterion 12's single look
+])
+def test_optional_stopping_within_4se_of_exact_rate(looks, direction):
+    trials = 10_000
+    exact = _exact_fpr(looks, 0.5, 0.05, direction)
+    report = optional_stopping_fpr(looks, 0.5, 0.05, trials, 20260815, direction)
+    se = math.sqrt(exact * (1.0 - exact) / trials)
+    assert abs(report.false_positive_rate - exact) <= 4.0 * se, (report, exact)
+
+
+def test_optional_stopping_block_boundaries():
+    # Trial t reads only its own stream, so N trials report what N - 1 do plus
+    # trial N - 1's own first rejection, wherever the block boundaries fall.
+    looks = tuple(range(10, 201, 10))
+    block = _BLOCK_DRAWS // (2 * looks[-1])
+    for direction in Direction:
+        for trials in (1, block - 1, block, block + 1, 2 * block + 1):
+            report = optional_stopping_fpr(looks, 0.5, 0.2, trials, 1729, direction)
+            before = ([0] * len(looks) if trials == 1 else list(
+                optional_stopping_fpr(looks, 0.5, 0.2, trials - 1, 1729,
+                                      direction).first_rejection_counts))
+            first = _scalar_first_rejection(looks, 0.5, 0.2, 1729, trials - 1, direction)
+            if first is not None:
+                before[first] += 1
+            assert report.first_rejection_counts == tuple(before), (direction, trials)
+            assert report.false_positives == sum(before)
 
 
 EASY_COUNTS = ((1721, 2376), (1637, 2376))
