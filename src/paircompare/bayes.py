@@ -14,7 +14,6 @@ import numpy as np
 
 from .core import Counts, Direction, Hypothesis, HypothesisKind
 from .errors import DomainError
-from .numerics import RngStream, _as_generator, sample_beta
 
 
 @dataclass(frozen=True)
@@ -85,26 +84,6 @@ def posterior_pair(prior: BetaParams, counts: Counts) -> PosteriorPair:
     """Conjugate posteriors of both systems under one shared prior."""
     (c1, t1), (c2, t2) = counts
     return PosteriorPair(conjugate_update(prior, c1, t1), conjugate_update(prior, c2, t2))
-
-
-def event_probability(pair: PosteriorPair, hypothesis: Hypothesis, n_mc: int,
-                      rng: RngStream) -> EventProbability:
-    """Posterior probability of a hypothesis event by paired independent draws.
-
-    Draws ``n_mc`` independent samples from each posterior, pairs them, and
-    counts how often the event holds for the difference theta1 - theta2.
-
-    Raises
-    ------
-    DomainError
-        If ``n_mc`` is below 1000 (the Monte Carlo error would dominate).
-    """
-    if n_mc < 1000:
-        raise DomainError(f"n_mc must be at least 1000, got {n_mc!r}")
-    gen = _as_generator(rng)
-    theta1 = sample_beta(pair.post1.alpha, pair.post1.beta, gen, size=n_mc)
-    theta2 = sample_beta(pair.post2.alpha, pair.post2.beta, gen, size=n_mc)
-    return event_probability_from_samples(theta1 - theta2, hypothesis)
 
 
 def event_probability_from_samples(diff_samples, hypothesis: Hypothesis) -> EventProbability:

@@ -28,7 +28,7 @@ class TooFewSamples(AssessmentError):
 
 
 class UnstableEstimate(AssessmentError):
-    """A Monte Carlo component is too close to zero for a reliable ratio."""
+    """A component of a ratio lies too close to 0 or 1 to be computed reliably."""
 
 
 class ConvergenceFailure(AssessmentError):

@@ -167,15 +167,15 @@ def log_binomial_coefficient(n: int, k: int) -> float:
 #
 #   0 .. chains-1     MCMC chain k                    (mcmc.run_chains)
 #   10_000            conjugate posterior draws       (reporting)
-#   10_001            Bayes-factor Monte Carlo        (reporting)
-#   20_000 + 2i, +1   prior-sweep row i: BF, HDI      (simulations)
+#   20_000 + 2i + 1   prior-sweep row i: HDI draws    (simulations)
 #   0 .. trials-1     optional-stopping trial t       (simulations; a command
 #                                                      of its own)
 #
+# The even sweep indices 20_000 + 2i stay unused, so each row's HDI keeps the
+# stream, and the bytes, of reports made before the Bayes factor was exact.
 # ``[mcmc] chains`` must stay below FIRST_RESERVED_STREAM, which the config
 # grammar enforces.
 STREAM_POSTERIOR_DRAWS = 10_000
-STREAM_BAYES_FACTOR = 10_001
 STREAM_SWEEP_BASE = 20_000
 FIRST_RESERVED_STREAM = STREAM_POSTERIOR_DRAWS
 
@@ -201,13 +201,6 @@ class RngStream:
             raise DomainError(f"stream_index must be an integer in [0, 2**63), got {self.stream_index!r}")
         seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=(self.stream_index,))
         self.generator = np.random.Generator(np.random.Philox(seq))
-
-    def uniform(self, size=None):
-        """Uniform draws on [0, 1)."""
-        return self.generator.random(size)
-
-    def standard_normal(self, size=None):
-        return self.generator.standard_normal(size)
 
 
 def _as_generator(rng) -> np.random.Generator:

@@ -12,12 +12,12 @@ import numpy as np
 from .bayes import BetaParams, PosteriorPair
 from .core import Decision, DecisionValue
 from .errors import DomainError, TooFewSamples, UnstableEstimate
-from .numerics import RngStream, _as_generator, regularized_incomplete_beta, sample_beta
+from .numerics import regularized_incomplete_beta
 
 MIN_HDI_SAMPLES = 100
-# Any Bayes-factor component below this many expected hits is too noisy to
-# put in a ratio.
-MIN_COMPONENT_HITS = 10
+# Smallest Bayes-factor component, p0 or 1 - p0, put in a ratio: below it the
+# quadrature's relative error passes about 1e-8 (see bayes_factor_interval_null).
+MIN_COMPONENT = 1e-9
 # Tanh-sinh (double-exponential) rule on (0, 1), Takahasi & Mori (1974):
 # u = 1 / (1 + exp(-pi sinh t)) at t = k h, |t| <= 4, h = 1/32.  The
 # complement 1 - u comes from the mirrored formula, not by subtraction, so no
@@ -63,28 +63,14 @@ class RopeVerdict:
 
 @dataclass(frozen=True)
 class BayesFactorResult:
-    """Interval-null Bayes factor BF01 with its Monte Carlo components.
+    """Interval-null Bayes factor BF01 and the two probabilities it is built from.
 
-    ``bf01`` is exactly ``(post_p0 / post_p1) / (prior_p0 / prior_p1)`` for
-    the recorded component probabilities, each of which carries a Monte
-    Carlo standard error.  The ``quadrature_*`` fields hold the same
-    quantities evaluated through the incomplete beta function and serve as a
-    deterministic cross-check.
+    ``bf01`` is exactly ``(post_p0 / (1 - post_p0)) / (prior_p0 / (1 - prior_p0))``.
     """
 
     bf01: float
-    bf01_se: float
     prior_p0: float
-    prior_p1: float
-    prior_p0_se: float
     post_p0: float
-    post_p1: float
-    post_p0_se: float
-    epsilon: float
-    n_mc: int
-    quadrature_prior_p0: float
-    quadrature_post_p0: float
-    quadrature_bf01: float
 
 
 def hdi_from_samples(samples, mass: float = 0.95) -> Hdi:
@@ -175,72 +161,38 @@ def interval_probability_quadrature(params1: BetaParams, params2: BetaParams,
     return float(np.dot(terms[keep], band) / terms.sum())
 
 
-def bayes_factor_interval_null(priors: tuple[BetaParams, BetaParams],
-                               posteriors: PosteriorPair,
-                               epsilon: float, n_mc: int,
-                               rng: RngStream) -> BayesFactorResult:
+def bayes_factor_interval_null(prior: BetaParams, posteriors: PosteriorPair,
+                               epsilon: float) -> BayesFactorResult:
     """Bayes factor for H0: |theta1 - theta2| < epsilon against its complement.
 
-    BF01 is the ratio of posterior to prior odds of H0.  Component
-    probabilities come from ``n_mc`` paired Monte Carlo draws; the same
-    quantities are also evaluated by incomplete-beta quadrature and recorded
-    alongside.  The standard error of ``bf01`` is propagated from the
-    component errors by the delta method.
+    BF01 is the ratio of posterior to prior odds of H0, with both systems
+    under the one ``prior``.  The prior and posterior probabilities of H0 come
+    from :func:`interval_probability_quadrature`; nothing is drawn.  Against
+    mpmath at 30 digits or more (2,000 items per system, epsilon = 0.01) the
+    relative error of p0 is at most 4e-10 from p0 = 0.5 down to 2e-8 and
+    4e-9 at 1.2e-9, then grows fast: 2e-8 at 2e-11, 7e-6 at 2e-14 and 4e-3
+    at 2e-20.  The complement ``1 - p0`` carries an absolute error of about
+    1e-16.  So each of p0 and 1 - p0, prior and posterior, must reach
+    ``MIN_COMPONENT`` (1e-9), which keeps every component, and both odds,
+    to about 1e-8.
 
     Raises
     ------
+    DomainError
+        If ``epsilon`` is outside (0, 1).
     UnstableEstimate
-        When any Monte Carlo component falls below ``10 / n_mc``; a ratio of
-        probabilities that small is dominated by noise.
+        When p0 or 1 - p0, prior or posterior, falls below ``MIN_COMPONENT``.
     """
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    if n_mc < 1000:
-        raise DomainError(f"n_mc must be at least 1000, got {n_mc!r}")
-    prior1, prior2 = priors
-    gen = _as_generator(rng)
-
-    def mc_interval_prob(p1: BetaParams, p2: BetaParams) -> tuple[float, float]:
-        d = sample_beta(p1.alpha, p1.beta, gen, size=n_mc) \
-            - sample_beta(p2.alpha, p2.beta, gen, size=n_mc)
-        p = float(np.count_nonzero(np.abs(d) < epsilon)) / n_mc
-        return p, math.sqrt(p * (1.0 - p) / n_mc)
-
-    prior_p0, prior_se = mc_interval_prob(prior1, prior2)
-    post_p0, post_se = mc_interval_prob(posteriors.post1, posteriors.post2)
-
-    floor = MIN_COMPONENT_HITS / n_mc
-    for name, p in (("prior_p0", prior_p0), ("prior_p1", 1.0 - prior_p0),
-                    ("post_p0", post_p0), ("post_p1", 1.0 - post_p0)):
-        if p < floor:
+    prior_p0 = interval_probability_quadrature(prior, prior, epsilon)
+    post_p0 = interval_probability_quadrature(posteriors.post1, posteriors.post2, epsilon)
+    for name, p in (("prior_p0", prior_p0), ("1 - prior_p0", 1.0 - prior_p0),
+                    ("post_p0", post_p0), ("1 - post_p0", 1.0 - post_p0)):
+        if p < MIN_COMPONENT:
             raise UnstableEstimate(
-                f"{name} = {p:.3g} is below {MIN_COMPONENT_HITS}/n_mc; "
-                f"increase n_mc or widen epsilon"
+                f"{name} = {p:.3g} is below {MIN_COMPONENT:g}, where the Bayes "
+                f"factor's quadrature stops being accurate; change epsilon"
             )
-
-    prior_p1 = 1.0 - prior_p0
-    post_p1 = 1.0 - post_p0
-    bf01 = (post_p0 / post_p1) / (prior_p0 / prior_p1)
-    # Delta method on log BF: the two odds ratios contribute independently.
-    var_log = (post_se / (post_p0 * post_p1)) ** 2 + (prior_se / (prior_p0 * prior_p1)) ** 2
-    bf01_se = bf01 * math.sqrt(var_log)
-
-    q_prior = interval_probability_quadrature(prior1, prior2, epsilon)
-    q_post = interval_probability_quadrature(posteriors.post1, posteriors.post2, epsilon)
-    q_bf01 = (q_post / (1.0 - q_post)) / (q_prior / (1.0 - q_prior))
-
-    return BayesFactorResult(
-        bf01=bf01,
-        bf01_se=bf01_se,
-        prior_p0=prior_p0,
-        prior_p1=prior_p1,
-        prior_p0_se=prior_se,
-        post_p0=post_p0,
-        post_p1=post_p1,
-        post_p0_se=post_se,
-        epsilon=epsilon,
-        n_mc=n_mc,
-        quadrature_prior_p0=q_prior,
-        quadrature_post_p0=q_post,
-        quadrature_bf01=q_bf01,
-    )
+    bf01 = (post_p0 / (1.0 - post_p0)) / (prior_p0 / (1.0 - prior_p0))
+    return BayesFactorResult(bf01, prior_p0, post_p0)

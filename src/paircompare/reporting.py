@@ -25,10 +25,10 @@ from .core import Decision, DecisionValue, Direction, Hypothesis, HypothesisKind
 from .frequentist import diff_confidence_interval, two_proportion_z_test
 from .fsio import atomic_write_text
 from .mcmc import Trace, export_trace, finite_or_null, run_chains
-from .numerics import STREAM_BAYES_FACTOR, STREAM_POSTERIOR_DRAWS, RngStream, sample_beta
+from .numerics import STREAM_POSTERIOR_DRAWS, RngStream, sample_beta
 from .posterior import Hdi, bayes_factor_interval_null, hdi_from_samples, rope_decision
 
-REPORT_FORMAT = "two-system-assessment/1"
+REPORT_FORMAT = "two-system-assessment/2"
 
 # Bayes-factor decision thresholds (ratio-of-odds scale): beyond 3 the data
 # speak clearly enough for a call in either direction.
@@ -167,7 +167,12 @@ def run_analysis(config: AnalysisConfig, write: bool = True) -> AnalysisOutcome:
 
     Bayesian methods always use the exact conjugate posterior; when MCMC is
     enabled the same summaries are recomputed from the chains and any
-    disagreement is recorded rather than hidden.  With ``write`` set, the
+    disagreement is recorded rather than hidden.  One sample of ``n_mc``
+    draws per posterior, from stream ``(seed, 10_000)``, feeds the HDI, the
+    event probabilities and the plot data.  The Bayes factor is exact
+    quadrature; the sample's frequency of ``|theta1 - theta2| < rope_radius``
+    is recorded next to it as a Monte Carlo twin of ``post_p0``, so nothing
+    is drawn for the Bayes factor itself.  With ``write`` set, the
     report, posterior plot data, and chain traces are written to the paths in
     ``config.output`` (each file atomically).
 
@@ -176,6 +181,9 @@ def run_analysis(config: AnalysisConfig, write: bool = True) -> AnalysisOutcome:
     ConfigError
         If the config lacks data, or several datasets are listed without
         ``pool = true`` (see :func:`config.load_observations`).
+    UnstableEstimate
+        If a Bayes-factor component leaves the quadrature's accurate range
+        (see :func:`posterior.bayes_factor_interval_null`).
     """
     obs = load_observations(config)
     counts = obs.counts
@@ -242,27 +250,24 @@ def run_analysis(config: AnalysisConfig, write: bool = True) -> AnalysisOutcome:
         theta1 = sample_beta(posts.post1.alpha, posts.post1.beta, gen, size=opts.n_mc)
         theta2 = sample_beta(posts.post2.alpha, posts.post2.beta, gen, size=opts.n_mc)
         posterior_samples = (theta1, theta2)
+        diff = theta1 - theta2
         if config.mcmc.enabled:
             trace = run_chains(config.model.prior, counts, config.mcmc, opts.seed)
 
         if "hdi_rope" in methods:
-            block, decision, sentence = _hdi_rope_block(
-                posts, theta1, theta2, trace, opts)
+            block, decision, sentence = _hdi_rope_block(posts, diff, trace, opts)
             results["hdi_rope"] = block
             decisions["hdi_rope"] = decision
             phrasing["hdi_rope"] = _vetted(sentence)
 
         if "bayes_factor" in methods:
-            bf = bayes_factor_interval_null(
-                (config.model.prior, config.model.prior), posts,
-                opts.rope_radius, opts.n_mc, RngStream(opts.seed, STREAM_BAYES_FACTOR))
+            bf = bayes_factor_interval_null(config.model.prior, posts, opts.rope_radius)
+            interval_null = Hypothesis(HypothesisKind.INTERVAL_NULL, 0.0, opts.rope_radius)
             mcmc_block = None
             if trace is not None:
-                post_p0 = event_probability_from_samples(
-                    trace.diff_samples(),
-                    Hypothesis(HypothesisKind.INTERVAL_NULL, 0.0, opts.rope_radius))
+                post_p0 = event_probability_from_samples(trace.diff_samples(), interval_null)
                 odds_post = post_p0.estimate / max(1.0 - post_p0.estimate, 1e-12)
-                odds_prior = bf.prior_p0 / bf.prior_p1
+                odds_prior = bf.prior_p0 / (1.0 - bf.prior_p0)
                 mcmc_block = {
                     "post_p0": post_p0.estimate,
                     "post_p0_se": post_p0.mc_se,
@@ -270,18 +275,9 @@ def run_analysis(config: AnalysisConfig, write: bool = True) -> AnalysisOutcome:
                 }
             results["bayes_factor"] = {
                 "bf01": bf.bf01,
-                "bf01_se": bf.bf01_se,
-                "epsilon": bf.epsilon,
-                "n_mc": bf.n_mc,
-                "prior_p0": bf.prior_p0,
-                "prior_p0_se": bf.prior_p0_se,
-                "post_p0": bf.post_p0,
-                "post_p0_se": bf.post_p0_se,
-                "quadrature": {
-                    "prior_p0": bf.quadrature_prior_p0,
-                    "post_p0": bf.quadrature_post_p0,
-                    "bf01": bf.quadrature_bf01,
-                },
+                "epsilon": opts.rope_radius,
+                "quadrature": {"prior_p0": bf.prior_p0, "post_p0": bf.post_p0},
+                "monte_carlo": _event_dict(event_probability_from_samples(diff, interval_null)),
                 "mcmc": mcmc_block,
             }
             if bf.bf01 >= BF_ACCEPT_THRESHOLD:
@@ -296,7 +292,7 @@ def run_analysis(config: AnalysisConfig, write: bool = True) -> AnalysisOutcome:
                 verdict = "the data barely move the prior odds either way"
             decisions["bayes_factor"] = Decision(value, "bayes_factor")
             phrasing["bayes_factor"] = _vetted(
-                f"The Bayes factor for a difference within {bf.epsilon:g} of zero, "
+                f"The Bayes factor for a difference within {opts.rope_radius:g} of zero, "
                 f"against one outside it, is {bf.bf01:.3g}: {verdict}."
             )
 
@@ -330,8 +326,7 @@ def run_analysis(config: AnalysisConfig, write: bool = True) -> AnalysisOutcome:
     return AnalysisOutcome(report, trace, report_path, plot_paths, trace_paths)
 
 
-def _hdi_rope_block(posts, theta1, theta2, trace, opts):
-    diff = theta1 - theta2
+def _hdi_rope_block(posts, diff, trace, opts):
     margin_hyp = Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, opts.margin,
                             direction=Direction.GREATER)
     positive_hyp = Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.0,

@@ -11,13 +11,12 @@ from paircompare.bayes import (
     BetaParams,
     PosteriorPair,
     conjugate_update,
-    event_probability,
     event_probability_from_samples,
     posterior_pair,
 )
 from paircompare.core import Direction, Hypothesis, HypothesisKind
 from paircompare.errors import DomainError
-from paircompare.numerics import RngStream
+from paircompare.numerics import RngStream, sample_beta
 
 UNIFORM = BetaParams(1.0, 1.0)
 EASY = ((1721, 2376), (1637, 2376))
@@ -76,12 +75,19 @@ def test_posterior_pair_easy():
     assert posts.mean_diff == pytest.approx(84.0 / 2378.0, abs=1e-12)
 
 
+def easy_diffs(n, seed, stream):
+    """Paired posterior draws of theta1 - theta2 on the worked example."""
+    posts = posterior_pair(UNIFORM, EASY)
+    gen = RngStream(seed, stream).generator
+    return (sample_beta(posts.post1.alpha, posts.post1.beta, gen, size=n)
+            - sample_beta(posts.post2.alpha, posts.post2.beta, gen, size=n))
+
+
 def test_event_probability_superiority_easy():
     # P(theta1 > theta2) on the worked example; center frozen from a
     # quadrature evaluation (0.996276), tolerance covers Monte Carlo noise.
-    posts = posterior_pair(UNIFORM, EASY)
     hyp = Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.0, direction=Direction.GREATER)
-    result = event_probability(posts, hyp, 100_000, RngStream(42, 0))
+    result = event_probability_from_samples(easy_diffs(100_000, 42, 0), hyp)
     assert result.estimate == pytest.approx(0.996276, abs=0.003)
     assert result.n_mc == 100_000
     assert result.halfwidth95 == pytest.approx(1.96 * result.mc_se, rel=1e-12)
@@ -89,25 +95,28 @@ def test_event_probability_superiority_easy():
 
 def test_event_probability_beyond_margin_easy():
     # P(theta1 - theta2 > 0.01); frozen quadrature value 0.972497.
-    posts = posterior_pair(UNIFORM, EASY)
     hyp = Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.01, direction=Direction.GREATER)
-    result = event_probability(posts, hyp, 100_000, RngStream(42, 1))
+    result = event_probability_from_samples(easy_diffs(100_000, 42, 1), hyp)
     assert result.estimate == pytest.approx(0.972497, abs=0.004)
 
 
 def test_event_probability_deterministic():
-    posts = posterior_pair(UNIFORM, EASY)
     hyp = Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.0)
-    a = event_probability(posts, hyp, 5000, RngStream(9, 4))
-    b = event_probability(posts, hyp, 5000, RngStream(9, 4))
-    assert a.estimate == b.estimate
+    a = event_probability_from_samples(easy_diffs(5000, 9, 4), hyp)
+    b = event_probability_from_samples(easy_diffs(5000, 9, 4), hyp)
+    assert a == b
 
 
 def test_event_probability_rejects_small_n():
-    posts = posterior_pair(UNIFORM, EASY)
+    # No draws is no estimate; a single draw is an estimate of 0 or 1 with
+    # zero Monte Carlo error.
+    hyp = Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.0)
     with pytest.raises(DomainError):
-        event_probability(posts, Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.0),
-                          999, RngStream(1, 0))
+        event_probability_from_samples(easy_diffs(1, 1, 0)[:0], hyp)
+    one = event_probability_from_samples(easy_diffs(1, 1, 0), hyp)
+    assert one.n_mc == 1
+    assert one.estimate in (0.0, 1.0)
+    assert one.mc_se == 0.0
 
 
 def test_event_masks_from_samples():

@@ -219,6 +219,38 @@ def test_ten_million_items_complete(fixture_tree, monkeypatch, capsys):
     assert 0.0 < quadrature["post_p0"] < 1.0
 
 
+@pytest.mark.parametrize("overrides", [
+    # Posteriors 1,900 sd apart: post_p0 is 0.0 exactly, so bf01 would be 0.
+    ("data.counts=900000/1000000, 100000/1000000", "analysis.rope_radius=0.001"),
+    # The whole prior sits inside the band: 1 - prior_p0 is zero to rounding.
+    ("model.prior=1e9, 1e9", "analysis.rope_radius=0.5"),
+])
+def test_bayes_factor_outside_its_accurate_range_is_a_handled_error(
+        fixture_tree, monkeypatch, capsys, overrides):
+    code = run_cli(monkeypatch, fixture_tree,
+                   "oracle", "--config", "configs/arc_easy.cfg",
+                   *(arg for item in overrides for arg in ("--set", item)))
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "below 1e-09" in err
+    assert "Traceback" not in err
+
+
+def test_billion_items_at_a_narrow_rope_complete(fixture_tree, monkeypatch, capsys):
+    # prior_p0 = 4e-5 would collect 4 hits in 100,000 draws; the exact
+    # components need no hits.
+    code = run_cli(monkeypatch, fixture_tree,
+                   "oracle", "--config", "configs/arc_easy.cfg",
+                   "--set", "data.counts=700000000/1000000000, 699950000/1000000000",
+                   "--set", "analysis.rope_radius=0.00002")
+    assert code == EXIT_OK
+    report = json.loads((fixture_tree / "out/easy/report.json").read_text())
+    quadrature = report["results"]["bayes_factor"]["quadrature"]
+    assert quadrature["prior_p0"] == pytest.approx(2 * 2e-5 - 2e-5 ** 2, rel=1e-9)
+    assert quadrature["post_p0"] == pytest.approx(0.0713, abs=5e-4)
+
+
 @pytest.mark.parametrize("target", ["data/per_item_demo.csv", "configs/per_item_demo.cfg"])
 def test_non_utf8_input_is_a_handled_error(fixture_tree, monkeypatch, capsys, target):
     path = fixture_tree / target

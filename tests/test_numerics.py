@@ -159,15 +159,15 @@ def test_log_binomial_matches_comb(n, k):
 
 
 def test_rng_stream_reproducible():
-    a = RngStream(12345, 7).standard_normal(100)
-    b = RngStream(12345, 7).standard_normal(100)
+    a = RngStream(12345, 7).generator.standard_normal(100)
+    b = RngStream(12345, 7).generator.standard_normal(100)
     assert np.array_equal(a, b)
 
 
 def test_rng_stream_distinct_streams():
-    a = RngStream(12345, 0).uniform(100)
-    b = RngStream(12345, 1).uniform(100)
-    c = RngStream(54321, 0).uniform(100)
+    a = RngStream(12345, 0).generator.random(100)
+    b = RngStream(12345, 1).generator.random(100)
+    c = RngStream(54321, 0).generator.random(100)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 

@@ -14,11 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
-from paircompare.bayes import BetaParams, PosteriorPair, event_probability
+from paircompare.bayes import BetaParams, PosteriorPair, event_probability_from_samples
 from paircompare.core import DecisionValue, Direction, Hypothesis, HypothesisKind
 from paircompare.errors import DomainError, TooFewSamples, UnstableEstimate
-from paircompare.numerics import RngStream
+from paircompare.numerics import RngStream, sample_beta
 from paircompare.posterior import (
+    MIN_COMPONENT,
     Hdi,
     RopeRelation,
     bayes_factor_interval_null,
@@ -28,7 +29,7 @@ from paircompare.posterior import (
 )
 
 EASY_POSTS = PosteriorPair(BetaParams(1722.0, 656.0), BetaParams(1638.0, 740.0))
-UNIFORM_PAIR = (BetaParams(1.0, 1.0), BetaParams(1.0, 1.0))
+UNIFORM = BetaParams(1.0, 1.0)
 
 
 def brute_force_hdi(samples, mass):
@@ -159,7 +160,7 @@ def test_quadrature_uniform_pair_closed_form():
     # From 0.5 on both panel cuts coincide or swap sides.
     for eps in (0.005, 0.01, 0.05, 0.2, 0.5, 0.75, 1.0):
         expected = 2.0 * eps - eps * eps
-        assert interval_probability_quadrature(*UNIFORM_PAIR, eps) == pytest.approx(
+        assert interval_probability_quadrature(UNIFORM, UNIFORM, eps) == pytest.approx(
             expected, abs=1e-9)
 
 
@@ -274,14 +275,14 @@ def test_quadrature_monotone_in_radius():
 
 
 BF_QUAD_FROZEN = {
-    # label: (priors, posteriors, prior_p0, post_p0, bf01), all from scipy quad.
-    "uniform": (UNIFORM_PAIR,
+    # label: (prior, posteriors, prior_p0, post_p0, bf01), all from scipy quad.
+    "uniform": (UNIFORM,
                 EASY_POSTS,
                 0.0199, 0.02720467677939874, 1.3773344465505502),
-    "optimistic_weak": ((BetaParams(3.0, 1.5), BetaParams(3.0, 1.5)),
+    "optimistic_weak": (BetaParams(3.0, 1.5),
                         PosteriorPair(BetaParams(1724.0, 656.5), BetaParams(1640.0, 740.5)),
                         0.028692724857164995, 0.027306486827116623, 0.9503304762625258),
-    "optimistic_strong": ((BetaParams(9.0, 3.0), BetaParams(9.0, 3.0)),
+    "optimistic_strong": (BetaParams(9.0, 3.0),
                           PosteriorPair(BetaParams(1730.0, 658.0), BetaParams(1646.0, 742.0)),
                           0.04813085385241872, 0.027613129620866147, 0.5616040473698086),
 }
@@ -289,65 +290,65 @@ BF_QUAD_FROZEN = {
 
 @pytest.mark.parametrize("label", sorted(BF_QUAD_FROZEN))
 def test_bayes_factor_quadrature_components_frozen(label):
-    priors, posts, prior_p0, post_p0, bf01 = BF_QUAD_FROZEN[label]
-    result = bayes_factor_interval_null(priors, posts, 0.01, 100_000,
-                                        RngStream(31, 0))
-    assert result.quadrature_prior_p0 == pytest.approx(prior_p0, abs=5e-7)
-    assert result.quadrature_post_p0 == pytest.approx(post_p0, abs=5e-7)
-    assert result.quadrature_bf01 == pytest.approx(bf01, rel=5e-5)
-
-
-@pytest.mark.parametrize("label", sorted(BF_QUAD_FROZEN))
-def test_bayes_factor_mc_within_error_of_quadrature(label):
-    priors, posts, _, _, _ = BF_QUAD_FROZEN[label]
-    result = bayes_factor_interval_null(priors, posts, 0.01, 100_000,
-                                        RngStream(77, 2))
-    assert abs(result.prior_p0 - result.quadrature_prior_p0) < 4.0 * result.prior_p0_se
-    assert abs(result.post_p0 - result.quadrature_post_p0) < 4.0 * result.post_p0_se
-    assert abs(result.bf01 - result.quadrature_bf01) < 4.0 * result.bf01_se
+    prior, posts, prior_p0, post_p0, bf01 = BF_QUAD_FROZEN[label]
+    result = bayes_factor_interval_null(prior, posts, 0.01)
+    assert result.prior_p0 == pytest.approx(prior_p0, abs=5e-7)
+    assert result.post_p0 == pytest.approx(post_p0, abs=5e-7)
+    assert result.bf01 == pytest.approx(bf01, rel=5e-5)
 
 
 def test_bayes_factor_recorded_components_consistent():
-    result = bayes_factor_interval_null(UNIFORM_PAIR, EASY_POSTS, 0.01, 50_000,
-                                        RngStream(5, 9))
+    result = bayes_factor_interval_null(UNIFORM, EASY_POSTS, 0.01)
     # The headline number is exactly the odds ratio of its own components.
-    recomputed = (result.post_p0 / result.post_p1) / (result.prior_p0 / result.prior_p1)
+    recomputed = ((result.post_p0 / (1.0 - result.post_p0))
+                  / (result.prior_p0 / (1.0 - result.prior_p0)))
     assert result.bf01 == pytest.approx(recomputed, rel=1e-14)
-    assert result.prior_p1 == pytest.approx(1.0 - result.prior_p0, abs=1e-15)
-    assert result.post_p1 == pytest.approx(1.0 - result.post_p0, abs=1e-15)
 
 
 def test_bayes_factor_deterministic():
-    a = bayes_factor_interval_null(UNIFORM_PAIR, EASY_POSTS, 0.01, 10_000,
-                                   RngStream(13, 1))
-    b = bayes_factor_interval_null(UNIFORM_PAIR, EASY_POSTS, 0.01, 10_000,
-                                   RngStream(13, 1))
-    assert a.bf01 == b.bf01
-    assert a.prior_p0 == b.prior_p0
+    a = bayes_factor_interval_null(UNIFORM, EASY_POSTS, 0.01)
+    b = bayes_factor_interval_null(UNIFORM, EASY_POSTS, 0.01)
+    assert a == b
 
 
 def test_bayes_factor_unstable_when_component_starved():
-    # With eps this small the prior component collects fewer than 10 hits in
-    # 1000 draws, which the estimator refuses to turn into a ratio.
-    with pytest.raises(UnstableEstimate):
-        bayes_factor_interval_null(UNIFORM_PAIR, EASY_POSTS, 0.0012, 1000,
-                                   RngStream(2, 0))
+    # Under a uniform prior P(|U1 - U2| < eps) = 2 eps - eps^2: 2e-10 at
+    # eps = 1e-10, below the floor where the quadrature's accuracy holds.
+    # Just above the floor the same prior still gives a ratio.
+    with pytest.raises(UnstableEstimate, match="^prior_p0"):
+        bayes_factor_interval_null(UNIFORM, EASY_POSTS, 1e-10)
+    eps = MIN_COMPONENT
+    result = bayes_factor_interval_null(UNIFORM, PosteriorPair(UNIFORM, UNIFORM), eps)
+    assert result.prior_p0 == pytest.approx(2.0 * eps - eps * eps, rel=1e-8)
+    assert result.bf01 == pytest.approx(1.0, rel=1e-8)
+    # Posteriors 1,900 sd apart put p0 at 0.0 exactly, and a tight prior
+    # whose whole mass lies inside the band puts 1 - p0 at 0.0: both refuse.
+    far = PosteriorPair(BetaParams(900001.0, 100001.0), BetaParams(100001.0, 900001.0))
+    with pytest.raises(UnstableEstimate, match="^post_p0"):
+        bayes_factor_interval_null(UNIFORM, far, 0.001)
+    tight = BetaParams(1e9, 1e9)
+    with pytest.raises(UnstableEstimate, match="^1 - prior_p0"):
+        bayes_factor_interval_null(tight, PosteriorPair(tight, tight), 0.5)
 
 
 def test_bayes_factor_validation():
     with pytest.raises(DomainError):
-        bayes_factor_interval_null(UNIFORM_PAIR, EASY_POSTS, 0.0, 10_000,
-                                   RngStream(1, 0))
+        bayes_factor_interval_null(UNIFORM, EASY_POSTS, 0.0)
     with pytest.raises(DomainError):
-        bayes_factor_interval_null(UNIFORM_PAIR, EASY_POSTS, 0.01, 999,
-                                   RngStream(1, 0))
+        bayes_factor_interval_null(UNIFORM, EASY_POSTS, 1.0)
+
+
+def easy_diffs(seed, stream, n=100_000):
+    gen = RngStream(seed, stream).generator
+    return (sample_beta(EASY_POSTS.post1.alpha, EASY_POSTS.post1.beta, gen, size=n)
+            - sample_beta(EASY_POSTS.post2.alpha, EASY_POSTS.post2.beta, gen, size=n))
 
 
 def test_margin_assessment_easy_frozen():
     # P(theta1 - theta2 > 0.01) = 0.972497 by quadrature; a margin is assessed
     # through the one event-probability route.
     margin = Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.01, direction=Direction.GREATER)
-    result = event_probability(EASY_POSTS, margin, 100_000, RngStream(21, 0))
+    result = event_probability_from_samples(easy_diffs(21, 0), margin)
     assert result.estimate == pytest.approx(0.972497, abs=0.004)
     assert result.mc_se == pytest.approx(
         math.sqrt(result.estimate * (1 - result.estimate) / 100_000), rel=1e-9)
@@ -357,5 +358,5 @@ def test_margin_assessment_validation():
     with pytest.raises(DomainError):
         Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 1.5)
     with pytest.raises(DomainError):
-        event_probability(EASY_POSTS, Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.0),
-                          10, RngStream(1, 0))
+        event_probability_from_samples(np.array([]),
+                                       Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.0))

@@ -7,9 +7,12 @@ import math
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from paircompare.bayes import PRIOR_PRESETS
 from paircompare.config import parse_config, parse_config_file, render_config
-from paircompare.errors import ConfigError
+from paircompare.errors import AssessmentError, ConfigError
 from paircompare.reporting import (
     MISCONCEPTION_CAUTIONS,
     REPORT_FORMAT,
@@ -215,11 +218,54 @@ def test_bayes_factor_mcmc_cross_check_recorded(configs_dir):
     assert block["mcmc"] is not None
     # Both routes estimate the same posterior mass, so they must agree to
     # within joint Monte Carlo noise.
-    tolerance = 5.0 * (block["post_p0_se"] + block["mcmc"]["post_p0_se"])
-    assert abs(block["mcmc"]["post_p0"] - block["post_p0"]) < tolerance
+    tolerance = 5.0 * (block["monte_carlo"]["mc_se"] + block["mcmc"]["post_p0_se"])
+    assert abs(block["mcmc"]["post_p0"] - block["monte_carlo"]["estimate"]) < tolerance
     disagreement = report.results["hdi_rope"]["disagreement"]
     assert disagreement["relation_match"] is True
     assert abs(disagreement["hdi_lower_delta"]) < 0.01
+
+
+@pytest.mark.parametrize("name", ["arc_challenge", "arc_easy", "arc_pooled", "per_item_demo"])
+def test_bayes_factor_monte_carlo_twin_within_error_of_quadrature(configs_dir, name):
+    config = parse_config_file(configs_dir / f"{name}.cfg",
+                               {"mcmc.enabled": "false", "analysis.methods": "bayes_factor"})
+    block = run_analysis(config, write=False).report.results["bayes_factor"]
+    twin = block["monte_carlo"]
+    assert twin["n"] == config.analysis.n_mc
+    assert abs(twin["estimate"] - block["quadrature"]["post_p0"]) < 4.0 * twin["mc_se"]
+
+
+@st.composite
+def system_counts(draw):
+    total = draw(st.integers(1, 10**9))
+    return draw(st.integers(0, total)), total
+
+
+PRIOR_TEXT = st.one_of(
+    st.sampled_from(sorted(PRIOR_PRESETS)),
+    st.tuples(st.floats(0.1, 1e3), st.floats(0.1, 1e3)).map(lambda ab: f"{ab[0]!r}, {ab[1]!r}"))
+
+
+@given(system_counts(), system_counts(), PRIOR_TEXT, st.floats(1e-6, 0.99))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_bayesian_report_is_valid_or_a_handled_error(counts1, counts2, prior, radius):
+    # Over every admissible count pair, prior and radius the Bayesian half of
+    # the report is either refused with a typed error or schema-valid, with a
+    # finite positive Bayes factor and byte-identical reruns.
+    (c1, t1), (c2, t2) = counts1, counts2
+    config = parse_config(
+        f"[data]\nformat = aggregate\ncounts = {c1}/{t1}, {c2}/{t2}\n\n"
+        f"[model]\nprior = {prior}\n\n"
+        f"[analysis]\nseed = 3\nn_mc = 1000\nmethods = hdi_rope, bayes_factor\n"
+        f"rope_radius = {radius!r}\n\n[mcmc]\nenabled = false\n")
+    try:
+        report = run_analysis(config, write=False).report
+    except AssessmentError:
+        return
+    jsonschema.validate(report.to_dict(), load_schema())
+    bf01 = report.results["bayes_factor"]["bf01"]
+    assert math.isfinite(bf01) and bf01 > 0.0
+    assert run_analysis(config, write=False).report.to_json() == report.to_json()
 
 
 def test_write_places_artifacts_at_configured_paths(tmp_path, monkeypatch, configs_dir):
