@@ -90,13 +90,6 @@ def metropolis_accept(log_ratio: float, u: float) -> bool:
     return math.log(u) < log_ratio
 
 
-def _softplus(x: float) -> float:
-    # log(1 + exp(x)) without overflow.
-    if x > 0.0:
-        return x + math.log1p(math.exp(-x))
-    return math.log1p(math.exp(x))
-
-
 def _sigmoid(x: float) -> float:
     if x >= 0.0:
         return 1.0 / (1.0 + math.exp(-x))
@@ -108,6 +101,33 @@ def _logit(p: float) -> float:
     return math.log(p) - math.log1p(-p)
 
 
+def log_density(prior: BetaParams, counts: Counts):
+    """Log posterior of the logit rates with the Jacobian, up to a constant:
+    ``-sum_i [A_i softplus(-eta_i) + B_i softplus(eta_i)]``, ``A_i = alpha +
+    correct_i``, ``B_i = beta + wrong_i``.  One softplus is ``L = log1p(exp(
+    -|eta|))`` and the other ``|eta| + L``: one exp and one log1p per rate, in
+    the operations and order of two overflow-safe softplus calls, same bits.
+    """
+    (c1, t1), (c2, t2) = counts
+    a_1, b_1 = prior.alpha + c1, prior.beta + (t1 - c1)
+    a_2, b_2 = prior.alpha + c2, prior.beta + (t2 - c2)
+
+    def log_post(e1: float, e2: float) -> float:
+        if e1 > 0.0:
+            l1 = math.log1p(math.exp(-e1))
+            lp = a_1 * l1 + b_1 * (e1 + l1)
+        else:
+            l1 = math.log1p(math.exp(e1))
+            lp = a_1 * (-e1 + l1) + b_1 * l1
+        if e2 > 0.0:
+            l2 = math.log1p(math.exp(-e2))
+            return -(lp + a_2 * l2 + b_2 * (e2 + l2))
+        l2 = math.log1p(math.exp(e2))
+        return -(lp + a_2 * (-e2 + l2) + b_2 * l2)
+
+    return log_post
+
+
 def run_chains(prior: BetaParams, counts: Counts, config: McmcConfig,
                master_seed: int) -> Trace:
     """Sample the posterior of (theta1, theta2) with random-walk Metropolis.
@@ -117,33 +137,18 @@ def run_chains(prior: BetaParams, counts: Counts, config: McmcConfig,
     approximation toward a 0.35 acceptance rate and is frozen afterwards.
     Both rates share ``prior``.  Identical inputs reproduce the trace bit for
     bit; ``config.enabled`` is the caller's business and is not read here.
+    Each step runs on Python floats and one shared softplus term per rate
+    (``log_density``); a rejected step repeats its row without new sigmoids.
 
     Convergence is flagged, not fatal: the returned trace carries
     ``converged`` plus human-readable warnings whenever the split-chain
     R-hat exceeds 1.01 or the effective sample size falls below 400.
     """
-    (c1, t1), (c2, t2) = counts
-    # Posterior on the logit scale, including the transform Jacobian:
-    # lp = -sum_i [ A_i softplus(-eta_i) + B_i softplus(eta_i) ] + const,
-    # with A_i = alpha_i + correct_i and B_i = beta_i + total_i - correct_i.
-    a_1 = prior.alpha + c1
-    b_1 = prior.beta + (t1 - c1)
-    a_2 = prior.alpha + c2
-    b_2 = prior.beta + (t2 - c2)
-
-    def log_post(e1: float, e2: float) -> float:
-        return -(a_1 * _softplus(-e1) + b_1 * _softplus(e1)
-                 + a_2 * _softplus(-e2) + b_2 * _softplus(e2))
-
-    all_samples = np.empty((config.chains, config.draws, 2))
-    accept_rates = []
-    step_sizes = []
-    for chain in range(config.chains):
-        samples, rate, step = _run_single_chain(
-            log_post, prior, (c1, t1, c2, t2), config, master_seed, chain)
-        all_samples[chain] = samples
-        accept_rates.append(rate)
-        step_sizes.append(step)
+    log_post = log_density(prior, counts)
+    rows, accept_rates, step_sizes = zip(*(
+        _run_single_chain(log_post, prior, counts, config, master_seed, chain)
+        for chain in range(config.chains)))
+    all_samples = np.array(rows)
 
     warnings = []
     rhats = []
@@ -188,47 +193,44 @@ def run_chains(prior: BetaParams, counts: Counts, config: McmcConfig,
 
 def _run_single_chain(log_post, prior, counts, config: McmcConfig, master_seed: int,
                       chain: int):
-    c1, t1, c2, t2 = counts
+    (c1, t1), (c2, t2) = counts
     stream = RngStream(master_seed, chain)
     gen = stream.generator
 
     if config.init is InitStrategy.MLE_JITTER:
-        jitter = gen.standard_normal(2)
-        e1 = _logit((c1 + 1.0) / (t1 + 2.0)) + 0.2 * jitter[0]
-        e2 = _logit((c2 + 1.0) / (t2 + 2.0)) + 0.2 * jitter[1]
+        j1, j2 = gen.standard_normal(2).tolist()
+        e1 = _logit((c1 + 1.0) / (t1 + 2.0)) + 0.2 * j1
+        e2 = _logit((c2 + 1.0) / (t2 + 2.0)) + 0.2 * j2
     else:
         e1 = _logit(sample_beta(prior.alpha, prior.beta, gen))
         e2 = _logit(sample_beta(prior.alpha, prior.beta, gen))
 
     total = config.warmup + config.draws
-    noise = gen.standard_normal((total, 2))
-    unifs = gen.random(total)
+    noise = gen.standard_normal((total, 2)).tolist()
+    unifs = gen.random(total).tolist()
 
     step = _INITIAL_STEP
     lp = log_post(e1, e2)
-    out = np.empty((config.draws, 2))
-    accepted = 0
+    rows, row, accepted = [], None, 0
     warmup = config.warmup
-    for t in range(total):
-        p1 = e1 + step * noise[t, 0]
-        p2 = e2 + step * noise[t, 1]
+    for t, ((n1, n2), u) in enumerate(zip(noise, unifs)):
+        p1 = e1 + step * n1
+        p2 = e2 + step * n2
         lp_prop = log_post(p1, p2)
         log_ratio = lp_prop - lp
-        if metropolis_accept(log_ratio, unifs[t]):
-            e1, e2, lp = p1, p2, lp_prop
-            took = True
-        else:
-            took = False
+        took = metropolis_accept(log_ratio, u)
+        if took:
+            e1, e2, lp, row = p1, p2, lp_prop, None
         if t < warmup:
             # Robbins-Monro: multiplicative step update with decaying gain.
             alpha = 1.0 if log_ratio >= 0.0 else math.exp(log_ratio)
             step *= math.exp((alpha - _ADAPT_TARGET) * (t + 1.0) ** -0.6)
         else:
-            i = t - warmup
-            out[i, 0] = _sigmoid(e1)
-            out[i, 1] = _sigmoid(e2)
+            if row is None:
+                row = (_sigmoid(e1), _sigmoid(e2))
+            rows.append(row)
             accepted += took
-    return out, accepted / config.draws, step
+    return rows, accepted / config.draws, step
 
 
 def rhat(chain_samples) -> float:
@@ -330,7 +332,8 @@ def export_trace(trace: Trace, out_dir) -> list[Path]:
 
     Chain files are named ``chain_0.csv`` onward with header
     ``draw,theta1,theta2``.  Files are written to a temporary name and
-    renamed, so a crash never leaves a partial file behind.
+    renamed, so a crash never leaves a partial file behind.  A row that
+    repeats the one before it, as a rejected draw does, reuses its text.
     """
     out = Path(out_dir)
     try:
@@ -338,10 +341,14 @@ def export_trace(trace: Trace, out_dir) -> list[Path]:
     except OSError as exc:
         raise IoError(f"cannot create trace directory {out}: {exc}") from exc
     written = []
-    for chain in range(trace.samples.shape[0]):
+    for chain, rows in enumerate(trace.samples.tolist()):
         lines = ["draw,theta1,theta2"]
-        for i, (th1, th2) in enumerate(trace.samples[chain]):
-            lines.append(f"{i},{float(th1)!r},{float(th2)!r}")
+        shown = text = None
+        for i, row in enumerate(rows):
+            # Equal floats print alike, signed zeros aside.
+            if row != shown or 0.0 in row:
+                shown, text = row, f"{row[0]!r},{row[1]!r}"
+            lines.append(f"{i},{text}")
         path = out / f"chain_{chain}.csv"
         atomic_write_text(path, "\n".join(lines) + "\n")
         written.append(path)

@@ -266,12 +266,13 @@ def run_analysis(config: AnalysisConfig, write: bool = True) -> AnalysisOutcome:
             mcmc_block = None
             if trace is not None:
                 post_p0 = event_probability_from_samples(trace.diff_samples(), interval_null)
-                odds_post = post_p0.estimate / max(1.0 - post_p0.estimate, 1e-12)
+                p = post_p0.estimate
                 odds_prior = bf.prior_p0 / (1.0 - bf.prior_p0)
                 mcmc_block = {
-                    "post_p0": post_p0.estimate,
+                    "post_p0": p,
                     "post_p0_se": post_p0.mc_se,
-                    "bf01": odds_post / odds_prior,
+                    # No draw in the band, or none outside it: no ratio to estimate.
+                    "bf01": p / (1.0 - p) / odds_prior if 0.0 < p < 1.0 else None,
                 }
             results["bayes_factor"] = {
                 "bf01": bf.bf01,

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from paircompare import numerics
-from paircompare.bayes import PRIOR_PRESETS
+from paircompare import mcmc, numerics
+from paircompare.bayes import PRIOR_PRESETS, BetaParams
 from paircompare.config import parse_config_file
 from paircompare.reporting import run_analysis
 from paircompare.simulations import prior_sensitivity_sweep
@@ -120,3 +120,23 @@ def test_every_beta_draw_passes_a_traced_name(tracing, monkeypatch, configs_dir)
     prior_sensitivity_sweep(((1721, 2376), (1637, 2376)), PRIOR_PRESETS, 0.01, 2000, 7)
     assert counted["traced"] > 0
     assert 2 * counted["traced"] == counted["gamma"]
+
+
+def test_export_trace_writes_every_file_through_the_traced_name(tracing, monkeypatch, tmp_path):
+    # ``fsio.writes`` counts the writes seen at ``mcmc.atomic_write_text`` and
+    # ``mcmc.export_bytes`` sizes the paths ``export_trace`` returns; a file
+    # written any other way would go uncounted by both.
+    assert ("mcmc", "atomic_write_text") in {(m, a) for m, a, _, _ in tracing.SPANS}
+    write = mcmc.atomic_write_text
+    written = []
+
+    def counting(path, text):
+        written.append(Path(path))
+        return write(path, text)
+
+    monkeypatch.setattr(mcmc, "atomic_write_text", counting)
+    trace = mcmc.run_chains(BetaParams(1.0, 1.0), ((1721, 2376), (1637, 2376)),
+                            mcmc.McmcConfig(chains=3, warmup=50, draws=200), 7)
+    paths = mcmc.export_trace(trace, tmp_path)
+    assert written == paths
+    assert sorted(tmp_path.iterdir()) == sorted(paths)

@@ -235,6 +235,26 @@ def test_bayes_factor_monte_carlo_twin_within_error_of_quadrature(configs_dir, n
     assert abs(twin["estimate"] - block["quadrature"]["post_p0"]) < 4.0 * twin["mc_se"]
 
 
+@pytest.mark.parametrize("counts, radius, in_band", [
+    # Exact post_p0 = 8.2e-6: no chain draw lands in the band.
+    ("1721/2376, 1560/2376", "0.01", 0.0),
+    # Exact 1 - post_p0 = 1.5e-8, inside the quadrature's range: every draw lands in it.
+    ("5000/10000, 5000/10000", "0.04", 1.0),
+])
+def test_mcmc_bayes_factor_is_null_without_draws_on_both_sides(configs_dir, report_schema,
+                                                              counts, radius, in_band):
+    config = parse_config_file(configs_dir / "arc_easy.cfg", {
+        "data.counts": counts, "analysis.rope_radius": radius, "analysis.n_mc": "10000",
+        "mcmc.warmup": "500", "mcmc.draws": "1000"})
+    report = run_analysis(config, write=False).report
+    jsonschema.validate(report.to_dict(), report_schema)
+    block = report.results["bayes_factor"]
+    assert 0.0 < block["quadrature"]["post_p0"] < 1.0
+    assert block["mcmc"]["post_p0"] == in_band
+    assert block["mcmc"]["bf01"] is None
+    assert math.isfinite(block["bf01"]) and block["bf01"] > 0.0
+
+
 @st.composite
 def system_counts(draw):
     total = draw(st.integers(1, 10**9))
