@@ -4,23 +4,25 @@ Config files are INI-style: ``[section]`` headers, ``key = value`` lines,
 ``#`` comments, UTF-8 text.  Keys are case-sensitive.  List values are
 comma-separated.  ``render_config`` writes the canonical form, and
 ``parse_config(render_config(c))`` always reproduces ``c``.
+
+Every range and cross-field rule lives in the ``__post_init__`` of the
+dataclass that holds the value, so a config built or ``replace``-d in code
+is checked exactly as one parsed from text; the parsers here check syntax.
 """
 
 from __future__ import annotations
 
 import configparser
 import csv
-import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 
 from .bayes import BetaParams, PRIOR_PRESETS
 from .core import Counts, Direction, ObservationMode
-from .errors import ConfigError, IngestError, IoError, MalformedObservations
+from .errors import ConfigError, DomainError, IngestError, IoError, check_config
 from .frequentist import CiMode
 from .mcmc import McmcConfig
-from .numerics import FIRST_RESERVED_STREAM
 
 KNOWN_METHODS = ("pvalue", "ci", "hdi_rope", "bayes_factor")
 
@@ -34,11 +36,48 @@ class DataConfig:
     systems: tuple[str, str] = ("system1", "system2")
     pool: bool = False
 
+    @property
+    def dataset_names(self) -> tuple[str, ...]:
+        """Each file's dataset name: given in ``names``, or else the file's stem."""
+        return self.names or tuple(Path(f).stem for f in self.files)
+
+    def __post_init__(self):
+        datasets = self.dataset_names
+        duplicate = next((n for i, n in enumerate(datasets) if n in datasets[:i]), None)
+        inline = self.counts is not None
+        check_config("data", [
+            ("systems", len(self.systems) == 2 and self.systems[0] != self.systems[1],
+             "expected two distinct system names"),
+            *(("counts", total >= 1 and 0 <= correct <= total,
+               f"counts '{correct}/{total}' out of range")
+              for correct, total in self.counts or ()),
+            ("counts", inline != bool(self.files),
+             "exactly one of counts and files must be given"),
+            ("counts", not inline or self.mode is ObservationMode.AGGREGATE,
+             "inline counts require aggregate format"),
+            ("names", not inline or len(self.names) <= 1,
+             "inline counts describe a single dataset"),
+            ("names", not (self.files and self.names) or len(self.names) == len(self.files),
+             f"expected {len(self.files)} names for {len(self.files)} files"),
+            ("names" if self.names else "files", duplicate is None,
+             f"duplicate dataset name {duplicate!r}"),
+            ("pool", self.pool or len(datasets) <= 1,
+             "several datasets need pool = true; analyze them separately otherwise"),
+        ])
+
 
 @dataclass(frozen=True)
 class ModelConfig:
     prior_label: str = "uniform"
-    prior: BetaParams = BetaParams(1.0, 1.0)
+    prior: BetaParams = PRIOR_PRESETS["uniform"]
+
+    def __post_init__(self):
+        # A preset label names its shapes, so two priors never share one label.
+        check_config("model", [(
+            "prior",
+            self.prior_label == "custom" or PRIOR_PRESETS.get(self.prior_label) == self.prior,
+            f"prior label {self.prior_label!r} is neither 'custom' nor the preset of these shapes",
+        )])
 
 
 @dataclass(frozen=True)
@@ -53,6 +92,27 @@ class AnalysisOptions:
     margin: float = 0.01
     direction: Direction = Direction.GREATER
     n_mc: int = 100_000
+
+    def __post_init__(self):
+        if self.seed is None:
+            raise ConfigError("missing required key (set it here or pass --seed)",
+                              section="analysis", key="seed")
+        unknown = next((m for m in self.methods if m not in KNOWN_METHODS), None)
+        check_config("analysis", [
+            ("methods", unknown is None,
+             f"unknown method {unknown!r} (expected a subset of {', '.join(KNOWN_METHODS)})"),
+            ("seed", self.seed >= 0, "seed must be non-negative"),
+            # Every RNG stream is keyed by the seed, which Philox takes below 2**63.
+            ("seed", self.seed < 2**63, "seed must be below 2**63"),
+            ("methods", len(self.methods) >= 1, "methods must name at least one method"),
+            ("methods", len(set(self.methods)) == len(self.methods), "methods must not repeat"),
+            ("alpha", 0.0 < self.alpha < 1.0, "alpha must lie in (0, 1)"),
+            ("ci_level", 0.0 < self.ci_level < 1.0, "ci_level must lie in (0, 1)"),
+            ("hdi_mass", 0.0 < self.hdi_mass <= 1.0, "hdi_mass must lie in (0, 1]"),
+            ("rope_radius", 0.0 < self.rope_radius < 1.0, "rope_radius must lie in (0, 1)"),
+            ("margin", -1.0 <= self.margin <= 1.0, "margin must lie in [-1, 1]"),
+            ("n_mc", self.n_mc >= 1000, "n_mc must be at least 1000"),
+        ])
 
 
 @dataclass(frozen=True)
@@ -76,6 +136,20 @@ class SimulateConfig:
     sweep_epsilon: float = 0.01
     sweep_n_mc: int = 100_000
 
+    def __post_init__(self):
+        check_config("simulate", [(key, ok, "value out of range") for key, ok in [
+            ("stopping_trials", self.stopping_trials >= 1),
+            ("stopping_successes", 1 <= self.stopping_successes <= self.stopping_trials),
+            ("stopping_null_rate", 0.0 < self.stopping_null_rate <= 1.0),
+            ("looks_step", self.looks_step >= 2),
+            ("looks_max", self.looks_max >= self.looks_step),
+            ("os_alpha", 0.0 < self.os_alpha < 1.0),
+            ("os_trials", self.os_trials >= 1),
+            ("os_theta", 0.0 < self.os_theta < 1.0),
+            ("sweep_epsilon", 0.0 < self.sweep_epsilon < 1.0),
+            ("sweep_n_mc", self.sweep_n_mc >= 1000),
+        ]])
+
 
 @dataclass(frozen=True)
 class AnalysisConfig:
@@ -88,6 +162,11 @@ class AnalysisConfig:
     # Directory the config file came from; relative data paths resolve
     # against it.  Not part of the grammar, so not compared or rendered.
     base_dir: str | None = field(default=None, compare=False)
+
+
+# Sections whose keys are exactly their dataclass's fields, in file order.
+_FIELD_SECTIONS = {"analysis": AnalysisOptions, "mcmc": McmcConfig,
+                   "output": OutputConfig, "simulate": SimulateConfig}
 
 
 def _raw_parse(text: str) -> dict[str, dict[str, str]]:
@@ -205,7 +284,7 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> Analysis
             section, key = dotted.split(".")
             raw.setdefault(section, {})[key] = value
 
-    known_sections = ("data", "model", "analysis", "mcmc", "output", "simulate")
+    known_sections = ("data", "model", *_FIELD_SECTIONS)
     for section in raw:
         if section not in known_sections:
             raise ConfigError(
@@ -214,12 +293,9 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> Analysis
 
     data = _parse_data(raw.get("data"))
     model = _parse_model(raw.get("model"))
-    analysis = _parse_analysis(raw.get("analysis"))
-    mcmc = _parse_mcmc(raw.get("mcmc"))
-    output = _read_fields(_Section("output", raw.get("output") or {}), OutputConfig)
-    simulate = _parse_simulate(raw.get("simulate"))
-    return AnalysisConfig(analysis=analysis, data=data, model=model,
-                          mcmc=mcmc, output=output, simulate=simulate)
+    sections = {name: _read_fields(_Section(name, raw.get(name) or {}), cls)
+                for name, cls in _FIELD_SECTIONS.items()}
+    return AnalysisConfig(data=data, model=model, **sections)
 
 
 def _parse_data(values: dict[str, str] | None) -> DataConfig | None:
@@ -230,25 +306,12 @@ def _parse_data(values: dict[str, str] | None) -> DataConfig | None:
     mode = sec.get_choice("format", {m.value: m for m in ObservationMode}, None)
     if mode is None:
         raise sec.error("missing required key", "format")
-    systems = sec.get_list("systems", ("system1", "system2"))
-    if len(systems) != 2 or systems[0] == systems[1]:
-        raise sec.error("expected two distinct system names", "systems")
+    systems = sec.get_list("systems", DataConfig.systems)
     names = sec.get_list("names", ())
     files = sec.get_list("files", ())
-    counts = None
-    if sec.has("counts"):
-        counts = _parse_counts(sec)
-    if (counts is None) == (len(files) == 0):
-        raise sec.error("exactly one of counts and files must be given", "counts")
-    if counts is not None and mode is not ObservationMode.AGGREGATE:
-        raise sec.error("inline counts require aggregate format", "counts")
-    if counts is not None and len(names) > 1:
-        raise sec.error("inline counts describe a single dataset", "names")
-    if files and names and len(names) != len(files):
-        raise sec.error(f"expected {len(files)} names for {len(files)} files", "names")
-    pool = sec.get_bool("pool", False)
+    counts = _parse_counts(sec) if sec.has("counts") else None
     return DataConfig(mode=mode, counts=counts, files=files, names=names,
-                      systems=(systems[0], systems[1]), pool=pool)
+                      systems=systems, pool=sec.get_bool("pool", False))
 
 
 def _parse_counts(sec: _Section) -> Counts:
@@ -257,40 +320,32 @@ def _parse_counts(sec: _Section) -> Counts:
         raise sec.error("expected two correct/total pairs", "counts")
     pairs = []
     for part in parts:
-        bits = part.split("/")
         try:
-            correct, total = (int(b) for b in bits)
+            correct, total = (int(b) for b in part.split("/"))
         except ValueError:
             raise sec.error(f"expected correct/total, got {part!r}", "counts") from None
-        if total < 1 or not 0 <= correct <= total:
-            raise sec.error(f"counts {part!r} out of range", "counts")
         pairs.append((correct, total))
     return (pairs[0], pairs[1])
 
 
 def _parse_model(values: dict[str, str] | None) -> ModelConfig:
-    if values is None:
-        return ModelConfig()
-    sec = _Section("model", values)
+    sec = _Section("model", values or {})
     sec.reject_unknown(("prior",))
-    if not sec.has("prior"):
-        return ModelConfig()
-    raw = sec.raw("prior")
+    raw = sec.get_str("prior", "uniform")
     if raw in PRIOR_PRESETS:
         return ModelConfig(prior_label=raw, prior=PRIOR_PRESETS[raw])
     parts = [p.strip() for p in raw.split(",")]
-    if len(parts) == 2:
-        try:
-            alpha, beta = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise sec.error(f"expected a preset name or 'alpha, beta', got {raw!r}",
-                            "prior") from None
-        if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
-            raise sec.error("prior shape parameters must be positive and finite", "prior")
-        return ModelConfig(prior_label="custom", prior=BetaParams(alpha, beta))
-    raise sec.error(
-        f"expected one of {', '.join(sorted(PRIOR_PRESETS))} or 'alpha, beta', got {raw!r}",
-        "prior")
+    if len(parts) != 2:
+        raise sec.error(f"expected one of {', '.join(sorted(PRIOR_PRESETS))} "
+                        f"or 'alpha, beta', got {raw!r}", "prior")
+    try:
+        return ModelConfig(prior_label="custom",
+                           prior=BetaParams(float(parts[0]), float(parts[1])))
+    except ValueError:
+        raise sec.error(f"expected a preset name or 'alpha, beta', got {raw!r}",
+                        "prior") from None
+    except DomainError:
+        raise sec.error("prior shape parameters must be positive and finite", "prior") from None
 
 
 _READERS = {"bool": _Section.get_bool, "int": _Section.get_int,
@@ -316,68 +371,6 @@ def _read_fields(sec: _Section, cls):
         else:
             values[f.name] = _READERS[f.type](sec, f.name, default)
     return cls(**values)
-
-
-def _check_ranges(sec: _Section, checks) -> None:
-    """Raise on the first ``(key, ok, message)`` whose ``ok`` is false."""
-    for key, ok, message in checks:
-        if not ok:
-            raise sec.error(message, key)
-
-
-def _parse_analysis(values: dict[str, str] | None) -> AnalysisOptions:
-    sec = _Section("analysis", values or {})
-    a = _read_fields(sec, AnalysisOptions)
-    if a.seed is None:
-        raise sec.error("missing required key (set it here or pass --seed)", "seed")
-    for m in a.methods:
-        if m not in KNOWN_METHODS:
-            raise sec.error(
-                f"unknown method {m!r} (expected a subset of {', '.join(KNOWN_METHODS)})",
-                "methods")
-    _check_ranges(sec, [
-        ("seed", a.seed >= 0, "seed must be non-negative"),
-        ("methods", len(set(a.methods)) == len(a.methods), "methods must not repeat"),
-        ("alpha", 0.0 < a.alpha < 1.0, "alpha must lie in (0, 1)"),
-        ("ci_level", 0.0 < a.ci_level < 1.0, "ci_level must lie in (0, 1)"),
-        ("hdi_mass", 0.0 < a.hdi_mass <= 1.0, "hdi_mass must lie in (0, 1]"),
-        ("rope_radius", 0.0 < a.rope_radius < 1.0, "rope_radius must lie in (0, 1)"),
-        ("margin", -1.0 <= a.margin <= 1.0, "margin must lie in [-1, 1]"),
-        ("n_mc", a.n_mc >= 1000, "n_mc must be at least 1000"),
-    ])
-    return a
-
-
-def _parse_mcmc(values: dict[str, str] | None) -> McmcConfig:
-    sec = _Section("mcmc", values or {})
-    m = _read_fields(sec, McmcConfig)
-    _check_ranges(sec, [
-        ("chains", m.chains >= 2, "need at least 2 chains"),
-        # Chain k draws from stream k; higher indices belong to other draws.
-        ("chains", m.chains < FIRST_RESERVED_STREAM,
-         f"chains must stay below {FIRST_RESERVED_STREAM}, the first reserved stream index"),
-        ("warmup", m.warmup >= 0, "warmup must be non-negative"),
-        ("draws", m.draws >= 1, "draws must be positive"),
-    ])
-    return m
-
-
-def _parse_simulate(values: dict[str, str] | None) -> SimulateConfig:
-    sec = _Section("simulate", values or {})
-    cfg = _read_fields(sec, SimulateConfig)
-    _check_ranges(sec, [(key, ok, "value out of range") for key, ok in [
-        ("stopping_trials", cfg.stopping_trials >= 1),
-        ("stopping_successes", 0 <= cfg.stopping_successes <= cfg.stopping_trials),
-        ("stopping_null_rate", 0.0 < cfg.stopping_null_rate <= 1.0),
-        ("looks_step", cfg.looks_step >= 2),
-        ("looks_max", cfg.looks_max >= cfg.looks_step),
-        ("os_alpha", 0.0 < cfg.os_alpha < 1.0),
-        ("os_trials", cfg.os_trials >= 1),
-        ("os_theta", 0.0 < cfg.os_theta < 1.0),
-        ("sweep_epsilon", 0.0 < cfg.sweep_epsilon < 1.0),
-        ("sweep_n_mc", cfg.sweep_n_mc >= 1000),
-    ]])
-    return cfg
 
 
 def parse_config_file(path, overrides: dict[str, str] | None = None) -> AnalysisConfig:
@@ -415,8 +408,8 @@ def render_config(config: AnalysisConfig) -> str:
     else:
         lines.append(f"prior = {m.prior.alpha!r}, {m.prior.beta!r}")
     lines.append("")
-    for name, section in (("analysis", config.analysis), ("mcmc", config.mcmc),
-                          ("output", config.output), ("simulate", config.simulate)):
+    for name in _FIELD_SECTIONS:
+        section = getattr(config, name)
         lines.append(f"[{name}]")
         lines.extend(f"{f.name} = {_render_value(getattr(section, f.name))}"
                      for f in fields(section))
@@ -456,10 +449,7 @@ def load_observations(config: AnalysisConfig) -> Observations:
     Raises
     ------
     ConfigError
-        If the config has no [data] section, or lists several datasets
-        without ``pool = true`` (per-dataset runs need per-dataset configs).
-    MalformedObservations
-        If two datasets share a name.
+        If the config has no [data] section.
     IngestError
         For unreadable or structurally invalid files, with path and row.
     """
@@ -472,24 +462,16 @@ def load_observations(config: AnalysisConfig) -> Observations:
     else:
         read = _read_aggregate_csv if d.mode is ObservationMode.AGGREGATE else _read_per_item_csv
         datasets = []
-        for i, file_name in enumerate(d.files):
+        for file_name, name in zip(d.files, d.dataset_names):
             path = Path(file_name)
             if not path.is_absolute() and config.base_dir is not None:
                 path = Path(config.base_dir) / path
-            name = d.names[i] if d.names else path.stem
             datasets.append((name, read(path, d.systems)))
-    names = [name for name, _ in datasets]
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise MalformedObservations(f"duplicate dataset name {name!r}")
     if d.pool:
         pooled = tuple((sum(c[k][0] for _, c in datasets), sum(c[k][1] for _, c in datasets))
                        for k in (0, 1))
         return Observations(d.systems, "pooled", pooled)
-    if len(datasets) > 1:
-        raise ConfigError(
-            "several datasets need pool = true; analyze them separately otherwise",
-            section="data", key="pool")
+    # DataConfig allows several datasets only when they are pooled.
     [(name, counts)] = datasets
     return Observations(d.systems, name, counts)
 

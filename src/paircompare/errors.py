@@ -11,10 +11,6 @@ class DomainError(AssessmentError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class MalformedObservations(AssessmentError):
-    """Observation data violates a structural requirement."""
-
-
 class DegenerateTest(AssessmentError):
     """The test statistic is undefined for these counts (zero variance)."""
 
@@ -56,6 +52,13 @@ class ConfigError(AssessmentError):
             where.append(f"line {line}")
         suffix = f" ({', '.join(where)})" if where else ""
         super().__init__(message + suffix)
+
+
+def check_config(section: str, checks) -> None:
+    """Raise a ConfigError at the first ``(key, ok, message)`` whose ``ok`` is false."""
+    for key, ok, message in checks:
+        if not ok:
+            raise ConfigError(message, section=section, key=key)
 
 
 class IngestError(AssessmentError):

@@ -19,9 +19,9 @@ import numpy as np
 
 from .bayes import BetaParams
 from .core import Counts
-from .errors import DegenerateChains, DomainError, IoError, TooFewSamples
+from .errors import DegenerateChains, DomainError, IoError, TooFewSamples, check_config
 from .fsio import atomic_write_text
-from .numerics import RngStream, sample_beta
+from .numerics import FIRST_RESERVED_STREAM, RngStream, sample_beta
 
 # Post-adaptation acceptance rates are expected to land in this band.
 TARGET_ACCEPT_BAND = (0.2, 0.5)
@@ -45,13 +45,26 @@ class InitStrategy(Enum):
 
 @dataclass(frozen=True)
 class McmcConfig:
-    """The ``[mcmc]`` section; ``config._parse_mcmc`` range-checks it."""
+    """The ``[mcmc]`` section; building it, from text or in code, checks its ranges.
+
+    Chain k draws from RNG stream k, so ``chains`` stays below
+    ``FIRST_RESERVED_STREAM``, where the streams of other draws begin.
+    """
 
     enabled: bool = True
     chains: int = 4
     warmup: int = 1000
     draws: int = 5000
     init: InitStrategy = InitStrategy.MLE_JITTER
+
+    def __post_init__(self):
+        check_config("mcmc", [
+            ("chains", self.chains >= 2, "need at least 2 chains"),
+            ("chains", self.chains < FIRST_RESERVED_STREAM,
+             f"chains must stay below {FIRST_RESERVED_STREAM}, the first reserved stream index"),
+            ("warmup", self.warmup >= 0, "warmup must be non-negative"),
+            ("draws", self.draws >= 1, "draws must be positive"),
+        ])
 
 
 @dataclass

@@ -173,8 +173,8 @@ def log_binomial_coefficient(n: int, k: int) -> float:
 #
 # The even sweep indices 20_000 + 2i stay unused, so each row's HDI keeps the
 # stream, and the bytes, of reports made before the Bayes factor was exact.
-# ``[mcmc] chains`` must stay below FIRST_RESERVED_STREAM, which the config
-# grammar enforces.
+# ``[mcmc] chains`` must stay below FIRST_RESERVED_STREAM, which ``McmcConfig``
+# enforces whenever one is built, from config text or in code.
 STREAM_POSTERIOR_DRAWS = 10_000
 STREAM_SWEEP_BASE = 20_000
 FIRST_RESERVED_STREAM = STREAM_POSTERIOR_DRAWS

@@ -22,6 +22,7 @@ from . import __version__
 from .bayes import EventProbability, event_probability_from_samples, posterior_pair
 from .config import AnalysisConfig, Observations, load_observations, render_config
 from .core import Decision, DecisionValue, Direction, Hypothesis, HypothesisKind
+from .errors import TooFewSamples
 from .frequentist import diff_confidence_interval, two_proportion_z_test
 from .fsio import atomic_write_text
 from .mcmc import Trace, export_trace, finite_or_null, run_chains
@@ -355,13 +356,19 @@ def _hdi_rope_block(posts, diff, trace, opts):
     }
     block = {"conjugate": conjugate, "mcmc": None, "disagreement": None}
     if trace is not None:
-        mcmc_summary, mcmc_verdict = summarize(trace.diff_samples())
-        block["mcmc"] = mcmc_summary
-        block["disagreement"] = {
-            "hdi_lower_delta": mcmc_summary["hdi"]["lower"] - conjugate["hdi"]["lower"],
-            "hdi_upper_delta": mcmc_summary["hdi"]["upper"] - conjugate["hdi"]["upper"],
-            "relation_match": mcmc_verdict.relation is verdict.relation,
-        }
+        try:
+            mcmc_summary, mcmc_verdict = summarize(trace.diff_samples())
+        except TooFewSamples:
+            # Fewer samples than an HDI needs also caps the ESS below its 400
+            # threshold, so the trace is already marked unconverged.
+            pass
+        else:
+            block["mcmc"] = mcmc_summary
+            block["disagreement"] = {
+                "hdi_lower_delta": mcmc_summary["hdi"]["lower"] - conjugate["hdi"]["lower"],
+                "hdi_upper_delta": mcmc_summary["hdi"]["upper"] - conjugate["hdi"]["upper"],
+                "relation_match": mcmc_verdict.relation is verdict.relation,
+            }
 
     decision = verdict.decision
     rope_note = f"within {opts.rope_radius:g} of zero"

@@ -113,31 +113,19 @@ def pvalue_fixed_successes(successes: int, trials: int, null_rate: float,
     Under this intention the random quantity is N, the number of trials
     needed to reach ``successes``.  ``LOWER`` returns P(N >= trials): data
     needing at least this many trials are evidence of a low rate, mirroring
-    the lower binomial tail.  ``UPPER`` returns P(N <= trials).
+    the lower binomial tail.  ``UPPER`` returns P(N <= trials).  Both are
+    binomial tails, with no subtraction to cancel: N >= n exactly when the
+    first n - 1 trials hold at most a - 1 successes, and N <= n exactly when
+    the first n hold at least a.
     """
     _check_stopping_args(successes, trials, null_rate)
     if successes < 1:
         raise DomainError("stopping on a success count needs at least one success")
-    if null_rate == 1.0:
-        # N = successes with certainty.
-        if tail is Tail.LOWER:
-            return 1.0 if trials <= successes else 0.0
-        return 1.0 if trials >= successes else 0.0
-    log_p = math.log(null_rate)
-    log_q = math.log1p(-null_rate)
-
-    def mass_below(limit: int) -> float:
-        # P(N <= limit) = sum_{m=a}^{limit} C(m-1, a-1) p^a q^(m-a)
-        if limit < successes:
-            return 0.0
-        terms = [log_binomial_coefficient(m - 1, successes - 1)
-                 + successes * log_p + (m - successes) * log_q
-                 for m in range(successes, limit + 1)]
-        return min(1.0, math.exp(_log_sum_exp(terms)))
-
-    if tail is Tail.LOWER:
-        return max(0.0, min(1.0, 1.0 - mass_below(trials - 1)))
-    return mass_below(trials)
+    if tail is Tail.UPPER:
+        return pvalue_fixed_n(successes, trials, null_rate, Tail.UPPER)
+    if trials == 1:
+        return 1.0
+    return pvalue_fixed_n(successes - 1, trials - 1, null_rate, Tail.LOWER)
 
 
 def stopping_comparison(successes: int, trials: int, null_rate: float) -> StoppingComparison:

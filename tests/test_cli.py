@@ -1,11 +1,13 @@
 """End-to-end command-line behavior, including exit codes."""
 
+import importlib.resources
 import json
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 import paircompare
@@ -110,6 +112,26 @@ def test_nonconvergence_exit_code(fixture_tree, monkeypatch, capsys):
     report = json.loads((fixture_tree / "out/easy/report.json").read_text())
     assert report["mcmc"]["converged"] is False
     assert report["mcmc"]["warnings"]
+
+
+@pytest.mark.parametrize("draws", [1, 20])
+def test_trace_too_short_for_an_hdi_keeps_the_report(fixture_tree, monkeypatch, capsys, draws):
+    # 4 chains x 20 draws are fewer samples than an HDI needs; the report
+    # leaves the MCMC HDI summary null and the command exits on the failed
+    # convergence checks, not on the HDI.
+    code = run_cli(monkeypatch, fixture_tree,
+                   "analyze", "--config", "configs/arc_easy.cfg",
+                   "--set", f"mcmc.draws={draws}")
+    assert code == EXIT_NONCONVERGENCE
+    assert "did not converge" in capsys.readouterr().err
+    report = json.loads((fixture_tree / "out/easy/report.json").read_text())
+    schema = (importlib.resources.files("paircompare") / "schema" / "report.schema.json")
+    jsonschema.validate(report, json.loads(schema.read_text()))
+    assert report["results"]["hdi_rope"]["mcmc"] is None
+    assert report["results"]["hdi_rope"]["disagreement"] is None
+    assert report["results"]["hdi_rope"]["conjugate"]["hdi"]["lower"] > 0.0
+    assert report["mcmc"]["draws"] == draws
+    assert report["mcmc"]["converged"] is False
 
 
 def test_simulate_stopping(fixture_tree, monkeypatch, capsys):
@@ -268,7 +290,8 @@ def test_duplicate_dataset_names_are_a_handled_error(fixture_tree, monkeypatch, 
                    "analyze", "--config", "configs/arc_pooled.cfg",
                    "--set", "data.names=a, a")
     assert code == EXIT_ERROR
-    assert capsys.readouterr().err == "error: duplicate dataset name 'a'\n"
+    assert capsys.readouterr().err == (
+        "error: duplicate dataset name 'a' (section [data], key 'names')\n")
 
 
 def test_package_exports_what_the_cli_and_report_use():

@@ -3,13 +3,15 @@
 import dataclasses
 import hashlib
 import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paircompare.bayes import BetaParams
+from paircompare.bayes import PRIOR_PRESETS, BetaParams
 from paircompare.config import (
+    KNOWN_METHODS,
     AnalysisConfig,
     AnalysisOptions,
     DataConfig,
@@ -137,26 +139,80 @@ def test_fixture_config_hashes_pinned(configs_dir, name):
     assert digests == PINNED_CONFIG_SHA256[name]
 
 
-@given(seed=st.integers(0, 2**31),
-       alpha=st.floats(0.001, 0.5),
-       ci_level=st.floats(0.5, 0.999),
-       hdi_mass=st.floats(0.5, 1.0),
-       rope_radius=st.floats(0.001, 0.5),
-       margin=st.floats(-1.0, 1.0),
-       n_mc=st.integers(1000, 10**7),
-       prior_alpha=st.floats(0.1, 50.0),
-       prior_beta=st.floats(0.1, 50.0))
+# What the grammar can spell: no list separator, no comment mark, and no
+# whitespace or control character for the parser to strip.
+WORDS = st.text(st.characters(exclude_characters=",#", exclude_categories=("Z", "C")),
+                min_size=1, max_size=8)
+
+
+def unit_interval(*, include_one=False):
+    return st.floats(0.0, 1.0, exclude_min=True, exclude_max=not include_one)
+
+
+@st.composite
+def data_configs(draw):
+    systems = tuple(draw(st.lists(WORDS, min_size=2, max_size=2, unique=True)))
+    pool = draw(st.booleans())
+    if draw(st.booleans()):
+        pair = st.integers(1, 10**12).flatmap(lambda t: st.tuples(st.integers(0, t), st.just(t)))
+        counts = (draw(pair), draw(pair))
+        names = tuple(draw(st.lists(WORDS, max_size=1)))
+        return DataConfig(ObservationMode.AGGREGATE, counts=counts, names=names,
+                          systems=systems, pool=pool)
+    # Datasets are named by their file stems unless names are given.
+    files = tuple(draw(st.lists(WORDS, min_size=1, max_size=3,
+                                unique_by=lambda f: Path(f).stem)))
+    names = draw(st.just(()) | st.lists(WORDS, min_size=len(files), max_size=len(files),
+                                         unique=True).map(tuple))
+    return DataConfig(draw(st.sampled_from(ObservationMode)), files=files, names=names,
+                      systems=systems, pool=pool or len(files) > 1)
+
+
+@st.composite
+def model_configs(draw):
+    label = draw(st.sampled_from([*PRIOR_PRESETS, "custom"]))
+    if label != "custom":
+        return ModelConfig(label, PRIOR_PRESETS[label])
+    shape = st.floats(0.0, exclude_min=True, allow_infinity=False)
+    return ModelConfig(label, BetaParams(draw(shape), draw(shape)))
+
+
+@st.composite
+def simulate_configs(draw):
+    trials = draw(st.integers(1, 10**6))
+    looks_step = draw(st.integers(2, 10**4))
+    return SimulateConfig(
+        stopping_successes=draw(st.integers(1, trials)), stopping_trials=trials,
+        stopping_null_rate=draw(unit_interval(include_one=True)), looks_step=looks_step,
+        looks_max=draw(st.integers(looks_step, 10**5)), os_alpha=draw(unit_interval()),
+        os_trials=draw(st.integers(1, 10**6)), os_theta=draw(unit_interval()),
+        sweep_epsilon=draw(unit_interval()), sweep_n_mc=draw(st.integers(1000, 10**8)))
+
+
+ANY_CONFIG = st.builds(
+    AnalysisConfig,
+    analysis=st.builds(
+        AnalysisOptions, seed=st.integers(0, 2**63 - 1),
+        methods=st.lists(st.sampled_from(KNOWN_METHODS), min_size=1, unique=True).map(tuple),
+        alpha=unit_interval(), ci_level=unit_interval(), ci_mode=st.sampled_from(CiMode),
+        hdi_mass=unit_interval(include_one=True), rope_radius=unit_interval(),
+        margin=st.floats(-1.0, 1.0), direction=st.sampled_from(Direction),
+        n_mc=st.integers(1000, 10**9)),
+    data=st.none() | data_configs(),
+    model=model_configs(),
+    mcmc=st.builds(McmcConfig, enabled=st.booleans(),
+                   chains=st.integers(2, FIRST_RESERVED_STREAM - 1),
+                   warmup=st.integers(0, 10**6), draws=st.integers(1, 10**6),
+                   init=st.sampled_from(InitStrategy)),
+    output=st.builds(OutputConfig, report=WORDS, plot_dir=WORDS, trace_dir=WORDS,
+                     sim_dir=WORDS),
+    simulate=simulate_configs(),
+)
+
+
+@given(config=ANY_CONFIG)
 @settings(max_examples=60, deadline=None)
-def test_round_trip_survives_arbitrary_numbers(seed, alpha, ci_level, hdi_mass,
-                                               rope_radius, margin, n_mc,
-                                               prior_alpha, prior_beta):
-    config = AnalysisConfig(
-        analysis=AnalysisOptions(seed=seed, alpha=alpha, ci_level=ci_level,
-                                 hdi_mass=hdi_mass, rope_radius=rope_radius,
-                                 margin=margin, n_mc=n_mc),
-        model=ModelConfig(prior_label="custom",
-                          prior=BetaParams(prior_alpha, prior_beta)),
-    )
+def test_round_trip_survives_arbitrary_numbers(config):
     assert parse_config(render_config(config)) == config
 
 
@@ -238,65 +294,111 @@ def data_section(body: str) -> str:
     return f"[data]\n{body}\n" + MINIMAL
 
 
-@pytest.mark.parametrize("body,key", [
-    ("counts = 1/2, 1/2", "format"),
-    ("format = aggregate", "counts"),
-    ("format = aggregate\ncounts = 1/2, 1/2\nfiles = x.csv", "counts"),
-    ("format = aggregate\ncounts = 1/2", "counts"),
-    ("format = aggregate\ncounts = 1/2, 1/2, 1/2", "counts"),
-    ("format = aggregate\ncounts = a/b, 1/2", "counts"),
-    ("format = aggregate\ncounts = 5/3, 1/3", "counts"),
-    ("format = aggregate\ncounts = -1/3, 1/3", "counts"),
-    ("format = per_item\ncounts = 1/2, 1/2", "counts"),
-    ("format = aggregate\ncounts = 1/2, 1/2\nnames = a, b", "names"),
-    ("format = aggregate\nfiles = a.csv, b.csv\nnames = only_one", "names"),
-    ("format = aggregate\ncounts = 1/2, 1/2\nsystems = same, same", "systems"),
-    ("format = aggregate\ncounts = 1/2, 1/2\nsystems = a, b, c", "systems"),
-    ("format = aggregate\ncounts = 1/2, 1/2\npool = yes", "pool"),
-    ("format = tabular\ncounts = 1/2, 1/2", "format"),
+def row(text: str, key: str, **in_code):
+    """A rejected config line and its key; ``in_code`` holds the same bad
+    value as dataclass fields, when the text gets as far as a value."""
+    return pytest.param(text, key, in_code, id=f"{text}-{key}")
+
+
+def assert_same_rejection(text_error, build):
+    # A value the grammar rejects is rejected, with the same context, when a
+    # valid config is given it in code.
+    with pytest.raises(ConfigError) as err:
+        build()
+    assert (err.value.section, err.value.key) == (text_error.section, text_error.key)
+    assert str(err.value) == str(text_error)
+
+
+VALID_DATA = DataConfig(mode=ObservationMode.AGGREGATE, counts=((1, 2), (1, 2)))
+TWO_FILES = {"counts": None, "files": ("a.csv", "b.csv")}
+
+
+@pytest.mark.parametrize("body,key,in_code", [
+    row("counts = 1/2, 1/2", "format"),
+    row("format = aggregate", "counts", counts=None),
+    row("format = aggregate\ncounts = 1/2, 1/2\nfiles = x.csv", "counts", files=("x.csv",)),
+    row("format = aggregate\ncounts = 1/2", "counts"),
+    row("format = aggregate\ncounts = 1/2, 1/2, 1/2", "counts"),
+    row("format = aggregate\ncounts = a/b, 1/2", "counts"),
+    row("format = aggregate\ncounts = 5/3, 1/3", "counts", counts=((5, 3), (1, 3))),
+    row("format = aggregate\ncounts = -1/3, 1/3", "counts", counts=((-1, 3), (1, 3))),
+    row("format = per_item\ncounts = 1/2, 1/2", "counts", mode=ObservationMode.PER_ITEM),
+    row("format = aggregate\ncounts = 1/2, 1/2\nnames = a, b", "names", names=("a", "b")),
+    row("format = aggregate\nfiles = a.csv, b.csv\nnames = only_one", "names",
+        **TWO_FILES, names=("only_one",)),
+    row("format = aggregate\ncounts = 1/2, 1/2\nsystems = same, same", "systems",
+        systems=("same", "same")),
+    row("format = aggregate\ncounts = 1/2, 1/2\nsystems = a, b, c", "systems",
+        systems=("a", "b", "c")),
+    row("format = aggregate\ncounts = 1/2, 1/2\npool = yes", "pool"),
+    row("format = tabular\ncounts = 1/2, 1/2", "format"),
+    row("format = aggregate\nfiles = a.csv, b.csv\nnames = d, d\npool = true", "names",
+        **TWO_FILES, names=("d", "d"), pool=True),
+    row("format = aggregate\nfiles = x/a.csv, y/a.csv\npool = true", "files",
+        counts=None, files=("x/a.csv", "y/a.csv"), pool=True),
+    row("format = aggregate\nfiles = a.csv, b.csv", "pool", **TWO_FILES),
 ])
-def test_data_section_errors(body, key):
+def test_data_section_errors(body, key, in_code):
     with pytest.raises(ConfigError) as err:
         parse_config(data_section(body))
     assert err.value.section == "data"
     assert err.value.key == key
+    if in_code:
+        assert_same_rejection(err.value, lambda: dataclasses.replace(VALID_DATA, **in_code))
 
 
-@pytest.mark.parametrize("line,key", [
-    ("seed = -1", "seed"),
-    ("seed = soon", "seed"),
-    ("seed = 1\nalpha = 0", "alpha"),
-    ("seed = 1\nalpha = 1.0", "alpha"),
-    ("seed = 1\nci_level = 1.2", "ci_level"),
-    ("seed = 1\nci_mode = clopper", "ci_mode"),
-    ("seed = 1\nhdi_mass = 0.0", "hdi_mass"),
-    ("seed = 1\nrope_radius = -0.01", "rope_radius"),
-    ("seed = 1\nmargin = 1.5", "margin"),
-    ("seed = 1\ndirection = up", "direction"),
-    ("seed = 1\nn_mc = 999", "n_mc"),
-    ("seed = 1\nmethods = pvalue, pvalue", "methods"),
-    ("seed = 1\nmethods = pvalue, anova", "methods"),
-    ("seed = 1\nmethods = pvalue,, ci", "methods"),
+@pytest.mark.parametrize("line,key,in_code", [
+    row("seed = -1", "seed", seed=-1),
+    row("seed = soon", "seed"),
+    row("seed = 1\nalpha = 0", "alpha", alpha=0.0),
+    row("seed = 1\nalpha = 1.0", "alpha", alpha=1.0),
+    row("seed = 1\nci_level = 1.2", "ci_level", ci_level=1.2),
+    row("seed = 1\nci_mode = clopper", "ci_mode"),
+    row("seed = 1\nhdi_mass = 0.0", "hdi_mass", hdi_mass=0.0),
+    row("seed = 1\nrope_radius = -0.01", "rope_radius", rope_radius=-0.01),
+    row("seed = 1\nmargin = 1.5", "margin", margin=1.5),
+    row("seed = 1\ndirection = up", "direction"),
+    row("seed = 1\nn_mc = 999", "n_mc", n_mc=999),
+    row("seed = 1\nmethods = pvalue, pvalue", "methods", methods=("pvalue", "pvalue")),
+    row("seed = 1\nmethods = pvalue, anova", "methods", methods=("pvalue", "anova")),
+    row("seed = 1\nmethods = pvalue,, ci", "methods"),
+    # Every RNG stream is keyed by the seed, and Philox keys stop at 2**63.
+    row("seed = 9223372036854775808", "seed", seed=2**63),
 ])
-def test_analysis_section_errors(line, key):
+def test_analysis_section_errors(line, key, in_code):
     with pytest.raises(ConfigError) as err:
         parse_config(f"[analysis]\n{line}\n")
     assert err.value.section == "analysis"
     assert err.value.key == key
+    if in_code:
+        assert_same_rejection(
+            err.value, lambda: dataclasses.replace(AnalysisOptions(seed=1), **in_code))
 
 
-@pytest.mark.parametrize("line,key", [
-    ("chains = 1", "chains"),
-    ("warmup = -1", "warmup"),
-    ("draws = 0", "draws"),
-    ("init = random", "init"),
-    ("enabled = 1", "enabled"),
+def test_analysis_methods_must_not_be_empty():
+    # The grammar cannot spell an empty list, so no config holds one.
+    with pytest.raises(ConfigError) as err:
+        parse_config("[analysis]\nseed = 1\nmethods =\n")
+    assert (err.value.section, err.value.key) == ("analysis", "methods")
+    with pytest.raises(ConfigError) as err:
+        AnalysisOptions(seed=1, methods=())
+    assert (err.value.section, err.value.key) == ("analysis", "methods")
+
+
+@pytest.mark.parametrize("line,key,in_code", [
+    row("chains = 1", "chains", chains=1),
+    row("warmup = -1", "warmup", warmup=-1),
+    row("draws = 0", "draws", draws=0),
+    row("init = random", "init"),
+    row("enabled = 1", "enabled"),
 ])
-def test_mcmc_section_errors(line, key):
+def test_mcmc_section_errors(line, key, in_code):
     with pytest.raises(ConfigError) as err:
         parse_config(MINIMAL + f"[mcmc]\n{line}\n")
     assert err.value.section == "mcmc"
     assert err.value.key == key
+    if in_code:
+        assert_same_rejection(err.value, lambda: dataclasses.replace(McmcConfig(), **in_code))
 
 
 def test_mcmc_chains_stop_below_reserved_streams():
@@ -309,12 +411,18 @@ def test_mcmc_chains_stop_below_reserved_streams():
             parse_config(MINIMAL + f"[mcmc]\nchains = {chains}\n")
         assert (err.value.section, err.value.key) == ("mcmc", "chains")
         assert "reserved" in str(err.value)
+        assert_same_rejection(err.value, lambda: McmcConfig(chains=chains))
 
 
 def test_simulate_range_check():
-    with pytest.raises(ConfigError) as err:
-        parse_config(MINIMAL + "[simulate]\nlooks_step = 1\n")
-    assert err.value.key == "looks_step"
+    # stopping_successes = 0 has no negative-binomial tail to report.
+    for line, key, in_code in (("looks_step = 1", "looks_step", {"looks_step": 1}),
+                               ("stopping_successes = 0", "stopping_successes",
+                                {"stopping_successes": 0})):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + f"[simulate]\n{line}\n")
+        assert (err.value.section, err.value.key) == ("simulate", key)
+        assert_same_rejection(err.value, lambda: dataclasses.replace(SimulateConfig(), **in_code))
 
 
 @pytest.mark.parametrize("raw,expected", [
@@ -327,14 +435,28 @@ def test_prior_forms(raw, expected):
     assert (config.model.prior_label, config.model.prior) == expected
 
 
-# A NaN shape passes a "<= 0" test and would hang the gamma sampler.
-@pytest.mark.parametrize("raw", ["jeffreys", "1, 2, 3", "-1, 2", "0, 1", "one, two",
-                                 "nan, 1", "1, nan", "inf, 1", "inf, inf"])
-def test_bad_priors(raw):
-    for text, overrides in ((MINIMAL + f"[model]\nprior = {raw}\n", None),
-                            (MINIMAL, {"model.prior": raw})):
+# A NaN shape passes a "<= 0" test and would hang the gamma sampler; in code
+# such shapes never reach a ModelConfig, as BetaParams refuses them itself.
+# A preset label names its shapes, so a config cannot carry one preset's name
+# on other shapes; in text the label is always derived from the shapes.
+@pytest.mark.parametrize("raw,in_code", [
+    pytest.param("jeffreys", {"prior_label": "jeffreys"}, id="jeffreys"),
+    *(pytest.param(raw, None, id=raw)
+      for raw in ["1, 2, 3", "-1, 2", "0, 1", "one, two", "nan, 1", "1, nan", "inf, 1",
+                  "inf, inf"]),
+    pytest.param(None, {"prior": BetaParams(9.0, 3.0)}, id="uniform label on 9, 3"),
+    pytest.param(None, {"prior_label": "optimistic_weak"}, id="optimistic_weak on 1, 1"),
+])
+def test_bad_priors(raw, in_code):
+    texts = [] if raw is None else [(MINIMAL + f"[model]\nprior = {raw}\n", None),
+                                    (MINIMAL, {"model.prior": raw})]
+    for text, overrides in texts:
         with pytest.raises(ConfigError) as err:
             parse_config(text, overrides)
+        assert (err.value.section, err.value.key) == ("model", "prior")
+    if in_code:
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(ModelConfig(), **in_code)
         assert (err.value.section, err.value.key) == ("model", "prior")
 
 

@@ -15,12 +15,7 @@ from hypothesis import strategies as st
 
 from paircompare.config import Observations, load_observations, parse_config, parse_config_file
 from paircompare.core import Direction, Hypothesis, HypothesisKind
-from paircompare.errors import (
-    ConfigError,
-    DomainError,
-    IngestError,
-    MalformedObservations,
-)
+from paircompare.errors import ConfigError, DomainError, IngestError
 
 
 def ingest(data: str, files: dict[str, str] | None = None) -> Observations:
@@ -53,12 +48,14 @@ def test_validate_aggregate_roundtrip():
 
 
 def test_validate_rejects_duplicate_dataset_names():
-    # The duplicate is reported before the several-datasets-need-pooling rule.
+    # The duplicate is reported before the several-datasets-need-pooling rule,
+    # by the config itself, so before any file is read.
     files = {"a.csv": aggregate_csv(1, 2, 1, 2), "b.csv": aggregate_csv(1, 2, 1, 2)}
     for pool in ("true", "false"):
-        with pytest.raises(MalformedObservations, match="duplicate dataset name 'd'"):
+        with pytest.raises(ConfigError, match="duplicate dataset name 'd'") as err:
             ingest(f"format = aggregate\nfiles = a.csv, b.csv\nnames = d, d\npool = {pool}",
                    files)
+        assert (err.value.section, err.value.key) == ("data", "names")
 
 
 def test_validate_rejects_identical_system_names():

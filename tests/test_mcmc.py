@@ -330,7 +330,8 @@ def test_analyze_trace_and_plot_bytes_pinned(tmp_path, monkeypatch, configs_dir,
 
 
 def test_short_run_trace_bytes_pinned(tmp_path):
-    # One draw per chain: too short for analyze's HDI, so exported directly.
+    # One draw per chain, as `analyze --set mcmc.draws=1` runs it (its report
+    # leaves the MCMC HDI null); the trace is pinned here, exported directly.
     trace = run_chains(UNIFORM, EASY, McmcConfig(draws=1), 1729)
     written = export_trace(trace, tmp_path)
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written} == {

@@ -67,6 +67,35 @@ def test_fixed_successes_matches_scipy_nbinom(s, n, theta):
         dist.cdf(n - s), rel=1e-10)
 
 
+def _exact_negative_binomial_tails(a, n, rate):
+    """(P(N >= n), P(N <= n)) for the trial N of the a-th success, summed from
+    the negative-binomial pmf in integers scaled by the rate's denominator and
+    rounded once, in the final division."""
+    p, d = rate.as_integer_ratio()
+    q = d - p
+
+    def mass(limit):  # P(N <= limit) * d**limit
+        return sum(math.comb(m - 1, a - 1) * p**a * q**(m - a) * d**(limit - m)
+                   for m in range(a, limit + 1))
+
+    return (d**(n - 1) - mass(n - 1)) / d**(n - 1), mass(n) / d**n
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.5, 0.9])
+def test_fixed_successes_matches_exact_tails_on_a_grid(rate):
+    # The lower tail is small where the complement 1 - P(N <= n - 1) would
+    # cancel: 4 successes in 59 trials at rate 0.9 has P(N >= 59) = 2.26e-51.
+    for n in range(1, 61):
+        for a in range(1, n + 1):
+            lower, upper = _exact_negative_binomial_tails(a, n, rate)
+            assert pvalue_fixed_successes(a, n, rate, Tail.LOWER) == pytest.approx(
+                lower, rel=1e-12)
+            assert pvalue_fixed_successes(a, n, rate, Tail.UPPER) == pytest.approx(
+                upper, rel=1e-12)
+    if rate == 0.9:
+        assert pvalue_fixed_successes(4, 59, rate) == pytest.approx(2.26284e-51, rel=1e-5)
+
+
 def test_fixed_n_tails_partition_unit_mass():
     for s in range(0, 24):
         total = pvalue_fixed_n(s, 24, 0.37, Tail.LOWER) \
