@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import re
 from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
@@ -25,6 +26,11 @@ from .frequentist import CiMode
 from .mcmc import McmcConfig
 
 KNOWN_METHODS = ("pvalue", "ci", "hdi_rope", "bayes_factor")
+
+# What config text cannot hold as written: the parser splits lines, strips
+# padding, and drops a '#' comment that opens a value or follows whitespace.
+_UNWRITABLE = re.compile(r"[\x00-\x1f\x7f-\x9f\u2028\u2029]|^\s|\s$|(^|\s)#")
+_UNWRITABLE_ELEMENT = re.compile(f"{_UNWRITABLE.pattern}|,|^$")
 
 
 @dataclass(frozen=True)
@@ -46,6 +52,10 @@ class DataConfig:
         duplicate = next((n for i, n in enumerate(datasets) if n in datasets[:i]), None)
         inline = self.counts is not None
         check_config("data", [
+            *((key, not any(map(_UNWRITABLE_ELEMENT.search, getattr(self, key))),
+               "config text cannot hold an element that is empty or has a comma, "
+               "control character, padding or '#' comment")
+              for key in ("systems", "files", "names")),
             ("systems", len(self.systems) == 2 and self.systems[0] != self.systems[1],
              "expected two distinct system names"),
             *(("counts", total >= 1 and 0 <= correct <= total,
@@ -121,6 +131,12 @@ class OutputConfig:
     plot_dir: str = "out/plots"
     trace_dir: str = "out/traces"
     sim_dir: str = "out/simulations"
+
+    def __post_init__(self):
+        check_config("output", [
+            (f.name, not _UNWRITABLE.search(getattr(self, f.name)),
+             "config text cannot hold a value with a control character, padding or '#' comment")
+            for f in fields(self)])
 
 
 @dataclass(frozen=True)
@@ -249,10 +265,8 @@ class _Section:
     def get_list(self, key: str, default: tuple[str, ...]) -> tuple[str, ...]:
         if not self.has(key):
             return default
-        items = tuple(part.strip() for part in self.raw(key).split(","))
-        if any(not part for part in items):
-            raise self.error("list has an empty element", key)
-        return items
+        # An empty element, from a stray comma, is refused where the list is used.
+        return tuple(part.strip() for part in self.raw(key).split(","))
 
     def get_choice(self, key: str, choices: dict[str, object], default):
         if not self.has(key):

@@ -14,6 +14,13 @@ random streams.  Accuracy targets (absolute error unless noted):
   worst measured within 14 sd of the mean: 9e-10 at 10^6, 7e-9 at 10^7,
   8e-8 at 10^8, 1e-6 at 10^9
 * ``log_binomial_coefficient``    relative error <= 1e-12
+
+``sample_beta`` divides Marsaglia-Tsang gamma variates (ACM TOMS 26(3), 2000),
+all of Gamma(a) before Gamma(b).  Pinned bytes rest on that draw order: each
+rejection round draws all its normals, then its uniforms; a shape below 1 then
+draws one boost uniform per draw.  In blocks of 4,096, n draws need the two
+n-long outputs, an n-byte rejection mask, the redraws (about 5% of n at shape
+1, fewer above) and about 250 kB of block temporaries: 17-18 bytes per draw.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from .errors import ConvergenceFailure, DomainError
 
 _SQRT_2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_GAMMA_BLOCK = 4096  # draws per block of the gamma sampler's acceptance test
 
 # Continued-fraction evaluation of the incomplete beta.  At the mean it takes
 # about 375 terms at a + b = 10^6 and 3,500 at 10^9; two sd away, under 80.
@@ -213,24 +221,29 @@ def _as_generator(rng) -> np.random.Generator:
 
 def _sample_gamma(shape: float, gen: np.random.Generator, size: int) -> np.ndarray:
     # Marsaglia-Tsang squeeze method; shapes below 1 use the power boost
-    # Gamma(a) = Gamma(a + 1) * U^(1/a).
+    # Gamma(a) = Gamma(a + 1) * U^(1/a), with the whole-array form's operation order.
     if shape < 1.0:
         g = _sample_gamma(shape + 1.0, gen, size)
-        u = gen.random(size)
-        return g * u ** (1.0 / shape)
+        for lo in range(0, size, _GAMMA_BLOCK):
+            block = g[lo:lo + _GAMMA_BLOCK]
+            block *= gen.random(block.size) ** (1.0 / shape)
+        return g
     d = shape - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
-    out = np.empty(size)
-    todo = np.arange(size)
-    while todo.size:
-        z = gen.standard_normal(todo.size)
-        u = gen.random(todo.size)
+    out = gen.standard_normal(size)  # each block's draws overwrite its normals
+    rejected = np.empty(size, dtype=bool)
+    for lo in range(0, size, _GAMMA_BLOCK):
+        z = out[lo:lo + _GAMMA_BLOCK]
+        u = gen.random(z.size)
         v = (1.0 + c * z) ** 3
         ok = v > 0.0
         logv = np.log(np.where(ok, v, 1.0))
         accept = ok & (np.log(u) < 0.5 * z * z + d - d * v + d * logv)
-        out[todo[accept]] = d * v[accept]
-        todo = todo[~accept]
+        np.logical_not(accept, out=rejected[lo:lo + z.size])
+        np.multiply(d, v, out=z)
+    redraw = np.flatnonzero(rejected)
+    if redraw.size:  # the next round redraws the rejected, in order, as a sample
+        out[redraw] = _sample_gamma(shape, gen, redraw.size)
     return out
 
 
@@ -245,20 +258,23 @@ def sample_beta(a: float, b: float, rng, size=None):
         Source of randomness; the draw sequence is deterministic given the
         stream key.
     size : int, optional
-        Number of draws.  ``None`` returns a scalar.
+        Number of draws, a non-negative integer.  ``None`` returns a scalar.
 
     Raises
     ------
     DomainError
-        If either shape parameter is not positive and finite.
+        If either shape parameter is not positive and finite, or ``size`` is
+        neither None nor a non-negative integer.
     """
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):  # a NaN shape would never accept a draw
         raise DomainError(f"beta sampling requires finite a > 0 and b > 0, got a={a!r}, b={b!r}")
+    if not (size is None or isinstance(size, (int, np.integer)) and size >= 0):
+        raise DomainError(f"size must be None or an integer >= 0, got {size!r}")
     gen = _as_generator(rng)
     n = 1 if size is None else int(size)
     g1 = _sample_gamma(float(a), gen, n)
     g2 = _sample_gamma(float(b), gen, n)
-    draws = g1 / (g1 + g2)
+    g1 /= np.add(g1, g2, out=g2)
     if size is None:
-        return float(draws[0])
-    return draws
+        return float(g1[0])
+    return g1

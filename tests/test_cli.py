@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, including exit codes."""
 
+import hashlib
 import importlib.resources
 import json
 import shutil
@@ -186,6 +187,42 @@ def test_prior_sweep_pools_when_asked(fixture_tree, monkeypatch, capsys):
     payload = json.loads(
         (fixture_tree / "out/pooled/simulations/prior_sweep.json").read_text())
     assert payload["counts"] == [[2287, 3548], [2133, 3548]]
+
+
+# SHA-256 of the files the beta sampler's heaviest callers write, recorded
+# before the sampler went block-wise.  The sweep draws 2 x sweep_n_mc betas
+# per prior preset; it sweeps the presets, whose posteriors at these counts
+# all have shapes of at least 1, so the Jeffreys oracle run pins the
+# shape < 1 boost through its posterior plot data.
+JEFFREYS_0_3 = ("--set", "data.counts=0/50, 3/50", "--set", "model.prior=0.5, 0.5")
+PINNED_SAMPLER_OUTPUT = {
+    "sweep-arc_easy": (("simulate", "prior-sweep"), (), {
+        "simulations/prior_sweep.json":
+            "6fa53cb9364be21b8ae06902717d93edb06fa724766a3db623059783b43c672b",
+    }),
+    "sweep-jeffreys_0_3": (("simulate", "prior-sweep"), JEFFREYS_0_3, {
+        "simulations/prior_sweep.json":
+            "639939272bbc9e9b883dc7df0924256eb74032d62144475583af1bbff8a2afd4",
+    }),
+    "oracle-jeffreys_0_3": (("oracle",), JEFFREYS_0_3, {
+        "plots/posterior_diff.csv":
+            "07bc2ea59daf1dc5b3473cbf34fcaf6f857ef0f6e1c4bc77b6a95904b81f7bd1",
+        "plots/posterior_theta1.csv":
+            "5e0f68b52f0f95a5757e00d81056cb7d9755a9634ccb997e40457b391c5d4998",
+        "plots/posterior_theta2.csv":
+            "e2c93d3cb5d3300760dc462e0ec8c04c92b6947c543e482bb8cef21d2b3b0dd0",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SAMPLER_OUTPUT))
+def test_sampler_output_bytes_pinned(fixture_tree, monkeypatch, capsys, name):
+    command, overrides, digests = PINNED_SAMPLER_OUTPUT[name]
+    assert run_cli(monkeypatch, fixture_tree, *command,
+                   "--config", "configs/arc_easy.cfg", *overrides) == EXIT_OK
+    out = fixture_tree / "out/easy"
+    assert {rel: hashlib.sha256((out / rel).read_bytes()).hexdigest()
+            for rel in digests} == digests
 
 
 def test_console_script_subprocess(fixture_tree):

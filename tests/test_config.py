@@ -6,7 +6,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from paircompare.bayes import PRIOR_PRESETS, BetaParams
@@ -143,6 +143,22 @@ def test_fixture_config_hashes_pinned(configs_dir, name):
 # whitespace or control character for the parser to strip.
 WORDS = st.text(st.characters(exclude_characters=",#", exclude_categories=("Z", "C")),
                 min_size=1, max_size=8)
+# Text that may also hold what the grammar treats specially (a comma, a '#',
+# padding, a line break), which the dataclasses must refuse where it matters.
+TEXT = (WORDS
+        | st.builds("{}{}{}".format, WORDS, st.text(st.sampled_from(" ,#"), max_size=3), WORDS)
+        | st.text(st.sampled_from(" ,#\t\n") | st.characters(exclude_categories=("Cs",)),
+                  max_size=8))
+
+
+def built(cls):
+    """``cls`` as a strategy target: the object, or the ConfigError it refused itself with."""
+    def build(*args, **kwargs):
+        try:
+            return cls(*args, **kwargs)
+        except ConfigError as err:
+            return err
+    return build
 
 
 def unit_interval(*, include_one=False):
@@ -151,21 +167,21 @@ def unit_interval(*, include_one=False):
 
 @st.composite
 def data_configs(draw):
-    systems = tuple(draw(st.lists(WORDS, min_size=2, max_size=2, unique=True)))
+    systems = tuple(draw(st.lists(TEXT, min_size=2, max_size=2, unique=True)))
     pool = draw(st.booleans())
     if draw(st.booleans()):
         pair = st.integers(1, 10**12).flatmap(lambda t: st.tuples(st.integers(0, t), st.just(t)))
         counts = (draw(pair), draw(pair))
-        names = tuple(draw(st.lists(WORDS, max_size=1)))
-        return DataConfig(ObservationMode.AGGREGATE, counts=counts, names=names,
-                          systems=systems, pool=pool)
+        names = tuple(draw(st.lists(TEXT, max_size=1)))
+        return built(DataConfig)(ObservationMode.AGGREGATE, counts=counts, names=names,
+                                 systems=systems, pool=pool)
     # Datasets are named by their file stems unless names are given.
-    files = tuple(draw(st.lists(WORDS, min_size=1, max_size=3,
+    files = tuple(draw(st.lists(TEXT, min_size=1, max_size=3,
                                 unique_by=lambda f: Path(f).stem)))
-    names = draw(st.just(()) | st.lists(WORDS, min_size=len(files), max_size=len(files),
+    names = draw(st.just(()) | st.lists(TEXT, min_size=len(files), max_size=len(files),
                                          unique=True).map(tuple))
-    return DataConfig(draw(st.sampled_from(ObservationMode)), files=files, names=names,
-                      systems=systems, pool=pool or len(files) > 1)
+    return built(DataConfig)(draw(st.sampled_from(ObservationMode)), files=files,
+                             names=names, systems=systems, pool=pool or len(files) > 1)
 
 
 @st.composite
@@ -204,16 +220,63 @@ ANY_CONFIG = st.builds(
                    chains=st.integers(2, FIRST_RESERVED_STREAM - 1),
                    warmup=st.integers(0, 10**6), draws=st.integers(1, 10**6),
                    init=st.sampled_from(InitStrategy)),
-    output=st.builds(OutputConfig, report=WORDS, plot_dir=WORDS, trace_dir=WORDS,
-                     sim_dir=WORDS),
+    output=st.builds(built(OutputConfig), report=TEXT, plot_dir=TEXT, trace_dir=TEXT,
+                     sim_dir=TEXT),
     simulate=simulate_configs(),
 )
 
 
+# Hypothesis's explain phase takes minutes and most of a gigabyte on this
+# nested strategy once an example fails; the shrunk example is report enough.
 @given(config=ANY_CONFIG)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None, phases=set(Phase) - {Phase.explain})
 def test_round_trip_survives_arbitrary_numbers(config):
+    # A drawn config either reads back as itself or was refused when built,
+    # for text the grammar cannot spell.
+    refused = [part for part in (config.data, config.output) if isinstance(part, ConfigError)]
+    text_keys = ("systems", "files", "names", *(f.name for f in dataclasses.fields(OutputConfig)))
+    for err in refused:
+        assert err.key in text_keys
+        assert "config text cannot hold" in str(err)
+    if not refused:
+        assert parse_config(render_config(config)) == config
+
+
+@pytest.mark.parametrize("build,section,key", [
+    (lambda: DataConfig(ObservationMode.AGGREGATE, files=("a,b.csv",)), "data", "files"),
+    (lambda: OutputConfig(report="r.json #1"), "output", "report"),
+    (lambda: OutputConfig(plot_dir="#plots"), "output", "plot_dir"),
+    (lambda: OutputConfig(trace_dir=" traces"), "output", "trace_dir"),
+    (lambda: OutputConfig(sim_dir="sim\t"), "output", "sim_dir"),
+    (lambda: OutputConfig(report="a\nb"), "output", "report"),
+    (lambda: OutputConfig(report="a\x00b"), "output", "report"),
+    (lambda: dataclasses.replace(VALID_DATA, systems=("a", "b,c")), "data", "systems"),
+    (lambda: dataclasses.replace(VALID_DATA, systems=("a", "")), "data", "systems"),
+    (lambda: dataclasses.replace(VALID_DATA, names=("x\u2028y",)), "data", "names"),
+    (lambda: dataclasses.replace(VALID_DATA, names=("x\t#y",)), "data", "names"),
+])
+def test_code_built_configs_refuse_text_the_grammar_cannot_spell(build, section, key):
+    # render_config would write such a value as text that reads back as
+    # another config, or as none.
+    with pytest.raises(ConfigError) as err:
+        build()
+    assert (err.value.section, err.value.key) == (section, key)
+
+
+def test_inner_spaces_and_hashes_round_trip():
+    config = AnalysisConfig(
+        analysis=AnalysisOptions(seed=1),
+        data=DataConfig(ObservationMode.PER_ITEM, files=("my data.csv",),
+                        systems=("system one", "system#2")),
+        output=OutputConfig(report="out/r#1.json", plot_dir="my plots"))
     assert parse_config(render_config(config)) == config
+
+
+@pytest.mark.parametrize("line,key", [("systems = a,, b", "systems"), ("files = a.csv,", "files")])
+def test_stray_comma_in_a_data_list_is_refused(line, key):
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL + f"[data]\nformat = per_item\n{line}\n")
+    assert (err.value.section, err.value.key) == ("data", key)
 
 
 def test_missing_seed_is_an_error():

@@ -5,13 +5,14 @@ imports it.
 """
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paircompare.errors import DomainError
@@ -224,3 +225,82 @@ def test_sample_beta_rejects_non_finite_shapes(a, b):
     gen.random.side_effect = gen.standard_normal.side_effect = AssertionError("drew")
     with pytest.raises(DomainError):
         sample_beta(a, b, gen, size=10)
+
+
+@pytest.mark.parametrize("size", [2.5, -1, "3", np.float64(3.0)])
+def test_sample_beta_rejects_sizes_that_are_not_counts(size):
+    with pytest.raises(DomainError):
+        sample_beta(2.0, 5.0, RngStream(1, 0), size=size)
+
+
+@pytest.mark.parametrize("size", [0, 3, np.int64(3), np.uint8(3)])
+def test_sample_beta_takes_python_and_numpy_integer_sizes(size):
+    draws = sample_beta(2.0, 5.0, RngStream(1, 0), size=size)
+    assert draws.shape == (int(size),)
+
+
+# The whole-array Marsaglia-Tsang sampler the block-wise one replaced, kept
+# verbatim as the oracle of its draw order and arithmetic.
+def _whole_array_gamma(shape, gen, size):
+    if shape < 1.0:
+        g = _whole_array_gamma(shape + 1.0, gen, size)
+        u = gen.random(size)
+        return g * u ** (1.0 / shape)
+    d = shape - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    out = np.empty(size)
+    todo = np.arange(size)
+    while todo.size:
+        z = gen.standard_normal(todo.size)
+        u = gen.random(todo.size)
+        v = (1.0 + c * z) ** 3
+        ok = v > 0.0
+        logv = np.log(np.where(ok, v, 1.0))
+        accept = ok & (np.log(u) < 0.5 * z * z + d - d * v + d * logv)
+        out[todo[accept]] = d * v[accept]
+        todo = todo[~accept]
+    return out
+
+
+def _whole_array_beta(a, b, gen, size=None):
+    n = 1 if size is None else int(size)
+    g1 = _whole_array_gamma(float(a), gen, n)
+    g2 = _whole_array_gamma(float(b), gen, n)
+    draws = g1 / (g1 + g2)
+    return float(draws[0]) if size is None else draws
+
+
+BLOCK = 4096
+SHAPES = st.floats(-3.0, 9.0).map(lambda e: 10.0 ** e) | st.sampled_from([0.5, 1.0, 2.0])
+SIZES = st.sampled_from([None, 0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]) \
+    | st.integers(0, 300_000)
+
+
+@given(a=SHAPES, b=SHAPES, size=SIZES, index=st.integers(0, 2**20))
+@example(a=1722.0, b=655.0, size=100_000, index=10_000)
+@example(a=1e-3, b=1e9, size=2 * BLOCK + 1, index=0)
+@example(a=0.5, b=0.5, size=None, index=1)
+@settings(max_examples=60, deadline=None)
+def test_sample_beta_keeps_the_whole_array_draws_bit_for_bit(a, b, size, index):
+    mine, oracle = RngStream(2024, index).generator, RngStream(2024, index).generator
+    # Shapes near 1e-3 underflow both gammas to 0 now and then: 0/0 is NaN on both sides.
+    with np.errstate(invalid="ignore"):
+        got = sample_beta(a, b, mine, size)
+        want = _whole_array_beta(a, b, oracle, size)
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    np.testing.assert_equal(mine.bit_generator.state, oracle.bit_generator.state)
+
+
+@pytest.mark.parametrize("a,b", [(1722.0, 655.0), (0.5, 0.5), (0.05, 0.05)])
+def test_sample_beta_working_set_stays_within_four_outputs(a, b):
+    # 100k draws return 800 kB; n-long temporaries, as the whole-array form
+    # made (an 8.1 MB peak), would break this budget.
+    gen = RngStream(3, 0).generator
+    tracemalloc.start()
+    try:
+        sample_beta(a, b, gen, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 800_000
