@@ -12,7 +12,6 @@ data, invalid values), 2 when MCMC ran but failed its convergence checks.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -21,7 +20,7 @@ from . import __version__
 from .bayes import PRIOR_PRESETS
 from .config import load_observations, parse_config_file
 from .errors import AssessmentError, ConfigError
-from .fsio import atomic_write_text
+from .fsio import atomic_write_text, json_text
 from .reporting import run_analysis
 from .simulations import (
     optional_stopping_fpr,
@@ -176,7 +175,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _write_json(path: Path, payload: dict) -> Path:
-    return atomic_write_text(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    return atomic_write_text(path, json_text(payload))
 
 
 def main(argv=None) -> int:

@@ -5,19 +5,23 @@ Config files are INI-style: ``[section]`` headers, ``key = value`` lines,
 comma-separated.  ``render_config`` writes the canonical form, and
 ``parse_config(render_config(c))`` always reproduces ``c``.
 
-Every range and cross-field rule lives in the ``__post_init__`` of the
-dataclass that holds the value, so a config built or ``replace``-d in code
-is checked exactly as one parsed from text; the parsers here check syntax.
+Each section is a dataclass whose fields are its keys; a field's annotation
+picks the codec that reads and writes its text.  Every range and cross-field
+rule lives in the ``__post_init__`` of the dataclass holding the value, so a
+config built or ``replace``-d in code is checked exactly as one parsed.
 """
 
 from __future__ import annotations
 
 import configparser
 import csv
+import functools
 import re
 from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
+from typing import get_type_hints
 
 from .bayes import BetaParams, PRIOR_PRESETS
 from .core import Counts, Direction, ObservationMode
@@ -35,11 +39,11 @@ _UNWRITABLE_ELEMENT = re.compile(f"{_UNWRITABLE.pattern}|,|^$")
 
 @dataclass(frozen=True)
 class DataConfig:
-    mode: ObservationMode
+    format: ObservationMode
+    systems: tuple[str, str] = ("system1", "system2")
     counts: Counts | None = None
     files: tuple[str, ...] = ()
     names: tuple[str, ...] = ()
-    systems: tuple[str, str] = ("system1", "system2")
     pool: bool = False
 
     @property
@@ -52,6 +56,7 @@ class DataConfig:
         duplicate = next((n for i, n in enumerate(datasets) if n in datasets[:i]), None)
         inline = self.counts is not None
         check_config("data", [
+            ("format", self.format is not None, "missing required key"),
             *((key, not any(map(_UNWRITABLE_ELEMENT.search, getattr(self, key))),
                "config text cannot hold an element that is empty or has a comma, "
                "control character, padding or '#' comment")
@@ -63,7 +68,7 @@ class DataConfig:
               for correct, total in self.counts or ()),
             ("counts", inline != bool(self.files),
              "exactly one of counts and files must be given"),
-            ("counts", not inline or self.mode is ObservationMode.AGGREGATE,
+            ("counts", not inline or self.format is ObservationMode.AGGREGATE,
              "inline counts require aggregate format"),
             ("names", not inline or len(self.names) <= 1,
              "inline counts describe a single dataset"),
@@ -78,16 +83,7 @@ class DataConfig:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    prior_label: str = "uniform"
     prior: BetaParams = PRIOR_PRESETS["uniform"]
-
-    def __post_init__(self):
-        # A preset label names its shapes, so two priors never share one label.
-        check_config("model", [(
-            "prior",
-            self.prior_label == "custom" or PRIOR_PRESETS.get(self.prior_label) == self.prior,
-            f"prior label {self.prior_label!r} is neither 'custom' nor the preset of these shapes",
-        )])
 
 
 @dataclass(frozen=True)
@@ -134,9 +130,12 @@ class OutputConfig:
 
     def __post_init__(self):
         check_config("output", [
-            (f.name, not _UNWRITABLE.search(getattr(self, f.name)),
-             "config text cannot hold a value with a control character, padding or '#' comment")
-            for f in fields(self)])
+            *((f.name, not _UNWRITABLE.search(getattr(self, f.name)),
+               "config text cannot hold a value with a control character, padding or '#' comment")
+              for f in fields(self)),
+            # The report is written through a temp file beside it, named after it.
+            ("report", Path(self.report).name != "", "report must end in a file name"),
+        ])
 
 
 @dataclass(frozen=True)
@@ -180,9 +179,87 @@ class AnalysisConfig:
     base_dir: str | None = field(default=None, compare=False)
 
 
-# Sections whose keys are exactly their dataclass's fields, in file order.
-_FIELD_SECTIONS = {"analysis": AnalysisOptions, "mcmc": McmcConfig,
-                   "output": OutputConfig, "simulate": SimulateConfig}
+# Each section's dataclass, in file order.
+_SECTIONS = {"data": DataConfig, "model": ModelConfig, "analysis": AnalysisOptions,
+             "mcmc": McmcConfig, "output": OutputConfig, "simulate": SimulateConfig}
+
+
+def _parsed(convert, expected: str):
+    """A reader applying ``convert``; what that cannot convert is refused as not ``expected``."""
+    def read(raw: str):
+        try:
+            return convert(raw)
+        except (KeyError, ValueError):
+            raise ValueError(f"expected {expected}, got {raw!r}") from None
+    return read
+
+
+def _split(raw: str) -> tuple[str, ...]:
+    # An empty element, from a stray comma, is refused where the list is used.
+    return tuple(part.strip() for part in raw.split(","))
+
+
+def _pair(part: str) -> tuple[int, int]:
+    correct, total = map(int, part.split("/"))
+    return correct, total
+
+
+def _read_counts(raw: str) -> Counts:
+    parts = _split(raw)
+    if len(parts) != 2:
+        raise ValueError("expected two correct/total pairs")
+    return tuple(map(_parsed(_pair, "correct/total"), parts))
+
+
+def _read_prior(raw: str) -> BetaParams:
+    if raw in PRIOR_PRESETS:
+        return PRIOR_PRESETS[raw]
+    parts = _split(raw)
+    if len(parts) != 2:
+        raise ValueError(f"expected one of {', '.join(sorted(PRIOR_PRESETS))} "
+                         f"or 'alpha, beta', got {raw!r}")
+    try:
+        alpha, beta = map(float, parts)
+    except ValueError:
+        raise ValueError(f"expected a preset name or 'alpha, beta', got {raw!r}") from None
+    try:
+        return BetaParams(alpha, beta)
+    except DomainError:
+        raise ValueError("prior shape parameters must be positive and finite") from None
+
+
+def _write_prior(prior: BetaParams) -> str:
+    preset = next((name for name, shapes in PRIOR_PRESETS.items() if shapes == prior), None)
+    return preset or f"{prior.alpha!r}, {prior.beta!r}"
+
+
+# (reader, writer) by field annotation; enums get theirs in _codec.  A reader
+# takes the stripped text and raises ValueError with the ConfigError message.
+_CODECS = {
+    bool: (_parsed({"true": True, "false": False}.__getitem__, "true or false"),
+           lambda value: "true" if value else "false"),
+    int: (_parsed(int, "an integer"), str),
+    float: (_parsed(float, "a number"), repr),
+    str: (str, str),
+    tuple[str, ...]: (_split, ", ".join),
+    tuple[str, str]: (_split, ", ".join),
+    Counts | None: (_read_counts, lambda counts: ", ".join(f"{c}/{t}" for c, t in counts)),
+    BetaParams: (_read_prior, _write_prior),
+}
+
+
+def _codec(hint) -> tuple:
+    if not (isinstance(hint, type) and issubclass(hint, Enum)):
+        return _CODECS[hint]
+    choices = ", ".join(sorted(member.value for member in hint))
+    return _parsed(hint, f"one of {choices}"), attrgetter("value")
+
+
+@functools.cache
+def _codecs(cls) -> dict[str, tuple]:
+    """Each field of section dataclass ``cls``, in order, with its (reader, writer)."""
+    hints = get_type_hints(cls)
+    return {f.name: _codec(hints[f.name]) for f in fields(cls)}
 
 
 def _raw_parse(text: str) -> dict[str, dict[str, str]]:
@@ -212,72 +289,6 @@ def _raw_parse(text: str) -> dict[str, dict[str, str]]:
     return {section: dict(parser.items(section)) for section in parser.sections()}
 
 
-class _Section:
-    """Typed access to one raw section with uniform error context."""
-
-    def __init__(self, name: str, values: dict[str, str]):
-        self.name = name
-        self.values = dict(values)
-
-    def error(self, message: str, key: str | None = None) -> ConfigError:
-        return ConfigError(message, section=self.name, key=key)
-
-    def reject_unknown(self, known: tuple[str, ...]) -> None:
-        for key in self.values:
-            if key not in known:
-                raise self.error(f"unknown key (expected one of {', '.join(known)})", key)
-
-    def has(self, key: str) -> bool:
-        return key in self.values
-
-    def raw(self, key: str) -> str:
-        return self.values[key].strip()
-
-    def get_str(self, key: str, default: str) -> str:
-        return self.raw(key) if self.has(key) else default
-
-    def get_int(self, key: str, default: int | None) -> int | None:
-        if not self.has(key):
-            return default
-        try:
-            return int(self.raw(key))
-        except ValueError:
-            raise self.error(f"expected an integer, got {self.raw(key)!r}", key) from None
-
-    def get_float(self, key: str, default: float | None) -> float | None:
-        if not self.has(key):
-            return default
-        try:
-            return float(self.raw(key))
-        except ValueError:
-            raise self.error(f"expected a number, got {self.raw(key)!r}", key) from None
-
-    def get_bool(self, key: str, default: bool) -> bool:
-        if not self.has(key):
-            return default
-        raw = self.raw(key)
-        if raw == "true":
-            return True
-        if raw == "false":
-            return False
-        raise self.error(f"expected true or false, got {raw!r}", key)
-
-    def get_list(self, key: str, default: tuple[str, ...]) -> tuple[str, ...]:
-        if not self.has(key):
-            return default
-        # An empty element, from a stray comma, is refused where the list is used.
-        return tuple(part.strip() for part in self.raw(key).split(","))
-
-    def get_choice(self, key: str, choices: dict[str, object], default):
-        if not self.has(key):
-            return default
-        raw = self.raw(key)
-        if raw not in choices:
-            raise self.error(
-                f"expected one of {', '.join(sorted(choices))}, got {raw!r}", key)
-        return choices[raw]
-
-
 def parse_config(text: str, overrides: dict[str, str] | None = None) -> AnalysisConfig:
     """Parse config text into a validated :class:`AnalysisConfig`.
 
@@ -298,93 +309,34 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> Analysis
             section, key = dotted.split(".")
             raw.setdefault(section, {})[key] = value
 
-    known_sections = ("data", "model", *_FIELD_SECTIONS)
     for section in raw:
-        if section not in known_sections:
-            raise ConfigError(
-                f"unknown section (expected one of {', '.join(known_sections)})",
-                section=section)
-
-    data = _parse_data(raw.get("data"))
-    model = _parse_model(raw.get("model"))
-    sections = {name: _read_fields(_Section(name, raw.get(name) or {}), cls)
-                for name, cls in _FIELD_SECTIONS.items()}
-    return AnalysisConfig(data=data, model=model, **sections)
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section (expected one of {', '.join(_SECTIONS)})",
+                              section=section)
+    # A section left out reads as empty, except an optional one, which stays out.
+    optional = {f.name for f in fields(AnalysisConfig) if f.default is None}
+    return AnalysisConfig(**{name: _read_section(name, cls, raw.get(name, {}))
+                             for name, cls in _SECTIONS.items()
+                             if name in raw or name not in optional})
 
 
-def _parse_data(values: dict[str, str] | None) -> DataConfig | None:
-    if values is None:
-        return None
-    sec = _Section("data", values)
-    sec.reject_unknown(("format", "counts", "files", "names", "systems", "pool"))
-    mode = sec.get_choice("format", {m.value: m for m in ObservationMode}, None)
-    if mode is None:
-        raise sec.error("missing required key", "format")
-    systems = sec.get_list("systems", DataConfig.systems)
-    names = sec.get_list("names", ())
-    files = sec.get_list("files", ())
-    counts = _parse_counts(sec) if sec.has("counts") else None
-    return DataConfig(mode=mode, counts=counts, files=files, names=names,
-                      systems=systems, pool=sec.get_bool("pool", False))
-
-
-def _parse_counts(sec: _Section) -> Counts:
-    parts = sec.get_list("counts", ())
-    if len(parts) != 2:
-        raise sec.error("expected two correct/total pairs", "counts")
-    pairs = []
-    for part in parts:
-        try:
-            correct, total = (int(b) for b in part.split("/"))
-        except ValueError:
-            raise sec.error(f"expected correct/total, got {part!r}", "counts") from None
-        pairs.append((correct, total))
-    return (pairs[0], pairs[1])
-
-
-def _parse_model(values: dict[str, str] | None) -> ModelConfig:
-    sec = _Section("model", values or {})
-    sec.reject_unknown(("prior",))
-    raw = sec.get_str("prior", "uniform")
-    if raw in PRIOR_PRESETS:
-        return ModelConfig(prior_label=raw, prior=PRIOR_PRESETS[raw])
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != 2:
-        raise sec.error(f"expected one of {', '.join(sorted(PRIOR_PRESETS))} "
-                        f"or 'alpha, beta', got {raw!r}", "prior")
-    try:
-        return ModelConfig(prior_label="custom",
-                           prior=BetaParams(float(parts[0]), float(parts[1])))
-    except ValueError:
-        raise sec.error(f"expected a preset name or 'alpha, beta', got {raw!r}",
-                        "prior") from None
-    except DomainError:
-        raise sec.error("prior shape parameters must be positive and finite", "prior") from None
-
-
-_READERS = {"bool": _Section.get_bool, "int": _Section.get_int,
-            "float": _Section.get_float, "str": _Section.get_str}
-
-
-def _read_fields(sec: _Section, cls):
-    """An instance of dataclass ``cls`` read from one section.
-
-    Each field's annotation (or, for enums and lists, its default) picks the
-    parser, and absent keys keep the field default, so every default lives
-    only in the dataclass.  A field without a default reads as ``None``.
-    """
-    sec.reject_unknown(tuple(f.name for f in fields(cls)))
-    values = {}
-    for f in fields(cls):
-        default = None if f.default is MISSING else f.default
-        if isinstance(default, Enum):
-            choices = {member.value: member for member in type(default)}
-            values[f.name] = sec.get_choice(f.name, choices, default)
-        elif isinstance(default, tuple):
-            values[f.name] = sec.get_list(f.name, default)
-        else:
-            values[f.name] = _READERS[f.type](sec, f.name, default)
-    return cls(**values)
+def _read_section(name: str, cls, values: dict[str, str]):
+    """Section dataclass ``cls`` read from raw ``values``.  An absent key keeps
+    its field default; a field without one reads as ``None``, for the
+    dataclass to refuse as missing."""
+    codecs = _codecs(cls)
+    for key in values:
+        if key not in codecs:
+            raise ConfigError(f"unknown key (expected one of {', '.join(codecs)})",
+                              section=name, key=key)
+    kwargs = {f.name: None for f in fields(cls) if f.default is MISSING}
+    for key, (read, _) in codecs.items():
+        if key in values:
+            try:
+                kwargs[key] = read(values[key].strip())
+            except ValueError as exc:
+                raise ConfigError(str(exc), section=name, key=key) from None
+    return cls(**kwargs)
 
 
 def parse_config_file(path, overrides: dict[str, str] | None = None) -> AnalysisConfig:
@@ -399,48 +351,20 @@ def parse_config_file(path, overrides: dict[str, str] | None = None) -> Analysis
 
 
 def render_config(config: AnalysisConfig) -> str:
-    """Canonical text form of a config; ``parse_config`` inverts it exactly."""
+    """Canonical text form of a config; ``parse_config`` inverts it exactly,
+    reading the sections and keys left out (``None``, ``()``) back as those."""
     lines = []
-    if config.data is not None:
-        d = config.data
-        lines.append("[data]")
-        lines.append(f"format = {d.mode.value}")
-        lines.append(f"systems = {_render_value(d.systems)}")
-        if d.counts is not None:
-            (c1, t1), (c2, t2) = d.counts
-            lines.append(f"counts = {c1}/{t1}, {c2}/{t2}")
-        if d.files:
-            lines.append(f"files = {_render_value(d.files)}")
-        if d.names:
-            lines.append(f"names = {_render_value(d.names)}")
-        lines.append(f"pool = {_render_value(d.pool)}")
-        lines.append("")
-    m = config.model
-    lines.append("[model]")
-    if m.prior_label in PRIOR_PRESETS:
-        lines.append(f"prior = {m.prior_label}")
-    else:
-        lines.append(f"prior = {m.prior.alpha!r}, {m.prior.beta!r}")
-    lines.append("")
-    for name in _FIELD_SECTIONS:
+    for name in _SECTIONS:
         section = getattr(config, name)
+        if section is None:
+            continue
         lines.append(f"[{name}]")
-        lines.extend(f"{f.name} = {_render_value(getattr(section, f.name))}"
-                     for f in fields(section))
+        for key, (_, write) in _codecs(type(section)).items():
+            value = getattr(section, key)
+            if value is not None and value != ():
+                lines.append(f"{key} = {write(value)}")
         lines.append("")
     return "\n".join(lines)
-
-
-def _render_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, tuple):
-        return ", ".join(value)
-    return str(value)
 
 
 @dataclass(frozen=True)
@@ -474,7 +398,7 @@ def load_observations(config: AnalysisConfig) -> Observations:
     if d.counts is not None:
         datasets = [(d.names[0] if d.names else "inline", d.counts)]
     else:
-        read = _read_aggregate_csv if d.mode is ObservationMode.AGGREGATE else _read_per_item_csv
+        read = _read_aggregate_csv if d.format is ObservationMode.AGGREGATE else _read_per_item_csv
         datasets = []
         for file_name, name in zip(d.files, d.dataset_names):
             path = Path(file_name)

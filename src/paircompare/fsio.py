@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
@@ -23,3 +24,8 @@ def atomic_write_text(path, text: str) -> Path:
     except OSError as exc:
         raise IoError(f"cannot write {target}: {exc}") from exc
     return target
+
+
+def json_text(payload) -> str:
+    """``payload`` as the text of a JSON artifact: 2-space indent, no NaN or infinity."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"

@@ -9,7 +9,6 @@ therefore the whole trace, reproducible in isolation.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -20,7 +19,7 @@ import numpy as np
 from .bayes import BetaParams
 from .core import Counts
 from .errors import DegenerateChains, DomainError, IoError, TooFewSamples, check_config
-from .fsio import atomic_write_text
+from .fsio import atomic_write_text, json_text
 from .numerics import FIRST_RESERVED_STREAM, RngStream, sample_beta
 
 # Post-adaptation acceptance rates are expected to land in this band.
@@ -215,8 +214,14 @@ def _run_single_chain(log_post, prior, counts, config: McmcConfig, master_seed: 
         e1 = _logit((c1 + 1.0) / (t1 + 2.0)) + 0.2 * j1
         e2 = _logit((c2 + 1.0) / (t2 + 2.0)) + 0.2 * j2
     else:
-        e1 = _logit(sample_beta(prior.alpha, prior.beta, gen))
-        e2 = _logit(sample_beta(prior.alpha, prior.beta, gen))
+        # Tiny shapes underflow both gammas, so a draw can be 0, 1 or 0/0.
+        with np.errstate(invalid="ignore"):
+            draws = [sample_beta(prior.alpha, prior.beta, gen) for _ in range(2)]
+        bad = next((p for p in draws if not 0.0 < p < 1.0), None)  # NaN too
+        if bad is not None:
+            raise DomainError(f"chain {chain}: prior draw {bad!r} has no logit; use "
+                              f"init = mle_jitter or a prior with larger shapes")
+        e1, e2 = map(_logit, draws)
 
     total = config.warmup + config.draws
     noise = gen.standard_normal((total, 2)).tolist()
@@ -378,6 +383,6 @@ def export_trace(trace: Trace, out_dir) -> list[Path]:
         "warnings": list(trace.warnings),
     }
     path = out / "diagnostics.json"
-    atomic_write_text(path, json.dumps(diagnostics, indent=2, allow_nan=False) + "\n")
+    atomic_write_text(path, json_text(diagnostics))
     written.append(path)
     return written

@@ -10,7 +10,6 @@ stable key order, so identical configs and seeds reproduce identical bytes.
 from __future__ import annotations
 
 import hashlib
-import json
 import platform
 import re
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from .config import AnalysisConfig, Observations, load_observations, render_conf
 from .core import Decision, DecisionValue, Direction, Hypothesis, HypothesisKind
 from .errors import TooFewSamples
 from .frequentist import diff_confidence_interval, two_proportion_z_test
-from .fsio import atomic_write_text
+from .fsio import atomic_write_text, json_text
 from .mcmc import Trace, export_trace, finite_or_null, run_chains
 from .numerics import STREAM_POSTERIOR_DRAWS, RngStream, sample_beta
 from .posterior import Hdi, bayes_factor_interval_null, hdi_from_samples, rope_decision
@@ -90,7 +89,7 @@ class AssessmentReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
+        return json_text(self.to_dict())
 
 
 @dataclass
@@ -466,9 +465,8 @@ def emit_plot_data(theta1_samples, theta2_samples, out_dir, annotations: dict | 
     written = []
     for name, samples in named:
         written.append(atomic_write_text(out / name, _histogram_csv(samples, bins)))
-    sidecar = json.dumps({"annotations": annotations, "bins": bins},
-                         indent=2, allow_nan=False) + "\n"
-    written.append(atomic_write_text(out / "annotations.json", sidecar))
+    written.append(atomic_write_text(out / "annotations.json",
+                                     json_text({"annotations": annotations, "bins": bins})))
     return written
 
 

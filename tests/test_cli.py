@@ -331,6 +331,24 @@ def test_duplicate_dataset_names_are_a_handled_error(fixture_tree, monkeypatch, 
         "error: duplicate dataset name 'a' (section [data], key 'names')\n")
 
 
+@pytest.mark.parametrize("command,overrides,message", [
+    # Shapes this small underflow both gammas of a beta draw, so a prior
+    # draw can be 0, 1 or NaN, none of which has a logit to start a chain at.
+    ("analyze", ("mcmc.init=prior_draw", "model.prior=0.001, 0.001"), "has no logit"),
+    ("oracle", ("output.report=",), "report must end in a file name"),
+])
+def test_unusable_chain_start_or_report_path_is_a_handled_error(
+        fixture_tree, monkeypatch, capsys, command, overrides, message):
+    code = run_cli(monkeypatch, fixture_tree,
+                   command, "--config", "configs/arc_easy.cfg",
+                   *(arg for item in overrides for arg in ("--set", item)))
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_package_exports_what_the_cli_and_report_use():
     assert paircompare.__all__ == [
         "__version__",

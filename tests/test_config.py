@@ -34,12 +34,12 @@ MINIMAL = "[analysis]\nseed = 1\n"
 
 def test_parse_fixture_arc_easy(configs_dir):
     config = parse_config_file(configs_dir / "arc_easy.cfg")
-    assert config.data.mode is ObservationMode.AGGREGATE
+    assert config.data.format is ObservationMode.AGGREGATE
     assert config.data.counts == ((1721, 2376), (1637, 2376))
     assert config.data.names == ("arc_easy",)
     assert config.data.systems == ("system1", "system2")
     assert config.data.pool is False
-    assert config.model.prior_label == "uniform"
+    assert config.model.prior == PRIOR_PRESETS["uniform"]
     assert config.analysis.seed == 1729
     assert config.analysis.methods == ("pvalue", "ci", "hdi_rope", "bayes_factor")
     assert config.analysis.ci_mode is CiMode.ONE_SIDED_POOLED_Z
@@ -60,7 +60,7 @@ def test_parse_fixture_arc_pooled(configs_dir):
 
 def test_parse_fixture_per_item(configs_dir):
     config = parse_config_file(configs_dir / "per_item_demo.cfg")
-    assert config.data.mode is ObservationMode.PER_ITEM
+    assert config.data.format is ObservationMode.PER_ITEM
     assert config.mcmc.enabled is False
 
 
@@ -83,16 +83,16 @@ ROUND_TRIP_VARIANTS = [
         analysis=AnalysisOptions(seed=7, methods=("pvalue", "ci"), alpha=0.01,
                                  ci_level=0.9, ci_mode=CiMode.ONE_SIDED_POOLED_Z,
                                  direction=Direction.TWO_SIDED, margin=-0.25),
-        data=DataConfig(mode=ObservationMode.AGGREGATE,
+        data=DataConfig(format=ObservationMode.AGGREGATE,
                         counts=((5, 10), (3, 10)), names=("tiny",)),
-        model=ModelConfig(prior_label="optimistic_weak", prior=BetaParams(3.0, 1.5)),
+        model=ModelConfig(prior=BetaParams(3.0, 1.5)),
     ),
     AnalysisConfig(
         analysis=AnalysisOptions(seed=123, hdi_mass=0.89, rope_radius=0.037),
-        data=DataConfig(mode=ObservationMode.PER_ITEM,
+        data=DataConfig(format=ObservationMode.PER_ITEM,
                         files=("a.csv", "b.csv"), names=("a", "b"),
                         systems=("baseline", "candidate"), pool=True),
-        model=ModelConfig(prior_label="custom", prior=BetaParams(2.5, 0.5)),
+        model=ModelConfig(prior=BetaParams(2.5, 0.5)),
         mcmc=McmcConfig(enabled=False, chains=8, warmup=200, draws=50,
                         init=InitStrategy.PRIOR_DRAW),
         output=OutputConfig(report="r.json", plot_dir="p", trace_dir="t", sim_dir="s"),
@@ -184,13 +184,9 @@ def data_configs(draw):
                              names=names, systems=systems, pool=pool or len(files) > 1)
 
 
-@st.composite
-def model_configs(draw):
-    label = draw(st.sampled_from([*PRIOR_PRESETS, "custom"]))
-    if label != "custom":
-        return ModelConfig(label, PRIOR_PRESETS[label])
-    shape = st.floats(0.0, exclude_min=True, allow_infinity=False)
-    return ModelConfig(label, BetaParams(draw(shape), draw(shape)))
+SHAPE = st.floats(0.0, exclude_min=True, allow_infinity=False)
+MODEL_CONFIGS = st.builds(ModelConfig, st.sampled_from(list(PRIOR_PRESETS.values()))
+                          | st.builds(BetaParams, SHAPE, SHAPE))
 
 
 @st.composite
@@ -215,7 +211,7 @@ ANY_CONFIG = st.builds(
         margin=st.floats(-1.0, 1.0), direction=st.sampled_from(Direction),
         n_mc=st.integers(1000, 10**9)),
     data=st.none() | data_configs(),
-    model=model_configs(),
+    model=MODEL_CONFIGS,
     mcmc=st.builds(McmcConfig, enabled=st.booleans(),
                    chains=st.integers(2, FIRST_RESERVED_STREAM - 1),
                    warmup=st.integers(0, 10**6), draws=st.integers(1, 10**6),
@@ -232,12 +228,13 @@ ANY_CONFIG = st.builds(
 @settings(max_examples=100, deadline=None, phases=set(Phase) - {Phase.explain})
 def test_round_trip_survives_arbitrary_numbers(config):
     # A drawn config either reads back as itself or was refused when built,
-    # for text the grammar cannot spell.
+    # for text the grammar cannot spell or a report path with no file name.
     refused = [part for part in (config.data, config.output) if isinstance(part, ConfigError)]
     text_keys = ("systems", "files", "names", *(f.name for f in dataclasses.fields(OutputConfig)))
     for err in refused:
         assert err.key in text_keys
-        assert "config text cannot hold" in str(err)
+        assert "config text cannot hold" in str(err) or (
+            err.key == "report" and "report must end in a file name" in str(err))
     if not refused:
         assert parse_config(render_config(config)) == config
 
@@ -270,6 +267,16 @@ def test_inner_spaces_and_hashes_round_trip():
                         systems=("system one", "system#2")),
         output=OutputConfig(report="out/r#1.json", plot_dir="my plots"))
     assert parse_config(render_config(config)) == config
+
+
+@pytest.mark.parametrize("report", ["", ".", "./", "/"])
+def test_report_path_must_end_in_a_file_name(report):
+    # The report is written through a temp file named after it, so a path
+    # without a final name component cannot be one.
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL, {"output.report": report})
+    assert (err.value.section, err.value.key) == ("output", "report")
+    assert_same_rejection(err.value, lambda: OutputConfig(report=report))
 
 
 @pytest.mark.parametrize("line,key", [("systems = a,, b", "systems"), ("files = a.csv,", "files")])
@@ -372,7 +379,7 @@ def assert_same_rejection(text_error, build):
     assert str(err.value) == str(text_error)
 
 
-VALID_DATA = DataConfig(mode=ObservationMode.AGGREGATE, counts=((1, 2), (1, 2)))
+VALID_DATA = DataConfig(format=ObservationMode.AGGREGATE, counts=((1, 2), (1, 2)))
 TWO_FILES = {"counts": None, "files": ("a.csv", "b.csv")}
 
 
@@ -383,9 +390,11 @@ TWO_FILES = {"counts": None, "files": ("a.csv", "b.csv")}
     row("format = aggregate\ncounts = 1/2", "counts"),
     row("format = aggregate\ncounts = 1/2, 1/2, 1/2", "counts"),
     row("format = aggregate\ncounts = a/b, 1/2", "counts"),
+    row("format = aggregate\ncounts = 5, 1/2", "counts"),
+    row("format = aggregate\ncounts = 1/2/3, 1/2", "counts"),
     row("format = aggregate\ncounts = 5/3, 1/3", "counts", counts=((5, 3), (1, 3))),
     row("format = aggregate\ncounts = -1/3, 1/3", "counts", counts=((-1, 3), (1, 3))),
-    row("format = per_item\ncounts = 1/2, 1/2", "counts", mode=ObservationMode.PER_ITEM),
+    row("format = per_item\ncounts = 1/2, 1/2", "counts", format=ObservationMode.PER_ITEM),
     row("format = aggregate\ncounts = 1/2, 1/2\nnames = a, b", "names", names=("a", "b")),
     row("format = aggregate\nfiles = a.csv, b.csv\nnames = only_one", "names",
         **TWO_FILES, names=("only_one",)),
@@ -489,37 +498,28 @@ def test_simulate_range_check():
 
 
 @pytest.mark.parametrize("raw,expected", [
-    ("uniform", ("uniform", BetaParams(1.0, 1.0))),
-    ("optimistic_strong", ("optimistic_strong", BetaParams(9.0, 3.0))),
-    ("2.5, 0.5", ("custom", BetaParams(2.5, 0.5))),
+    ("uniform", (BetaParams(1.0, 1.0), "uniform")),
+    ("optimistic_strong", (BetaParams(9.0, 3.0), "optimistic_strong")),
+    ("2.5, 0.5", (BetaParams(2.5, 0.5), "2.5, 0.5")),
+    # Shapes equal to a preset's are that preset, and are written as its name.
+    ("3, 1.5", (PRIOR_PRESETS["optimistic_weak"], "optimistic_weak")),
 ])
 def test_prior_forms(raw, expected):
+    prior, rendered = expected
     config = parse_config(MINIMAL + f"[model]\nprior = {raw}\n")
-    assert (config.model.prior_label, config.model.prior) == expected
+    assert config.model == ModelConfig(prior)
+    assert f"[model]\nprior = {rendered}\n" in render_config(config)
 
 
 # A NaN shape passes a "<= 0" test and would hang the gamma sampler; in code
 # such shapes never reach a ModelConfig, as BetaParams refuses them itself.
-# A preset label names its shapes, so a config cannot carry one preset's name
-# on other shapes; in text the label is always derived from the shapes.
-@pytest.mark.parametrize("raw,in_code", [
-    pytest.param("jeffreys", {"prior_label": "jeffreys"}, id="jeffreys"),
-    *(pytest.param(raw, None, id=raw)
-      for raw in ["1, 2, 3", "-1, 2", "0, 1", "one, two", "nan, 1", "1, nan", "inf, 1",
-                  "inf, inf"]),
-    pytest.param(None, {"prior": BetaParams(9.0, 3.0)}, id="uniform label on 9, 3"),
-    pytest.param(None, {"prior_label": "optimistic_weak"}, id="optimistic_weak on 1, 1"),
-])
-def test_bad_priors(raw, in_code):
-    texts = [] if raw is None else [(MINIMAL + f"[model]\nprior = {raw}\n", None),
-                                    (MINIMAL, {"model.prior": raw})]
-    for text, overrides in texts:
+@pytest.mark.parametrize("raw", ["jeffreys", "1, 2, 3", "-1, 2", "0, 1", "one, two", "nan, 1",
+                                 "1, nan", "inf, 1", "inf, inf"])
+def test_bad_priors(raw):
+    for text, overrides in [(MINIMAL + f"[model]\nprior = {raw}\n", None),
+                            (MINIMAL, {"model.prior": raw})]:
         with pytest.raises(ConfigError) as err:
             parse_config(text, overrides)
-        assert (err.value.section, err.value.key) == ("model", "prior")
-    if in_code:
-        with pytest.raises(ConfigError) as err:
-            dataclasses.replace(ModelConfig(), **in_code)
         assert (err.value.section, err.value.key) == ("model", "prior")
 
 
