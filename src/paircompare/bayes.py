@@ -35,7 +35,7 @@ class BetaParams:
     @property
     def variance(self) -> float:
         s = self.alpha + self.beta
-        return self.alpha * self.beta / (s * s * (s + 1.0))
+        return self.alpha / s * (self.beta / s) / (s + 1.0)
 
 
 # Named prior presets: a flat prior and two that concentrate mass on the

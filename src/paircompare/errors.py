@@ -27,10 +27,6 @@ class UnstableEstimate(AssessmentError):
     """A component of a ratio lies too close to 0 or 1 to be computed reliably."""
 
 
-class ConvergenceFailure(AssessmentError):
-    """An iterative numeric kernel stopped before reaching its accuracy target."""
-
-
 class ConfigError(AssessmentError):
     """A configuration file or override is invalid.
 

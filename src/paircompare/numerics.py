@@ -1,18 +1,14 @@
 """Self-contained numeric kernels.
 
 Everything the statistical layers need beyond basic arithmetic lives here:
-the standard normal CDF and quantile, the regularized incomplete beta
-function, beta-variate sampling, log binomial coefficients, and seeded
-random streams.  Accuracy targets (absolute error unless noted):
+the standard normal CDF and quantile, beta-variate sampling, log binomial
+coefficients, and seeded random streams.  Accuracy targets (absolute error
+unless noted):
 
 * ``std_normal_cdf``              <= 1e-12
 * ``std_normal_quantile``         round-trip |quantile(cdf(z)) - z| <= 1e-9
   for z in [-8, 5]; beyond that the CDF saturates against 1 and the float
   spacing of p, not the algorithm, limits what any inverse can recover
-* ``regularized_incomplete_beta`` <= 1e-10 up to a + b = 10^5.  Beyond that
-  the rounding of its lgamma prefactor grows about linearly with a + b;
-  worst measured within 14 sd of the mean: 9e-10 at 10^6, 7e-9 at 10^7,
-  8e-8 at 10^8, 1e-6 at 10^9
 * ``log_binomial_coefficient``    relative error <= 1e-12
 
 ``sample_beta`` divides Marsaglia-Tsang gamma variates (ACM TOMS 26(3), 2000),
@@ -31,17 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DomainError
+from .errors import DomainError
 
 _SQRT_2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _GAMMA_BLOCK = 4096  # draws per block of the gamma sampler's acceptance test
-
-# Continued-fraction evaluation of the incomplete beta.  At the mean it takes
-# about 375 terms at a + b = 10^6 and 3,500 at 10^9; two sd away, under 80.
-_CF_MAX_ITER = 5000
-_CF_EPS = 1e-16
-_CF_TINY = 1e-300
 
 
 def std_normal_cdf(z: float) -> float:
@@ -79,78 +69,6 @@ def std_normal_quantile(p: float) -> float:
             break
         z -= (std_normal_cdf(z) - p) / density
     return z
-
-
-def _beta_cf(a: float, b: float, x: float) -> float:
-    # Modified Lentz evaluation of the continued fraction for I_x(a, b).
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _CF_TINY:
-        d = _CF_TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _CF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
-    raise ConvergenceFailure(
-        f"incomplete beta continued fraction did not converge for a={a}, b={b}, x={x}"
-    )
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b).
-
-    Uses the continued-fraction expansion, switched to the symmetric
-    complement when ``x`` exceeds ``(a + 1) / (a + b + 2)`` so the fraction
-    always converges quickly.  This is the CDF of a Beta(a, b) variate.
-
-    Raises
-    ------
-    DomainError
-        If ``a <= 0``, ``b <= 0``, or ``x`` is outside [0, 1].
-    ConvergenceFailure
-        If the continued fraction has not converged after 5000 terms, which
-        happens near the mean once ``a + b`` passes about 3e9.
-    """
-    if a <= 0.0 or b <= 0.0:
-        raise DomainError(f"incomplete beta requires a > 0 and b > 0, got a={a!r}, b={b!r}")
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"incomplete beta requires x in [0, 1], got {x!r}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cf(a, b, x) / a
-    return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
 
 
 def log_binomial_coefficient(n: int, k: int) -> float:

@@ -210,9 +210,13 @@ def run_analysis(config: AnalysisConfig, write: bool = True) -> AnalysisOutcome:
         decisions["pvalue"] = Decision(
             DecisionValue.REJECT_NULL if rejected else DecisionValue.UNDECIDED, "pvalue")
         qualifier = "" if rejected else "not "
+        gap = {Direction.GREATER: f"at least as large as {ztest.diff:.4f}",
+               Direction.LESS: f"at most as large as {ztest.diff:.4f}",
+               Direction.TWO_SIDED: (f"at least as large as {abs(ztest.diff):.4f} "
+                                     f"in either direction")}[ztest.direction]
         phrasing["pvalue"] = _vetted(
-            f"If both systems shared one correctness rate, an accuracy gap at "
-            f"least as large as {ztest.diff:.4f} would occur with probability "
+            f"If both systems shared one correctness rate, an accuracy gap "
+            f"{gap} would occur with probability "
             f"{ztest.p_value:.4g}; at level {opts.alpha:g} the observed "
             f"difference is {qualifier}statistically significant."
         )

@@ -38,6 +38,14 @@ def test_beta_params_moments_match_scipy():
         assert params.variance == pytest.approx(dist.var(), rel=1e-12)
 
 
+def test_beta_params_variance_at_tiny_shapes():
+    # a b / (s^2 (s + 1)) underflows its denominator to 0 at shapes near
+    # 1e-300, and so does scipy's; Beta(a, a) has variance 1 / (4 (2a + 1)).
+    assert BetaParams(1e-300, 1e-300).variance == 0.25
+    assert BetaParams(1e-300, 2.0).variance == pytest.approx(1e-300 * 2.0 / (2.0 ** 2 * 3.0),
+                                                             rel=1e-12)
+
+
 def test_prior_presets():
     assert PRIOR_PRESETS["uniform"] == BetaParams(1.0, 1.0)
     assert PRIOR_PRESETS["optimistic_weak"] == BetaParams(3.0, 1.5)

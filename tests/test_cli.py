@@ -13,6 +13,7 @@ import pytest
 
 import paircompare
 from paircompare.cli import EXIT_ERROR, EXIT_NONCONVERGENCE, EXIT_OK, main
+from paircompare.posterior import MAX_SHAPE_SUM, MIN_SHAPE
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -193,16 +194,18 @@ def test_prior_sweep_pools_when_asked(fixture_tree, monkeypatch, capsys):
 # before the sampler went block-wise.  The sweep draws 2 x sweep_n_mc betas
 # per prior preset; it sweeps the presets, whose posteriors at these counts
 # all have shapes of at least 1, so the Jeffreys oracle run pins the
-# shape < 1 boost through its posterior plot data.
+# shape < 1 boost through its posterior plot data.  The two sweep digests
+# were recorded again when the interval probability became a double
+# quadrature: only each row's bf01 changed, by under 1e-11 relative.
 JEFFREYS_0_3 = ("--set", "data.counts=0/50, 3/50", "--set", "model.prior=0.5, 0.5")
 PINNED_SAMPLER_OUTPUT = {
     "sweep-arc_easy": (("simulate", "prior-sweep"), (), {
         "simulations/prior_sweep.json":
-            "6fa53cb9364be21b8ae06902717d93edb06fa724766a3db623059783b43c672b",
+            "736e92772e1bf42a79f5f02419b1ec79ebe25211762d3cc7913ff91383fc44b1",
     }),
     "sweep-jeffreys_0_3": (("simulate", "prior-sweep"), JEFFREYS_0_3, {
         "simulations/prior_sweep.json":
-            "639939272bbc9e9b883dc7df0924256eb74032d62144475583af1bbff8a2afd4",
+            "983b1340d83f9d56f6dd33fd46508fb419b763221e2c2dd6c03ea73d7336abd6",
     }),
     "oracle-jeffreys_0_3": (("oracle",), JEFFREYS_0_3, {
         "plots/posterior_diff.csv":
@@ -252,9 +255,10 @@ def test_console_script_subprocess(fixture_tree):
 
 
 def test_incomplete_beta_nonconvergence_is_a_handled_error(fixture_tree, monkeypatch, capsys):
-    # 10^11 items per system push the incomplete beta's continued fraction
-    # past its term limit near the mean; the CLI reports that as an error,
-    # not a traceback.
+    # 10^11 items per system once pushed an incomplete beta's continued
+    # fraction past its term limit.  The interval probability now refuses
+    # shapes summing past MAX_SHAPE_SUM, where its error would pass 1e-6;
+    # the CLI reports that refusal as an error, not a traceback.
     code = run_cli(monkeypatch, fixture_tree,
                    "oracle", "--config", "configs/arc_easy.cfg",
                    "--set", "data.counts=70005000000/100000000000, 70000000000/100000000000",
@@ -262,12 +266,26 @@ def test_incomplete_beta_nonconvergence_is_a_handled_error(fixture_tree, monkeyp
     assert code == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert "did not converge" in err
+    assert f"sum <= {MAX_SHAPE_SUM:g}" in err
+    assert "Traceback" not in err
+
+
+def test_tiny_prior_shapes_are_a_handled_error(fixture_tree, monkeypatch, capsys):
+    # Shapes of 1e-300 put their mass beyond the quadrature's outermost
+    # nodes; the prior's interval probability refuses them.
+    code = run_cli(monkeypatch, fixture_tree,
+                   "oracle", "--config", "configs/arc_easy.cfg",
+                   "--set", "model.prior=1e-300, 1e-300")
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"shapes >= {MIN_SHAPE:g}" in err
+    assert "Traceback" not in err
 
 
 def test_ten_million_items_complete(fixture_tree, monkeypatch, capsys):
-    # Near the mean at 10^7 items the continued fraction needs about 760
-    # terms; the quadrature's nodes all sit there.
+    # At 10^7 items both posteriors are 14 sd windows about 0.004 wide;
+    # the inner integrals run over panels cut to the wider one's window.
     code = run_cli(monkeypatch, fixture_tree,
                    "oracle", "--config", "configs/arc_easy.cfg",
                    "--set", "data.counts=7000000/10000000, 6995000/10000000",

@@ -10,7 +10,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.special
 import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,7 +18,6 @@ from paircompare.errors import DomainError
 from paircompare.numerics import (
     RngStream,
     log_binomial_coefficient,
-    regularized_incomplete_beta,
     sample_beta,
     std_normal_cdf,
     std_normal_pdf,
@@ -89,51 +87,6 @@ def test_quantile_domain(p):
 def test_pdf_matches_scipy():
     for z in np.linspace(-10, 10, 101):
         assert std_normal_pdf(z) == pytest.approx(scipy.stats.norm.pdf(z), rel=1e-13)
-
-
-BETA_CASES = [(a, b) for a in (0.5, 1.0, 2.0, 9.0, 120.5, 1722.0)
-              for b in (0.5, 1.0, 3.0, 656.0)]
-
-
-def test_incomplete_beta_matches_scipy_to_1e10():
-    xs = np.linspace(0.001, 0.999, 101)
-    worst = 0.0
-    for a, b in BETA_CASES:
-        ours = np.array([regularized_incomplete_beta(a, b, x) for x in xs])
-        ref = scipy.special.betainc(a, b, xs)
-        worst = max(worst, float(np.max(np.abs(ours - ref))))
-    assert worst <= 1e-10
-
-
-def test_incomplete_beta_frozen_tail():
-    # P(theta < 0.70) under Beta(1722, 656); scipy.special.betainc reference.
-    assert regularized_incomplete_beta(1722.0, 656.0, 0.70) == pytest.approx(
-        0.004717922946470077, rel=1e-9)
-
-
-def test_incomplete_beta_endpoints():
-    assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
-    assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
-
-
-@given(
-    st.floats(0.05, 300.0),
-    st.floats(0.05, 300.0),
-    st.floats(0.01, 0.99),
-)
-@settings(max_examples=200)
-def test_incomplete_beta_reflection(a, b, x):
-    # x stays away from 0 and 1: the 1 - x round-trip itself costs precision
-    # there, which would test floating subtraction rather than the function.
-    left = regularized_incomplete_beta(a, b, x)
-    right = 1.0 - regularized_incomplete_beta(b, a, 1.0 - x)
-    assert left == pytest.approx(right, abs=1e-11)
-
-
-@pytest.mark.parametrize("a,b,x", [(0.0, 1.0, 0.5), (1.0, -2.0, 0.5), (1.0, 1.0, 1.5)])
-def test_incomplete_beta_domain(a, b, x):
-    with pytest.raises(DomainError):
-        regularized_incomplete_beta(a, b, x)
 
 
 def test_log_binomial_frozen():

@@ -6,6 +6,7 @@ package's own tanh-sinh evaluation from the outside.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -19,7 +20,9 @@ from paircompare.core import DecisionValue, Direction, Hypothesis, HypothesisKin
 from paircompare.errors import DomainError, TooFewSamples, UnstableEstimate
 from paircompare.numerics import RngStream, sample_beta
 from paircompare.posterior import (
+    MAX_SHAPE_SUM,
     MIN_COMPONENT,
+    MIN_SHAPE,
     Hdi,
     RopeRelation,
     bayes_factor_interval_null,
@@ -204,7 +207,8 @@ def scipy_interval_probability(p1: BetaParams, p2: BetaParams, eps: float) -> fl
 
 
 ACCURACY_PRIORS = {"uniform": (1.0, 1.0), "jeffreys": (0.5, 0.5), "skewed": (0.5, 3.0),
-                   "optimistic_weak": (3.0, 1.5), "optimistic_strong": (9.0, 3.0)}
+                   "optimistic_weak": (3.0, 1.5), "optimistic_strong": (9.0, 3.0),
+                   "shape_0.2": (0.2, 0.2)}
 
 
 def _accuracy_cases():
@@ -230,7 +234,7 @@ def _accuracy_cases():
 
 
 def _posteriors(prior, counts1, counts2):
-    return tuple(BetaParams(prior[0] + c, prior[1] + n - c) for c, n in (counts1, counts2))
+    return tuple(BetaParams(prior[0] + c, prior[1] + (n - c)) for c, n in (counts1, counts2))
 
 
 ACCURACY_CASES = list(_accuracy_cases())
@@ -245,15 +249,43 @@ def test_quadrature_matches_scipy(label, prior, counts1, counts2, radius):
     assert interval_probability_quadrature(p1, p2, radius) == pytest.approx(reference, rel=1e-7)
 
 
-@pytest.mark.parametrize("n", [10**7, 10**9])
+@pytest.mark.parametrize("n", [10**7, 10**8, 10**9, 10**10])
 @pytest.mark.parametrize("prior", [(1.0, 1.0), (0.5, 0.5), (9.0, 3.0)])
 def test_quadrature_matches_scipy_at_scale(n, prior):
-    # A gap of two posterior sd and a radius of one, as the benchmark draws;
-    # here the incomplete beta's own rounding sets the error.
-    sd = math.sqrt(2.0 * 0.7 * 0.3 / n)
-    p1, p2 = _posteriors(prior, (round((0.7 + sd) * n), n), (round((0.7 - sd) * n), n))
-    reference = scipy_interval_probability(p1, p2, sd)
-    assert interval_probability_quadrature(p1, p2, sd) == pytest.approx(reference, rel=1e-5)
+    # A gap of two posterior sd and a radius of one, as the benchmark draws,
+    # at rates of 0.7 and 0.05.  Each node's log density rounds by about
+    # (a + b) * 5e-17, and that sets the error here.
+    for rate in (0.7, 0.05):
+        sd = math.sqrt(2.0 * rate * (1.0 - rate) / n)
+        p1, p2 = _posteriors(prior, (round((rate + sd) * n), n), (round((rate - sd) * n), n))
+        reference = scipy_interval_probability(p1, p2, sd)
+        assert interval_probability_quadrature(p1, p2, sd) == pytest.approx(
+            reference, rel=1e-7 if n <= 10**9 else 1e-6)
+
+
+def test_quadrature_refuses_shapes_below_its_floor():
+    # Below MIN_SHAPE the mass beyond the outermost node shows; at the floor
+    # the error is still below 1e-6.
+    floor = BetaParams(MIN_SHAPE, 3.0)
+    reference = scipy_interval_probability(floor, floor, 0.1)
+    assert interval_probability_quadrature(floor, floor, 0.1) == pytest.approx(reference, rel=1e-6)
+    for params1, params2 in ((BetaParams(0.1, 1.0), UNIFORM),
+                             (UNIFORM, BetaParams(3.0, 0.1)),
+                             (BetaParams(1e-300, 1e-300),) * 2):
+        with pytest.raises(UnstableEstimate, match=f"shapes >= {MIN_SHAPE:g}"):
+            interval_probability_quadrature(params1, params2, 0.1)
+
+
+def test_quadrature_refuses_shape_sums_beyond_its_bound():
+    total = MAX_SHAPE_SUM
+    inside = BetaParams(0.7 * total, 0.3 * total)
+    sd = math.sqrt(inside.variance)
+    reference = scipy_interval_probability(inside, inside, sd)
+    assert interval_probability_quadrature(inside, inside, sd) == pytest.approx(reference, rel=1e-6)
+    beyond = BetaParams(0.7 * total, 0.3 * total + 2.0)
+    for params1, params2 in ((beyond, inside), (inside, beyond)):
+        with pytest.raises(UnstableEstimate, match=re.escape(f"sum <= {MAX_SHAPE_SUM:g}")):
+            interval_probability_quadrature(params1, params2, sd)
 
 
 def test_quadrature_easy_posteriors_frozen():

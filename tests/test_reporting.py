@@ -122,6 +122,32 @@ def test_report_phrasing_is_clean_and_qualified(configs_dir):
     assert report.phrasing["cautions"] == MISCONCEPTION_CAUTIONS
 
 
+PVALUE_TAILS = {
+    # direction: (the tail the sentence names, p-value of arc_easy's counts)
+    "greater": ("an accuracy gap at least as large as 0.0354 would occur with "
+                "probability 0.003721; at level 0.05 the observed difference is "
+                "statistically significant.", 0.003721),
+    "less": ("an accuracy gap at most as large as 0.0354 would occur with "
+             "probability 0.9963; at level 0.05 the observed difference is not "
+             "statistically significant.", 0.9963),
+    "two_sided": ("an accuracy gap at least as large as 0.0354 in either direction "
+                  "would occur with probability 0.007442; at level 0.05 the observed "
+                  "difference is statistically significant.", 0.007442),
+}
+
+
+@pytest.mark.parametrize("direction", sorted(PVALUE_TAILS))
+def test_pvalue_sentence_names_the_tail_it_computed(direction):
+    tail, p_value = PVALUE_TAILS[direction]
+    config = parse_config(EASY_TEXT, overrides={"analysis.direction": direction,
+                                                "analysis.methods": "pvalue"})
+    report = run_analysis(config, write=False).report
+    assert report.results["pvalue"]["p_value"] == pytest.approx(p_value, rel=1e-3)
+    sentence = report.phrasing["pvalue"]
+    assert sentence == "If both systems shared one correctness rate, " + tail
+    assert lint_phrasing(sentence) == []
+
+
 def test_not_significant_phrasing_also_lints_clean():
     text = EASY_TEXT.replace("1721/2376, 1637/2376", "50/100, 48/100")
     report = run_analysis(parse_config(text), write=False).report
