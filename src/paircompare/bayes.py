@@ -63,14 +63,14 @@ class PosteriorPair:
 class EventProbability:
     """Monte Carlo estimate of a posterior event probability.
 
-    ``mc_se`` is ``sqrt(p (1 - p) / n_mc)``; ``halfwidth95`` is the
-    1.96 * mc_se margin reported next to the estimate.
+    ``mc_se`` is ``sqrt(p (1 - p) / n)`` over ``n`` draws; ``halfwidth95`` is
+    the 1.96 * mc_se margin reported next to the estimate.
     """
 
     estimate: float
     mc_se: float
-    n_mc: int
     halfwidth95: float
+    n: int
 
 
 def conjugate_update(prior: BetaParams, correct: int, total: int) -> BetaParams:
@@ -95,7 +95,7 @@ def event_probability_from_samples(diff_samples, hypothesis: Hypothesis) -> Even
     n = diffs.size
     estimate = float(np.count_nonzero(hits)) / n
     mc_se = math.sqrt(estimate * (1.0 - estimate) / n)
-    return EventProbability(estimate, mc_se, n, 1.96 * mc_se)
+    return EventProbability(estimate, mc_se, 1.96 * mc_se, n)
 
 
 def _event_mask(diffs: np.ndarray, hypothesis: Hypothesis) -> np.ndarray:

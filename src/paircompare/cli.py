@@ -20,7 +20,7 @@ from . import __version__
 from .bayes import PRIOR_PRESETS
 from .config import load_observations, parse_config_file
 from .errors import AssessmentError, ConfigError
-from .fsio import atomic_write_text, json_text
+from .fsio import atomic_write_text, json_text, plain
 from .reporting import run_analysis
 from .simulations import (
     optional_stopping_fpr,
@@ -108,16 +108,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.simulation == "stopping":
         result = stopping_comparison(
             sim.stopping_successes, sim.stopping_trials, sim.stopping_null_rate)
-        payload = {
-            "simulation": "stopping",
-            "successes": result.successes,
-            "trials": result.trials,
-            "null_rate": result.null_rate,
-            "fixed_trials_pvalue": result.fixed_trials_pvalue,
-            "fixed_successes_pvalue": result.fixed_successes_pvalue,
-            "gap": result.gap,
-        }
-        path = _write_json(out_dir / "stopping.json", payload)
+        payload = {"simulation": "stopping", **plain(result), "gap": result.gap}
+        path = atomic_write_text(out_dir / "stopping.json", json_text(payload))
         print(f"fixed-trials intention: p = {result.fixed_trials_pvalue:.6f}")
         print(f"fixed-successes intention: p = {result.fixed_successes_pvalue:.6f}")
         print(f"same data, p-value gap = {result.gap:.6f}")
@@ -126,18 +118,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         looks = range(sim.looks_step, sim.looks_max + 1, sim.looks_step)
         report = optional_stopping_fpr(
             looks, sim.os_theta, sim.os_alpha, sim.os_trials, seed)
-        payload = {
-            "simulation": "optional_stopping",
-            "looks": list(report.looks),
-            "theta": report.theta,
-            "nominal_alpha": report.nominal_alpha,
-            "trials": report.trials,
-            "false_positives": report.false_positives,
-            "false_positive_rate": report.false_positive_rate,
-            "first_rejection_counts": list(report.first_rejection_counts),
-            "master_seed": report.master_seed,
-        }
-        path = _write_json(out_dir / "optional_stopping.json", payload)
+        payload = {"simulation": "optional_stopping", **plain(report)}
+        path = atomic_write_text(out_dir / "optional_stopping.json", json_text(payload))
         print(f"{len(report.looks)} looks up to n = {report.looks[-1]}: "
               f"false-positive rate {report.false_positive_rate:.4f} "
               f"at nominal alpha = {report.nominal_alpha:g}")
@@ -153,29 +135,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "epsilon": sim.sweep_epsilon,
             "n_mc": sim.sweep_n_mc,
             "master_seed": seed,
-            "rows": [
-                {
-                    "label": row.label,
-                    "prior": {"alpha": row.prior.alpha, "beta": row.prior.beta},
-                    "bf01": row.bf01,
-                    "hdi": {"lower": row.hdi.lower, "upper": row.hdi.upper,
-                            "mass": row.hdi.mass, "width": row.hdi.width},
-                    "posterior_mean_diff": row.posterior_mean_diff,
-                }
-                for row in rows
-            ],
+            "rows": [{**plain(row), "hdi": {**plain(row.hdi), "width": row.hdi.width}}
+                     for row in rows],
         }
-        path = _write_json(out_dir / "prior_sweep.json", payload)
+        path = atomic_write_text(out_dir / "prior_sweep.json", json_text(payload))
         for row in rows:
             print(f"{row.label}: bf01 = {row.bf01:.4f}, "
                   f"hdi = [{row.hdi.lower:.5f}, {row.hdi.upper:.5f}]")
 
     print(f"written to {path}")
     return EXIT_OK
-
-
-def _write_json(path: Path, payload: dict) -> Path:
-    return atomic_write_text(path, json_text(payload))
 
 
 def main(argv=None) -> int:

@@ -37,7 +37,6 @@ class ZTestResult:
     diff: float
     pooled_rate: float
     sigma: float
-    counts: tuple[tuple[int, int], tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,6 @@ def two_proportion_z_test(correct1: int, total1: int, correct2: int, total2: int
         diff=correct1 / total1 - correct2 / total2,
         pooled_rate=pooled,
         sigma=sigma,
-        counts=((correct1, total1), (correct2, total2)),
     )
 
 

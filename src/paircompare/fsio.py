@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import fields, is_dataclass
+from enum import Enum
 from pathlib import Path
 
 from .errors import IoError
@@ -29,3 +31,14 @@ def atomic_write_text(path, text: str) -> Path:
 def json_text(payload) -> str:
     """``payload`` as the text of a JSON artifact: 2-space indent, no NaN or infinity."""
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def plain(value):
+    """``value`` as JSON holds it: a dataclass as a dict of its fields in order,
+    each converted alike, an ``Enum`` as its ``.value``.  Anything else comes
+    back unchanged, so ``json_text`` still refuses NaN and types JSON lacks."""
+    if is_dataclass(value):
+        return {f.name: plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    return value

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bayes import BetaParams
 from .core import Counts
-from .errors import DegenerateChains, DomainError, IoError, TooFewSamples, check_config
+from .errors import DegenerateChains, DomainError, TooFewSamples, check_config
 from .fsio import atomic_write_text, json_text
 from .numerics import FIRST_RESERVED_STREAM, RngStream, sample_beta
 
@@ -354,10 +354,6 @@ def export_trace(trace: Trace, out_dir) -> list[Path]:
     repeats the one before it, as a rejected draw does, reuses its text.
     """
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create trace directory {out}: {exc}") from exc
     written = []
     for chain, rows in enumerate(trace.samples.tolist()):
         lines = ["draw,theta1,theta2"]

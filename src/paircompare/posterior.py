@@ -14,9 +14,11 @@ from .core import Decision, DecisionValue
 from .errors import DomainError, TooFewSamples, UnstableEstimate
 
 MIN_HDI_SAMPLES = 100
-# Smallest Bayes-factor component, p0 or 1 - p0, put in a ratio: below it the
-# quadrature's relative error passes about 1e-8 (see bayes_factor_interval_null).
+# Smallest Bayes-factor component, p0 or 1 - p0, put in a ratio: the larger of
+# MIN_COMPONENT and COMPONENT_PER_SHAPE times the larger shape sum of its pair.
+# Below it the quadrature's relative error can pass 1e-6 (see bayes_factor_interval_null).
 MIN_COMPONENT = 1e-9
+COMPONENT_PER_SHAPE = 6e-11
 # Tanh-sinh (double-exponential) rule on (0, 1), Takahasi & Mori (1974):
 # u = 1 / (1 + exp(-pi sinh t)) at t = k h, |t| <= 4, h = 1/32.  The
 # complement 1 - u comes from the mirrored formula, not by subtraction, so no
@@ -214,27 +216,44 @@ def bayes_factor_interval_null(prior: BetaParams, posteriors: PosteriorPair,
     from :func:`interval_probability_quadrature`; nothing is drawn.  Against
     mpmath at 40 digits (2,000 items per system, epsilon = 0.01) the relative
     error of p0 is at most 5e-10 from p0 = 0.5 down to 1.2e-9, and 4e-9 at
-    1.7e-14; up to 10^6 items 1 - p0 is off by about 1e-16.  So each of p0
-    and 1 - p0, prior and posterior, must reach ``MIN_COMPONENT`` (1e-9),
-    which keeps every component, and both odds, to about 1e-8.
+    1.7e-14.  The absolute error of 1 - p0 grows with the shape sum a + b.
+    For two equal posteriors at p = 0.5 and epsilon = 6 sd of the difference,
+    against scipy and, from 10^8 items, the normal limit:
+
+    =====  =======  =====  =====  =======  ======  ======
+    items  2,376    10^4   10^6   10^7     10^8    10^9
+    error  4e-14    4e-13  1e-11  1.7e-10  2.6e-9  1.9e-8
+    =====  =======  =====  =====  =======  ======  ======
+
+    Over 580 random pairs of 6e5 to 4e9 items, 1 - p0 at 2.5e-11 to 2e-10
+    times a + b, against scipy and the normal limit with its skewness and
+    kurtosis terms, the worst error was 5.9e-17 (a + b).  So each of p0 and
+    1 - p0, prior and posterior, must reach the larger of ``MIN_COMPONENT``
+    (1e-9) and ``COMPONENT_PER_SHAPE`` (6e-11) times the larger shape sum of
+    its pair, which keeps every component, and both odds, to about 1e-6.
 
     Raises
     ------
     DomainError
         If ``epsilon`` is outside (0, 1).
     UnstableEstimate
-        When p0 or 1 - p0, prior or posterior, falls below ``MIN_COMPONENT``.
+        When p0 or 1 - p0, prior or posterior, falls below that floor.
     """
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     prior_p0 = interval_probability_quadrature(prior, prior, epsilon)
     post_p0 = interval_probability_quadrature(posteriors.post1, posteriors.post2, epsilon)
-    for name, p in (("prior_p0", prior_p0), ("1 - prior_p0", 1.0 - prior_p0),
-                    ("post_p0", post_p0), ("1 - post_p0", 1.0 - post_p0)):
-        if p < MIN_COMPONENT:
-            raise UnstableEstimate(
-                f"{name} = {p:.3g} is below {MIN_COMPONENT:g}, where the Bayes "
-                f"factor's quadrature stops being accurate; change epsilon"
-            )
+    for name, p0, pair in (("prior_p0", prior_p0, (prior,)),
+                           ("post_p0", post_p0, (posteriors.post1, posteriors.post2))):
+        shape_sum = max(q.alpha + q.beta for q in pair)
+        floor = max(MIN_COMPONENT, COMPONENT_PER_SHAPE * shape_sum)
+        for label, p in ((name, p0), (f"1 - {name}", 1.0 - p0)):
+            if p < floor:
+                raise UnstableEstimate(
+                    f"{label} = {p:.3g} is below {floor:.3g}, the larger of "
+                    f"{MIN_COMPONENT:g} and {COMPONENT_PER_SHAPE:g} (a + b) at "
+                    f"a + b = {shape_sum:.4g}, where the Bayes factor's quadrature "
+                    f"stops being accurate; change epsilon"
+                )
     bf01 = (post_p0 / (1.0 - post_p0)) / (prior_p0 / (1.0 - prior_p0))
     return BayesFactorResult(bf01, prior_p0, post_p0)

@@ -18,15 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bayes import EventProbability, event_probability_from_samples, posterior_pair
+from .bayes import event_probability_from_samples, posterior_pair
 from .config import AnalysisConfig, Observations, load_observations, render_config
 from .core import Decision, DecisionValue, Direction, Hypothesis, HypothesisKind
 from .errors import TooFewSamples
 from .frequentist import diff_confidence_interval, two_proportion_z_test
-from .fsio import atomic_write_text, json_text
+from .fsio import atomic_write_text, json_text, plain
 from .mcmc import Trace, export_trace, finite_or_null, run_chains
 from .numerics import STREAM_POSTERIOR_DRAWS, RngStream, sample_beta
-from .posterior import Hdi, bayes_factor_interval_null, hdi_from_samples, rope_decision
+from .posterior import bayes_factor_interval_null, hdi_from_samples, rope_decision
 
 REPORT_FORMAT = "two-system-assessment/2"
 
@@ -38,7 +38,7 @@ BF_REJECT_THRESHOLD = 1.0 / 3.0
 _QUALIFIED = re.compile(r"(?:statistical(?:ly)?|practical(?:ly)?)\s+$", re.IGNORECASE)
 _SIGNIFICANCE = re.compile(r"significan\w*", re.IGNORECASE)
 
-# Normal-approximation adequacy: expected successes and failures per system.
+# Normal-approximation adequacy: the least n * p_hat * (1 - p_hat) per system.
 _ADEQUACY_MIN = 9.0
 
 
@@ -77,16 +77,7 @@ class AssessmentReport:
     mcmc: dict | None
 
     def to_dict(self) -> dict:
-        return {
-            "format": REPORT_FORMAT,
-            "provenance": self.provenance,
-            "data": self.data,
-            "results": self.results,
-            "decisions": self.decisions,
-            "phrasing": self.phrasing,
-            "assumptions": self.assumptions,
-            "mcmc": self.mcmc,
-        }
+        return {"format": REPORT_FORMAT, **plain(self)}
 
     def to_json(self) -> str:
         return json_text(self.to_dict())
@@ -136,8 +127,9 @@ def assumptions_checklist(counts) -> list[dict]:
         {
             "name": "sample_size_adequacy",
             "status": "checked_ok" if adequate else "caution",
-            "detail": "Normal approximation wants at least {:.0f} expected successes "
-                      "and failures per system.".format(_ADEQUACY_MIN),
+            "detail": "Normal approximation wants n * p_hat * (1 - p_hat) of at least "
+                      "{:.0f} for each system, where p_hat is its observed accuracy "
+                      "over n items.".format(_ADEQUACY_MIN),
         },
         {
             "name": "fixed_sample_intention",
@@ -179,8 +171,7 @@ def run_analysis(config: AnalysisConfig, write: bool = True) -> AnalysisOutcome:
     Raises
     ------
     ConfigError
-        If the config lacks data, or several datasets are listed without
-        ``pool = true`` (see :func:`config.load_observations`).
+        If the config lacks data (see :func:`config.load_observations`).
     UnstableEstimate
         If a Bayes-factor component leaves the quadrature's accurate range
         (see :func:`posterior.bayes_factor_interval_null`).
@@ -198,14 +189,7 @@ def run_analysis(config: AnalysisConfig, write: bool = True) -> AnalysisOutcome:
 
     if "pvalue" in methods:
         ztest = two_proportion_z_test(c1, t1, c2, t2, opts.direction)
-        results["pvalue"] = {
-            "z": ztest.z,
-            "p_value": ztest.p_value,
-            "direction": ztest.direction.value,
-            "diff": ztest.diff,
-            "pooled_rate": ztest.pooled_rate,
-            "sigma": ztest.sigma,
-        }
+        results["pvalue"] = plain(ztest)
         rejected = ztest.p_value < opts.alpha
         decisions["pvalue"] = Decision(
             DecisionValue.REJECT_NULL if rejected else DecisionValue.UNDECIDED, "pvalue")
@@ -223,15 +207,7 @@ def run_analysis(config: AnalysisConfig, write: bool = True) -> AnalysisOutcome:
 
     if "ci" in methods:
         ci = diff_confidence_interval(c1, t1, c2, t2, opts.ci_level, opts.ci_mode)
-        results["ci"] = {
-            "lower": ci.lower,
-            "upper": ci.upper,
-            "level": ci.level,
-            "mode": ci.mode.value,
-            "diff": ci.diff,
-            "sigma": ci.sigma,
-            "critical": ci.critical,
-        }
+        results["ci"] = plain(ci)
         excluded = ci.lower > 0.0 or ci.upper < 0.0
         decisions["ci"] = Decision(
             DecisionValue.REJECT_NULL if excluded else DecisionValue.UNDECIDED, "ci")
@@ -282,7 +258,7 @@ def run_analysis(config: AnalysisConfig, write: bool = True) -> AnalysisOutcome:
                 "bf01": bf.bf01,
                 "epsilon": opts.rope_radius,
                 "quadrature": {"prior_p0": bf.prior_p0, "post_p0": bf.post_p0},
-                "monte_carlo": _event_dict(event_probability_from_samples(diff, interval_null)),
+                "monte_carlo": plain(event_probability_from_samples(diff, interval_null)),
                 "mcmc": mcmc_block,
             }
             if bf.bf01 >= BF_ACCEPT_THRESHOLD:
@@ -305,10 +281,7 @@ def run_analysis(config: AnalysisConfig, write: bool = True) -> AnalysisOutcome:
         provenance=_provenance(config),
         data=_data_block(obs),
         results=results,
-        decisions={
-            name: {"value": d.value.value, "basis": d.basis}
-            for name, d in decisions.items()
-        },
+        decisions={name: plain(d) for name, d in decisions.items()},
         phrasing={**phrasing, "cautions": [_vetted(c) for c in MISCONCEPTION_CAUTIONS]},
         assumptions=assumptions_checklist(counts),
         mcmc=_mcmc_block(trace, config),
@@ -341,10 +314,10 @@ def _hdi_rope_block(posts, diff, trace, opts):
         hdi = hdi_from_samples(diffs, opts.hdi_mass)
         verdict = rope_decision(hdi, opts.rope_radius)
         return {
-            "hdi": _hdi_dict(hdi),
+            "hdi": plain(hdi),
             "relation": verdict.relation.value,
-            "prob_positive": _event_dict(event_probability_from_samples(diffs, positive_hyp)),
-            "prob_beyond_margin": _event_dict(event_probability_from_samples(diffs, margin_hyp)),
+            "prob_positive": plain(event_probability_from_samples(diffs, positive_hyp)),
+            "prob_beyond_margin": plain(event_probability_from_samples(diffs, margin_hyp)),
         }, verdict
 
     conjugate, verdict = summarize(diff)
@@ -437,15 +410,6 @@ def _mcmc_block(trace: Trace | None, config: AnalysisConfig) -> dict | None:
 
 def _beta_dict(params) -> dict:
     return {"alpha": params.alpha, "beta": params.beta, "mean": params.mean}
-
-
-def _hdi_dict(hdi: Hdi) -> dict:
-    return {"lower": hdi.lower, "upper": hdi.upper, "mass": hdi.mass}
-
-
-def _event_dict(event: EventProbability) -> dict:
-    return {"estimate": event.estimate, "mc_se": event.mc_se,
-            "halfwidth95": event.halfwidth95, "n": event.n_mc}
 
 
 def emit_plot_data(theta1_samples, theta2_samples, out_dir, annotations: dict | None = None,

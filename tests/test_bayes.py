@@ -97,7 +97,7 @@ def test_event_probability_superiority_easy():
     hyp = Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.0, direction=Direction.GREATER)
     result = event_probability_from_samples(easy_diffs(100_000, 42, 0), hyp)
     assert result.estimate == pytest.approx(0.996276, abs=0.003)
-    assert result.n_mc == 100_000
+    assert result.n == 100_000
     assert result.halfwidth95 == pytest.approx(1.96 * result.mc_se, rel=1e-12)
 
 
@@ -122,7 +122,7 @@ def test_event_probability_rejects_small_n():
     with pytest.raises(DomainError):
         event_probability_from_samples(easy_diffs(1, 1, 0)[:0], hyp)
     one = event_probability_from_samples(easy_diffs(1, 1, 0), hyp)
-    assert one.n_mc == 1
+    assert one.n == 1
     assert one.estimate in (0.0, 1.0)
     assert one.mc_se == 0.0
 

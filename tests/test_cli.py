@@ -13,7 +13,8 @@ import pytest
 
 import paircompare
 from paircompare.cli import EXIT_ERROR, EXIT_NONCONVERGENCE, EXIT_OK, main
-from paircompare.posterior import MAX_SHAPE_SUM, MIN_SHAPE
+from paircompare.fsio import json_text
+from paircompare.posterior import COMPONENT_PER_SHAPE, MAX_SHAPE_SUM, MIN_COMPONENT, MIN_SHAPE
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -228,6 +229,45 @@ def test_sampler_output_bytes_pinned(fixture_tree, monkeypatch, capsys, name):
             for rel in digests} == digests
 
 
+
+# SHA-256 of the JSON each command writes: the report of oracle on every
+# shipped config and of analyze on arc_easy (its mcmc blocks), and two
+# simulation payloads.  The interpreter and numpy versions in the report's
+# provenance are set to fixed strings and the payload is written again
+# through json_text, so the pins hold on any interpreter.
+PINNED_JSON = {
+    "oracle-arc_easy": (("oracle", "--config", "configs/arc_easy.cfg"), "easy/report.json",
+                        "f84c2a4a3be79b99681bb8283d2643bfd20d1f010da42f07d800ad242bcb5bc0"),
+    "oracle-arc_challenge": (("oracle", "--config", "configs/arc_challenge.cfg"),
+                             "challenge/report.json",
+                             "3487b46c81dd228f2fef71ed9b7177a269567164604f732cac6d003eb3c17c32"),
+    "oracle-arc_pooled": (("oracle", "--config", "configs/arc_pooled.cfg"), "pooled/report.json",
+                          "e0bca3c73f6dd64833a9df67f1cdcf59ef5c71bd8f8a563159f8e3968bcaa732"),
+    "oracle-per_item_demo": (("oracle", "--config", "configs/per_item_demo.cfg"),
+                             "demo/report.json",
+                             "ba9573b00e55e9f4fd8bada8e0a31f4f0e9a8a8413c8e1585fedb7588844d01a"),
+    "analyze-arc_easy": (("analyze", "--config", "configs/arc_easy.cfg"), "easy/report.json",
+                         "c40425404cd562db61b784d0088fd2d83c8b80e5b1c372039b0ef71f1b147547"),
+    "stopping": (("simulate", "stopping", "--config", "configs/arc_easy.cfg"),
+                 "easy/simulations/stopping.json",
+                 "020ad0b51f3d30cabada657c9a93f84d2c3956d26339be0b5e302e956d63e35b"),
+    "optional-stopping": (("simulate", "optional-stopping", "--config", "configs/arc_easy.cfg",
+                           "--set", "simulate.os_trials=500"),
+                          "easy/simulations/optional_stopping.json",
+                          "5fb7fab6fef60a314e3cedb8fe93c6e5463f56c85cefbf4154749c92101ae4cd"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_JSON))
+def test_json_output_bytes_pinned(fixture_tree, monkeypatch, capsys, name):
+    argv, rel, digest = PINNED_JSON[name]
+    assert run_cli(monkeypatch, fixture_tree, *argv) == EXIT_OK
+    payload = json.loads((fixture_tree / "out" / rel).read_text(encoding="utf-8"))
+    if "provenance" in payload:
+        payload["provenance"].update(python_version="3", numpy_version="1")
+    assert hashlib.sha256(json_text(payload).encode("utf-8")).hexdigest() == digest
+
+
 def test_console_script_subprocess(fixture_tree):
     result = subprocess.run(
         [sys.executable, "-m", "paircompare.cli", "oracle",
@@ -301,6 +341,10 @@ def test_ten_million_items_complete(fixture_tree, monkeypatch, capsys):
     ("data.counts=900000/1000000, 100000/1000000", "analysis.rope_radius=0.001"),
     # The whole prior sits inside the band: 1 - prior_p0 is zero to rounding.
     ("model.prior=1e9, 1e9", "analysis.rope_radius=0.5"),
+    # 1 - post_p0 is 2.0e-9 at 10^8 items and 2.95e-10 at 10^9, in the normal
+    # limit; the quadrature's error at these sizes is of that order.
+    ("data.counts=50000000/100000000, 50000000/100000000", "analysis.rope_radius=0.0004243"),
+    ("data.counts=500000000/1000000000, 500000000/1000000000", "analysis.rope_radius=0.0001409"),
 ])
 def test_bayes_factor_outside_its_accurate_range_is_a_handled_error(
         fixture_tree, monkeypatch, capsys, overrides):
@@ -310,7 +354,8 @@ def test_bayes_factor_outside_its_accurate_range_is_a_handled_error(
     assert code == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert "below 1e-09" in err
+    assert " is below " in err
+    assert f"the larger of {MIN_COMPONENT:g} and {COMPONENT_PER_SHAPE:g} (a + b)" in err
     assert "Traceback" not in err
 
 
@@ -354,6 +399,9 @@ def test_duplicate_dataset_names_are_a_handled_error(fixture_tree, monkeypatch, 
     # draw can be 0, 1 or NaN, none of which has a logit to start a chain at.
     ("analyze", ("mcmc.init=prior_draw", "model.prior=0.001, 0.001"), "has no logit"),
     ("oracle", ("output.report=",), "report must end in a file name"),
+    # A trace directory under a regular file cannot be created.
+    ("analyze", ("output.trace_dir=configs/arc_easy.cfg/traces",),
+     "cannot write configs/arc_easy.cfg/traces/chain_0.csv"),
 ])
 def test_unusable_chain_start_or_report_path_is_a_handled_error(
         fixture_tree, monkeypatch, capsys, command, overrides, message):

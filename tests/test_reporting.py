@@ -85,10 +85,13 @@ def test_assumptions_checklist_shape():
     ((1, 10), (9, 10)),
     ((10, 10), (5, 10)),
     ((0, 50), (25, 50)),
+    # 10 successes and 40 failures, but n * p_hat * (1 - p_hat) = 8 < 9.
+    ((10, 50), (25, 50)),
 ])
 def test_assumptions_flag_thin_samples(counts):
     by_name = {e["name"]: e for e in assumptions_checklist(counts)}
     assert by_name["sample_size_adequacy"]["status"] == "caution"
+    assert "n * p_hat * (1 - p_hat) of at least 9" in by_name["sample_size_adequacy"]["detail"]
 
 
 def test_single_method_produces_single_block():
@@ -264,8 +267,9 @@ def test_bayes_factor_monte_carlo_twin_within_error_of_quadrature(configs_dir, n
 @pytest.mark.parametrize("counts, radius, in_band", [
     # Exact post_p0 = 8.2e-6: no chain draw lands in the band.
     ("1721/2376, 1560/2376", "0.01", 0.0),
-    # Exact 1 - post_p0 = 1.5e-8, inside the quadrature's range: every draw lands in it.
-    ("5000/10000, 5000/10000", "0.04", 1.0),
+    # Exact 1 - post_p0 = 1.5e-6, above the Bayes-factor floor of 6e-11 (a + b)
+    # = 6e-7 at these counts: every draw lands in the band.
+    ("5000/10000, 5000/10000", "0.034", 1.0),
 ])
 def test_mcmc_bayes_factor_is_null_without_draws_on_both_sides(configs_dir, report_schema,
                                                               counts, radius, in_band):
