@@ -97,6 +97,10 @@ def log_binomial_coefficient(n: int, k: int) -> float:
 #   0 .. trials-1     optional-stopping trial t       (simulations; a command
 #                                                      of its own)
 #
+# Optional-stopping trial t draws from the Philox key ``stream_keys(seed, t)``,
+# which is the key of ``RngStream(seed, t)``: the same draws, with no stream
+# object built per trial.
+#
 # The even sweep indices 20_000 + 2i stay unused, so each row's HDI keeps the
 # stream, and the bytes, of reports made before the Bayes factor was exact.
 # ``[mcmc] chains`` must stay below FIRST_RESERVED_STREAM, which ``McmcConfig``
@@ -121,12 +125,93 @@ class RngStream:
     generator: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.master_seed, int) or not 0 <= self.master_seed < 2**63:
-            raise DomainError(f"master_seed must be an integer in [0, 2**63), got {self.master_seed!r}")
-        if not isinstance(self.stream_index, int) or not 0 <= self.stream_index < 2**63:
-            raise DomainError(f"stream_index must be an integer in [0, 2**63), got {self.stream_index!r}")
+        _check_key_part("master_seed", self.master_seed)
+        _check_key_part("stream_index", self.stream_index)
         seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=(self.stream_index,))
         self.generator = np.random.Generator(np.random.Philox(seq))
+
+
+def _check_key_part(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2**63:
+        raise DomainError(f"{name} must be an integer in [0, 2**63), got {value!r}")
+
+
+# numpy's SeedSequence (O'Neill's seed_seq design) hashes the entropy words
+# into a pool of four uint32 words, then hashes the pool into its output.
+# Each hash call xors with the next constant of a fixed sequence, whatever the
+# data, and multiplies by the one after it.  Stream (master_seed, i) has the
+# entropy words of master_seed, zero-padded to the pool size, then i's low
+# word and, for i >= 2**32, its high word.  The seed's words take the first 16
+# hash calls and leave the pool ``SeedSequence(master_seed).pool``; i's words
+# take calls 16-19 and 20-23, one per pool word.  The arithmetic runs on uint32
+# arrays, whose products wrap modulo 2**32 as the C code's do.
+def _hash_constants(init: int, mult: int, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xor, multiplier) of hash calls ``first`` .. ``first + 3``, one per pool word."""
+    consts = [init]
+    for _ in range(first + 4):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    consts = np.array(consts[first:], dtype=np.uint32)
+    return consts[:-1], consts[1:]
+
+
+# numpy's INIT_A and MULT_A hash the entropy into the pool, INIT_B and MULT_B
+# the pool into the output.
+_INDEX_HASH = [_hash_constants(0x43B0D7E5, 0x931E8875, first) for first in (16, 20)]
+_OUT_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 0)
+
+
+def _hash(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mult
+    return value ^ value >> np.uint32(16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+    return value ^ value >> np.uint32(16)
+
+
+def stream_keys(master_seed: int, indices) -> np.ndarray:
+    """Philox keys of the streams ``(master_seed, i)`` for each ``i`` in ``indices``.
+
+    Row ``j`` is ``SeedSequence(entropy=master_seed, spawn_key=(i,))
+    .generate_state(2, np.uint64)``, the key of ``RngStream(master_seed, i)``:
+    a Philox generator at counter 0 under that key draws what the stream
+    does.  The hash runs on whole index arrays, so one call costs about 20
+    array operations and one ``SeedSequence``, whatever its length.
+
+    Parameters
+    ----------
+    master_seed : int
+        As for ``RngStream``.
+    indices : iterable of int
+        Stream indices, each in [0, 2**63).
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(len(indices), 2)`` uint64 keys.
+
+    Raises
+    ------
+    DomainError
+        If ``master_seed`` or an index is not an ``int`` in [0, 2**63), by
+        ``RngStream``'s rule: a ``bool`` or a numpy integer is refused.
+    """
+    _check_key_part("master_seed", master_seed)
+    indices = list(indices)
+    for i in indices:
+        _check_key_part("stream_index", i)
+    indices = np.array(indices, dtype=np.uint64)
+    low = indices.astype(np.uint32)[:, None]  # the cast keeps the low 32 bits
+    pool = _mix(np.random.SeedSequence(master_seed).pool, _hash(low, *_INDEX_HASH[0]))
+    high = indices >> np.uint64(32)
+    wide = np.flatnonzero(high)  # indices of 2**32 and above have a second word
+    if wide.size:
+        high = high[wide].astype(np.uint32)[:, None]
+        pool[wide] = _mix(pool[wide], _hash(high, *_INDEX_HASH[1]))
+    # Little-endian word pairs, as SeedSequence.generate_state assembles them.
+    words = _hash(pool, *_OUT_HASH).astype("<u4", copy=False)
+    return words.view("<u8").astype(np.uint64, copy=False)
 
 
 def _as_generator(rng) -> np.random.Generator:

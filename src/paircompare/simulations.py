@@ -20,7 +20,7 @@ from .core import Counts, Direction
 from .errors import DomainError
 from .frequentist import pooled_statistic, pooled_z
 from .numerics import (STREAM_SWEEP_BASE, RngStream, log_binomial_coefficient, sample_beta,
-                       std_normal_pdf, std_normal_quantile)
+                       std_normal_pdf, std_normal_quantile, stream_keys)
 from .posterior import Hdi, bayes_factor_interval_null, hdi_from_samples
 
 
@@ -141,6 +141,18 @@ def stopping_comparison(successes: int, trials: int, null_rate: float) -> Stoppi
 
 # Uniforms per block of trials: 64 KB, below the allocator's mmap threshold.
 _BLOCK_DRAWS = 1 << 13
+# Trials whose Philox keys are hashed in one ``stream_keys`` call.  A call
+# costs about 25 us plus 0.2 us per key, and each key in flight holds about
+# 200 bytes of heap: larger chunks raise the command's peak RSS for little
+# speed.
+_KEY_CHUNK = 1 << 6
+
+
+def _trial_keys(master_seed: int, trials: int):
+    """``stream_keys(master_seed, [t])[0]`` as a list of two ints, for each ``t``
+    in ``range(trials)``, hashed ``_KEY_CHUNK`` trials at a time."""
+    for lo in range(0, trials, _KEY_CHUNK):
+        yield from stream_keys(master_seed, range(lo, min(lo + _KEY_CHUNK, trials))).tolist()
 
 
 def _look_test(direction: Direction, alpha: float):
@@ -182,6 +194,14 @@ def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int
     ``n_max`` outcomes, then system 2's, as two ``random(n_max)`` calls would.
     One array z-test decides every (trial, look) cell exactly (``_look_test``),
     and the buffer holds ``_BLOCK_DRAWS`` uniforms (at least one trial's).
+
+    One Philox generator serves every trial: set to counter 0 under trial
+    ``t``'s key, ``stream_keys(master_seed, t)``, it draws exactly what
+    ``RngStream(master_seed, t)`` would.  Beyond its ``2 n_max`` uniforms a
+    trial costs one state assignment, about 1 us, and its share of one key
+    hash per ``_KEY_CHUNK`` trials, about 0.5 us; a fresh ``RngStream``
+    costs about 20 us.  Memory is flat in ``trials``: the buffer, one chunk
+    of keys and the per-look counts.
     """
     looks = tuple(looks)
     if not all(isinstance(n, Integral) for n in (*looks, trials)):
@@ -198,15 +218,27 @@ def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int
 
     n_max = looks[-1]
     sizes = np.array(looks)
+    starts = np.array((0,) + looks[:-1])
     rejects = _look_test(direction, nominal_alpha)
     block = np.empty((max(1, _BLOCK_DRAWS // (2 * n_max)), 2 * n_max))
     first_rejections = np.zeros(len(looks), dtype=np.int64)
+    keys = _trial_keys(master_seed, trials)
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state  # counter 0 and an empty buffer; each trial sets the key
+    fresh = state["state"]
+    # As Python ints, which the state setter reads fastest.
+    fresh["counter"] = tuple(fresh["counter"].tolist())
+    state["buffer"] = tuple(state["buffer"].tolist())
     for start in range(0, trials, len(block)):
         rows = block[:trials - start]
-        for t, row in enumerate(rows, start):
-            RngStream(master_seed, t).generator.random(out=row)
+        for row, key in zip(rows, keys):
+            fresh["key"] = key
+            bitgen.state = state
+            gen.random(out=row)
         hits = (rows < theta).reshape(len(rows), 2, n_max)
-        counts = np.cumsum(hits, axis=2)[:, :, sizes - 1]
+        # Successes in each look's new items, then up to each look.
+        counts = np.add.reduceat(hits, starts, axis=2, dtype=np.int64).cumsum(axis=2)
         reject = rejects(counts[:, 0], counts[:, 1], sizes)
         first = reject.argmax(axis=1)[reject.any(axis=1)]
         first_rejections += np.bincount(first, minlength=len(looks))

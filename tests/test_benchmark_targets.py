@@ -11,11 +11,13 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from paircompare import mcmc, numerics
 from paircompare.bayes import PRIOR_PRESETS, BetaParams
 from paircompare.config import parse_config_file
+from paircompare.numerics import RngStream
 from paircompare.reporting import run_analysis
 from paircompare.simulations import prior_sensitivity_sweep
 
@@ -67,26 +69,53 @@ def test_hook_arguments_sit_where_the_hooks_read_them(tracing):
     assert checked == set(HOOK_ARGUMENTS)
 
 
-def test_optional_stopping_builds_one_stream_per_trial_at_the_traced_name(tracing, monkeypatch):
-    # The tracer counts ``numerics.rng_streams`` by wrapping
-    # ``simulations.RngStream``; the trial loop must look the name up there
-    # and build exactly one stream per trial, or the span and counter go
-    # silent.
+def _plain_state(state):
+    # A bit generator state with every array or tuple as a list of Python ints.
+    if isinstance(state, dict):
+        return {k: _plain_state(v) for k, v in state.items()}
+    if isinstance(state, (np.ndarray, tuple, list)):
+        return [int(v) for v in state]
+    return state
+
+
+def test_trials_read_their_stream_keys_and_the_sweep_streams_stay_traced(tracing, monkeypatch):
+    # Optional stopping sets one Philox to each trial's key in turn: trial t
+    # must start exactly where ``RngStream(seed, t)`` starts.  The prior sweep
+    # still builds streams at ``simulations.RngStream``, the name the tracer
+    # wraps for ``numerics.rng_streams``.
     from paircompare import simulations
 
-    assert ("simulations", "RngStream") in {(m, a) for m, a, _, _ in tracing.SPANS}
-    args = (range(10, 101, 10), 0.5, 0.05, 37, 2024)
+    args = (range(10, 101, 10), 0.5, 0.05, 37, 2**40 + 2024)
     plain = simulations.optional_stopping_fpr(*args)
-    stream = simulations.RngStream
+    philox = np.random.Philox
+    starts = []
+
+    class RecordingPhilox(philox):
+        @property
+        def state(self):
+            return philox.state.__get__(self)
+
+        @state.setter
+        def state(self, value):
+            starts.append(_plain_state(value))
+            philox.state.__set__(self, value)
+
+    monkeypatch.setattr(np.random, "Philox", RecordingPhilox)
+    assert simulations.optional_stopping_fpr(*args) == plain
+    assert starts == [_plain_state(RngStream(2**40 + 2024, t).generator.bit_generator.state)
+                      for t in range(37)]
+    monkeypatch.undo()
+
+    assert ("simulations", "RngStream") in {(m, a) for m, a, _, _ in tracing.SPANS}
     calls = []
 
     def counting(*a, **k):
         calls.append(a)
-        return stream(*a, **k)
+        return RngStream(*a, **k)
 
     monkeypatch.setattr(simulations, "RngStream", counting)
-    assert simulations.optional_stopping_fpr(*args) == plain
-    assert calls == [(2024, t) for t in range(37)]
+    simulations.prior_sensitivity_sweep(((1721, 2376), (1637, 2376)), PRIOR_PRESETS, 0.01, 200, 7)
+    assert calls == [(7, numerics.STREAM_SWEEP_BASE + 2 * i + 1) for i in range(len(PRIOR_PRESETS))]
 
 
 def test_every_beta_draw_passes_a_traced_name(tracing, monkeypatch, configs_dir):

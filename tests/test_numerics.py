@@ -22,6 +22,7 @@ from paircompare.numerics import (
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
+    stream_keys,
 )
 
 Z_GRID = np.concatenate([
@@ -133,6 +134,75 @@ def test_rng_stream_validation():
         RngStream(3, -2)
     with pytest.raises(DomainError):
         RngStream(2 ** 63)
+    # A bool is not a seed or an index, as for stream_keys.
+    with pytest.raises(DomainError):
+        RngStream(True, 0)
+    with pytest.raises(DomainError):
+        RngStream(3, False)
+
+
+# Word-boundary values: 2**32 - 1 and 2**32 take one and two 32-bit words.
+EDGE_KEY_PARTS = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1]
+
+
+def _seed_sequence_keys(seed, indices):
+    states = [np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(2, np.uint64)
+              for i in indices]
+    return np.array(states).reshape(-1, 2)
+
+
+def test_stream_keys_match_seed_sequence():
+    # About 1e5 (seed, index) pairs against numpy's own SeedSequence: every
+    # edge seed with every edge index, then random seeds and indices of one,
+    # two and up to 63 bits.
+    rng = np.random.default_rng(20261018)
+    seeds = EDGE_KEY_PARTS + [int(x) for x in np.concatenate([
+        rng.integers(0, 2**32, 15), rng.integers(2**32, 2**63, 15, dtype=np.uint64)])]
+    checked = 0
+    for seed in seeds:
+        indices = np.concatenate([
+            np.array(EDGE_KEY_PARTS, dtype=np.uint64),
+            rng.integers(0, 2**32, 1000, dtype=np.uint64),
+            rng.integers(2**32, 2**33, 1000, dtype=np.uint64),
+            rng.integers(0, 2**63, 1000, dtype=np.uint64),
+        ])
+        keys = stream_keys(seed, indices.tolist())
+        assert keys.dtype == np.uint64 and keys.shape == (len(indices), 2)
+        assert np.array_equal(keys, _seed_sequence_keys(seed, indices.tolist())), seed
+        checked += len(indices)
+    assert checked >= 90_000
+
+
+def test_stream_keys_draw_what_the_stream_draws():
+    # A Philox at counter 0 under stream_keys(seed, [i])[0] is RngStream(seed, i).
+    for seed, index in ((2024, 0), (2024, 37), (2**40 + 3, 2**32 + 5)):
+        bitgen = np.random.Philox(key=stream_keys(seed, [index])[0])
+        stream = RngStream(seed, index).generator
+        np.testing.assert_equal(bitgen.state, stream.bit_generator.state)
+        assert np.array_equal(np.random.Generator(bitgen).random(50), stream.random(50))
+
+
+def test_stream_keys_take_any_iterable_of_ints():
+    want = _seed_sequence_keys(7, [3, 2**32, 0])
+    for indices in ([3, 2**32, 0], (3, 2**32, 0), iter([3, 2**32, 0])):
+        assert np.array_equal(stream_keys(7, indices), want)
+    assert stream_keys(7, []).shape == (0, 2)
+    assert np.array_equal(stream_keys(7, range(5)), _seed_sequence_keys(7, range(5)))
+
+
+BAD_KEY_PARTS = [-1, 2**63, 2**64, 1.5, 3.0, True, False, None, np.int64(3)]
+
+
+@pytest.mark.parametrize("bad", BAD_KEY_PARTS, ids=repr)
+def test_stream_keys_refuse_what_rng_stream_refuses(bad):
+    with pytest.raises(DomainError, match="master_seed must be an integer in"):
+        stream_keys(bad, [0])
+    with pytest.raises(DomainError, match="master_seed must be an integer in"):
+        RngStream(bad, 0)
+    with pytest.raises(DomainError, match="stream_index must be an integer in"):
+        stream_keys(1, [0, bad])
+    with pytest.raises(DomainError, match="stream_index must be an integer in"):
+        RngStream(1, bad)
 
 
 SAMPLER_CASES = [(0.5, 0.5), (1.0, 1.0), (2.0, 5.0), (9.0, 3.0), (1722.0, 656.0)]

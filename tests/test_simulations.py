@@ -18,6 +18,7 @@ from paircompare.frequentist import pooled_z, two_proportion_z_test
 from paircompare.numerics import RngStream
 from paircompare.simulations import (
     _BLOCK_DRAWS,
+    _KEY_CHUNK,
     Tail,
     _look_test,
     optional_stopping_fpr,
@@ -239,6 +240,13 @@ def test_optional_stopping_validation():
     assert optional_stopping_fpr([10, 20], 0.5, 0.05, True, 1).trials == 1
 
 
+@pytest.mark.parametrize("seed", [-1, 2**63, 1.5, True], ids=repr)
+def test_optional_stopping_refuses_bad_seeds(seed):
+    # The seed is refused with the message RngStream gives, before any draw.
+    with pytest.raises(DomainError, match="master_seed must be an integer in"):
+        optional_stopping_fpr([10, 20], 0.5, 0.05, 30, seed)
+
+
 def _scalar_first_rejection(looks, theta, alpha, seed, t, direction):
     """Reference for one trial: two draws from its stream, then pooled_z at
     each look until the first rejection.  Returns that look's index or None."""
@@ -336,20 +344,24 @@ def test_optional_stopping_within_4se_of_exact_rate(looks, direction):
 
 def test_optional_stopping_block_boundaries():
     # Trial t reads only its own stream, so N trials report what N - 1 do plus
-    # trial N - 1's own first rejection, wherever the block boundaries fall.
+    # trial N - 1's own first rejection, wherever the block and key-chunk
+    # boundaries fall.  A seed of 2**32 or more takes two entropy words.
     looks = tuple(range(10, 201, 10))
     block = _BLOCK_DRAWS // (2 * looks[-1])
-    for direction in Direction:
-        for trials in (1, block - 1, block, block + 1, 2 * block + 1):
-            report = optional_stopping_fpr(looks, 0.5, 0.2, trials, 1729, direction)
-            before = ([0] * len(looks) if trials == 1 else list(
-                optional_stopping_fpr(looks, 0.5, 0.2, trials - 1, 1729,
-                                      direction).first_rejection_counts))
-            first = _scalar_first_rejection(looks, 0.5, 0.2, 1729, trials - 1, direction)
-            if first is not None:
-                before[first] += 1
-            assert report.first_rejection_counts == tuple(before), (direction, trials)
-            assert report.false_positives == sum(before)
+    assert _KEY_CHUNK % block  # the chunk boundary falls inside a block
+    for seed in (1729, 2**40 + 1729):
+        for direction in Direction:
+            for trials in (1, block - 1, block, block + 1, 2 * block + 1,
+                           _KEY_CHUNK - 1, _KEY_CHUNK, _KEY_CHUNK + 1):
+                report = optional_stopping_fpr(looks, 0.5, 0.2, trials, seed, direction)
+                before = ([0] * len(looks) if trials == 1 else list(
+                    optional_stopping_fpr(looks, 0.5, 0.2, trials - 1, seed,
+                                          direction).first_rejection_counts))
+                first = _scalar_first_rejection(looks, 0.5, 0.2, seed, trials - 1, direction)
+                if first is not None:
+                    before[first] += 1
+                assert report.first_rejection_counts == tuple(before), (seed, direction, trials)
+                assert report.false_positives == sum(before)
 
 
 EASY_COUNTS = ((1721, 2376), (1637, 2376))
