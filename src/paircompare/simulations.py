@@ -139,20 +139,10 @@ def stopping_comparison(successes: int, trials: int, null_rate: float) -> Stoppi
     )
 
 
-# Uniforms per block of trials: 64 KB, below the allocator's mmap threshold.
+# Uniforms per draw block, and 64-bit count and key words per look-test batch:
+# 64 KB each, below the allocator's mmap threshold.  Batches of whole blocks
+# let one look test cover dozens of trials, not one block of a few.
 _BLOCK_DRAWS = 1 << 13
-# Trials whose Philox keys are hashed in one ``stream_keys`` call.  A call
-# costs about 25 us plus 0.2 us per key, and each key in flight holds about
-# 200 bytes of heap: larger chunks raise the command's peak RSS for little
-# speed.
-_KEY_CHUNK = 1 << 6
-
-
-def _trial_keys(master_seed: int, trials: int):
-    """``stream_keys(master_seed, [t])[0]`` as a list of two ints, for each ``t``
-    in ``range(trials)``, hashed ``_KEY_CHUNK`` trials at a time."""
-    for lo in range(0, trials, _KEY_CHUNK):
-        yield from stream_keys(master_seed, range(lo, min(lo + _KEY_CHUNK, trials))).tolist()
 
 
 def _look_test(direction: Direction, alpha: float):
@@ -190,18 +180,22 @@ def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int
     ``(master_seed, t)``: trials are independent, reproducible, and the same
     seed reuses the same outcome paths for any subset of looks.
 
-    Trials run in blocks: trial ``t`` fills its buffer row with system 1's
-    ``n_max`` outcomes, then system 2's, as two ``random(n_max)`` calls would.
-    One array z-test decides every (trial, look) cell exactly (``_look_test``),
-    and the buffer holds ``_BLOCK_DRAWS`` uniforms (at least one trial's).
+    Trials run in draw blocks of ``_BLOCK_DRAWS`` uniforms (at least one
+    trial's): trial ``t`` fills its row with system 1's ``n_max`` outcomes,
+    then system 2's, as two ``random(n_max)`` calls would.  Each block adds
+    its successes in each look's new items to the counts of a batch, whole
+    blocks whose counts and Philox keys fill about ``_BLOCK_DRAWS`` 64-bit
+    words: ``_BLOCK_DRAWS // (2 (len(looks) + 1))`` trials, rounded down to
+    whole blocks, at least one.  Per batch, one cumulative sum over looks and
+    one array z-test decide every (trial, look) cell exactly (``_look_test``).
 
     One Philox generator serves every trial: set to counter 0 under trial
     ``t``'s key, ``stream_keys(master_seed, t)``, it draws exactly what
-    ``RngStream(master_seed, t)`` would.  Beyond its ``2 n_max`` uniforms a
-    trial costs one state assignment, about 1 us, and its share of one key
-    hash per ``_KEY_CHUNK`` trials, about 0.5 us; a fresh ``RngStream``
-    costs about 20 us.  Memory is flat in ``trials``: the buffer, one chunk
-    of keys and the per-look counts.
+    ``RngStream(master_seed, t)`` would.  Keys are hashed once per batch.
+    At 50 looks x 10k trials (80 trials a batch) the draws and state resets
+    take about 60% of the time, the block counts and the look tests 15%
+    each, and the keys 6%.  Memory is flat in ``trials``: the draw block,
+    one batch's counts and keys, and its look test's temporaries.
     """
     looks = tuple(looks)
     if not all(isinstance(n, Integral) for n in (*looks, trials)):
@@ -221,8 +215,9 @@ def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int
     starts = np.array((0,) + looks[:-1])
     rejects = _look_test(direction, nominal_alpha)
     block = np.empty((max(1, _BLOCK_DRAWS // (2 * n_max)), 2 * n_max))
+    batch = len(block) * max(1, _BLOCK_DRAWS // (2 * (len(looks) + 1) * len(block)))
+    counts = np.empty((batch, 2, len(looks)), dtype=np.int64)
     first_rejections = np.zeros(len(looks), dtype=np.int64)
-    keys = _trial_keys(master_seed, trials)
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
     state = bitgen.state  # counter 0 and an empty buffer; each trial sets the key
@@ -230,16 +225,21 @@ def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int
     # As Python ints, which the state setter reads fastest.
     fresh["counter"] = tuple(fresh["counter"].tolist())
     state["buffer"] = tuple(state["buffer"].tolist())
-    for start in range(0, trials, len(block)):
-        rows = block[:trials - start]
-        for row, key in zip(rows, keys):
-            fresh["key"] = key
-            bitgen.state = state
-            gen.random(out=row)
-        hits = (rows < theta).reshape(len(rows), 2, n_max)
-        # Successes in each look's new items, then up to each look.
-        counts = np.add.reduceat(hits, starts, axis=2, dtype=np.int64).cumsum(axis=2)
-        reject = rejects(counts[:, 0], counts[:, 1], sizes)
+    for lo in range(0, trials, batch):
+        tally = counts[:trials - lo]  # this batch's trials
+        keys = stream_keys(master_seed, range(lo, lo + len(tally)))
+        for start in range(0, len(tally), len(block)):
+            rows = block[:len(tally) - start]
+            for row, key in zip(rows, keys[start:start + len(rows)].tolist()):
+                fresh["key"] = key
+                bitgen.state = state
+                gen.random(out=row)
+            hits = (rows < theta).reshape(len(rows), 2, n_max)
+            # Successes in each look's new items.
+            np.add.reduceat(hits, starts, axis=2, dtype=np.int64,
+                            out=tally[start:start + len(rows)])
+        np.cumsum(tally, axis=2, out=tally)  # successes up to each look
+        reject = rejects(tally[:, 0], tally[:, 1], sizes)
         first = reject.argmax(axis=1)[reject.any(axis=1)]
         first_rejections += np.bincount(first, minlength=len(looks))
     false_positives = int(first_rejections.sum())

@@ -4,6 +4,7 @@ any part of this package.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,10 +16,9 @@ from paircompare.bayes import PRIOR_PRESETS, BetaParams, conjugate_update
 from paircompare.core import Direction
 from paircompare.errors import DegenerateTest, DomainError
 from paircompare.frequentist import pooled_z, two_proportion_z_test
-from paircompare.numerics import RngStream
+from paircompare.numerics import RngStream, stream_keys
 from paircompare.simulations import (
     _BLOCK_DRAWS,
-    _KEY_CHUNK,
     Tail,
     _look_test,
     optional_stopping_fpr,
@@ -342,26 +342,71 @@ def test_optional_stopping_within_4se_of_exact_rate(looks, direction):
     assert abs(report.false_positive_rate - exact) <= 4.0 * se, (report, exact)
 
 
-def test_optional_stopping_block_boundaries():
+def test_optional_stopping_block_boundaries(monkeypatch):
     # Trial t reads only its own stream, so N trials report what N - 1 do plus
-    # trial N - 1's own first rejection, wherever the block and key-chunk
-    # boundaries fall.  A seed of 2**32 or more takes two entropy words.
-    looks = tuple(range(10, 201, 10))
-    block = _BLOCK_DRAWS // (2 * looks[-1])
-    assert _KEY_CHUNK % block  # the chunk boundary falls inside a block
-    for seed in (1729, 2**40 + 1729):
-        for direction in Direction:
-            for trials in (1, block - 1, block, block + 1, 2 * block + 1,
-                           _KEY_CHUNK - 1, _KEY_CHUNK, _KEY_CHUNK + 1):
-                report = optional_stopping_fpr(looks, 0.5, 0.2, trials, seed, direction)
-                before = ([0] * len(looks) if trials == 1 else list(
-                    optional_stopping_fpr(looks, 0.5, 0.2, trials - 1, seed,
-                                          direction).first_rejection_counts))
-                first = _scalar_first_rejection(looks, 0.5, 0.2, seed, trials - 1, direction)
-                if first is not None:
-                    before[first] += 1
-                assert report.first_rejection_counts == tuple(before), (seed, direction, trials)
-                assert report.false_positives == sum(before)
+    # trial N - 1's own first rejection, wherever the draw-block and batch
+    # boundaries fall.  A batch is whole draw blocks whose counts and keys
+    # fill about _BLOCK_DRAWS words: here nine blocks, two (the dense peeking
+    # schedule) and one block of one trial.  A seed of 2**32 or more takes
+    # two entropy words.
+    from paircompare import simulations
+
+    for looks, block, batch in ((tuple(range(10, 201, 10)), 20, 180),
+                                (tuple(range(2, 501, 2)), 8, 16),
+                                (tuple(range(2, _BLOCK_DRAWS // 2 + 4)), 1, 1)):
+        # Keys are hashed once per batch, so the hashed ranges show where the
+        # batches fall.
+        hashed = []
+
+        def recording(seed, indices):
+            hashed.append(indices)
+            return stream_keys(seed, indices)
+
+        monkeypatch.setattr(simulations, "stream_keys", recording)
+        optional_stopping_fpr(looks, 0.5, 0.2, 2 * batch + 1, 1729)
+        monkeypatch.undo()
+        assert hashed == [range(0, batch), range(batch, 2 * batch),
+                          range(2 * batch, 2 * batch + 1)], len(looks)
+
+        counts = {1, block - 1, block, block + 1, 2 * block + 1,
+                  batch - 1, batch, batch + 1, 2 * batch + 1} - {0}
+        for seed in (1729, 2**40 + 1729):
+            for direction in Direction:
+                for trials in sorted(counts):
+                    report = optional_stopping_fpr(looks, 0.5, 0.2, trials, seed, direction)
+                    before = ([0] * len(looks) if trials == 1 else list(
+                        optional_stopping_fpr(looks, 0.5, 0.2, trials - 1, seed,
+                                              direction).first_rejection_counts))
+                    first = _scalar_first_rejection(looks, 0.5, 0.2, seed, trials - 1,
+                                                    direction)
+                    if first is not None:
+                        before[first] += 1
+                    assert report.first_rejection_counts == tuple(before), \
+                        (len(looks), seed, direction, trials)
+                    assert report.false_positives == sum(before)
+
+
+@pytest.mark.parametrize("looks,trials", [
+    (tuple(range(10, 501, 10)), 400),  # the default peeking schedule, 5 batches
+    (tuple(range(2, 501, 2)), 160),    # the dense one, 10 batches
+], ids=["50-looks", "250-looks"])
+def test_optional_stopping_memory_flat_in_trials(looks, trials):
+    # The run holds one draw block, one batch of counts and the keys and look
+    # test of one batch, whatever ``trials`` is: 10x the trials must not
+    # raise the traced peak.  The block and the counts are 64 KB each, and
+    # the look test's temporaries bring the peak to about 350 KB with numpy
+    # 2.4; the bound is eight 64 KB buffers.
+    optional_stopping_fpr(looks, 0.5, 0.05, trials, 3)  # caches filled outside the trace
+    peaks = []
+    for n in (trials, 10 * trials):
+        tracemalloc.start()
+        try:
+            optional_stopping_fpr(looks, 0.5, 0.05, n, 3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 8192, peaks
+    assert peaks[1] <= 8 * 8 * _BLOCK_DRAWS, peaks
 
 
 EASY_COUNTS = ((1721, 2376), (1637, 2376))
