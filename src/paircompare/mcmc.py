@@ -9,7 +9,9 @@ therefore the whole trace, reproducible in isolation.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -150,7 +152,8 @@ def run_chains(prior: BetaParams, counts: Counts, config: McmcConfig,
     Both rates share ``prior``.  Identical inputs reproduce the trace bit for
     bit; ``config.enabled`` is the caller's business and is not read here.
     Each step runs on Python floats and one shared softplus term per rate
-    (``log_density``); a rejected step repeats its row without new sigmoids.
+    (``log_density``).  After warmup a chain keeps each accepted state once,
+    as its sigmoid pair with its run length, and repeats it by that length.
 
     Convergence is flagged, not fatal: the returned trace carries
     ``converged`` plus human-readable warnings whenever the split-chain
@@ -160,7 +163,7 @@ def run_chains(prior: BetaParams, counts: Counts, config: McmcConfig,
     rows, accept_rates, step_sizes = zip(*(
         _run_single_chain(log_post, prior, counts, config, master_seed, chain)
         for chain in range(config.chains)))
-    all_samples = np.array(rows)
+    all_samples = np.stack(rows)
 
     warnings = []
     rhats = []
@@ -224,31 +227,36 @@ def _run_single_chain(log_post, prior, counts, config: McmcConfig, master_seed: 
         e1, e2 = map(_logit, draws)
 
     total = config.warmup + config.draws
-    noise = gen.standard_normal((total, 2)).tolist()
-    unifs = gen.random(total).tolist()
+    noise = iter(gen.standard_normal(2 * total).tolist())  # a (total, 2) draw, read in pairs
+    unifs = iter(gen.random(total).tolist())
 
     step = _INITIAL_STEP
     lp = log_post(e1, e2)
-    rows, row, accepted = [], None, 0
-    warmup = config.warmup
-    for t, ((n1, n2), u) in enumerate(zip(noise, unifs)):
+    for t, n1, n2, u in zip(range(config.warmup), noise, noise, unifs):
         p1 = e1 + step * n1
         p2 = e2 + step * n2
         lp_prop = log_post(p1, p2)
         log_ratio = lp_prop - lp
-        took = metropolis_accept(log_ratio, u)
-        if took:
-            e1, e2, lp, row = p1, p2, lp_prop, None
-        if t < warmup:
-            # Robbins-Monro: multiplicative step update with decaying gain.
-            alpha = 1.0 if log_ratio >= 0.0 else math.exp(log_ratio)
-            step *= math.exp((alpha - _ADAPT_TARGET) * (t + 1.0) ** -0.6)
+        if metropolis_accept(log_ratio, u):
+            e1, e2, lp = p1, p2, lp_prop
+        # Robbins-Monro: multiplicative step update with decaying gain.
+        alpha = 1.0 if log_ratio >= 0.0 else math.exp(log_ratio)
+        step *= math.exp((alpha - _ADAPT_TARGET) * (t + 1.0) ** -0.6)
+
+    # Accepted states and their runs of draws; warmup's last state may run 0.
+    states, runs = [(_sigmoid(e1), _sigmoid(e2))], [0]
+    for n1, n2, u in zip(noise, noise, unifs):
+        p1 = e1 + step * n1
+        p2 = e2 + step * n2
+        lp_prop = log_post(p1, p2)
+        if metropolis_accept(lp_prop - lp, u):
+            e1, e2, lp = p1, p2, lp_prop
+            states.append((_sigmoid(e1), _sigmoid(e2)))
+            runs.append(1)
         else:
-            if row is None:
-                row = (_sigmoid(e1), _sigmoid(e2))
-            rows.append(row)
-            accepted += took
-    return rows, accepted / config.draws, step
+            runs[-1] += 1
+    rows = np.repeat(states, runs, axis=0)
+    return rows, (len(states) - 1) / config.draws, step
 
 
 def rhat(chain_samples) -> float:
@@ -350,21 +358,22 @@ def export_trace(trace: Trace, out_dir) -> list[Path]:
 
     Chain files are named ``chain_0.csv`` onward with header
     ``draw,theta1,theta2``.  Files are written to a temporary name and
-    renamed, so a crash never leaves a partial file behind.  A row that
-    repeats the one before it, as a rejected draw does, reuses its text.
+    renamed, so a crash never leaves a partial file behind.  Each run of
+    equal rows, as rejected draws leave, is formatted once; a row holding a
+    zero starts a run of its own, since ``0.0 == -0.0`` prints two ways.
     """
     out = Path(out_dir)
     written = []
-    for chain, rows in enumerate(trace.samples.tolist()):
-        lines = ["draw,theta1,theta2"]
-        shown = text = None
-        for i, row in enumerate(rows):
-            # Equal floats print alike, signed zeros aside.
-            if row != shown or 0.0 in row:
-                shown, text = row, f"{row[0]!r},{row[1]!r}"
-            lines.append(f"{i},{text}")
+    prefixes = [f"{i}," for i in range(trace.samples.shape[1])]
+    for chain, rows in enumerate(trace.samples):
+        changed = np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))
+        starts = np.flatnonzero(changed | (rows == 0.0).any(axis=1))
+        texts = [f"{a!r},{b!r}" for a, b in rows[starts].tolist()]
+        runs = np.diff(starts, append=len(rows)).tolist()
+        row_texts = itertools.chain.from_iterable(map(itertools.repeat, texts, runs))
+        lines = map(operator.add, prefixes, row_texts)
         path = out / f"chain_{chain}.csv"
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        atomic_write_text(path, "\n".join(("draw,theta1,theta2", *lines)) + "\n")
         written.append(path)
     diagnostics = {
         "accept_rates": list(trace.accept_rates),

@@ -21,6 +21,7 @@ n-long outputs, an n-byte rejection mask, the redraws (about 5% of n at shape
 
 from __future__ import annotations
 
+import functools
 import math
 import statistics
 from dataclasses import dataclass, field
@@ -158,6 +159,9 @@ def _hash_constants(init: int, mult: int, first: int) -> tuple[np.ndarray, np.nd
 # the pool into the output.
 _INDEX_HASH = [_hash_constants(0x43B0D7E5, 0x931E8875, first) for first in (16, 20)]
 _OUT_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 0)
+# The pool of each recent seed, which stream_keys reads and never writes; built
+# on first use, since numpy 2 imports numpy.random only when it is first used.
+_seed_pool = functools.lru_cache(maxsize=8)(lambda seed: np.random.SeedSequence(seed).pool)
 
 
 def _hash(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
@@ -177,7 +181,7 @@ def stream_keys(master_seed: int, indices) -> np.ndarray:
     .generate_state(2, np.uint64)``, the key of ``RngStream(master_seed, i)``:
     a Philox generator at counter 0 under that key draws what the stream
     does.  The hash runs on whole index arrays, so one call costs about 20
-    array operations and one ``SeedSequence``, whatever its length.
+    array operations whatever its length, and each seed's pool is hashed once.
 
     Parameters
     ----------
@@ -198,12 +202,14 @@ def stream_keys(master_seed: int, indices) -> np.ndarray:
         ``RngStream``'s rule: a ``bool`` or a numpy integer is refused.
     """
     _check_key_part("master_seed", master_seed)
-    indices = list(indices)
-    for i in indices:
-        _check_key_part("stream_index", i)
+    ends = (indices[0], indices[-1]) if isinstance(indices, range) and indices else None
+    if ends is None or not all(0 <= i < 2**63 for i in ends):  # a range lies between its ends
+        indices = list(indices)
+        for i in indices:
+            _check_key_part("stream_index", i)
     indices = np.array(indices, dtype=np.uint64)
     low = indices.astype(np.uint32)[:, None]  # the cast keeps the low 32 bits
-    pool = _mix(np.random.SeedSequence(master_seed).pool, _hash(low, *_INDEX_HASH[0]))
+    pool = _mix(_seed_pool(master_seed), _hash(low, *_INDEX_HASH[0]))
     high = indices >> np.uint64(32)
     wide = np.flatnonzero(high)  # indices of 2**32 and above have a second word
     if wide.size:

@@ -5,6 +5,7 @@ imports it.
 """
 
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -187,7 +188,23 @@ def test_stream_keys_take_any_iterable_of_ints():
     for indices in ([3, 2**32, 0], (3, 2**32, 0), iter([3, 2**32, 0])):
         assert np.array_equal(stream_keys(7, indices), want)
     assert stream_keys(7, []).shape == (0, 2)
-    assert np.array_equal(stream_keys(7, range(5)), _seed_sequence_keys(7, range(5)))
+    # A range is checked by its ends: empty, one index, across 2**32, descending.
+    for indices in (range(5), range(0), range(4, 5), range(2**32 - 2, 2**32 + 3),
+                    range(2**63 - 1, 2**63 - 40, -7), range(9, 0, -2)):
+        assert np.array_equal(stream_keys(7, indices), _seed_sequence_keys(7, indices)), indices
+
+
+@pytest.mark.parametrize("indices, first_bad", [
+    (range(-2, 3), -2),
+    (range(3, -3, -1), -1),
+    (range(2**63 - 2, 2**63 + 2), 2**63),
+    (range(2**63 + 5, 2**63 - 5, -3), 2**63 + 5),
+], ids=repr)
+def test_stream_keys_name_the_first_bad_index_of_a_range(indices, first_bad):
+    # A range whose ends fail is checked index by index, as a list is.
+    with pytest.raises(DomainError, match=re.escape(f"stream_index must be an integer in "
+                                                    f"[0, 2**63), got {first_bad!r}")):
+        stream_keys(1, indices)
 
 
 BAD_KEY_PARTS = [-1, 2**63, 2**64, 1.5, 3.0, True, False, None, np.int64(3)]
