@@ -152,18 +152,21 @@ class SimulateConfig:
     sweep_n_mc: int = 100_000
 
     def __post_init__(self):
-        check_config("simulate", [(key, ok, "value out of range") for key, ok in [
-            ("stopping_trials", self.stopping_trials >= 1),
-            ("stopping_successes", 1 <= self.stopping_successes <= self.stopping_trials),
-            ("stopping_null_rate", 0.0 < self.stopping_null_rate <= 1.0),
-            ("looks_step", self.looks_step >= 2),
-            ("looks_max", self.looks_max >= self.looks_step),
-            ("os_alpha", 0.0 < self.os_alpha < 1.0),
-            ("os_trials", self.os_trials >= 1),
-            ("os_theta", 0.0 < self.os_theta < 1.0),
-            ("sweep_epsilon", 0.0 < self.sweep_epsilon < 1.0),
-            ("sweep_n_mc", self.sweep_n_mc >= 1000),
-        ]])
+        check_config("simulate", [
+            ("stopping_trials", self.stopping_trials >= 1, "stopping_trials must be at least 1"),
+            ("stopping_successes", 1 <= self.stopping_successes <= self.stopping_trials,
+             "stopping_successes must lie in [1, stopping_trials]"),
+            ("stopping_null_rate", 0.0 < self.stopping_null_rate <= 1.0,
+             "stopping_null_rate must lie in (0, 1]"),
+            ("looks_step", self.looks_step >= 2, "looks_step must be at least 2"),
+            ("looks_max", self.looks_max >= self.looks_step,
+             "looks_max must be at least looks_step"),
+            ("os_alpha", 0.0 < self.os_alpha < 1.0, "os_alpha must lie in (0, 1)"),
+            ("os_trials", self.os_trials >= 1, "os_trials must be at least 1"),
+            ("os_theta", 0.0 < self.os_theta < 1.0, "os_theta must lie in (0, 1)"),
+            ("sweep_epsilon", 0.0 < self.sweep_epsilon < 1.0, "sweep_epsilon must lie in (0, 1)"),
+            ("sweep_n_mc", self.sweep_n_mc >= 1000, "sweep_n_mc must be at least 1000"),
+        ])
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from .bayes import BetaParams
 from .core import Counts
 from .errors import DegenerateChains, DomainError, TooFewSamples, check_config
 from .fsio import atomic_write_text, json_text
-from .numerics import FIRST_RESERVED_STREAM, RngStream, sample_beta
+from .numerics import FIRST_RESERVED_STREAM, sample_beta, stream
 
 # Post-adaptation acceptance rates are expected to land in this band.
 TARGET_ACCEPT_BAND = (0.2, 0.5)
@@ -209,8 +209,7 @@ def run_chains(prior: BetaParams, counts: Counts, config: McmcConfig,
 def _run_single_chain(log_post, prior, counts, config: McmcConfig, master_seed: int,
                       chain: int):
     (c1, t1), (c2, t2) = counts
-    stream = RngStream(master_seed, chain)
-    gen = stream.generator
+    gen = stream(master_seed, chain)
 
     if config.init is InitStrategy.MLE_JITTER:
         j1, j2 = gen.standard_normal(2).tolist()

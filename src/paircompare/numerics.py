@@ -2,8 +2,8 @@
 
 Everything the statistical layers need beyond basic arithmetic lives here:
 the standard normal CDF and quantile, beta-variate sampling, log binomial
-coefficients, and seeded random streams.  Accuracy targets (absolute error
-unless noted):
+coefficients, and the seeded random streams every draw comes from.  Accuracy
+targets (absolute error unless noted):
 
 * ``std_normal_cdf``              <= 1e-12
 * ``std_normal_quantile``         round-trip |quantile(cdf(z)) - z| <= 1e-9
@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import math
 import statistics
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,9 +97,9 @@ def log_binomial_coefficient(n: int, k: int) -> float:
 #   0 .. trials-1     optional-stopping trial t       (simulations; a command
 #                                                      of its own)
 #
-# Optional-stopping trial t draws from the Philox key ``stream_keys(seed, t)``,
-# which is the key of ``RngStream(seed, t)``: the same draws, with no stream
-# object built per trial.
+# Every draw starts from the Philox key ``stream_keys(seed, [index])``: the
+# first three consumers through ``stream``, optional stopping by resetting one
+# Philox to each trial's key, with no generator built per trial.
 #
 # The even sweep indices 20_000 + 2i stay unused, so each row's HDI keeps the
 # stream, and the bytes, of reports made before the Bayes factor was exact.
@@ -111,41 +110,20 @@ STREAM_SWEEP_BASE = 20_000
 FIRST_RESERVED_STREAM = STREAM_POSTERIOR_DRAWS
 
 
-@dataclass
-class RngStream:
-    """Deterministic random stream keyed by ``(master_seed, stream_index)``.
-
-    Streams constructed with equal keys yield bit-identical draw sequences;
-    distinct indices give statistically independent streams.  Backed by the
-    counter-based Philox generator, so any stream can be built directly from
-    its key without touching shared state.
-    """
-
-    master_seed: int
-    stream_index: int = 0
-    generator: np.random.Generator = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        _check_key_part("master_seed", self.master_seed)
-        _check_key_part("stream_index", self.stream_index)
-        seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=(self.stream_index,))
-        self.generator = np.random.Generator(np.random.Philox(seq))
-
-
 def _check_key_part(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2**63:
         raise DomainError(f"{name} must be an integer in [0, 2**63), got {value!r}")
 
 
-# numpy's SeedSequence (O'Neill's seed_seq design) hashes the entropy words
+# numpy's seed sequence (O'Neill's seed_seq design) hashes the entropy words
 # into a pool of four uint32 words, then hashes the pool into its output.
 # Each hash call xors with the next constant of a fixed sequence, whatever the
 # data, and multiplies by the one after it.  Stream (master_seed, i) has the
 # entropy words of master_seed, zero-padded to the pool size, then i's low
 # word and, for i >= 2**32, its high word.  The seed's words take the first 16
-# hash calls and leave the pool ``SeedSequence(master_seed).pool``; i's words
-# take calls 16-19 and 20-23, one per pool word.  The arithmetic runs on uint32
-# arrays, whose products wrap modulo 2**32 as the C code's do.
+# hash calls and leave the seed's own pool, which ``_seed_pool`` caches; i's
+# words take calls 16-19 and 20-23, one per pool word.  The arithmetic runs on
+# uint32 arrays, whose products wrap modulo 2**32 as the C code's do.
 def _hash_constants(init: int, mult: int, first: int) -> tuple[np.ndarray, np.ndarray]:
     """(xor, multiplier) of hash calls ``first`` .. ``first + 3``, one per pool word."""
     consts = [init]
@@ -177,16 +155,16 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def stream_keys(master_seed: int, indices) -> np.ndarray:
     """Philox keys of the streams ``(master_seed, i)`` for each ``i`` in ``indices``.
 
-    Row ``j`` is ``SeedSequence(entropy=master_seed, spawn_key=(i,))
-    .generate_state(2, np.uint64)``, the key of ``RngStream(master_seed, i)``:
-    a Philox generator at counter 0 under that key draws what the stream
-    does.  The hash runs on whole index arrays, so one call costs about 20
-    array operations whatever its length, and each seed's pool is hashed once.
+    Row ``j`` is the key numpy's seed sequence with entropy ``master_seed``
+    and spawn key ``(i,)`` gives a Philox generator; ``stream(master_seed, i)``
+    is that Philox at counter 0.  The hash runs on whole index arrays, so one
+    call costs about 20 array operations whatever its length, and each seed's
+    pool is hashed once.
 
     Parameters
     ----------
     master_seed : int
-        As for ``RngStream``.
+        Seed of the run, in [0, 2**63).
     indices : iterable of int
         Stream indices, each in [0, 2**63).
 
@@ -198,8 +176,8 @@ def stream_keys(master_seed: int, indices) -> np.ndarray:
     Raises
     ------
     DomainError
-        If ``master_seed`` or an index is not an ``int`` in [0, 2**63), by
-        ``RngStream``'s rule: a ``bool`` or a numpy integer is refused.
+        If ``master_seed`` or an index is not an ``int`` in [0, 2**63): a
+        ``bool`` or a numpy integer is refused.
     """
     _check_key_part("master_seed", master_seed)
     ends = (indices[0], indices[-1]) if isinstance(indices, range) and indices else None
@@ -215,17 +193,18 @@ def stream_keys(master_seed: int, indices) -> np.ndarray:
     if wide.size:
         high = high[wide].astype(np.uint32)[:, None]
         pool[wide] = _mix(pool[wide], _hash(high, *_INDEX_HASH[1]))
-    # Little-endian word pairs, as SeedSequence.generate_state assembles them.
+    # Little-endian word pairs, as the seed sequence's generate_state assembles them.
     words = _hash(pool, *_OUT_HASH).astype("<u4", copy=False)
     return words.view("<u8").astype(np.uint64, copy=False)
 
 
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise DomainError(f"expected an RngStream or numpy Generator, got {type(rng).__name__}")
+def stream(master_seed: int, index: int) -> np.random.Generator:
+    """The random stream ``(master_seed, index)``: Philox at counter 0 under its key.
+
+    Equal keys give bit-identical draws and distinct indices independent
+    streams; ``master_seed`` and ``index`` are checked as by ``stream_keys``.
+    """
+    return np.random.Generator(np.random.Philox(key=stream_keys(master_seed, [index])[0]))
 
 
 def _sample_gamma(shape: float, gen: np.random.Generator, size: int) -> np.ndarray:
@@ -263,9 +242,9 @@ def sample_beta(a: float, b: float, rng, size=None):
     ----------
     a, b : float
         Shape parameters, both strictly positive.
-    rng : RngStream or numpy.random.Generator
-        Source of randomness; the draw sequence is deterministic given the
-        stream key.
+    rng : numpy.random.Generator
+        Source of randomness, usually ``stream(seed, index)``; the draws are
+        deterministic given its state.
     size : int, optional
         Number of draws, a non-negative integer.  ``None`` returns a scalar.
 
@@ -279,10 +258,9 @@ def sample_beta(a: float, b: float, rng, size=None):
         raise DomainError(f"beta sampling requires finite a > 0 and b > 0, got a={a!r}, b={b!r}")
     if not (size is None or isinstance(size, (int, np.integer)) and size >= 0):
         raise DomainError(f"size must be None or an integer >= 0, got {size!r}")
-    gen = _as_generator(rng)
     n = 1 if size is None else int(size)
-    g1 = _sample_gamma(float(a), gen, n)
-    g2 = _sample_gamma(float(b), gen, n)
+    g1 = _sample_gamma(float(a), rng, n)
+    g2 = _sample_gamma(float(b), rng, n)
     g1 /= np.add(g1, g2, out=g2)
     if size is None:
         return float(g1[0])

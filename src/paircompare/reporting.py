@@ -25,7 +25,7 @@ from .errors import TooFewSamples
 from .frequentist import diff_confidence_interval, two_proportion_z_test
 from .fsio import atomic_write_text, json_text, plain
 from .mcmc import Trace, export_trace, finite_or_null, run_chains
-from .numerics import STREAM_POSTERIOR_DRAWS, RngStream, sample_beta
+from .numerics import STREAM_POSTERIOR_DRAWS, sample_beta, stream
 from .posterior import bayes_factor_interval_null, hdi_from_samples, rope_decision
 
 REPORT_FORMAT = "two-system-assessment/2"
@@ -226,7 +226,7 @@ def run_analysis(config: AnalysisConfig, write: bool = True) -> AnalysisOutcome:
     posterior_samples = None
     if needs_posterior:
         posts = posterior_pair(config.model.prior, counts)
-        gen = RngStream(opts.seed, STREAM_POSTERIOR_DRAWS).generator
+        gen = stream(opts.seed, STREAM_POSTERIOR_DRAWS)
         theta1 = sample_beta(posts.post1.alpha, posts.post1.beta, gen, size=opts.n_mc)
         theta2 = sample_beta(posts.post2.alpha, posts.post2.beta, gen, size=opts.n_mc)
         posterior_samples = (theta1, theta2)

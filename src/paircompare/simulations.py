@@ -19,8 +19,8 @@ from .bayes import BetaParams, posterior_pair
 from .core import Counts, Direction
 from .errors import DomainError
 from .frequentist import pooled_statistic, pooled_z
-from .numerics import (STREAM_SWEEP_BASE, RngStream, log_binomial_coefficient, sample_beta,
-                       std_normal_pdf, std_normal_quantile, stream_keys)
+from .numerics import (STREAM_SWEEP_BASE, log_binomial_coefficient, sample_beta, std_normal_pdf,
+                       std_normal_quantile, stream, stream_keys)
 from .posterior import Hdi, bayes_factor_interval_null, hdi_from_samples
 
 
@@ -191,7 +191,7 @@ def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int
 
     One Philox generator serves every trial: set to counter 0 under trial
     ``t``'s key, ``stream_keys(master_seed, t)``, it draws exactly what
-    ``RngStream(master_seed, t)`` would.  Keys are hashed once per batch.
+    ``stream(master_seed, t)`` would.  Keys are hashed once per batch.
     At 50 looks x 10k trials (80 trials a batch) the draws and state resets
     take about 60% of the time, the block counts and the look tests 15%
     each, and the keys 6%.  Memory is flat in ``trials``: the draw block,
@@ -273,7 +273,7 @@ def prior_sensitivity_sweep(counts: Counts,
     for i, label in enumerate(sorted(priors)):
         prior = priors[label]
         posts = posterior_pair(prior, counts)
-        gen = RngStream(master_seed, STREAM_SWEEP_BASE + 2 * i + 1).generator
+        gen = stream(master_seed, STREAM_SWEEP_BASE + 2 * i + 1)
         diffs = sample_beta(posts.post1.alpha, posts.post1.beta, gen, size=n_mc) \
             - sample_beta(posts.post2.alpha, posts.post2.beta, gen, size=n_mc)
         rows.append(PriorSweepRow(

@@ -2,6 +2,7 @@ import os
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -29,3 +30,13 @@ def fixture_tree(tmp_path) -> Path:
     shutil.copytree(REPO_ROOT / "configs", tmp_path / "configs")
     shutil.copytree(REPO_ROOT / "data", tmp_path / "data")
     return tmp_path
+
+
+def seed_sequence_generator(seed: int, index: int) -> np.random.Generator:
+    """Stream ``(seed, index)`` built through numpy's own ``SeedSequence``.
+
+    An oracle independent of ``numerics.stream_keys``' port of that hash, so
+    pinned draws are rebuilt from numpy's hash, not from the code under test.
+    """
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed,
+                                                                       spawn_key=(index,))))

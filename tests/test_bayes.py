@@ -6,6 +6,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import seed_sequence_generator
 from paircompare.bayes import (
     PRIOR_PRESETS,
     BetaParams,
@@ -16,7 +17,7 @@ from paircompare.bayes import (
 )
 from paircompare.core import Direction, Hypothesis, HypothesisKind
 from paircompare.errors import DomainError
-from paircompare.numerics import RngStream, sample_beta
+from paircompare.numerics import sample_beta
 
 UNIFORM = BetaParams(1.0, 1.0)
 EASY = ((1721, 2376), (1637, 2376))
@@ -86,7 +87,7 @@ def test_posterior_pair_easy():
 def easy_diffs(n, seed, stream):
     """Paired posterior draws of theta1 - theta2 on the worked example."""
     posts = posterior_pair(UNIFORM, EASY)
-    gen = RngStream(seed, stream).generator
+    gen = seed_sequence_generator(seed, stream)
     return (sample_beta(posts.post1.alpha, posts.post1.beta, gen, size=n)
             - sample_beta(posts.post2.alpha, posts.post2.beta, gen, size=n))
 

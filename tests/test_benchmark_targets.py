@@ -14,10 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import seed_sequence_generator
 from paircompare import mcmc, numerics
 from paircompare.bayes import PRIOR_PRESETS, BetaParams
 from paircompare.config import parse_config_file
-from paircompare.numerics import RngStream
 from paircompare.reporting import run_analysis
 from paircompare.simulations import prior_sensitivity_sweep
 
@@ -34,8 +34,11 @@ def tracing():
 
 # Targets the package no longer has: the Bayes factor is exact quadrature, so
 # ``posterior`` draws nothing, and that quadrature integrates both densities
-# by one rule, with no incomplete beta.  A traced run lists them as untraced.
-RETIRED_TARGETS = {"posterior.sample_beta", "posterior.regularized_incomplete_beta"}
+# by one rule, with no incomplete beta.  Every stream now comes from
+# ``numerics.stream``, so no module builds an ``RngStream``.  A traced run
+# lists them as untraced.
+RETIRED_TARGETS = {"posterior.sample_beta", "posterior.regularized_incomplete_beta",
+                   "reporting.RngStream", "mcmc.RngStream", "simulations.RngStream"}
 
 
 def test_every_wrap_target_resolves(tracing):
@@ -80,9 +83,9 @@ def _plain_state(state):
 
 def test_trials_read_their_stream_keys_and_the_sweep_streams_stay_traced(tracing, monkeypatch):
     # Optional stopping sets one Philox to each trial's key in turn: trial t
-    # must start exactly where ``RngStream(seed, t)`` starts.  The prior sweep
-    # still builds streams at ``simulations.RngStream``, the name the tracer
-    # wraps for ``numerics.rng_streams``.
+    # must start exactly where numpy's SeedSequence stream (seed, t) starts.
+    # The prior sweep builds row i's stream at ``simulations.stream``, with
+    # index 20_000 + 2i + 1.
     from paircompare import simulations
 
     args = (range(10, 101, 10), 0.5, 0.05, 37, 2**40 + 2024)
@@ -102,18 +105,17 @@ def test_trials_read_their_stream_keys_and_the_sweep_streams_stay_traced(tracing
 
     monkeypatch.setattr(np.random, "Philox", RecordingPhilox)
     assert simulations.optional_stopping_fpr(*args) == plain
-    assert starts == [_plain_state(RngStream(2**40 + 2024, t).generator.bit_generator.state)
+    assert starts == [_plain_state(seed_sequence_generator(2**40 + 2024, t).bit_generator.state)
                       for t in range(37)]
     monkeypatch.undo()
 
-    assert ("simulations", "RngStream") in {(m, a) for m, a, _, _ in tracing.SPANS}
     calls = []
 
     def counting(*a, **k):
         calls.append(a)
-        return RngStream(*a, **k)
+        return numerics.stream(*a, **k)
 
-    monkeypatch.setattr(simulations, "RngStream", counting)
+    monkeypatch.setattr(simulations, "stream", counting)
     simulations.prior_sensitivity_sweep(((1721, 2376), (1637, 2376)), PRIOR_PRESETS, 0.01, 200, 7)
     assert calls == [(7, numerics.STREAM_SWEEP_BASE + 2 * i + 1) for i in range(len(PRIOR_PRESETS))]
 

@@ -487,14 +487,26 @@ def test_mcmc_chains_stop_below_reserved_streams():
 
 
 def test_simulate_range_check():
+    # Each key out of range, and the bound its message must name.
     # stopping_successes = 0 has no negative-binomial tail to report.
-    for line, key, in_code in (("looks_step = 1", "looks_step", {"looks_step": 1}),
-                               ("stopping_successes = 0", "stopping_successes",
-                                {"stopping_successes": 0})):
+    for key, value, bound in (("stopping_trials", 0, "at least 1"),
+                              ("stopping_successes", 0, "in [1, stopping_trials]"),
+                              ("stopping_successes", 25, "in [1, stopping_trials]"),
+                              ("stopping_null_rate", 0, "in (0, 1]"),
+                              ("looks_step", 1, "at least 2"),
+                              ("looks_max", 5, "at least looks_step"),
+                              ("os_alpha", 1, "in (0, 1)"),
+                              ("os_trials", 0, "at least 1"),
+                              ("os_theta", 0, "in (0, 1)"),
+                              ("sweep_epsilon", 1, "in (0, 1)"),
+                              ("sweep_n_mc", 1, "at least 1000")):
         with pytest.raises(ConfigError) as err:
-            parse_config(MINIMAL + f"[simulate]\n{line}\n")
+            parse_config(MINIMAL + f"[simulate]\n{key} = {value}\n")
         assert (err.value.section, err.value.key) == ("simulate", key)
-        assert_same_rejection(err.value, lambda: dataclasses.replace(SimulateConfig(), **in_code))
+        assert str(err.value).startswith(f"{key} must "), str(err.value)
+        assert f" {bound} (section [simulate]" in str(err.value)
+        assert_same_rejection(err.value,
+                              lambda: dataclasses.replace(SimulateConfig(), **{key: value}))
 
 
 @pytest.mark.parametrize("raw,expected", [

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import seed_sequence_generator
 from paircompare.bayes import BetaParams, posterior_pair
 from paircompare.config import parse_config_file
 from paircompare.errors import DegenerateChains, DomainError, TooFewSamples
@@ -32,7 +33,7 @@ from paircompare.mcmc import (
     rhat,
     run_chains,
 )
-from paircompare.numerics import RngStream, sample_beta
+from paircompare.numerics import sample_beta
 from paircompare.reporting import run_analysis
 
 UNIFORM = BetaParams(1.0, 1.0)
@@ -364,7 +365,7 @@ def reference_chain(prior, counts, config, master_seed, chain):
     returns whether each sampling step accepted."""
     (c1, t1), (c2, t2) = counts
     log_post = log_density(prior, counts)
-    gen = RngStream(master_seed, chain).generator
+    gen = seed_sequence_generator(master_seed, chain)
     if config.init is InitStrategy.MLE_JITTER:
         j1, j2 = gen.standard_normal(2).tolist()
         e1 = _reference_logit((c1 + 1.0) / (t1 + 2.0)) + 0.2 * j1

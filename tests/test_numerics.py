@@ -7,6 +7,7 @@ imports it.
 import math
 import re
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -15,14 +16,16 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import seed_sequence_generator
+from paircompare import numerics
 from paircompare.errors import DomainError
 from paircompare.numerics import (
-    RngStream,
     log_binomial_coefficient,
     sample_beta,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
+    stream,
     stream_keys,
 )
 
@@ -115,31 +118,42 @@ def test_log_binomial_matches_comb(n, k):
 
 
 def test_rng_stream_reproducible():
-    a = RngStream(12345, 7).generator.standard_normal(100)
-    b = RngStream(12345, 7).generator.standard_normal(100)
+    a = stream(12345, 7).standard_normal(100)
+    b = stream(12345, 7).standard_normal(100)
     assert np.array_equal(a, b)
 
 
 def test_rng_stream_distinct_streams():
-    a = RngStream(12345, 0).generator.random(100)
-    b = RngStream(12345, 1).generator.random(100)
-    c = RngStream(54321, 0).generator.random(100)
+    a = stream(12345, 0).random(100)
+    b = stream(12345, 1).random(100)
+    c = stream(54321, 0).random(100)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_rng_stream_validation():
     with pytest.raises(DomainError):
-        RngStream(-1)
+        stream(-1, 0)
     with pytest.raises(DomainError):
-        RngStream(3, -2)
+        stream(3, -2)
     with pytest.raises(DomainError):
-        RngStream(2 ** 63)
+        stream(2 ** 63, 0)
     # A bool is not a seed or an index, as for stream_keys.
     with pytest.raises(DomainError):
-        RngStream(True, 0)
+        stream(True, 0)
     with pytest.raises(DomainError):
-        RngStream(3, False)
+        stream(3, False)
+
+
+def test_every_stream_starts_from_stream_keys():
+    # One route to a random stream: no stream class or generator adapter
+    # beside ``stream``, and numpy's SeedSequence only behind the seed pool.
+    lines = [(path.name, line) for path in sorted(Path(numerics.__file__).parent.glob("*.py"))
+             for line in path.read_text(encoding="utf-8").splitlines()]
+    assert [hit for hit in lines if "RngStream" in hit[1] or "_as_generator" in hit[1]] == []
+    seeded = [hit for hit in lines if "SeedSequence" in hit[1]]
+    assert len(seeded) == 1, seeded
+    assert seeded[0][0] == "numerics.py" and seeded[0][1].startswith("_seed_pool = "), seeded
 
 
 # Word-boundary values: 2**32 - 1 and 2**32 take one and two 32-bit words.
@@ -175,12 +189,18 @@ def test_stream_keys_match_seed_sequence():
 
 
 def test_stream_keys_draw_what_the_stream_draws():
-    # A Philox at counter 0 under stream_keys(seed, [i])[0] is RngStream(seed, i).
-    for seed, index in ((2024, 0), (2024, 37), (2**40 + 3, 2**32 + 5)):
+    # A Philox at counter 0 under stream_keys(seed, [i])[0], and stream(seed, i),
+    # start where numpy's SeedSequence stream (seed, i) starts and draw what it draws.
+    for seed, index in ((2024, 0), (2024, 37), (2**40 + 3, 2**32 + 5), (1729, 0),
+                        (1729, 10_000), (1729, 20_001), (2**63 - 1, 2**33 + 5), (0, 0)):
         bitgen = np.random.Philox(key=stream_keys(seed, [index])[0])
-        stream = RngStream(seed, index).generator
-        np.testing.assert_equal(bitgen.state, stream.bit_generator.state)
-        assert np.array_equal(np.random.Generator(bitgen).random(50), stream.random(50))
+        mine = stream(seed, index)
+        oracle = seed_sequence_generator(seed, index)
+        np.testing.assert_equal(bitgen.state, oracle.bit_generator.state)
+        np.testing.assert_equal(mine.bit_generator.state, oracle.bit_generator.state)
+        want = oracle.random(50)
+        assert np.array_equal(np.random.Generator(bitgen).random(50), want)
+        assert np.array_equal(mine.random(50), want)
 
 
 def test_stream_keys_take_any_iterable_of_ints():
@@ -215,11 +235,11 @@ def test_stream_keys_refuse_what_rng_stream_refuses(bad):
     with pytest.raises(DomainError, match="master_seed must be an integer in"):
         stream_keys(bad, [0])
     with pytest.raises(DomainError, match="master_seed must be an integer in"):
-        RngStream(bad, 0)
+        stream(bad, 0)
     with pytest.raises(DomainError, match="stream_index must be an integer in"):
         stream_keys(1, [0, bad])
     with pytest.raises(DomainError, match="stream_index must be an integer in"):
-        RngStream(1, bad)
+        stream(1, bad)
 
 
 SAMPLER_CASES = [(0.5, 0.5), (1.0, 1.0), (2.0, 5.0), (9.0, 3.0), (1722.0, 656.0)]
@@ -227,7 +247,7 @@ SAMPLER_CASES = [(0.5, 0.5), (1.0, 1.0), (2.0, 5.0), (9.0, 3.0), (1722.0, 656.0)
 
 @pytest.mark.parametrize("a,b", SAMPLER_CASES)
 def test_sample_beta_distribution(a, b):
-    draws = sample_beta(a, b, RngStream(99, 5), size=20_000)
+    draws = sample_beta(a, b, stream(99, 5), size=20_000)
     assert draws.shape == (20_000,)
     assert np.all((draws > 0.0) & (draws < 1.0))
     # Kolmogorov-Smirnov against the target distribution.
@@ -239,22 +259,22 @@ def test_sample_beta_distribution(a, b):
 
 
 def test_sample_beta_scalar():
-    value = sample_beta(2.0, 5.0, RngStream(4, 0))
+    value = sample_beta(2.0, 5.0, stream(4, 0))
     assert isinstance(value, float)
     assert 0.0 < value < 1.0
 
 
 def test_sample_beta_deterministic():
-    a = sample_beta(3.0, 1.5, RngStream(7, 3), size=10)
-    b = sample_beta(3.0, 1.5, RngStream(7, 3), size=10)
+    a = sample_beta(3.0, 1.5, stream(7, 3), size=10)
+    b = sample_beta(3.0, 1.5, stream(7, 3), size=10)
     assert np.array_equal(a, b)
 
 
 def test_sample_beta_domain():
     with pytest.raises(DomainError):
-        sample_beta(0.0, 1.0, RngStream(1, 0))
+        sample_beta(0.0, 1.0, stream(1, 0))
     with pytest.raises(DomainError):
-        sample_beta(1.0, -3.0, RngStream(1, 0))
+        sample_beta(1.0, -3.0, stream(1, 0))
 
 
 @pytest.mark.parametrize("a,b", [(float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 1.0)])
@@ -270,12 +290,12 @@ def test_sample_beta_rejects_non_finite_shapes(a, b):
 @pytest.mark.parametrize("size", [2.5, -1, "3", np.float64(3.0)])
 def test_sample_beta_rejects_sizes_that_are_not_counts(size):
     with pytest.raises(DomainError):
-        sample_beta(2.0, 5.0, RngStream(1, 0), size=size)
+        sample_beta(2.0, 5.0, stream(1, 0), size=size)
 
 
 @pytest.mark.parametrize("size", [0, 3, np.int64(3), np.uint8(3)])
 def test_sample_beta_takes_python_and_numpy_integer_sizes(size):
-    draws = sample_beta(2.0, 5.0, RngStream(1, 0), size=size)
+    draws = sample_beta(2.0, 5.0, stream(1, 0), size=size)
     assert draws.shape == (int(size),)
 
 
@@ -322,7 +342,7 @@ SIZES = st.sampled_from([None, 0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
 @example(a=0.5, b=0.5, size=None, index=1)
 @settings(max_examples=60, deadline=None)
 def test_sample_beta_keeps_the_whole_array_draws_bit_for_bit(a, b, size, index):
-    mine, oracle = RngStream(2024, index).generator, RngStream(2024, index).generator
+    mine, oracle = stream(2024, index), seed_sequence_generator(2024, index)
     # Shapes near 1e-3 underflow both gammas to 0 now and then: 0/0 is NaN on both sides.
     with np.errstate(invalid="ignore"):
         got = sample_beta(a, b, mine, size)
@@ -336,7 +356,7 @@ def test_sample_beta_keeps_the_whole_array_draws_bit_for_bit(a, b, size, index):
 def test_sample_beta_working_set_stays_within_four_outputs(a, b):
     # 100k draws return 800 kB; n-long temporaries, as the whole-array form
     # made (an 8.1 MB peak), would break this budget.
-    gen = RngStream(3, 0).generator
+    gen = stream(3, 0)
     tracemalloc.start()
     try:
         sample_beta(a, b, gen, 100_000)

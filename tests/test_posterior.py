@@ -15,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
+from conftest import seed_sequence_generator
 from paircompare.bayes import BetaParams, PosteriorPair, event_probability_from_samples
 from paircompare.core import DecisionValue, Direction, Hypothesis, HypothesisKind
 from paircompare.errors import DomainError, TooFewSamples, UnstableEstimate
-from paircompare.numerics import RngStream, sample_beta
+from paircompare.numerics import sample_beta
 from paircompare.posterior import (
     MAX_SHAPE_SUM,
     MIN_COMPONENT,
@@ -371,7 +372,7 @@ def test_bayes_factor_validation():
 
 
 def easy_diffs(seed, stream, n=100_000):
-    gen = RngStream(seed, stream).generator
+    gen = seed_sequence_generator(seed, stream)
     return (sample_beta(EASY_POSTS.post1.alpha, EASY_POSTS.post1.beta, gen, size=n)
             - sample_beta(EASY_POSTS.post2.alpha, EASY_POSTS.post2.beta, gen, size=n))
 

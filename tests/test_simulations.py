@@ -12,11 +12,12 @@ import pytest
 import scipy.special
 import scipy.stats
 
+from conftest import seed_sequence_generator
 from paircompare.bayes import PRIOR_PRESETS, BetaParams, conjugate_update
 from paircompare.core import Direction
 from paircompare.errors import DegenerateTest, DomainError
 from paircompare.frequentist import pooled_z, two_proportion_z_test
-from paircompare.numerics import RngStream, stream_keys
+from paircompare.numerics import stream_keys
 from paircompare.simulations import (
     _BLOCK_DRAWS,
     Tail,
@@ -242,7 +243,7 @@ def test_optional_stopping_validation():
 
 @pytest.mark.parametrize("seed", [-1, 2**63, 1.5, True], ids=repr)
 def test_optional_stopping_refuses_bad_seeds(seed):
-    # The seed is refused with the message RngStream gives, before any draw.
+    # The seed is refused with the message numerics.stream gives, before any draw.
     with pytest.raises(DomainError, match="master_seed must be an integer in"):
         optional_stopping_fpr([10, 20], 0.5, 0.05, 30, seed)
 
@@ -250,7 +251,7 @@ def test_optional_stopping_refuses_bad_seeds(seed):
 def _scalar_first_rejection(looks, theta, alpha, seed, t, direction):
     """Reference for one trial: two draws from its stream, then pooled_z at
     each look until the first rejection.  Returns that look's index or None."""
-    gen = RngStream(seed, t).generator
+    gen = seed_sequence_generator(seed, t)
     cum1 = np.cumsum(gen.random(looks[-1]) < theta)
     cum2 = np.cumsum(gen.random(looks[-1]) < theta)
     for i, n in enumerate(looks):
