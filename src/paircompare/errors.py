@@ -15,16 +15,19 @@ class DegenerateTest(AssessmentError):
     """The test statistic is undefined for these counts (zero variance)."""
 
 
-class DegenerateChains(AssessmentError):
-    """Within-chain variance is exactly zero; scale diagnostics are undefined."""
-
-
 class TooFewSamples(AssessmentError):
     """Not enough samples for the requested summary."""
 
 
 class UnstableEstimate(AssessmentError):
     """A component of a ratio lies too close to 0 or 1 to be computed reliably."""
+
+
+def _located(message: str, parts) -> str:
+    """``message`` with the text of each ``(value, text)`` part whose value is
+    known appended in parentheses, as ``message (text, text)``."""
+    where = [text for value, text in parts if value is not None]
+    return f"{message} ({', '.join(where)})" if where else message
 
 
 class ConfigError(AssessmentError):
@@ -39,15 +42,8 @@ class ConfigError(AssessmentError):
         self.section = section
         self.key = key
         self.line = line
-        where = []
-        if section is not None:
-            where.append(f"section [{section}]")
-        if key is not None:
-            where.append(f"key {key!r}")
-        if line is not None:
-            where.append(f"line {line}")
-        suffix = f" ({', '.join(where)})" if where else ""
-        super().__init__(message + suffix)
+        super().__init__(_located(message, [(section, f"section [{section}]"),
+                                            (key, f"key {key!r}"), (line, f"line {line}")]))
 
 
 def check_config(section: str, checks) -> None:
@@ -67,13 +63,7 @@ class IngestError(AssessmentError):
                  row: int | None = None):
         self.path = path
         self.row = row
-        where = []
-        if path is not None:
-            where.append(str(path))
-        if row is not None:
-            where.append(f"row {row}")
-        suffix = f" ({', '.join(where)})" if where else ""
-        super().__init__(message + suffix)
+        super().__init__(_located(message, [(path, str(path)), (row, f"row {row}")]))
 
 
 class IoError(AssessmentError):

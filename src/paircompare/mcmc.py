@@ -20,7 +20,7 @@ import numpy as np
 
 from .bayes import BetaParams
 from .core import Counts
-from .errors import DegenerateChains, DomainError, TooFewSamples, check_config
+from .errors import DomainError, check_config
 from .fsio import atomic_write_text, json_text
 from .numerics import FIRST_RESERVED_STREAM, sample_beta, stream
 
@@ -157,7 +157,9 @@ def run_chains(prior: BetaParams, counts: Counts, config: McmcConfig,
 
     Convergence is flagged, not fatal: the returned trace carries
     ``converged`` plus human-readable warnings whenever the split-chain
-    R-hat exceeds 1.01 or the effective sample size falls below 400.
+    R-hat exceeds 1.01 or the effective sample size falls below 400.  An
+    undefined diagnostic keeps the ``inf`` or ``nan`` that ``rhat`` or ``ess``
+    returns and adds a warning of its own, ahead of the threshold warnings.
     """
     log_post = log_density(prior, counts)
     rows, accept_rates, step_sizes = zip(*(
@@ -165,27 +167,17 @@ def run_chains(prior: BetaParams, counts: Counts, config: McmcConfig,
         for chain in range(config.chains)))
     all_samples = np.stack(rows)
 
+    rhats = [rhat(all_samples[:, :, param]) for param in range(2)]
+    esses = [ess(all_samples[:, :, param]) for param in range(2)]
     warnings = []
-    rhats = []
-    esses = []
-    for param in range(2):
-        per_chain = all_samples[:, :, param]
-        try:
-            r = rhat(per_chain)
-        except DegenerateChains:
-            r = math.inf
+    for param, (r, e) in enumerate(zip(rhats, esses)):
+        if r == math.inf:
             warnings.append(
                 f"parameter {param + 1}: zero within-chain variance, R-hat undefined")
-        except DomainError:
-            r = math.nan
+        elif math.isnan(r):
             warnings.append(f"parameter {param + 1}: too few draws for R-hat")
-        rhats.append(r)
-        try:
-            e = ess(per_chain)
-        except TooFewSamples:
-            e = math.nan
+        if math.isnan(e):
             warnings.append(f"parameter {param + 1}: too few draws for an ESS estimate")
-        esses.append(e)
     for param, r in enumerate(rhats):
         if r > RHAT_THRESHOLD:
             warnings.append(f"parameter {param + 1}: R-hat {r:.4f} exceeds {RHAT_THRESHOLD}")
@@ -263,25 +255,25 @@ def rhat(chain_samples) -> float:
 
     Each chain is halved, and the usual between/within variance ratio is
     computed over the half-chains.  Values near 1 indicate the chains agree.
+    Below 4 draws per chain it returns ``nan``, and ``inf`` when the mean
+    within-sequence variance is exactly zero.
 
     Raises
     ------
     DomainError
-        For fewer than 2 chains or fewer than 4 draws per chain.
-    DegenerateChains
-        When the mean within-sequence variance is exactly zero.
+        Unless the input is a 2-D (chains, draws) array with at least 2 chains.
     """
     x = np.asarray(chain_samples, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise DomainError("rhat needs a 2-D (chains, draws) array with at least 2 chains")
     n = x.shape[1]
     if n < 4:
-        raise DomainError(f"rhat needs at least 4 draws per chain, got {n}")
+        return math.nan
     half = n // 2
     seqs = np.concatenate([x[:, :half], x[:, n - half:]], axis=0)
     within = float(np.mean(np.var(seqs, axis=1, ddof=1)))
     if within == 0.0:
-        raise DegenerateChains("within-chain variance is zero")
+        return math.inf
     between = half * float(np.var(np.mean(seqs, axis=1), ddof=1))
     pooled = (half - 1.0) / half * within + between / half
     return math.sqrt(pooled / within)
@@ -290,25 +282,23 @@ def rhat(chain_samples) -> float:
 def ess(samples) -> float:
     """Effective sample size via initial-positive-sequence autocorrelation.
 
-    Accepts one chain (1-D) or several (2-D, chains x draws).  Per chain the
-    estimate is ``N / (1 + 2 sum rho_k)`` where the autocorrelations are
-    summed in Geyer pairs until a pair turns non-positive; chain estimates
-    add up and the result is clipped to ``(0, total draws]``.  A constant
-    chain contributes the floor value of one effective draw.
+    ``samples`` is a 2-D (chains, draws) array.  Per chain the estimate is
+    ``N / (1 + 2 sum rho_k)`` where the autocorrelations are summed in Geyer
+    pairs until a pair turns non-positive; chain estimates add up and the
+    result is clipped to ``(0, total draws]``.  A constant chain contributes
+    the floor value of one effective draw.  Below 8 draws per chain the
+    autocorrelation sum is meaningless and it returns ``nan``.
 
     Raises
     ------
-    TooFewSamples
-        With fewer than 8 draws per chain the autocorrelation sum is
-        meaningless.
+    DomainError
+        Unless the input is a 2-D (chains, draws) array.
     """
     x = np.asarray(samples, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
     if x.ndim != 2:
-        raise DomainError("ess expects a 1-D or 2-D sample array")
+        raise DomainError("ess expects a 2-D (chains, draws) sample array")
     if x.shape[1] < _MIN_ESS_DRAWS:
-        raise TooFewSamples(f"ess needs at least {_MIN_ESS_DRAWS} draws, got {x.shape[1]}")
+        return math.nan
     total = float(x.size)
     estimate = sum(_ess_single(chain) for chain in x)
     return min(estimate, total)

@@ -97,8 +97,9 @@ def log_binomial_coefficient(n: int, k: int) -> float:
 #   0 .. trials-1     optional-stopping trial t       (simulations; a command
 #                                                      of its own)
 #
-# Every draw starts from the Philox key ``stream_keys(seed, [index])``: the
-# first three consumers through ``stream``, optional stopping by resetting one
+# Every draw starts from its index's Philox key, which ``stream_keys`` hashes
+# for a range of indices: ``stream`` asks for one, for the first three
+# consumers; optional stopping asks for one batch of trials and resets one
 # Philox to each trial's key, with no generator built per trial.
 #
 # The even sweep indices 20_000 + 2i stay unused, so each row's HDI keeps the
@@ -152,40 +153,38 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return value ^ value >> np.uint32(16)
 
 
-def stream_keys(master_seed: int, indices) -> np.ndarray:
-    """Philox keys of the streams ``(master_seed, i)`` for each ``i`` in ``indices``.
+def stream_keys(master_seed: int, start: int, count: int) -> np.ndarray:
+    """Philox keys of the streams ``(master_seed, start + j)`` for ``j < count``.
 
     Row ``j`` is the key numpy's seed sequence with entropy ``master_seed``
-    and spawn key ``(i,)`` gives a Philox generator; ``stream(master_seed, i)``
-    is that Philox at counter 0.  The hash runs on whole index arrays, so one
-    call costs about 20 array operations whatever its length, and each seed's
-    pool is hashed once.
+    and spawn key ``(start + j,)`` gives a Philox generator;
+    ``stream(master_seed, i)`` is that Philox at counter 0.  The hash runs on
+    the whole index range, so one call costs about 20 array operations
+    whatever ``count``, and each seed's pool is hashed once.
 
     Parameters
     ----------
     master_seed : int
         Seed of the run, in [0, 2**63).
-    indices : iterable of int
-        Stream indices, each in [0, 2**63).
+    start, count : int
+        The first stream index and the number of consecutive indices, at
+        least one; every index lies in [0, 2**63).
 
     Returns
     -------
     numpy.ndarray
-        ``(len(indices), 2)`` uint64 keys.
+        ``(count, 2)`` uint64 keys.
 
     Raises
     ------
     DomainError
-        If ``master_seed`` or an index is not an ``int`` in [0, 2**63): a
-        ``bool`` or a numpy integer is refused.
+        If ``master_seed``, ``start`` or the last index is not an ``int`` in
+        [0, 2**63): a ``bool`` or a numpy integer is refused.
     """
     _check_key_part("master_seed", master_seed)
-    ends = (indices[0], indices[-1]) if isinstance(indices, range) and indices else None
-    if ends is None or not all(0 <= i < 2**63 for i in ends):  # a range lies between its ends
-        indices = list(indices)
-        for i in indices:
-            _check_key_part("stream_index", i)
-    indices = np.array(indices, dtype=np.uint64)
+    _check_key_part("stream_index", start)
+    _check_key_part("last stream_index", start + count - 1)
+    indices = np.arange(count, dtype=np.uint64) + np.uint64(start)
     low = indices.astype(np.uint32)[:, None]  # the cast keeps the low 32 bits
     pool = _mix(_seed_pool(master_seed), _hash(low, *_INDEX_HASH[0]))
     high = indices >> np.uint64(32)
@@ -199,12 +198,13 @@ def stream_keys(master_seed: int, indices) -> np.ndarray:
 
 
 def stream(master_seed: int, index: int) -> np.random.Generator:
-    """The random stream ``(master_seed, index)``: Philox at counter 0 under its key.
+    """The random stream ``(master_seed, index)``: Philox at counter 0 under
+    its key, ``stream_keys(master_seed, index, 1)[0]``.
 
     Equal keys give bit-identical draws and distinct indices independent
     streams; ``master_seed`` and ``index`` are checked as by ``stream_keys``.
     """
-    return np.random.Generator(np.random.Philox(key=stream_keys(master_seed, [index])[0]))
+    return np.random.Generator(np.random.Philox(key=stream_keys(master_seed, index, 1)[0]))
 
 
 def _sample_gamma(shape: float, gen: np.random.Generator, size: int) -> np.ndarray:

@@ -104,8 +104,9 @@ def hdi_from_samples(samples, mass: float = 0.95) -> Hdi:
     return Hdi(float(x[i]), float(x[i + window - 1]), mass)
 
 
-def rope_decision(hdi: Hdi, rope_radius: float, rope_center: float = 0.0) -> RopeVerdict:
-    """Trichotomous comparison of an HDI against a region of practical equivalence.
+def rope_decision(hdi: Hdi, rope_radius: float) -> RopeVerdict:
+    """Trichotomous comparison of an HDI against the region of practical
+    equivalence ``[-rope_radius, rope_radius]`` around a zero difference.
 
     Intervals are closed: touching endpoints count as overlap.  The three
     relations map onto decisions as
@@ -116,8 +117,7 @@ def rope_decision(hdi: Hdi, rope_radius: float, rope_center: float = 0.0) -> Rop
     """
     if rope_radius <= 0.0:
         raise DomainError(f"rope_radius must be positive, got {rope_radius!r}")
-    lo = rope_center - rope_radius
-    hi = rope_center + rope_radius
+    lo, hi = -rope_radius, rope_radius
     if lo < hdi.lower and hdi.upper < hi:
         relation = RopeRelation.HDI_INSIDE_ROPE
         value = DecisionValue.ACCEPT_NULL

@@ -35,6 +35,9 @@ REPORT_FORMAT = "two-system-assessment/2"
 BF_ACCEPT_THRESHOLD = 3.0
 BF_REJECT_THRESHOLD = 1.0 / 3.0
 
+# Equal-width bins of each posterior histogram in the plot data.
+PLOT_BINS = 100
+
 _QUALIFIED = re.compile(r"(?:statistical(?:ly)?|practical(?:ly)?)\s+$", re.IGNORECASE)
 _SIGNIFICANCE = re.compile(r"significan\w*", re.IGNORECASE)
 
@@ -412,13 +415,13 @@ def _beta_dict(params) -> dict:
     return {"alpha": params.alpha, "beta": params.beta, "mean": params.mean}
 
 
-def emit_plot_data(theta1_samples, theta2_samples, out_dir, annotations: dict | None = None,
-                   bins: int = 100) -> list[Path]:
+def emit_plot_data(theta1_samples, theta2_samples, out_dir,
+                   annotations: dict | None = None) -> list[Path]:
     """Write ready-to-plot posterior histograms plus an annotation sidecar.
 
     Creates ``posterior_theta1.csv``, ``posterior_theta2.csv``, and
     ``posterior_diff.csv`` (columns ``bin_left,bin_right,density`` over
-    equal-width bins; the densities integrate to one), and
+    ``PLOT_BINS`` equal-width bins; the densities integrate to one), and
     ``annotations.json`` carrying whatever summary dict the caller supplies
     (HDI, ROPE, and event probabilities in reports).
     """
@@ -432,22 +435,22 @@ def emit_plot_data(theta1_samples, theta2_samples, out_dir, annotations: dict | 
     ]
     written = []
     for name, samples in named:
-        written.append(atomic_write_text(out / name, _histogram_csv(samples, bins)))
+        written.append(atomic_write_text(out / name, _histogram_csv(samples)))
     written.append(atomic_write_text(out / "annotations.json",
-                                     json_text({"annotations": annotations, "bins": bins})))
+                                     json_text({"annotations": annotations, "bins": PLOT_BINS})))
     return written
 
 
-def _histogram_csv(samples: np.ndarray, bins: int) -> str:
+def _histogram_csv(samples: np.ndarray) -> str:
     lo = float(samples.min())
     hi = float(samples.max())
     if lo == hi:
         # All mass in one spot: give the occupied bin a tiny nonzero width so
         # the density still integrates to one.
-        half_span = 5e-7 * bins / 2.0
-        edges = np.linspace(lo - half_span, lo + half_span, bins + 1)
+        half_span = 5e-7 * PLOT_BINS / 2.0
+        edges = np.linspace(lo - half_span, lo + half_span, PLOT_BINS + 1)
     else:
-        edges = np.linspace(lo, hi, bins + 1)
+        edges = np.linspace(lo, hi, PLOT_BINS + 1)
     density, edges = np.histogram(samples, bins=edges, density=True)
     lines = ["bin_left,bin_right,density"]
     for left, right, d in zip(edges[:-1], edges[1:], density):

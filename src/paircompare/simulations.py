@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from numbers import Integral
 
 import numpy as np
@@ -22,11 +21,6 @@ from .frequentist import pooled_statistic, pooled_z
 from .numerics import (STREAM_SWEEP_BASE, log_binomial_coefficient, sample_beta, std_normal_pdf,
                        std_normal_quantile, stream, stream_keys)
 from .posterior import Hdi, bayes_factor_interval_null, hdi_from_samples
-
-
-class Tail(Enum):
-    LOWER = "lower"
-    UPPER = "upper"
 
 
 @dataclass(frozen=True)
@@ -81,51 +75,38 @@ def _check_stopping_args(successes: int, trials: int, null_rate: float) -> None:
         raise DomainError(f"null_rate must lie in (0, 1], got {null_rate!r}")
 
 
-def pvalue_fixed_n(successes: int, trials: int, null_rate: float,
-                   tail: Tail = Tail.LOWER) -> float:
-    """Binomial tail probability when the number of trials was fixed.
+def pvalue_fixed_n(successes: int, trials: int, null_rate: float) -> float:
+    """Binomial lower tail when the number of trials was fixed.
 
-    ``LOWER`` sums P(K <= successes) under K ~ Binomial(trials, null_rate);
-    ``UPPER`` sums the other side.  Terms are accumulated in log space so
-    long tails survive underflow.
+    Sums P(K <= successes) under K ~ Binomial(trials, null_rate).  Terms are
+    accumulated in log space so long tails survive underflow.
     """
     _check_stopping_args(successes, trials, null_rate)
     if null_rate == 1.0:
         # All mass sits at K = trials.
-        if tail is Tail.LOWER:
-            return 1.0 if successes >= trials else 0.0
-        return 1.0
-    if tail is Tail.LOWER:
-        ks = range(0, successes + 1)
-    else:
-        ks = range(successes, trials + 1)
+        return 1.0 if successes >= trials else 0.0
     log_p = math.log(null_rate)
     log_q = math.log1p(-null_rate)
     terms = [log_binomial_coefficient(trials, k) + k * log_p + (trials - k) * log_q
-             for k in ks]
+             for k in range(0, successes + 1)]
     return min(1.0, math.exp(_log_sum_exp(terms)))
 
 
-def pvalue_fixed_successes(successes: int, trials: int, null_rate: float,
-                           tail: Tail = Tail.LOWER) -> float:
+def pvalue_fixed_successes(successes: int, trials: int, null_rate: float) -> float:
     """Negative-binomial tail when sampling stopped at the final success.
 
     Under this intention the random quantity is N, the number of trials
-    needed to reach ``successes``.  ``LOWER`` returns P(N >= trials): data
-    needing at least this many trials are evidence of a low rate, mirroring
-    the lower binomial tail.  ``UPPER`` returns P(N <= trials).  Both are
-    binomial tails, with no subtraction to cancel: N >= n exactly when the
-    first n - 1 trials hold at most a - 1 successes, and N <= n exactly when
-    the first n hold at least a.
+    needed to reach ``successes``.  Returns P(N >= trials): data needing at
+    least this many trials are evidence of a low rate, mirroring the lower
+    binomial tail.  It is a binomial tail, with no subtraction to cancel:
+    N >= n exactly when the first n - 1 trials hold at most a - 1 successes.
     """
     _check_stopping_args(successes, trials, null_rate)
     if successes < 1:
         raise DomainError("stopping on a success count needs at least one success")
-    if tail is Tail.UPPER:
-        return pvalue_fixed_n(successes, trials, null_rate, Tail.UPPER)
     if trials == 1:
         return 1.0
-    return pvalue_fixed_n(successes - 1, trials - 1, null_rate, Tail.LOWER)
+    return pvalue_fixed_n(successes - 1, trials - 1, null_rate)
 
 
 def stopping_comparison(successes: int, trials: int, null_rate: float) -> StoppingComparison:
@@ -190,8 +171,9 @@ def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int
     one array z-test decide every (trial, look) cell exactly (``_look_test``).
 
     One Philox generator serves every trial: set to counter 0 under trial
-    ``t``'s key, ``stream_keys(master_seed, t)``, it draws exactly what
-    ``stream(master_seed, t)`` would.  Keys are hashed once per batch.
+    ``t``'s key, it draws exactly what ``stream(master_seed, t)`` would.  The
+    keys are hashed once per batch, as the index range
+    ``stream_keys(master_seed, first trial, batch size)``.
     At 50 looks x 10k trials (80 trials a batch) the draws and state resets
     take about 60% of the time, the block counts and the look tests 15%
     each, and the keys 6%.  Memory is flat in ``trials``: the draw block,
@@ -227,7 +209,7 @@ def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int
     state["buffer"] = tuple(state["buffer"].tolist())
     for lo in range(0, trials, batch):
         tally = counts[:trials - lo]  # this batch's trials
-        keys = stream_keys(master_seed, range(lo, lo + len(tally)))
+        keys = stream_keys(master_seed, lo, len(tally))
         for start in range(0, len(tally), len(block)):
             rows = block[:len(tally) - start]
             for row, key in zip(rows, keys[start:start + len(rows)].tolist()):

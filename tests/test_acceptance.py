@@ -7,13 +7,11 @@ closed form) before the implementation was checked against it; tolerances
 are pinned here and nowhere else.
 """
 
-import json
 import math
 import shutil
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest

@@ -10,7 +10,6 @@ from conftest import seed_sequence_generator
 from paircompare.bayes import (
     PRIOR_PRESETS,
     BetaParams,
-    PosteriorPair,
     conjugate_update,
     event_probability_from_samples,
     posterior_pair,

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from conftest import seed_sequence_generator
 from paircompare.bayes import BetaParams, posterior_pair
 from paircompare.config import parse_config_file
-from paircompare.errors import DegenerateChains, DomainError, TooFewSamples
+from paircompare.errors import DomainError
 from paircompare.mcmc import (
     ESS_THRESHOLD,
     RHAT_THRESHOLD,
@@ -79,8 +79,7 @@ def test_rhat_split_detects_within_chain_trend():
 
 
 def test_rhat_degenerate_chains():
-    with pytest.raises(DegenerateChains):
-        rhat(np.full((3, 100), 0.25))
+    assert rhat(np.full((3, 100), 0.25)) == math.inf
 
 
 def test_rhat_input_validation():
@@ -88,8 +87,8 @@ def test_rhat_input_validation():
         rhat(np.zeros(50))
     with pytest.raises(DomainError):
         rhat(np.zeros((1, 50)))
-    with pytest.raises(DomainError):
-        rhat(np.random.default_rng(0).normal(size=(4, 3)))
+    # Three draws per chain are too few: a value, not an error.
+    assert math.isnan(rhat(np.random.default_rng(0).normal(size=(4, 3))))
 
 
 def test_ess_iid_close_to_sample_count():
@@ -118,18 +117,14 @@ def test_ess_ar1_matches_theory():
 
 
 def test_ess_constant_chain_floors_at_one():
-    assert ess(np.full(100, 3.14)) == 1.0
-
-
-def test_ess_accepts_one_dimensional_input():
-    gen = np.random.default_rng(41)
-    x = gen.normal(size=1000)
-    assert ess(x) == ess(x[None, :])
+    assert ess(np.full((1, 100), 3.14)) == 1.0
 
 
 def test_ess_input_validation():
-    with pytest.raises(TooFewSamples):
-        ess(np.zeros(7))
+    # Seven draws per chain are too few: a value, not an error.
+    assert math.isnan(ess(np.zeros((2, 7))))
+    with pytest.raises(DomainError):
+        ess(np.zeros(50))
     with pytest.raises(DomainError):
         ess(np.zeros((2, 3, 50)))
 
@@ -194,6 +189,47 @@ def test_run_chains_flags_short_runs_instead_of_failing():
     trace = run_chains(UNIFORM, EASY, config, 3)
     assert not trace.converged
     assert any("effective sample size" in w for w in trace.warnings)
+
+
+UNDEFINED_DIAGNOSTICS_CASES = {
+    # Five draws per chain: R-hat is defined, ESS is not.
+    "draws_5": (McmcConfig(draws=5), (1.5786638411586316, 4.669808102277513), (math.nan,) * 2, (
+        "parameter 1: too few draws for an ESS estimate",
+        "parameter 2: too few draws for an ESS estimate",
+        "parameter 1: R-hat 1.5787 exceeds 1.01",
+        "parameter 2: R-hat 4.6698 exceeds 1.01",
+    )),
+    # One draw per chain: neither is defined, and no threshold is crossed.
+    "draws_1": (McmcConfig(draws=1), (math.nan,) * 2, (math.nan,) * 2, (
+        "parameter 1: too few draws for R-hat",
+        "parameter 1: too few draws for an ESS estimate",
+        "parameter 2: too few draws for R-hat",
+        "parameter 2: too few draws for an ESS estimate",
+    )),
+    # No warmup and four draws: here each half-chain holds one state, so the
+    # within-chain variance is zero and R-hat infinite.
+    "infinite_rhat": (McmcConfig(chains=2, warmup=0, draws=4), (math.inf,) * 2,
+                      (math.nan,) * 2, (
+        "parameter 1: zero within-chain variance, R-hat undefined",
+        "parameter 1: too few draws for an ESS estimate",
+        "parameter 2: zero within-chain variance, R-hat undefined",
+        "parameter 2: too few draws for an ESS estimate",
+        "parameter 1: R-hat inf exceeds 1.01",
+        "parameter 2: R-hat inf exceeds 1.01",
+    )),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNDEFINED_DIAGNOSTICS_CASES))
+def test_run_chains_reports_undefined_diagnostics(name):
+    # Undefined diagnostics are values (inf, NaN) with a warning each, in
+    # parameter order, before the threshold warnings.
+    config, rhats, esses, warnings = UNDEFINED_DIAGNOSTICS_CASES[name]
+    trace = run_chains(UNIFORM, EASY, config, 1729)
+    np.testing.assert_equal([float(r) for r in trace.rhat], rhats)
+    np.testing.assert_equal([float(e) for e in trace.ess], esses)
+    assert trace.warnings == warnings
+    assert not trace.converged
 
 
 def test_export_trace_round_trips_exactly(tmp_path, easy_trace):

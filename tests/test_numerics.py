@@ -168,32 +168,32 @@ def _seed_sequence_keys(seed, indices):
 
 def test_stream_keys_match_seed_sequence():
     # About 1e5 (seed, index) pairs against numpy's own SeedSequence: every
-    # edge seed with every edge index, then random seeds and indices of one,
-    # two and up to 63 bits.
+    # edge seed and random seeds of one and two words, each with ranges from
+    # 0, across 2**32 and ending at 2**63 - 1, then random ranges of one-word
+    # indices, of indices near 2**32 and of indices up to 63 bits.
     rng = np.random.default_rng(20261018)
     seeds = EDGE_KEY_PARTS + [int(x) for x in np.concatenate([
         rng.integers(0, 2**32, 15), rng.integers(2**32, 2**63, 15, dtype=np.uint64)])]
     checked = 0
     for seed in seeds:
-        indices = np.concatenate([
-            np.array(EDGE_KEY_PARTS, dtype=np.uint64),
-            rng.integers(0, 2**32, 1000, dtype=np.uint64),
-            rng.integers(2**32, 2**33, 1000, dtype=np.uint64),
-            rng.integers(0, 2**63, 1000, dtype=np.uint64),
-        ])
-        keys = stream_keys(seed, indices.tolist())
-        assert keys.dtype == np.uint64 and keys.shape == (len(indices), 2)
-        assert np.array_equal(keys, _seed_sequence_keys(seed, indices.tolist())), seed
-        checked += len(indices)
+        ranges = [(0, 16), (2**32 - 8, 16), (2**63 - 16, 16)] + [
+            (int(rng.integers(lo, hi, dtype=np.uint64)), 1000)
+            for lo, hi in ((0, 2**32 - 1000), (2**32 - 1000, 2**32 + 1), (0, 2**63 - 1000))]
+        for start, count in ranges:
+            keys = stream_keys(seed, start, count)
+            assert keys.dtype == np.uint64 and keys.shape == (count, 2)
+            want = _seed_sequence_keys(seed, range(start, start + count))
+            assert np.array_equal(keys, want), (seed, start)
+            checked += count
     assert checked >= 90_000
 
 
 def test_stream_keys_draw_what_the_stream_draws():
-    # A Philox at counter 0 under stream_keys(seed, [i])[0], and stream(seed, i),
+    # A Philox at counter 0 under stream_keys(seed, i, 1)[0], and stream(seed, i),
     # start where numpy's SeedSequence stream (seed, i) starts and draw what it draws.
     for seed, index in ((2024, 0), (2024, 37), (2**40 + 3, 2**32 + 5), (1729, 0),
                         (1729, 10_000), (1729, 20_001), (2**63 - 1, 2**33 + 5), (0, 0)):
-        bitgen = np.random.Philox(key=stream_keys(seed, [index])[0])
+        bitgen = np.random.Philox(key=stream_keys(seed, index, 1)[0])
         mine = stream(seed, index)
         oracle = seed_sequence_generator(seed, index)
         np.testing.assert_equal(bitgen.state, oracle.bit_generator.state)
@@ -203,28 +203,17 @@ def test_stream_keys_draw_what_the_stream_draws():
         assert np.array_equal(mine.random(50), want)
 
 
-def test_stream_keys_take_any_iterable_of_ints():
-    want = _seed_sequence_keys(7, [3, 2**32, 0])
-    for indices in ([3, 2**32, 0], (3, 2**32, 0), iter([3, 2**32, 0])):
-        assert np.array_equal(stream_keys(7, indices), want)
-    assert stream_keys(7, []).shape == (0, 2)
-    # A range is checked by its ends: empty, one index, across 2**32, descending.
-    for indices in (range(5), range(0), range(4, 5), range(2**32 - 2, 2**32 + 3),
-                    range(2**63 - 1, 2**63 - 40, -7), range(9, 0, -2)):
-        assert np.array_equal(stream_keys(7, indices), _seed_sequence_keys(7, indices)), indices
-
-
-@pytest.mark.parametrize("indices, first_bad", [
-    (range(-2, 3), -2),
-    (range(3, -3, -1), -1),
-    (range(2**63 - 2, 2**63 + 2), 2**63),
-    (range(2**63 + 5, 2**63 - 5, -3), 2**63 + 5),
-], ids=repr)
-def test_stream_keys_name_the_first_bad_index_of_a_range(indices, first_bad):
-    # A range whose ends fail is checked index by index, as a list is.
-    with pytest.raises(DomainError, match=re.escape(f"stream_index must be an integer in "
-                                                    f"[0, 2**63), got {first_bad!r}")):
-        stream_keys(1, indices)
+@pytest.mark.parametrize("start, count, message", [
+    (-2, 5, "stream_index must be an integer in [0, 2**63), got -2"),
+    (2**63 - 2, 4, f"last stream_index must be an integer in [0, 2**63), got {2**63 + 1}"),
+    (0, 0, "last stream_index must be an integer in [0, 2**63), got -1"),
+    (3, 2.0, "last stream_index must be an integer in [0, 2**63), got 4.0"),
+], ids=["negative_start", "past_2**63", "empty", "float_count"])
+def test_stream_keys_refuse_a_range_outside_the_indices(start, count, message):
+    # A range is checked by its first and last index: it must hold at least
+    # one index, and every index must lie in [0, 2**63).
+    with pytest.raises(DomainError, match=re.escape(message)):
+        stream_keys(1, start, count)
 
 
 BAD_KEY_PARTS = [-1, 2**63, 2**64, 1.5, 3.0, True, False, None, np.int64(3)]
@@ -233,11 +222,11 @@ BAD_KEY_PARTS = [-1, 2**63, 2**64, 1.5, 3.0, True, False, None, np.int64(3)]
 @pytest.mark.parametrize("bad", BAD_KEY_PARTS, ids=repr)
 def test_stream_keys_refuse_what_rng_stream_refuses(bad):
     with pytest.raises(DomainError, match="master_seed must be an integer in"):
-        stream_keys(bad, [0])
+        stream_keys(bad, 0, 1)
     with pytest.raises(DomainError, match="master_seed must be an integer in"):
         stream(bad, 0)
     with pytest.raises(DomainError, match="stream_index must be an integer in"):
-        stream_keys(1, [0, bad])
+        stream_keys(1, bad, 1)
     with pytest.raises(DomainError, match="stream_index must be an integer in"):
         stream(1, bad)
 

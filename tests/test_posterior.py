@@ -134,10 +134,10 @@ def test_rope_touching_endpoint_counts_as_overlap():
     assert exact_cover.relation is RopeRelation.OVERLAP
 
 
-def test_rope_respects_center():
-    shifted = rope_decision(Hdi(0.39, 0.41, 0.95), 0.05, rope_center=0.4)
-    assert shifted.relation is RopeRelation.HDI_INSIDE_ROPE
-    assert shifted.rope == (pytest.approx(0.35), pytest.approx(0.45))
+def test_rope_is_centred_on_zero():
+    verdict = rope_decision(Hdi(0.39, 0.41, 0.95), 0.05)
+    assert verdict.relation is RopeRelation.HDI_OUTSIDE_ROPE
+    assert verdict.rope == (-0.05, 0.05)
 
 
 def test_rope_radius_domain():

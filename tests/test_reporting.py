@@ -357,14 +357,14 @@ def test_plot_histograms_integrate_to_one(tmp_path):
     gen = np.random.default_rng(3)
     theta1 = gen.beta(20, 5, size=5000)
     theta2 = gen.beta(18, 6, size=5000)
-    paths = emit_plot_data(theta1, theta2, tmp_path, {"note": 1}, bins=60)
+    paths = emit_plot_data(theta1, theta2, tmp_path, {"note": 1})
     for path in paths:
         if path.suffix == ".csv":
             rows = read_histogram(path)
-            assert len(rows) == 60
+            assert len(rows) == 100
             assert integrate(rows) == pytest.approx(1.0, abs=1e-9)
     sidecar = json.loads((tmp_path / "annotations.json").read_text())
-    assert sidecar == {"annotations": {"note": 1}, "bins": 60}
+    assert sidecar == {"annotations": {"note": 1}, "bins": 100}
 
 
 def test_plot_constant_samples_single_bin(tmp_path):

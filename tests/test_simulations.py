@@ -20,7 +20,6 @@ from paircompare.frequentist import pooled_z, two_proportion_z_test
 from paircompare.numerics import stream_keys
 from paircompare.simulations import (
     _BLOCK_DRAWS,
-    Tail,
     _look_test,
     optional_stopping_fpr,
     prior_sensitivity_sweep,
@@ -50,11 +49,8 @@ def test_fixed_successes_classic_counts_frozen():
     (7, 24, 0.5), (45, 120, 0.5), (2, 200, 0.01), (198, 200, 0.97),
 ])
 def test_fixed_n_matches_scipy_binom(s, n, theta):
-    dist = scipy.stats.binom(n, theta)
-    assert pvalue_fixed_n(s, n, theta, Tail.LOWER) == pytest.approx(
-        dist.cdf(s), rel=1e-10)
-    assert pvalue_fixed_n(s, n, theta, Tail.UPPER) == pytest.approx(
-        dist.sf(s - 1), rel=1e-10)
+    assert pvalue_fixed_n(s, n, theta) == pytest.approx(
+        scipy.stats.binom(n, theta).cdf(s), rel=1e-10)
 
 
 @pytest.mark.parametrize("s,n,theta", [
@@ -62,25 +58,19 @@ def test_fixed_n_matches_scipy_binom(s, n, theta):
 ])
 def test_fixed_successes_matches_scipy_nbinom(s, n, theta):
     # N >= n is the event of at least n - s failures before the s-th success.
-    dist = scipy.stats.nbinom(s, theta)
-    assert pvalue_fixed_successes(s, n, theta, Tail.LOWER) == pytest.approx(
-        dist.sf(n - s - 1), rel=1e-10)
-    assert pvalue_fixed_successes(s, n, theta, Tail.UPPER) == pytest.approx(
-        dist.cdf(n - s), rel=1e-10)
+    assert pvalue_fixed_successes(s, n, theta) == pytest.approx(
+        scipy.stats.nbinom(s, theta).sf(n - s - 1), rel=1e-10)
 
 
-def _exact_negative_binomial_tails(a, n, rate):
-    """(P(N >= n), P(N <= n)) for the trial N of the a-th success, summed from
-    the negative-binomial pmf in integers scaled by the rate's denominator and
+def _exact_negative_binomial_tail(a, n, rate):
+    """P(N >= n) for the trial N of the a-th success, summed from the
+    negative-binomial pmf in integers scaled by the rate's denominator and
     rounded once, in the final division."""
     p, d = rate.as_integer_ratio()
     q = d - p
-
-    def mass(limit):  # P(N <= limit) * d**limit
-        return sum(math.comb(m - 1, a - 1) * p**a * q**(m - a) * d**(limit - m)
-                   for m in range(a, limit + 1))
-
-    return (d**(n - 1) - mass(n - 1)) / d**(n - 1), mass(n) / d**n
+    below = sum(math.comb(m - 1, a - 1) * p**a * q**(m - a) * d**(n - 1 - m)
+                for m in range(a, n))  # P(N <= n - 1) * d**(n - 1)
+    return (d**(n - 1) - below) / d**(n - 1)
 
 
 @pytest.mark.parametrize("rate", [0.1, 0.5, 0.9])
@@ -89,32 +79,28 @@ def test_fixed_successes_matches_exact_tails_on_a_grid(rate):
     # cancel: 4 successes in 59 trials at rate 0.9 has P(N >= 59) = 2.26e-51.
     for n in range(1, 61):
         for a in range(1, n + 1):
-            lower, upper = _exact_negative_binomial_tails(a, n, rate)
-            assert pvalue_fixed_successes(a, n, rate, Tail.LOWER) == pytest.approx(
-                lower, rel=1e-12)
-            assert pvalue_fixed_successes(a, n, rate, Tail.UPPER) == pytest.approx(
-                upper, rel=1e-12)
+            assert pvalue_fixed_successes(a, n, rate) == pytest.approx(
+                _exact_negative_binomial_tail(a, n, rate), rel=1e-12)
     if rate == 0.9:
         assert pvalue_fixed_successes(4, 59, rate) == pytest.approx(2.26284e-51, rel=1e-5)
 
 
 def test_fixed_n_tails_partition_unit_mass():
+    # P(K <= s) at rate p and P(K >= s + 1) = P(24 - K <= 23 - s), the lower
+    # tail of the mirrored count at rate 1 - p, add up to one.
     for s in range(0, 24):
-        total = pvalue_fixed_n(s, 24, 0.37, Tail.LOWER) \
-            + pvalue_fixed_n(s + 1, 24, 0.37, Tail.UPPER)
+        total = pvalue_fixed_n(s, 24, 0.37) + pvalue_fixed_n(23 - s, 24, 1.0 - 0.37)
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fixed_n_certain_null_rate():
-    assert pvalue_fixed_n(24, 24, 1.0, Tail.LOWER) == 1.0
-    assert pvalue_fixed_n(23, 24, 1.0, Tail.LOWER) == 0.0
-    assert pvalue_fixed_n(5, 24, 1.0, Tail.UPPER) == 1.0
+    assert pvalue_fixed_n(24, 24, 1.0) == 1.0
+    assert pvalue_fixed_n(23, 24, 1.0) == 0.0
 
 
 def test_fixed_successes_certain_null_rate():
-    assert pvalue_fixed_successes(7, 7, 1.0, Tail.LOWER) == 1.0
-    assert pvalue_fixed_successes(7, 8, 1.0, Tail.LOWER) == 0.0
-    assert pvalue_fixed_successes(7, 7, 1.0, Tail.UPPER) == 1.0
+    assert pvalue_fixed_successes(7, 7, 1.0) == 1.0
+    assert pvalue_fixed_successes(7, 8, 1.0) == 0.0
 
 
 def test_stopping_args_validated():
@@ -359,9 +345,9 @@ def test_optional_stopping_block_boundaries(monkeypatch):
         # batches fall.
         hashed = []
 
-        def recording(seed, indices):
-            hashed.append(indices)
-            return stream_keys(seed, indices)
+        def recording(seed, start, count):
+            hashed.append(range(start, start + count))
+            return stream_keys(seed, start, count)
 
         monkeypatch.setattr(simulations, "stream_keys", recording)
         optional_stopping_fpr(looks, 0.5, 0.2, 2 * batch + 1, 1729)
