@@ -14,7 +14,6 @@ config built or ``replace``-d in code is checked exactly as one parsed.
 from __future__ import annotations
 
 import configparser
-import csv
 import functools
 import re
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -419,6 +418,8 @@ def load_observations(config: AnalysisConfig) -> Observations:
 
 def _open_rows(path: Path):
     """Stream a CSV data file's rows; a read or decode failure at any row is an IngestError."""
+    import csv  # here, not at the top: no other command reads CSV, so none pays its import
+
     try:
         with path.open(encoding="utf-8-sig", newline="") as fh:
             yield from csv.reader(fh)

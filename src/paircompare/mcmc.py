@@ -313,7 +313,7 @@ def _ess_single(x: np.ndarray) -> float:
     acov = _autocovariance(x)
     if acov[0] <= 0.0:
         return 1.0
-    rho = acov / acov[0]
+    rho = (acov / acov[0]).tolist()  # Python floats: the same doubles, and a float ESS
     # Geyer pairs: keep (rho_2m + rho_2m+1) while positive.
     pair_sum = 0.0
     m = 0

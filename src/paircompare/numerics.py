@@ -11,6 +11,10 @@ targets (absolute error unless noted):
   spacing of p, not the algorithm, limits what any inverse can recover
 * ``log_binomial_coefficient``    relative error <= 1e-12
 
+The quantile starts from Wichura's AS241 rational approximation (Applied
+Statistics 37(3), 1988), ported as CPython's ``statistics.NormalDist`` writes
+it, and polishes that with Newton steps against the CDF.
+
 ``sample_beta`` divides Marsaglia-Tsang gamma variates (ACM TOMS 26(3), 2000),
 all of Gamma(a) before Gamma(b).  Pinned bytes rest on that draw order: each
 rejection round draws all its normals, then its uniforms; a shape below 1 then
@@ -23,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-import statistics
 
 import numpy as np
 
@@ -47,7 +50,7 @@ def std_normal_pdf(z: float) -> float:
 def std_normal_quantile(p: float) -> float:
     """Inverse of :func:`std_normal_cdf`.
 
-    A rational initial estimate is polished with two Newton steps against
+    AS241's estimate is polished with two Newton steps against
     ``std_normal_cdf``, which keeps the round-trip error below 1e-9.
 
     Parameters
@@ -62,13 +65,85 @@ def std_normal_quantile(p: float) -> float:
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"quantile requires p in (0, 1), got {p!r}")
-    z = statistics.NormalDist().inv_cdf(p)
+    z = _as241(p)
     for _ in range(2):
         density = std_normal_pdf(z)
         if density <= 1e-300:
             break
         z -= (std_normal_cdf(z) - p) / density
     return z
+
+
+def _as241(p: float) -> float:
+    # Wichura, M.J. (1988). "Algorithm AS241: The Percentage Points of the
+    # Normal Distribution".  Applied Statistics 37(3): 477-484.  Line for line
+    # CPython's statistics._normal_dist_inv_cdf at mu = 0, sigma = 1, so it
+    # returns NormalDist().inv_cdf(p) bit for bit.
+    q = p - 0.5
+    if math.fabs(q) <= 0.425:
+        r = 0.180625 - q * q
+        # Hash sum: 55.88319_28806_14901_4439
+        num = (((((((2.50908_09287_30122_6727e+3 * r +
+                     3.34305_75583_58812_8105e+4) * r +
+                     6.72657_70927_00870_0853e+4) * r +
+                     4.59219_53931_54987_1457e+4) * r +
+                     1.37316_93765_50946_1125e+4) * r +
+                     1.97159_09503_06551_4427e+3) * r +
+                     1.33141_66789_17843_7745e+2) * r +
+                     3.38713_28727_96366_6080e+0) * q
+        den = (((((((5.22649_52788_52854_5610e+3 * r +
+                     2.87290_85735_72194_2674e+4) * r +
+                     3.93078_95800_09271_0610e+4) * r +
+                     2.12137_94301_58659_5867e+4) * r +
+                     5.39419_60214_24751_1077e+3) * r +
+                     6.87187_00749_20579_0830e+2) * r +
+                     4.23133_30701_60091_1252e+1) * r +
+                     1.0)
+        return num / den
+    r = p if q <= 0.0 else 1.0 - p
+    r = math.sqrt(-math.log(r))
+    if r <= 5.0:
+        r = r - 1.6
+        # Hash sum: 49.33206_50330_16102_89036
+        num = (((((((7.74545_01427_83414_07640e-4 * r +
+                     2.27238_44989_26918_45833e-2) * r +
+                     2.41780_72517_74506_11770e-1) * r +
+                     1.27045_82524_52368_38258e+0) * r +
+                     3.64784_83247_63204_60504e+0) * r +
+                     5.76949_72214_60691_40550e+0) * r +
+                     4.63033_78461_56545_29590e+0) * r +
+                     1.42343_71107_49683_57734e+0)
+        den = (((((((1.05075_00716_44416_84324e-9 * r +
+                     5.47593_80849_95344_94600e-4) * r +
+                     1.51986_66563_61645_71966e-2) * r +
+                     1.48103_97642_74800_74590e-1) * r +
+                     6.89767_33498_51000_04550e-1) * r +
+                     1.67638_48301_83803_84940e+0) * r +
+                     2.05319_16266_37758_82187e+0) * r +
+                     1.0)
+    else:
+        r = r - 5.0
+        # Hash sum: 47.52583_31754_92896_71629
+        num = (((((((2.01033_43992_92288_13265e-7 * r +
+                     2.71155_55687_43487_57815e-5) * r +
+                     1.24266_09473_88078_43860e-3) * r +
+                     2.65321_89526_57612_30930e-2) * r +
+                     2.96560_57182_85048_91230e-1) * r +
+                     1.78482_65399_17291_33580e+0) * r +
+                     5.46378_49111_64114_36990e+0) * r +
+                     6.65790_46435_01103_77720e+0)
+        den = (((((((2.04426_31033_89939_78564e-15 * r +
+                     1.42151_17583_16445_88870e-7) * r +
+                     1.84631_83175_10054_68180e-5) * r +
+                     7.86869_13114_56132_59100e-4) * r +
+                     1.48753_61290_85061_48525e-2) * r +
+                     1.36929_88092_27358_05310e-1) * r +
+                     5.99832_20655_58879_37690e-1) * r +
+                     1.0)
+    x = num / den
+    if q < 0.0:
+        x = -x
+    return x
 
 
 def log_binomial_coefficient(n: int, k: int) -> float:
@@ -204,7 +279,14 @@ def stream(master_seed: int, index: int) -> np.random.Generator:
     Equal keys give bit-identical draws and distinct indices independent
     streams; ``master_seed`` and ``index`` are checked as by ``stream_keys``.
     """
-    return np.random.Generator(np.random.Philox(key=stream_keys(master_seed, index, 1)[0]))
+    key = stream_keys(master_seed, index, 1)[0]
+    # Philox(key=...) would first seed itself from OS entropy, then discard it;
+    # a fixed seed reads none, and the key set on its state replaces that seed's.
+    bitgen = np.random.Philox(0)
+    state = bitgen.state
+    state["state"]["key"] = key
+    bitgen.state = state
+    return np.random.Generator(bitgen)
 
 
 def _sample_gamma(shape: float, gen: np.random.Generator, size: int) -> np.ndarray:

@@ -294,6 +294,53 @@ def test_console_script_subprocess(fixture_tree):
         assert installed.stdout.startswith("paircompare ")
 
 
+def fresh_interpreter(code: str) -> dict:
+    """Run ``code`` in a new interpreter and return the JSON it prints."""
+    result = subprocess.run([sys.executable, "-c", f"import gc, json, sys\n{code}"],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+GC_STATE = "print(json.dumps({'enabled': gc.isenabled(), 'frozen': gc.get_freeze_count()}))"
+
+
+def test_cli_import_freezes_its_heap_and_skips_unused_modules():
+    state = fresh_interpreter(
+        "import paircompare.cli\n"
+        "print(json.dumps({'enabled': gc.isenabled(), 'frozen': gc.get_freeze_count(),\n"
+        "                  'loaded': [m for m in ('statistics', 'fractions', 'decimal', 'csv')\n"
+        "                             if m in sys.modules]}))")
+    assert state["loaded"] == []
+    assert state["enabled"] and state["frozen"] > 0
+
+
+@pytest.mark.parametrize("host, collecting", [
+    ("", True), ("gc.disable()", False), ("gc.freeze()", True),
+], ids=["gc_enabled", "gc_disabled", "host_froze"])
+def test_package_import_leaves_the_collector_as_it_found_it(host, collecting):
+    # Only the command-line module freezes: a host that imports the package
+    # keeps its collector on or off, and frozen exactly what it froze.
+    state = fresh_interpreter(f"{host}\nbefore = gc.get_freeze_count()\nimport paircompare\n"
+                              "print(json.dumps({'enabled': gc.isenabled(), 'before': before,\n"
+                              "                  'after': gc.get_freeze_count()}))")
+    assert state["enabled"] is collecting
+    assert state["after"] == state["before"]
+    assert (state["before"] > 0) is (host == "gc.freeze()")
+
+
+@pytest.mark.parametrize("blocked", ["paircompare.simulations", "argparse"])
+def test_a_failed_import_turns_the_collector_back_on(blocked):
+    # A module that cannot be imported fails the package's import (the last
+    # of __init__'s imports) or the command-line module's (its first): the
+    # collector is back on, and nothing is frozen.
+    state = fresh_interpreter(f"sys.modules[{blocked!r}] = None\n"
+                              "try:\n    import paircompare.cli\n"
+                              "except ImportError:\n    pass\nelse:\n    sys.exit(3)\n"
+                              f"{GC_STATE}")
+    assert state == {"enabled": True, "frozen": 0}
+
+
 def test_incomplete_beta_nonconvergence_is_a_handled_error(fixture_tree, monkeypatch, capsys):
     # 10^11 items per system once pushed an incomplete beta's continued
     # fraction past its term limit.  The interval probability now refuses

@@ -232,6 +232,14 @@ def test_run_chains_reports_undefined_diagnostics(name):
     assert not trace.converged
 
 
+@pytest.mark.parametrize("config", [McmcConfig(), McmcConfig(warmup=0, draws=8)],
+                         ids=["default", "eight_draws"])
+def test_ess_values_are_python_floats(config):
+    # Geyer sums, constant-chain floors and the clip alike: never numpy.float64.
+    trace = run_chains(UNIFORM, EASY, config, 1729)
+    assert [type(value) for value in trace.ess] == [float, float]
+
+
 def test_export_trace_round_trips_exactly(tmp_path, easy_trace):
     paths = export_trace(easy_trace, tmp_path / "trace")
     names = sorted(p.name for p in paths)

@@ -6,6 +6,7 @@ imports it.
 
 import math
 import re
+import statistics
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -87,6 +88,34 @@ def test_quantile_matches_scipy_everywhere():
 def test_quantile_domain(p):
     with pytest.raises(DomainError):
         std_normal_quantile(p)
+
+
+def _as241_mismatches(ps):
+    inv_cdf = statistics.NormalDist().inv_cdf
+    found = ((p, numerics._as241(p).hex(), inv_cdf(p).hex()) for p in map(float, ps))
+    return [hit for hit in found if hit[1] != hit[2]]
+
+
+def test_as241_matches_statistics_bit_for_bit_on_random_p():
+    # The quantile's starting point is CPython's AS241 ported, not imported:
+    # it must return NormalDist().inv_cdf's doubles exactly, sign included.
+    # Uniform p, then p log-uniform down to 1e-300 and 1 - p down to 1e-16.
+    rng = np.random.default_rng(20261019)
+    ps = np.concatenate([rng.random(50_000), 10.0 ** -rng.uniform(0.0, 300.0, 30_000),
+                         1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 30_000)])
+    ps = ps[(ps > 0.0) & (ps < 1.0)]
+    assert ps.size >= 100_000
+    assert _as241_mismatches(ps) == []
+
+
+def test_as241_matches_statistics_bit_for_bit_at_the_edges():
+    edges = [10.0 ** -k for k in range(1, 301)] + [5e-324, 0.5]
+    edges += [1.0 - 10.0 ** -k for k in range(1, 17)]
+    # Both sides of the central branch's |p - 0.5| <= 0.425, of 0.425 itself,
+    # and of the tails' switch at sqrt(-log(p)) = 5.
+    for edge in (0.075, 0.425, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0)):
+        edges += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0)]
+    assert _as241_mismatches(edges) == []
 
 
 def test_pdf_matches_scipy():
@@ -201,6 +230,20 @@ def test_stream_keys_draw_what_the_stream_draws():
         want = oracle.random(50)
         assert np.array_equal(np.random.Generator(bitgen).random(50), want)
         assert np.array_equal(mine.random(50), want)
+
+
+def test_stream_reads_no_os_entropy(monkeypatch):
+    # A stream's bits come from its key alone: with numpy's entropy source
+    # refusing, stream() still builds, and draws what the oracle draws.
+    oracle = seed_sequence_generator(1729, 10_000).random(8)
+
+    def refuse(bits):
+        raise AssertionError("stream read OS entropy")
+
+    monkeypatch.setattr(np.random.bit_generator, "randbits", refuse)
+    with pytest.raises(AssertionError, match="OS entropy"):
+        np.random.Philox()  # the patch reaches numpy's seeding
+    assert np.array_equal(stream(1729, 10_000).random(8), oracle)
 
 
 @pytest.mark.parametrize("start, count, message", [
