@@ -8,16 +8,14 @@ posterior is again Beta with counts added to the shape parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Counts, Direction, Hypothesis, HypothesisKind
+from .core import Counts, Direction, Hypothesis, HypothesisKind, Record
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class BetaParams:
+class BetaParams(Record):
     """Shape parameters of a Beta distribution; both positive and finite."""
 
     alpha: float
@@ -47,8 +45,7 @@ PRIOR_PRESETS: dict[str, BetaParams] = {
 }
 
 
-@dataclass(frozen=True)
-class PosteriorPair:
+class PosteriorPair(Record):
     """Independent Beta posteriors for (theta1, theta2)."""
 
     post1: BetaParams
@@ -59,8 +56,7 @@ class PosteriorPair:
         return self.post1.mean - self.post2.mean
 
 
-@dataclass(frozen=True)
-class EventProbability:
+class EventProbability(Record):
     """Monte Carlo estimate of a posterior event probability.
 
     ``mc_se`` is ``sqrt(p (1 - p) / n)`` over ``n`` draws; ``halfwidth95`` is

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -85,7 +84,7 @@ def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
 def _cmd_analyze(args: argparse.Namespace, conjugate_only: bool) -> int:
     config = parse_config_file(args.config, _collect_overrides(args))
     if conjugate_only:
-        config = replace(config, mcmc=replace(config.mcmc, enabled=False))
+        config = config.replace(mcmc=config.mcmc.replace(enabled=False))
     outcome = run_analysis(config)
     for name, decision in outcome.report.decisions.items():
         print(f"{name}: {decision['value']}")

@@ -5,10 +5,11 @@ Config files are INI-style: ``[section]`` headers, ``key = value`` lines,
 comma-separated.  ``render_config`` writes the canonical form, and
 ``parse_config(render_config(c))`` always reproduces ``c``.
 
-Each section is a dataclass whose fields are its keys; a field's annotation
-picks the codec that reads and writes its text.  Every range and cross-field
-rule lives in the ``__post_init__`` of the dataclass holding the value, so a
-config built or ``replace``-d in code is checked exactly as one parsed.
+Each section is a record (``core.Record``) whose fields are its keys; a
+field's annotation picks the codec that reads and writes its text.  Every
+range and cross-field rule lives in the ``__post_init__`` of the record
+holding the value, so a config built or ``replace``-d in code is checked
+exactly as one parsed.
 """
 
 from __future__ import annotations
@@ -16,14 +17,13 @@ from __future__ import annotations
 import configparser
 import functools
 import re
-from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
 from typing import get_type_hints
 
 from .bayes import BetaParams, PRIOR_PRESETS
-from .core import Counts, Direction, ObservationMode
+from .core import Counts, Direction, ObservationMode, Record
 from .errors import ConfigError, DomainError, IngestError, IoError, check_config
 from .frequentist import CiMode
 from .mcmc import McmcConfig
@@ -36,8 +36,7 @@ _UNWRITABLE = re.compile(r"[\x00-\x1f\x7f-\x9f\u2028\u2029]|^\s|\s$|(^|\s)#")
 _UNWRITABLE_ELEMENT = re.compile(f"{_UNWRITABLE.pattern}|,|^$")
 
 
-@dataclass(frozen=True)
-class DataConfig:
+class DataConfig(Record):
     format: ObservationMode
     systems: tuple[str, str] = ("system1", "system2")
     counts: Counts | None = None
@@ -80,13 +79,11 @@ class DataConfig:
         ])
 
 
-@dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(Record):
     prior: BetaParams = PRIOR_PRESETS["uniform"]
 
 
-@dataclass(frozen=True)
-class AnalysisOptions:
+class AnalysisOptions(Record):
     seed: int
     methods: tuple[str, ...] = KNOWN_METHODS
     alpha: float = 0.05
@@ -120,8 +117,7 @@ class AnalysisOptions:
         ])
 
 
-@dataclass(frozen=True)
-class OutputConfig:
+class OutputConfig(Record):
     report: str = "out/report.json"
     plot_dir: str = "out/plots"
     trace_dir: str = "out/traces"
@@ -129,16 +125,15 @@ class OutputConfig:
 
     def __post_init__(self):
         check_config("output", [
-            *((f.name, not _UNWRITABLE.search(getattr(self, f.name)),
+            *((name, not _UNWRITABLE.search(getattr(self, name)),
                "config text cannot hold a value with a control character, padding or '#' comment")
-              for f in fields(self)),
+              for name in self.fields),
             # The report is written through a temp file beside it, named after it.
             ("report", Path(self.report).name != "", "report must end in a file name"),
         ])
 
 
-@dataclass(frozen=True)
-class SimulateConfig:
+class SimulateConfig(Record):
     stopping_successes: int = 7
     stopping_trials: int = 24
     stopping_null_rate: float = 0.5
@@ -168,8 +163,7 @@ class SimulateConfig:
         ])
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
+class AnalysisConfig(Record, uncompared=("base_dir",)):
     analysis: AnalysisOptions
     data: DataConfig | None = None
     model: ModelConfig = ModelConfig()
@@ -178,10 +172,10 @@ class AnalysisConfig:
     simulate: SimulateConfig = SimulateConfig()
     # Directory the config file came from; relative data paths resolve
     # against it.  Not part of the grammar, so not compared or rendered.
-    base_dir: str | None = field(default=None, compare=False)
+    base_dir: str | None = None
 
 
-# Each section's dataclass, in file order.
+# Each section's record, in file order.
 _SECTIONS = {"data": DataConfig, "model": ModelConfig, "analysis": AnalysisOptions,
              "mcmc": McmcConfig, "output": OutputConfig, "simulate": SimulateConfig}
 
@@ -259,9 +253,9 @@ def _codec(hint) -> tuple:
 
 @functools.cache
 def _codecs(cls) -> dict[str, tuple]:
-    """Each field of section dataclass ``cls``, in order, with its (reader, writer)."""
+    """Each field of section record ``cls``, in order, with its (reader, writer)."""
     hints = get_type_hints(cls)
-    return {f.name: _codec(hints[f.name]) for f in fields(cls)}
+    return {name: _codec(hints[name]) for name in cls.fields}
 
 
 def _raw_parse(text: str) -> dict[str, dict[str, str]]:
@@ -316,22 +310,22 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> Analysis
             raise ConfigError(f"unknown section (expected one of {', '.join(_SECTIONS)})",
                               section=section)
     # A section left out reads as empty, except an optional one, which stays out.
-    optional = {f.name for f in fields(AnalysisConfig) if f.default is None}
+    optional = {name for name, default in AnalysisConfig.defaults.items() if default is None}
     return AnalysisConfig(**{name: _read_section(name, cls, raw.get(name, {}))
                              for name, cls in _SECTIONS.items()
                              if name in raw or name not in optional})
 
 
 def _read_section(name: str, cls, values: dict[str, str]):
-    """Section dataclass ``cls`` read from raw ``values``.  An absent key keeps
-    its field default; a field without one reads as ``None``, for the
-    dataclass to refuse as missing."""
+    """Section record ``cls`` read from raw ``values``.  An absent key keeps
+    its field default; a field without one reads as ``None``, for the record
+    to refuse as missing."""
     codecs = _codecs(cls)
     for key in values:
         if key not in codecs:
             raise ConfigError(f"unknown key (expected one of {', '.join(codecs)})",
                               section=name, key=key)
-    kwargs = {f.name: None for f in fields(cls) if f.default is MISSING}
+    kwargs = {name: None for name in cls.fields if name not in cls.defaults}
     for key, (read, _) in codecs.items():
         if key in values:
             try:
@@ -349,7 +343,7 @@ def parse_config_file(path, overrides: dict[str, str] | None = None) -> Analysis
     except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read config file {p}: {exc}") from exc
     config = parse_config(text, overrides)
-    return replace(config, base_dir=str(p.parent))
+    return config.replace(base_dir=str(p.parent))
 
 
 def render_config(config: AnalysisConfig) -> str:
@@ -369,8 +363,7 @@ def render_config(config: AnalysisConfig) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class Observations:
+class Observations(Record):
     """What ingest hands every later layer: one dataset's per-system counts."""
 
     systems: tuple[str, str]

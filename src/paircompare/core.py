@@ -10,10 +10,79 @@ and nowhere else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError
+
+
+class Record:
+    """A frozen value with named fields, built without generated code.
+
+    A subclass's annotated class attributes are its fields, in order, and a
+    value given to one is its default.  ``__init__`` binds arguments by
+    position or by name, then runs ``__post_init__``, where a subclass checks
+    its values.  Records compare and hash by their fields' values, except
+    those named in the class keyword ``uncompared``, and refuse assignment
+    and deletion once built.
+    """
+
+    fields = ()
+    defaults = {}
+    _compared = ()
+
+    def __init_subclass__(cls, uncompared=(), **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.fields = tuple(cls.__annotations__)
+        cls.defaults = {name: vars(cls)[name] for name in cls.fields if name in vars(cls)}
+        cls._compared = tuple(name for name in cls.fields if name not in uncompared)
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        if len(args) > len(cls.fields):
+            raise TypeError(f"{cls.__qualname__}() takes {len(cls.fields)} arguments, "
+                            f"got {len(args)}")
+        state = self.__dict__
+        state.update(zip(cls.fields, args))
+        for name, value in kwargs.items():
+            if name in state:
+                raise TypeError(f"{cls.__qualname__}() got multiple values for argument {name!r}")
+            if name not in cls.fields:
+                raise TypeError(f"{cls.__qualname__}() got an unexpected keyword argument {name!r}")
+            state[name] = value
+        if len(state) < len(cls.fields):
+            state.update({**cls.defaults, **state})  # defaults fill what was left out
+            if len(state) < len(cls.fields):
+                missing = ", ".join(repr(name) for name in cls.fields if name not in state)
+                raise TypeError(f"{cls.__qualname__}() missing required argument(s): {missing}")
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def replace(self, **changes):
+        """This record with ``changes`` applied, checked as a new one is."""
+        return type(self)(**{**{name: getattr(self, name) for name in self.fields}, **changes})
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}("
+                f"{', '.join(f'{name}={getattr(self, name)!r}' for name in self.fields)})")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class ObservationMode(Enum):
@@ -45,16 +114,14 @@ class DecisionValue(Enum):
     UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(Record):
     """Outcome of a procedure plus the procedure that produced it."""
 
     value: DecisionValue
     basis: str
 
 
-@dataclass(frozen=True)
-class Hypothesis:
+class Hypothesis(Record):
     """A claim about the latent accuracy difference theta1 - theta2.
 
     ``INTERVAL_NULL``         the difference lies within ``rope_radius`` of

@@ -4,12 +4,11 @@ intervals for the accuracy difference."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .core import Direction
+from .core import Direction, Record
 from .errors import DegenerateTest, DomainError
 from .numerics import std_normal_cdf, std_normal_quantile
 
@@ -22,8 +21,7 @@ class CiMode(Enum):
     STANDARD_TWO_SIDED = "standard_two_sided"
 
 
-@dataclass(frozen=True)
-class ZTestResult:
+class ZTestResult(Record):
     """Two-proportion z-test outcome.
 
     ``diff`` is the observed accuracy difference (system1 - system2),
@@ -39,8 +37,7 @@ class ZTestResult:
     sigma: float
 
 
-@dataclass(frozen=True)
-class ConfidenceInterval:
+class ConfidenceInterval(Record):
     lower: float
     upper: float
     level: float

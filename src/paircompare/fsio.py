@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 
+from .core import Record
 from .errors import IoError
 
 
@@ -34,11 +34,11 @@ def json_text(payload) -> str:
 
 
 def plain(value):
-    """``value`` as JSON holds it: a dataclass as a dict of its fields in order,
+    """``value`` as JSON holds it: a record as a dict of its fields in order,
     each converted alike, an ``Enum`` as its ``.value``.  Anything else comes
     back unchanged, so ``json_text`` still refuses NaN and types JSON lacks."""
-    if is_dataclass(value):
-        return {f.name: plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Record):
+        return {name: plain(getattr(value, name)) for name in value.fields}
     if isinstance(value, Enum):
         return value.value
     return value

@@ -12,14 +12,13 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from .bayes import BetaParams
-from .core import Counts
+from .core import Counts, Record
 from .errors import DomainError, check_config
 from .fsio import atomic_write_text, json_text
 from .numerics import FIRST_RESERVED_STREAM, sample_beta, stream
@@ -44,8 +43,7 @@ class InitStrategy(Enum):
     PRIOR_DRAW = "prior_draw"
 
 
-@dataclass(frozen=True)
-class McmcConfig:
+class McmcConfig(Record):
     """The ``[mcmc]`` section; building it, from text or in code, checks its ranges.
 
     Chain k draws from RNG stream k, so ``chains`` stays below
@@ -68,8 +66,7 @@ class McmcConfig:
         ])
 
 
-@dataclass
-class Trace:
+class Trace(Record):
     """Post-warmup samples and diagnostics for one sampler run.
 
     ``samples`` has shape (chains, draws, 2) on the original rate scale.

@@ -4,13 +4,12 @@ verdicts, and interval-null Bayes factors."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .bayes import BetaParams, PosteriorPair
-from .core import Decision, DecisionValue
+from .core import Decision, DecisionValue, Record
 from .errors import DomainError, TooFewSamples, UnstableEstimate
 
 MIN_HDI_SAMPLES = 100
@@ -40,8 +39,7 @@ MIN_SHAPE = 0.2
 MAX_SHAPE_SUM = 1.5e10
 
 
-@dataclass(frozen=True)
-class Hdi:
+class Hdi(Record):
     """Highest-density interval of a sample: the shortest window holding ``mass``."""
 
     lower: float
@@ -59,16 +57,14 @@ class RopeRelation(Enum):
     OVERLAP = "overlap"
 
 
-@dataclass(frozen=True)
-class RopeVerdict:
+class RopeVerdict(Record):
     relation: RopeRelation
     decision: Decision
     hdi: Hdi
     rope: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class BayesFactorResult:
+class BayesFactorResult(Record):
     """Interval-null Bayes factor BF01 and the two probabilities it is built from.
 
     ``bf01`` is exactly ``(post_p0 / (1 - post_p0)) / (prior_p0 / (1 - prior_p0))``.

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import platform
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from . import __version__
 from .bayes import event_probability_from_samples, posterior_pair
 from .config import AnalysisConfig, Observations, load_observations, render_config
-from .core import Decision, DecisionValue, Direction, Hypothesis, HypothesisKind
+from .core import Decision, DecisionValue, Direction, Hypothesis, HypothesisKind, Record
 from .errors import TooFewSamples
 from .frequentist import diff_confidence_interval, two_proportion_z_test
 from .fsio import atomic_write_text, json_text, plain
@@ -67,8 +66,7 @@ def _vetted(text: str) -> str:
     return text
 
 
-@dataclass
-class AssessmentReport:
+class AssessmentReport(Record):
     """Everything one analysis produced, ready for JSON serialization."""
 
     provenance: dict
@@ -86,8 +84,7 @@ class AssessmentReport:
         return json_text(self.to_dict())
 
 
-@dataclass
-class AnalysisOutcome:
+class AnalysisOutcome(Record):
     report: AssessmentReport
     trace: Trace | None
     report_path: Path | None

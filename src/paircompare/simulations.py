@@ -9,13 +9,12 @@ the prior.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
 
 from .bayes import BetaParams, posterior_pair
-from .core import Counts, Direction
+from .core import Counts, Direction, Record
 from .errors import DomainError
 from .frequentist import pooled_statistic, pooled_z
 from .numerics import (STREAM_SWEEP_BASE, log_binomial_coefficient, sample_beta, std_normal_pdf,
@@ -23,8 +22,7 @@ from .numerics import (STREAM_SWEEP_BASE, log_binomial_coefficient, sample_beta,
 from .posterior import Hdi, bayes_factor_interval_null, hdi_from_samples
 
 
-@dataclass(frozen=True)
-class StoppingComparison:
+class StoppingComparison(Record):
     """One data set, two sampling intentions, two p-values."""
 
     successes: int
@@ -38,8 +36,7 @@ class StoppingComparison:
         return abs(self.fixed_trials_pvalue - self.fixed_successes_pvalue)
 
 
-@dataclass(frozen=True)
-class OptionalStoppingReport:
+class OptionalStoppingReport(Record):
     looks: tuple[int, ...]
     theta: float
     nominal_alpha: float
@@ -50,8 +47,7 @@ class OptionalStoppingReport:
     master_seed: int
 
 
-@dataclass(frozen=True)
-class PriorSweepRow:
+class PriorSweepRow(Record):
     label: str
     prior: BetaParams
     bf01: float

@@ -309,7 +309,8 @@ def test_cli_import_freezes_its_heap_and_skips_unused_modules():
     state = fresh_interpreter(
         "import paircompare.cli\n"
         "print(json.dumps({'enabled': gc.isenabled(), 'frozen': gc.get_freeze_count(),\n"
-        "                  'loaded': [m for m in ('statistics', 'fractions', 'decimal', 'csv')\n"
+        "                  'loaded': [m for m in ('statistics', 'fractions', 'decimal', 'csv',\n"
+        "                                         'dataclasses', 'copy')\n"
         "                             if m in sys.modules]}))")
     assert state["loaded"] == []
     assert state["enabled"] and state["frozen"] > 0

@@ -1,6 +1,5 @@
 """Config grammar, render/parse round-trips, and observation ingestion."""
 
-import dataclasses
 import hashlib
 import textwrap
 from pathlib import Path
@@ -133,7 +132,7 @@ PINNED_CONFIG_SHA256 = {
 @pytest.mark.parametrize("name", sorted(PINNED_CONFIG_SHA256))
 def test_fixture_config_hashes_pinned(configs_dir, name):
     config = parse_config_file(configs_dir / f"{name}.cfg")
-    oracle = dataclasses.replace(config, mcmc=dataclasses.replace(config.mcmc, enabled=False))
+    oracle = config.replace(mcmc=config.mcmc.replace(enabled=False))
     digests = tuple(hashlib.sha256(render_config(c).encode("utf-8")).hexdigest()
                     for c in (oracle, config))
     assert digests == PINNED_CONFIG_SHA256[name]
@@ -144,7 +143,7 @@ def test_fixture_config_hashes_pinned(configs_dir, name):
 WORDS = st.text(st.characters(exclude_characters=",#", exclude_categories=("Z", "C")),
                 min_size=1, max_size=8)
 # Text that may also hold what the grammar treats specially (a comma, a '#',
-# padding, a line break), which the dataclasses must refuse where it matters.
+# padding, a line break), which the records must refuse where it matters.
 TEXT = (WORDS
         | st.builds("{}{}{}".format, WORDS, st.text(st.sampled_from(" ,#"), max_size=3), WORDS)
         | st.text(st.sampled_from(" ,#\t\n") | st.characters(exclude_categories=("Cs",)),
@@ -230,7 +229,7 @@ def test_round_trip_survives_arbitrary_numbers(config):
     # A drawn config either reads back as itself or was refused when built,
     # for text the grammar cannot spell or a report path with no file name.
     refused = [part for part in (config.data, config.output) if isinstance(part, ConfigError)]
-    text_keys = ("systems", "files", "names", *(f.name for f in dataclasses.fields(OutputConfig)))
+    text_keys = ("systems", "files", "names", *OutputConfig.fields)
     for err in refused:
         assert err.key in text_keys
         assert "config text cannot hold" in str(err) or (
@@ -247,10 +246,10 @@ def test_round_trip_survives_arbitrary_numbers(config):
     (lambda: OutputConfig(sim_dir="sim\t"), "output", "sim_dir"),
     (lambda: OutputConfig(report="a\nb"), "output", "report"),
     (lambda: OutputConfig(report="a\x00b"), "output", "report"),
-    (lambda: dataclasses.replace(VALID_DATA, systems=("a", "b,c")), "data", "systems"),
-    (lambda: dataclasses.replace(VALID_DATA, systems=("a", "")), "data", "systems"),
-    (lambda: dataclasses.replace(VALID_DATA, names=("x\u2028y",)), "data", "names"),
-    (lambda: dataclasses.replace(VALID_DATA, names=("x\t#y",)), "data", "names"),
+    (lambda: VALID_DATA.replace(systems=("a", "b,c")), "data", "systems"),
+    (lambda: VALID_DATA.replace(systems=("a", "")), "data", "systems"),
+    (lambda: VALID_DATA.replace(names=("x\u2028y",)), "data", "names"),
+    (lambda: VALID_DATA.replace(names=("x\t#y",)), "data", "names"),
 ])
 def test_code_built_configs_refuse_text_the_grammar_cannot_spell(build, section, key):
     # render_config would write such a value as text that reads back as
@@ -366,7 +365,7 @@ def data_section(body: str) -> str:
 
 def row(text: str, key: str, **in_code):
     """A rejected config line and its key; ``in_code`` holds the same bad
-    value as dataclass fields, when the text gets as far as a value."""
+    value as record fields, when the text gets as far as a value."""
     return pytest.param(text, key, in_code, id=f"{text}-{key}")
 
 
@@ -416,7 +415,7 @@ def test_data_section_errors(body, key, in_code):
     assert err.value.section == "data"
     assert err.value.key == key
     if in_code:
-        assert_same_rejection(err.value, lambda: dataclasses.replace(VALID_DATA, **in_code))
+        assert_same_rejection(err.value, lambda: VALID_DATA.replace(**in_code))
 
 
 @pytest.mark.parametrize("line,key,in_code", [
@@ -444,7 +443,7 @@ def test_analysis_section_errors(line, key, in_code):
     assert err.value.key == key
     if in_code:
         assert_same_rejection(
-            err.value, lambda: dataclasses.replace(AnalysisOptions(seed=1), **in_code))
+            err.value, lambda: AnalysisOptions(seed=1).replace(**in_code))
 
 
 def test_analysis_methods_must_not_be_empty():
@@ -470,7 +469,7 @@ def test_mcmc_section_errors(line, key, in_code):
     assert err.value.section == "mcmc"
     assert err.value.key == key
     if in_code:
-        assert_same_rejection(err.value, lambda: dataclasses.replace(McmcConfig(), **in_code))
+        assert_same_rejection(err.value, lambda: McmcConfig().replace(**in_code))
 
 
 def test_mcmc_chains_stop_below_reserved_streams():
@@ -506,7 +505,7 @@ def test_simulate_range_check():
         assert str(err.value).startswith(f"{key} must "), str(err.value)
         assert f" {bound} (section [simulate]" in str(err.value)
         assert_same_rejection(err.value,
-                              lambda: dataclasses.replace(SimulateConfig(), **{key: value}))
+                              lambda: SimulateConfig().replace(**{key: value}))
 
 
 @pytest.mark.parametrize("raw,expected", [
@@ -579,8 +578,7 @@ def test_load_uses_file_stem_when_names_omitted(tmp_path):
     (tmp_path / "panel.csv").write_text(
         "system,correct,total\nsystem1,4,9\nsystem2,2,9\n")
     config = parse_config(data_section("format = aggregate\nfiles = panel.csv"))
-    import dataclasses
-    config = dataclasses.replace(config, base_dir=str(tmp_path))
+    config = config.replace(base_dir=str(tmp_path))
     obs = load_observations(config)
     assert obs.name == "panel"
     assert obs.counts == ((4, 9), (2, 9))
@@ -591,20 +589,18 @@ def test_load_handles_bom_and_crlf(tmp_path):
     windows = "﻿system,correct,total\r\nsystem1,4,9\r\nsystem2,2,9\r\n"
     for text, file_name in ((plain, "a.csv"), (windows, "b.csv")):
         (tmp_path / file_name).write_text(text, encoding="utf-8")
-    import dataclasses
     results = []
     for file_name in ("a.csv", "b.csv"):
         config = parse_config(data_section(f"format = aggregate\nfiles = {file_name}"))
-        config = dataclasses.replace(config, base_dir=str(tmp_path))
+        config = config.replace(base_dir=str(tmp_path))
         results.append(load_observations(config).counts)
     assert results[0] == results[1] == ((4, 9), (2, 9))
 
 
 def aggregate_config(tmp_path, text):
-    import dataclasses
     (tmp_path / "x.csv").write_text(text)
     config = parse_config(data_section("format = aggregate\nfiles = x.csv"))
-    return dataclasses.replace(config, base_dir=str(tmp_path))
+    return config.replace(base_dir=str(tmp_path))
 
 
 @pytest.mark.parametrize("text,row,fragment", [
@@ -630,10 +626,9 @@ def test_aggregate_csv_missing_system(tmp_path):
 
 
 def per_item_config(tmp_path, text):
-    import dataclasses
     (tmp_path / "x.csv").write_text(text)
     config = parse_config(data_section("format = per_item\nfiles = x.csv"))
-    return dataclasses.replace(config, base_dir=str(tmp_path))
+    return config.replace(base_dir=str(tmp_path))
 
 
 @pytest.mark.parametrize("text,row,fragment", [
@@ -677,8 +672,7 @@ def test_decode_error_after_many_rows_is_an_ingest_error(tmp_path):
 
 
 def test_load_missing_data_file(tmp_path):
-    import dataclasses
     config = parse_config(data_section("format = aggregate\nfiles = ghost.csv"))
-    config = dataclasses.replace(config, base_dir=str(tmp_path))
+    config = config.replace(base_dir=str(tmp_path))
     with pytest.raises(IngestError):
         load_observations(config)
