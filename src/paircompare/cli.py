@@ -127,14 +127,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         counts = load_observations(config).counts
         rows = prior_sensitivity_sweep(
-            counts, PRIOR_PRESETS, sim.sweep_epsilon, sim.sweep_n_mc, seed,
-            config.analysis.hdi_mass)
+            counts, PRIOR_PRESETS, sim.sweep_epsilon, config.analysis.hdi_mass)
         payload = {
             "simulation": "prior_sweep",
             "counts": [list(pair) for pair in counts],
             "epsilon": sim.sweep_epsilon,
-            "n_mc": sim.sweep_n_mc,
-            "master_seed": seed,
             "rows": [{**plain(row), "hdi": {**plain(row.hdi), "width": row.hdi.width}}
                      for row in rows],
         }

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import configparser
 import functools
-import re
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
@@ -30,10 +29,20 @@ from .mcmc import McmcConfig
 
 KNOWN_METHODS = ("pvalue", "ci", "hdi_rope", "bayes_factor")
 
-# What config text cannot hold as written: the parser splits lines, strips
-# padding, and drops a '#' comment that opens a value or follows whitespace.
-_UNWRITABLE = re.compile(r"[\x00-\x1f\x7f-\x9f\u2028\u2029]|^\s|\s$|(^|\s)#")
-_UNWRITABLE_ELEMENT = re.compile(f"{_UNWRITABLE.pattern}|,|^$")
+
+def _unwritable(text: str) -> bool:
+    """Whether config text cannot hold ``text`` as written: the parser splits
+    lines, strips padding, and drops a '#' comment that opens a value or
+    follows whitespace.  "Padding" is what ``str.isspace`` calls whitespace, as
+    for a regular expression's ``\\s``; no pattern is compiled."""
+    return (any(c < "\x20" or "\x7f" <= c <= "\x9f" or c in "\u2028\u2029" for c in text)
+            or text[:1].isspace() or text[-1:].isspace()
+            or any(c == "#" and (i == 0 or text[i - 1].isspace()) for i, c in enumerate(text)))
+
+
+def _unwritable_element(text: str) -> bool:
+    # A list element also cannot be empty or hold the comma that separates elements.
+    return not text or "," in text or _unwritable(text)
 
 
 class DataConfig(Record):
@@ -55,7 +64,7 @@ class DataConfig(Record):
         inline = self.counts is not None
         check_config("data", [
             ("format", self.format is not None, "missing required key"),
-            *((key, not any(map(_UNWRITABLE_ELEMENT.search, getattr(self, key))),
+            *((key, not any(map(_unwritable_element, getattr(self, key))),
                "config text cannot hold an element that is empty or has a comma, "
                "control character, padding or '#' comment")
               for key in ("systems", "files", "names")),
@@ -125,7 +134,7 @@ class OutputConfig(Record):
 
     def __post_init__(self):
         check_config("output", [
-            *((name, not _UNWRITABLE.search(getattr(self, name)),
+            *((name, not _unwritable(getattr(self, name)),
                "config text cannot hold a value with a control character, padding or '#' comment")
               for name in self.fields),
             # The report is written through a temp file beside it, named after it.
@@ -143,7 +152,6 @@ class SimulateConfig(Record):
     os_trials: int = 10_000
     os_theta: float = 0.5
     sweep_epsilon: float = 0.01
-    sweep_n_mc: int = 100_000
 
     def __post_init__(self):
         check_config("simulate", [
@@ -159,7 +167,6 @@ class SimulateConfig(Record):
             ("os_trials", self.os_trials >= 1, "os_trials must be at least 1"),
             ("os_theta", 0.0 < self.os_theta < 1.0, "os_theta must lie in (0, 1)"),
             ("sweep_epsilon", 0.0 < self.sweep_epsilon < 1.0, "sweep_epsilon must lie in (0, 1)"),
-            ("sweep_n_mc", self.sweep_n_mc >= 1000, "sweep_n_mc must be at least 1000"),
         ])
 
 

@@ -168,21 +168,17 @@ def log_binomial_coefficient(n: int, k: int) -> float:
 #
 #   0 .. chains-1     MCMC chain k                    (mcmc.run_chains)
 #   10_000            conjugate posterior draws       (reporting)
-#   20_000 + 2i + 1   prior-sweep row i: HDI draws    (simulations)
 #   0 .. trials-1     optional-stopping trial t       (simulations; a command
 #                                                      of its own)
 #
 # Every draw starts from its index's Philox key, which ``stream_keys`` hashes
-# for a range of indices: ``stream`` asks for one, for the first three
+# for a range of indices: ``stream`` asks for one, for the first two
 # consumers; optional stopping asks for one batch of trials and resets one
 # Philox to each trial's key, with no generator built per trial.
 #
-# The even sweep indices 20_000 + 2i stay unused, so each row's HDI keeps the
-# stream, and the bytes, of reports made before the Bayes factor was exact.
 # ``[mcmc] chains`` must stay below FIRST_RESERVED_STREAM, which ``McmcConfig``
 # enforces whenever one is built, from config text or in code.
 STREAM_POSTERIOR_DRAWS = 10_000
-STREAM_SWEEP_BASE = 20_000
 FIRST_RESERVED_STREAM = STREAM_POSTERIOR_DRAWS
 
 

@@ -9,6 +9,7 @@ stable key order, so identical configs and seeds reproduce identical bytes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import platform
 import re
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bayes import event_probability_from_samples, posterior_pair
+from .bayes import event_probability_from_samples, event_probability_from_sorted, posterior_pair
 from .config import AnalysisConfig, Observations, load_observations, render_config
 from .core import Decision, DecisionValue, Direction, Hypothesis, HypothesisKind, Record
 from .errors import TooFewSamples
@@ -37,9 +38,6 @@ BF_REJECT_THRESHOLD = 1.0 / 3.0
 # Equal-width bins of each posterior histogram in the plot data.
 PLOT_BINS = 100
 
-_QUALIFIED = re.compile(r"(?:statistical(?:ly)?|practical(?:ly)?)\s+$", re.IGNORECASE)
-_SIGNIFICANCE = re.compile(r"significan\w*", re.IGNORECASE)
-
 # Normal-approximation adequacy: the least n * p_hat * (1 - p_hat) per system.
 _ADEQUACY_MIN = 9.0
 
@@ -51,12 +49,20 @@ def lint_phrasing(text: str) -> list[str]:
     ``statistically``/``statistical`` or ``practically``/``practical``.
     Returns human-readable violation descriptions; empty means clean.
     """
+    significance, qualified = _lint_patterns()
     violations = []
-    for match in _SIGNIFICANCE.finditer(text):
-        if not _QUALIFIED.search(text[: match.start()]):
+    for match in significance.finditer(text):
+        if not qualified.search(text[: match.start()]):
             snippet = text[max(0, match.start() - 20): match.end()]
             violations.append(f"unqualified {match.group(0)!r} in ...{snippet!r}")
     return violations
+
+
+@functools.cache
+def _lint_patterns():
+    # Compiled on first use: a command that writes no sentence compiles neither.
+    return (re.compile(r"significan\w*", re.IGNORECASE),
+            re.compile(r"(?:statistical(?:ly)?|practical(?:ly)?)\s+$", re.IGNORECASE))
 
 
 def _vetted(text: str) -> str:
@@ -159,12 +165,16 @@ def run_analysis(config: AnalysisConfig, write: bool = True) -> AnalysisOutcome:
 
     Bayesian methods always use the exact conjugate posterior; when MCMC is
     enabled the same summaries are recomputed from the chains and any
-    disagreement is recorded rather than hidden.  One sample of ``n_mc``
-    draws per posterior, from stream ``(seed, 10_000)``, feeds the HDI, the
-    event probabilities and the plot data.  The Bayes factor is exact
-    quadrature; the sample's frequency of ``|theta1 - theta2| < rope_radius``
-    is recorded next to it as a Monte Carlo twin of ``post_p0``, so nothing
-    is drawn for the Bayes factor itself.  With ``write`` set, the
+    disagreement is recorded rather than hidden; the chains run before the
+    posterior draws, so their temporaries are gone before the sample exists.
+    One sample of ``n_mc`` draws per posterior, from stream ``(seed,
+    10_000)``, feeds the HDI, the event probabilities and the plot data: the
+    difference theta1 - theta2 is taken once and sorted in place, and every
+    summary reads that sorted array, with no copy and no mask.  The Bayes
+    factor is exact quadrature; the sample's frequency of ``|theta1 -
+    theta2| < rope_radius`` is recorded next to it as a Monte Carlo twin of
+    ``post_p0``, so nothing is drawn for the Bayes factor itself.  With
+    ``write`` set, the
     report, posterior plot data, and chain traces are written to the paths in
     ``config.output`` (each file atomically).
 
@@ -223,19 +233,15 @@ def run_analysis(config: AnalysisConfig, write: bool = True) -> AnalysisOutcome:
         )
 
     trace: Trace | None = None
-    posterior_samples = None
+    samples = None
     if needs_posterior:
         posts = posterior_pair(config.model.prior, counts)
-        gen = stream(opts.seed, STREAM_POSTERIOR_DRAWS)
-        theta1 = sample_beta(posts.post1.alpha, posts.post1.beta, gen, size=opts.n_mc)
-        theta2 = sample_beta(posts.post2.alpha, posts.post2.beta, gen, size=opts.n_mc)
-        posterior_samples = (theta1, theta2)
-        diff = theta1 - theta2
         if config.mcmc.enabled:
             trace = run_chains(config.model.prior, counts, config.mcmc, opts.seed)
+        samples = _posterior_sample(posts, opts.n_mc, opts.seed)
 
         if "hdi_rope" in methods:
-            block, decision, sentence = _hdi_rope_block(posts, diff, trace, opts)
+            block, decision, sentence = _hdi_rope_block(posts, samples[2], trace, opts)
             results["hdi_rope"] = block
             decisions["hdi_rope"] = decision
             phrasing["hdi_rope"] = _vetted(sentence)
@@ -258,7 +264,7 @@ def run_analysis(config: AnalysisConfig, write: bool = True) -> AnalysisOutcome:
                 "bf01": bf.bf01,
                 "epsilon": opts.rope_radius,
                 "quadrature": {"prior_p0": bf.prior_p0, "post_p0": bf.post_p0},
-                "monte_carlo": plain(event_probability_from_samples(diff, interval_null)),
+                "monte_carlo": plain(event_probability_from_sorted(samples[2], interval_null)),
                 "mcmc": mcmc_block,
             }
             if bf.bf01 >= BF_ACCEPT_THRESHOLD:
@@ -292,16 +298,26 @@ def run_analysis(config: AnalysisConfig, write: bool = True) -> AnalysisOutcome:
     trace_paths: list[Path] = []
     if write:
         report_path = atomic_write_text(Path(config.output.report), report.to_json())
-        if posterior_samples is not None:
+        if samples is not None:
             annotations = None
             if "hdi_rope" in results:
                 annotations = results["hdi_rope"]["conjugate"]
-            plot_paths = emit_plot_data(
-                posterior_samples[0], posterior_samples[1],
-                Path(config.output.plot_dir), annotations)
+            plot_paths = emit_plot_data(*samples, Path(config.output.plot_dir), annotations)
+            samples = None  # its last reader: the trace export runs without it
         if trace is not None:
             trace_paths = export_trace(trace, Path(config.output.trace_dir))
     return AnalysisOutcome(report, trace, report_path, plot_paths, trace_paths)
+
+
+def _posterior_sample(posts, n_mc: int, seed: int):
+    """theta1 and theta2, ``n_mc`` draws each from stream ``(seed, 10_000)``,
+    and their difference, taken once and sorted in place."""
+    gen = stream(seed, STREAM_POSTERIOR_DRAWS)
+    theta1 = sample_beta(posts.post1.alpha, posts.post1.beta, gen, size=n_mc)
+    theta2 = sample_beta(posts.post2.alpha, posts.post2.beta, gen, size=n_mc)
+    diff = theta1 - theta2
+    diff.sort()
+    return theta1, theta2, diff
 
 
 def _hdi_rope_block(posts, diff, trace, opts):
@@ -310,14 +326,14 @@ def _hdi_rope_block(posts, diff, trace, opts):
     positive_hyp = Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.0,
                               direction=Direction.GREATER)
 
-    def summarize(diffs):
+    def summarize(diffs):  # diffs in ascending order
         hdi = hdi_from_samples(diffs, opts.hdi_mass)
         verdict = rope_decision(hdi, opts.rope_radius)
         return {
             "hdi": plain(hdi),
             "relation": verdict.relation.value,
-            "prob_positive": plain(event_probability_from_samples(diffs, positive_hyp)),
-            "prob_beyond_margin": plain(event_probability_from_samples(diffs, margin_hyp)),
+            "prob_positive": plain(event_probability_from_sorted(diffs, positive_hyp)),
+            "prob_beyond_margin": plain(event_probability_from_sorted(diffs, margin_hyp)),
         }, verdict
 
     conjugate, verdict = summarize(diff)
@@ -333,7 +349,7 @@ def _hdi_rope_block(posts, diff, trace, opts):
     block = {"conjugate": conjugate, "mcmc": None, "disagreement": None}
     if trace is not None:
         try:
-            mcmc_summary, mcmc_verdict = summarize(trace.diff_samples())
+            mcmc_summary, mcmc_verdict = summarize(np.sort(trace.diff_samples()))
         except TooFewSamples:
             # Fewer samples than an HDI needs also caps the ESS below its 400
             # threshold, so the trace is already marked unconverged.
@@ -412,7 +428,7 @@ def _beta_dict(params) -> dict:
     return {"alpha": params.alpha, "beta": params.beta, "mean": params.mean}
 
 
-def emit_plot_data(theta1_samples, theta2_samples, out_dir,
+def emit_plot_data(theta1_samples, theta2_samples, diff_samples, out_dir,
                    annotations: dict | None = None) -> list[Path]:
     """Write ready-to-plot posterior histograms plus an annotation sidecar.
 
@@ -420,18 +436,20 @@ def emit_plot_data(theta1_samples, theta2_samples, out_dir,
     ``posterior_diff.csv`` (columns ``bin_left,bin_right,density`` over
     ``PLOT_BINS`` equal-width bins; the densities integrate to one), and
     ``annotations.json`` carrying whatever summary dict the caller supplies
-    (HDI, ROPE, and event probabilities in reports).
+    (HDI, ROPE, and event probabilities in reports).  Each sample is sorted
+    in place, so a float array passed here comes back in ascending order;
+    each bin count is then two binary searches on the edges.
     """
-    theta1 = np.asarray(theta1_samples, dtype=float)
-    theta2 = np.asarray(theta2_samples, dtype=float)
     out = Path(out_dir)
     named = [
-        ("posterior_theta1.csv", theta1),
-        ("posterior_theta2.csv", theta2),
-        ("posterior_diff.csv", theta1 - theta2),
+        ("posterior_theta1.csv", theta1_samples),
+        ("posterior_theta2.csv", theta2_samples),
+        ("posterior_diff.csv", diff_samples),
     ]
     written = []
     for name, samples in named:
+        samples = np.asarray(samples, dtype=float)
+        samples.sort()
         written.append(atomic_write_text(out / name, _histogram_csv(samples)))
     written.append(atomic_write_text(out / "annotations.json",
                                      json_text({"annotations": annotations, "bins": PLOT_BINS})))
@@ -448,8 +466,18 @@ def _histogram_csv(samples: np.ndarray) -> str:
         edges = np.linspace(lo - half_span, lo + half_span, PLOT_BINS + 1)
     else:
         edges = np.linspace(lo, hi, PLOT_BINS + 1)
-    density, edges = np.histogram(samples, bins=edges, density=True)
+    density = _sorted_histogram_density(samples, edges)
     lines = ["bin_left,bin_right,density"]
     for left, right, d in zip(edges[:-1], edges[1:], density):
         lines.append(f"{float(left)!r},{float(right)!r},{float(d)!r}")
     return "\n".join(lines) + "\n"
+
+
+def _sorted_histogram_density(sorted_samples: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """``np.histogram(samples, bins=edges, density=True)[0]`` of an ascending
+    sample, by numpy's own rule for explicit edges: bin i counts [edges[i],
+    edges[i + 1]), the last bin also its right edge, so each count is the
+    difference of two binary searches.  NaNs, sorted last, fall in no bin."""
+    counts = np.diff(np.concatenate((np.searchsorted(sorted_samples, edges[:-1], "left"),
+                                     np.searchsorted(sorted_samples, edges[-1:], "right"))))
+    return counts / np.diff(edges) / counts.sum()

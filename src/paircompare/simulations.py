@@ -17,9 +17,8 @@ from .bayes import BetaParams, posterior_pair
 from .core import Counts, Direction, Record
 from .errors import DomainError
 from .frequentist import pooled_statistic, pooled_z
-from .numerics import (STREAM_SWEEP_BASE, log_binomial_coefficient, sample_beta, std_normal_pdf,
-                       std_normal_quantile, stream, stream_keys)
-from .posterior import Hdi, bayes_factor_interval_null, hdi_from_samples
+from .numerics import log_binomial_coefficient, std_normal_pdf, std_normal_quantile, stream_keys
+from .posterior import Hdi, bayes_factor_interval_null, hdi_of_difference
 
 
 class StoppingComparison(Record):
@@ -235,30 +234,32 @@ def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int
 
 def prior_sensitivity_sweep(counts: Counts,
                             priors: dict[str, BetaParams],
-                            epsilon: float, n_mc: int, master_seed: int,
+                            epsilon: float,
                             hdi_mass: float = 0.95) -> list[PriorSweepRow]:
     """Re-run the Bayesian analysis under each prior and collect the shifts.
 
     ``counts`` is the per-system ``(correct, total)`` pair; each prior is
     applied to both systems.  Rows come back ordered by prior label.  Each
-    row's Bayes factor is exact quadrature; its HDI comes from ``n_mc`` draws
-    per posterior on stream ``(master_seed, 20_000 + 2i + 1)`` for row ``i``,
-    so the sweep is reproducible.
+    row's Bayes factor is exact quadrature and its HDI the exact HDI of the
+    difference (:func:`posterior.hdi_of_difference`), so nothing is drawn.
+
+    Raises
+    ------
+    DomainError
+        If ``priors`` is empty, or a posterior has a shape below 1, where the
+        exact HDI is not defined.
     """
     if not priors:
         raise DomainError("priors must not be empty")
     rows = []
-    for i, label in enumerate(sorted(priors)):
+    for label in sorted(priors):
         prior = priors[label]
         posts = posterior_pair(prior, counts)
-        gen = stream(master_seed, STREAM_SWEEP_BASE + 2 * i + 1)
-        diffs = sample_beta(posts.post1.alpha, posts.post1.beta, gen, size=n_mc) \
-            - sample_beta(posts.post2.alpha, posts.post2.beta, gen, size=n_mc)
         rows.append(PriorSweepRow(
             label=label,
             prior=prior,
             bf01=bayes_factor_interval_null(prior, posts, epsilon).bf01,
-            hdi=hdi_from_samples(diffs, hdi_mass),
+            hdi=hdi_of_difference(posts.post1, posts.post2, hdi_mass),
             posterior_mean_diff=posts.mean_diff,
         ))
     return rows

@@ -176,7 +176,7 @@ def test_criterion_10_bayes_factor_more_prior_sensitive_than_hdi():
     # Across the three prior presets on the benchmark counts the Bayes
     # factor swings by more than 2x while the HDI barely moves, and all
     # three intervals still overlap pairwise.
-    rows = prior_sensitivity_sweep(EASY, PRIOR_PRESETS, 0.01, 100_000, 1729)
+    rows = prior_sensitivity_sweep(EASY, PRIOR_PRESETS, 0.01)
     bfs = [row.bf01 for row in rows]
     widths = [row.hdi.width for row in rows]
     assert max(bfs) / min(bfs) > 2.0

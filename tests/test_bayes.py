@@ -3,15 +3,19 @@
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import seed_sequence_generator
 from paircompare.bayes import (
     PRIOR_PRESETS,
     BetaParams,
     conjugate_update,
+    _event_mask,
+    _sorted_event_count,
     event_probability_from_samples,
+    event_probability_from_sorted,
     posterior_pair,
 )
 from paircompare.core import Direction, Hypothesis, HypothesisKind
@@ -151,6 +155,50 @@ def test_event_probability_from_samples_validation():
         event_probability_from_samples(np.array([]), hyp)
     with pytest.raises(DomainError):
         event_probability_from_samples(np.zeros((3, 3)), hyp)
+
+
+# Draws with ties, both zeros, values on and next to the margins, infinities
+# and NaNs, which ``np.sort`` puts last.
+EDGE_DRAWS = st.sampled_from([-0.0, 0.0, 0.01, -0.01, 0.02, 0.03, 0.1 + 0.2, 0.3, 1.0, -1.0,
+                              np.nextafter(0.01, 1.0), np.nextafter(-0.01, -1.0),
+                              float("inf"), -float("inf"), float("nan")])
+DRAW_ARRAYS = hnp.arrays(np.float64, st.integers(1, 60),
+                         elements=EDGE_DRAWS | st.floats(-1.5, 1.5, width=64))
+HYPOTHESES = st.one_of(
+    st.builds(Hypothesis, st.just(HypothesisKind.DIRECTIONAL_MARGIN),
+              st.sampled_from([0.0, -0.0, 0.01, -0.01, 0.3, 1.0, -1.0]) | st.floats(-1.0, 1.0),
+              direction=st.sampled_from(list(Direction))),
+    st.builds(Hypothesis, st.just(HypothesisKind.INTERVAL_NULL),
+              st.sampled_from([0.0, 0.01, -0.02, 0.1]) | st.floats(-1.0, 1.0),
+              st.sampled_from([0.01, 0.02, 0.2]) | st.floats(1e-6, 0.999)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(DRAW_ARRAYS, HYPOTHESES)
+# |0.11 - 0.1| rounds below 0.01, though 0.11 is not below 0.1 + 0.01; and
+# |0.03 + 0.02| rounds to 0.05, though 0.03 is below -0.02 + 0.05.
+@example(np.array([0.11, 0.09000000000000001, 0.5]),
+         Hypothesis(HypothesisKind.INTERVAL_NULL, 0.1, 0.01))
+@example(np.array([0.03, 0.0, 1.0]), Hypothesis(HypothesisKind.INTERVAL_NULL, -0.02, 0.05))
+# A negative two-sided margin holds for every draw but a NaN.
+@example(np.array([-0.0, 0.0, 0.005, 1.0, float("nan")]),
+         Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, -0.01, direction=Direction.TWO_SIDED))
+def test_sorted_event_counts_equal_the_mask_counts(draws, hypothesis):
+    # Each event is a run of the sorted sample or its complement, so binary
+    # searches count exactly what the mask does, ties and rounding included.
+    sorted_draws = np.sort(draws)
+    assert _sorted_event_count(sorted_draws, hypothesis) == np.count_nonzero(
+        _event_mask(draws, hypothesis))
+    assert (event_probability_from_sorted(sorted_draws, hypothesis)
+            == event_probability_from_samples(draws, hypothesis))
+
+
+def test_sorted_event_probability_validation():
+    hyp = Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.0)
+    with pytest.raises(DomainError):
+        event_probability_from_sorted(np.array([]), hyp)
+    with pytest.raises(DomainError):
+        event_probability_from_sorted(np.zeros((3, 3)), hyp)
 
 
 @given(st.floats(0.05, 30.0), st.floats(0.05, 30.0),

@@ -35,10 +35,13 @@ def tracing():
 # Targets the package no longer has: the Bayes factor is exact quadrature, so
 # ``posterior`` draws nothing, and that quadrature integrates both densities
 # by one rule, with no incomplete beta.  Every stream now comes from
-# ``numerics.stream``, so no module builds an ``RngStream``.  A traced run
-# lists them as untraced.
+# ``numerics.stream``, so no module builds an ``RngStream``.  The prior
+# sweep's HDI is exact (``posterior.hdi_of_difference``), so ``simulations``
+# neither draws betas nor takes a sampled HDI.  A traced run lists them as
+# untraced.
 RETIRED_TARGETS = {"posterior.sample_beta", "posterior.regularized_incomplete_beta",
-                   "reporting.RngStream", "mcmc.RngStream", "simulations.RngStream"}
+                   "reporting.RngStream", "mcmc.RngStream", "simulations.RngStream",
+                   "simulations.sample_beta", "simulations.hdi_from_samples"}
 
 
 def test_every_wrap_target_resolves(tracing):
@@ -81,11 +84,10 @@ def _plain_state(state):
     return state
 
 
-def test_trials_read_their_stream_keys_and_the_sweep_streams_stay_traced(tracing, monkeypatch):
+def test_trials_read_their_stream_keys_and_the_sweep_opens_no_stream(tracing, monkeypatch):
     # Optional stopping sets one Philox to each trial's key in turn: trial t
     # must start exactly where numpy's SeedSequence stream (seed, t) starts.
-    # The prior sweep builds row i's stream at ``simulations.stream``, with
-    # index 20_000 + 2i + 1.
+    # The prior sweep draws nothing, so it opens no stream by any route.
     from paircompare import simulations
 
     args = (range(10, 101, 10), 0.5, 0.05, 37, 2**40 + 2024)
@@ -109,15 +111,19 @@ def test_trials_read_their_stream_keys_and_the_sweep_streams_stay_traced(tracing
                       for t in range(37)]
     monkeypatch.undo()
 
-    calls = []
+    opened = []
 
-    def counting(*a, **k):
-        calls.append(a)
-        return numerics.stream(*a, **k)
+    def opening(name):
+        return lambda *a, **k: opened.append(name)
 
-    monkeypatch.setattr(simulations, "stream", counting)
-    simulations.prior_sensitivity_sweep(((1721, 2376), (1637, 2376)), PRIOR_PRESETS, 0.01, 200, 7)
-    assert calls == [(7, numerics.STREAM_SWEEP_BASE + 2 * i + 1) for i in range(len(PRIOR_PRESETS))]
+    monkeypatch.setattr(np.random, "Philox", opening("Philox"))
+    monkeypatch.setattr(np.random, "Generator", opening("Generator"))
+    monkeypatch.setattr(numerics, "stream", opening("stream"))
+    for module in (numerics, simulations):
+        monkeypatch.setattr(module, "stream_keys", opening("stream_keys"))
+    rows = simulations.prior_sensitivity_sweep(((1721, 2376), (1637, 2376)), PRIOR_PRESETS, 0.01)
+    assert len(rows) == len(PRIOR_PRESETS)
+    assert opened == []
 
 
 def test_every_beta_draw_passes_a_traced_name(tracing, monkeypatch, configs_dir):
@@ -149,7 +155,7 @@ def test_every_beta_draw_passes_a_traced_name(tracing, monkeypatch, configs_dir)
 
     monkeypatch.setattr(numerics, "_sample_gamma", top_level_gamma)
     run_analysis(parse_config_file(configs_dir / "arc_easy.cfg"), write=False)
-    prior_sensitivity_sweep(((1721, 2376), (1637, 2376)), PRIOR_PRESETS, 0.01, 2000, 7)
+    prior_sensitivity_sweep(((1721, 2376), (1637, 2376)), PRIOR_PRESETS, 0.01)
     assert counted["traced"] > 0
     assert 2 * counted["traced"] == counted["gamma"]
 

@@ -168,8 +168,7 @@ def test_simulate_optional_stopping(fixture_tree, monkeypatch, capsys):
 def test_simulate_prior_sweep(fixture_tree, monkeypatch, capsys):
     code = run_cli(monkeypatch, fixture_tree,
                    "simulate", "prior-sweep",
-                   "--config", "configs/per_item_demo.cfg",
-                   "--set", "simulate.sweep_n_mc=20000")
+                   "--config", "configs/per_item_demo.cfg")
     assert code == EXIT_OK
     payload = json.loads(
         (fixture_tree / "out/demo/simulations/prior_sweep.json").read_text())
@@ -183,8 +182,7 @@ def test_simulate_prior_sweep(fixture_tree, monkeypatch, capsys):
 def test_prior_sweep_pools_when_asked(fixture_tree, monkeypatch, capsys):
     code = run_cli(monkeypatch, fixture_tree,
                    "simulate", "prior-sweep",
-                   "--config", "configs/arc_pooled.cfg",
-                   "--set", "simulate.sweep_n_mc=20000")
+                   "--config", "configs/arc_pooled.cfg")
     assert code == EXIT_OK
     payload = json.loads(
         (fixture_tree / "out/pooled/simulations/prior_sweep.json").read_text())
@@ -197,16 +195,19 @@ def test_prior_sweep_pools_when_asked(fixture_tree, monkeypatch, capsys):
 # all have shapes of at least 1, so the Jeffreys oracle run pins the
 # shape < 1 boost through its posterior plot data.  The two sweep digests
 # were recorded again when the interval probability became a double
-# quadrature: only each row's bf01 changed, by under 1e-11 relative.
+# quadrature: only each row's bf01 changed, by under 1e-11 relative.  They
+# were recorded once more when each row's HDI became the exact HDI of the
+# difference, checked against scipy by tests/test_posterior.py, and the
+# payload dropped `n_mc` and `master_seed`: the sweep draws nothing now.
 JEFFREYS_0_3 = ("--set", "data.counts=0/50, 3/50", "--set", "model.prior=0.5, 0.5")
 PINNED_SAMPLER_OUTPUT = {
     "sweep-arc_easy": (("simulate", "prior-sweep"), (), {
         "simulations/prior_sweep.json":
-            "736e92772e1bf42a79f5f02419b1ec79ebe25211762d3cc7913ff91383fc44b1",
+            "268268a7196564357491620ff29bcfbe325d67ed23cca4f29c41c88d74ed307a",
     }),
     "sweep-jeffreys_0_3": (("simulate", "prior-sweep"), JEFFREYS_0_3, {
         "simulations/prior_sweep.json":
-            "983b1340d83f9d56f6dd33fd46508fb419b763221e2c2dd6c03ea73d7336abd6",
+            "2a5c2cf78501e4ce562de9cdc73615d6574d5eb52904321c4b2659d4d8304f76",
     }),
     "oracle-jeffreys_0_3": (("oracle",), JEFFREYS_0_3, {
         "plots/posterior_diff.csv":
@@ -234,20 +235,23 @@ def test_sampler_output_bytes_pinned(fixture_tree, monkeypatch, capsys, name):
 # shipped config and of analyze on arc_easy (its mcmc blocks), and two
 # simulation payloads.  The interpreter and numpy versions in the report's
 # provenance are set to fixed strings and the payload is written again
-# through json_text, so the pins hold on any interpreter.
+# through json_text, so the pins hold on any interpreter.  The five reports
+# were recorded again when `[simulate] sweep_n_mc` left the grammar: only
+# provenance.config_sha256 moved, as a diff of every output with it masked
+# showed.
 PINNED_JSON = {
     "oracle-arc_easy": (("oracle", "--config", "configs/arc_easy.cfg"), "easy/report.json",
-                        "f84c2a4a3be79b99681bb8283d2643bfd20d1f010da42f07d800ad242bcb5bc0"),
+                        "2bb54a9c0c1ef0fe5369748f75dee7dae38d341533bedcde0ca5a62096fed369"),
     "oracle-arc_challenge": (("oracle", "--config", "configs/arc_challenge.cfg"),
                              "challenge/report.json",
-                             "3487b46c81dd228f2fef71ed9b7177a269567164604f732cac6d003eb3c17c32"),
+                             "4f349e7db314c416387ddba4ebec34ca069d55d284b9a1b8022d48d03e0d7c3d"),
     "oracle-arc_pooled": (("oracle", "--config", "configs/arc_pooled.cfg"), "pooled/report.json",
-                          "e0bca3c73f6dd64833a9df67f1cdcf59ef5c71bd8f8a563159f8e3968bcaa732"),
+                          "cecfbd2ccc0c9d0346c020bcf1b876b8b51a38334c2efb4994843485ca2cefb6"),
     "oracle-per_item_demo": (("oracle", "--config", "configs/per_item_demo.cfg"),
                              "demo/report.json",
-                             "ba9573b00e55e9f4fd8bada8e0a31f4f0e9a8a8413c8e1585fedb7588844d01a"),
+                             "45e43b01f3db29cfadbb21c69c432d0afcf97130ecee7f6b01210d18fb0126de"),
     "analyze-arc_easy": (("analyze", "--config", "configs/arc_easy.cfg"), "easy/report.json",
-                         "c40425404cd562db61b784d0088fd2d83c8b80e5b1c372039b0ef71f1b147547"),
+                         "e812ed7ef25f72b5b66b641a5b5358d7db8ad40fe6a9acff1b8313d8d46d6d8a"),
     "stopping": (("simulate", "stopping", "--config", "configs/arc_easy.cfg"),
                  "easy/simulations/stopping.json",
                  "020ad0b51f3d30cabada657c9a93f84d2c3956d26339be0b5e302e956d63e35b"),
@@ -314,6 +318,56 @@ def test_cli_import_freezes_its_heap_and_skips_unused_modules():
         "                             if m in sys.modules]}))")
     assert state["loaded"] == []
     assert state["enabled"] and state["frozen"] > 0
+
+
+def test_cli_import_compiles_no_regular_expression():
+    # re.compile, and the re._compile behind it and behind every module-level
+    # re function, record the first caller outside re: no package module may
+    # compile a pattern while the command-line module imports.
+    state = fresh_interpreter(
+        "import re\n"
+        "callers = set()\n"
+        "def recording(compile):\n"
+        "    def wrapper(*args, **kwargs):\n"
+        "        frame = sys._getframe(1)\n"
+        "        while frame.f_globals.get('__name__', '').split('.')[0] == 're':\n"
+        "            frame = frame.f_back\n"
+        "        callers.add(frame.f_globals.get('__name__', ''))\n"
+        "        return compile(*args, **kwargs)\n"
+        "    return wrapper\n"
+        "re.compile = recording(re.compile)\n"
+        "re._compile = recording(re._compile)\n"
+        "import paircompare.cli\n"
+        "print(json.dumps(sorted(callers)))")
+    assert [name for name in state if name.split(".")[0] == "paircompare"] == []
+
+
+def test_prior_sweep_leaves_numpy_random_unimported(fixture_tree):
+    # The sweep draws nothing.  numpy 2 loads numpy.random on first use, so
+    # the command must leave it out of sys.modules; numpy 1 loads it with
+    # numpy itself, so there the check is that no Philox is built.
+    state = fresh_interpreter(
+        "import contextlib, io, os, numpy\n"
+        f"os.chdir({str(fixture_tree)!r})\n"
+        "built = []\n"
+        "numpy_2 = numpy.lib.NumpyVersion(numpy.__version__) >= '2.0.0'\n"
+        "if not numpy_2:\n"
+        "    import numpy.random\n"
+        "    class Recording(numpy.random.Philox):\n"
+        "        def __init__(self, *args, **kwargs):\n"
+        "            built.append(args)\n"
+        "            super().__init__(*args, **kwargs)\n"
+        "    numpy.random.Philox = Recording\n"
+        "from paircompare.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['simulate', 'prior-sweep', '--config', 'configs/arc_pooled.cfg'])\n"
+        "print(json.dumps({'code': code, 'numpy_2': numpy_2, 'built': len(built),\n"
+        "                  'random': 'numpy.random' in sys.modules}))")
+    assert state["code"] == EXIT_OK
+    assert state["built"] == 0
+    if state["numpy_2"]:
+        assert state["random"] is False
+    assert (fixture_tree / "out/pooled/simulations/prior_sweep.json").is_file()
 
 
 @pytest.mark.parametrize("host, collecting", [

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special, stats
+from scipy import integrate, optimize, special, stats
 
 from conftest import seed_sequence_generator
-from paircompare.bayes import BetaParams, PosteriorPair, event_probability_from_samples
+from paircompare.bayes import (PRIOR_PRESETS, BetaParams, PosteriorPair,
+                               event_probability_from_samples)
 from paircompare.core import DecisionValue, Direction, Hypothesis, HypothesisKind
 from paircompare.errors import DomainError, TooFewSamples, UnstableEstimate
 from paircompare.numerics import sample_beta
@@ -28,6 +29,7 @@ from paircompare.posterior import (
     RopeRelation,
     bayes_factor_interval_null,
     hdi_from_samples,
+    hdi_of_difference,
     interval_probability_quadrature,
     rope_decision,
 )
@@ -393,3 +395,185 @@ def test_margin_assessment_validation():
     with pytest.raises(DomainError):
         event_probability_from_samples(np.array([]),
                                        Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 2.0]) | st.floats(-5, 5),
+                min_size=100, max_size=120),
+       st.floats(0.05, 1.0))
+def test_hdi_of_a_sorted_sample_equals_the_hdi_of_its_shuffle(values, mass):
+    # A sample already in order is read in place; the HDI is the one the
+    # unsorted sample gives.
+    shuffled = np.random.default_rng(len(values)).permutation(values)
+    assert hdi_from_samples(np.sort(shuffled), mass) == hdi_from_samples(shuffled, mass)
+
+
+class DifferenceReference:
+    """Independent reference for the HDI of d = theta1 - theta2: scipy's
+    ``quad`` for d's density f and CDF F, ``brentq`` for the endpoints.
+
+    f(x) integrates theta2's density against theta1's at s + x, and F(x)
+    theta2's density against theta1's CDF (Boost's incomplete beta) at s + x.
+    Each density is log-concave, so each is integrated over its mean +- 40
+    sd, which holds all but e^-39 of it.  The tolerances give each endpoint
+    about 1e-11: F to 6e-14 / sd(d), f to 2e-12 / sd(d) relative.  The HDI's
+    lower end l solves F(u(l)) - F(l) = mass, where u(l) > mode solves
+    f(u) = f(l).
+    """
+
+    def __init__(self, post1: BetaParams, post2: BetaParams):
+        self.windows = [self._window(p) for p in (post1, post2)]
+        self.shapes = [(p.alpha, p.beta) for p in (post1, post2)]
+        self.mean = post1.mean - post2.mean
+        self.sd = math.sqrt(post1.variance + post2.variance)
+        (lo1, hi1), (lo2, hi2) = self.windows
+        self.lo = max(lo1 - hi2, self.mean - 40.0 * self.sd)
+        self.hi = min(hi1 - lo2, self.mean + 40.0 * self.sd)
+        self.pdfs = [self._pdf(a, b) for a, b in self.shapes]
+
+    @staticmethod
+    def _window(p):
+        half = 40.0 * math.sqrt(p.variance)
+        return max(0.0, p.mean - half), min(1.0, p.mean + half)
+
+    @staticmethod
+    def _pdf(a, b):
+        log_norm = special.betaln(a, b)
+        return lambda t: (math.exp((a - 1.0) * math.log(t) + (b - 1.0) * math.log1p(-t)
+                                   - log_norm) if 0.0 < t < 1.0 else 0.0)
+
+    def _range(self, x):
+        (lo1, hi1), (lo2, hi2) = self.windows
+        return max(lo2, lo1 - x), min(hi2, hi1 - x)
+
+    def pdf(self, x):
+        lo, hi = self._range(x)
+        p1, p2 = self.pdfs
+        return integrate.quad(lambda s: p1(s + x) * p2(s), lo, hi, epsabs=0.0,
+                              epsrel=min(1e-6, 2e-12 / self.sd), limit=200)[0] if lo < hi else 0.0
+
+    def cdf(self, x):
+        lo, hi = self._range(x)
+        (lo1, _), (lo2, _) = self.windows
+        if lo >= hi:
+            return 1.0 if lo1 - x < lo2 else 0.0
+        (a1, b1), (a2, b2) = self.shapes
+        p2 = self.pdfs[1]
+        inner = integrate.quad(lambda s: p2(s) * special.betainc(a1, b1, s + x), lo, hi,
+                               epsabs=min(1e-6, 6e-14 / self.sd), epsrel=0.0, limit=200)[0]
+        return inner + special.betaincc(a2, b2, hi)  # above hi, theta1 <= theta2 + x surely
+
+    def hdi(self, mass):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            mode = optimize.minimize_scalar(
+                lambda x: -self.pdf(x), method="bounded",
+                bounds=(max(self.lo, self.mean - 4 * self.sd),
+                        min(self.hi, self.mean + 4 * self.sd)),
+                options={"xatol": 1e-10 * self.sd}).x
+
+            def upper(lower):
+                # Right of the mode, the end where f falls back to f(lower).  A
+                # lower end already past the mode is its own upper end.
+                level, start = self.pdf(lower), max(lower, mode)
+                if self.pdf(start) <= level:
+                    return start
+                if self.pdf(self.hi) >= level:  # a lower end in the far tail
+                    return self.hi
+                return optimize.brentq(lambda u: self.pdf(u) - level, start, self.hi, xtol=1e-14)
+
+            lower = optimize.brentq(lambda l: self.cdf(upper(l)) - self.cdf(l) - mass,
+                                    self.lo, mode, xtol=1e-14)
+            return lower, upper(lower)
+
+
+def _preset_posteriors(label, counts):
+    prior = PRIOR_PRESETS[label]
+    return tuple(BetaParams(prior.alpha + c, prior.beta + (n - c)) for c, n in counts)
+
+
+# The three presets at 10^2 .. 10^9 items per system (rates 0.72 and 0.69),
+# and at counts with a shape of 1 or 1.5 at an end, where d's density has a
+# kink or a weaker singularity at 0.
+SIZE_CASES = [(label, ((round(0.72 * 10**k), 10**k), (round(0.69 * 10**k), 10**k)), 0.95)
+              for label in sorted(PRIOR_PRESETS) for k in range(2, 10)]
+COUNT_CASES = [(label, counts, mass) for label in sorted(PRIOR_PRESETS) for mass in (0.5, 0.95)
+               for counts in (((0, 50), (3, 50)), ((3, 10), (2, 10)), ((9, 12), (6, 12)),
+                              ((10, 10), (10, 10)), ((1000, 1000), (1000, 1000)))]
+
+
+@pytest.mark.parametrize("label,counts,mass", SIZE_CASES + COUNT_CASES,
+                         ids=[f"{label}-{c1}/{n1},{c2}/{n2}-{mass}"
+                              for label, ((c1, n1), (c2, n2)), mass in SIZE_CASES + COUNT_CASES])
+def test_hdi_of_difference_matches_scipy(label, counts, mass):
+    post1, post2 = _preset_posteriors(label, counts)
+    hdi = hdi_of_difference(post1, post2, mass)
+    reference = DifferenceReference(post1, post2)
+    lower, upper = reference.hdi(mass)
+    assert abs(hdi.lower - lower) <= 1e-9 and abs(hdi.upper - upper) <= 1e-9
+    assert hdi.mass == mass
+    # f(l) = f(u), to what a 1e-9 move of each end can change.
+    h = 1e-4 * reference.sd
+    slopes = [abs(reference.pdf(x + h) - reference.pdf(x - h)) / (2 * h)
+              for x in (hdi.lower, hdi.upper)]
+    assert abs(reference.pdf(hdi.lower) - reference.pdf(hdi.upper)) <= 1e-9 * sum(slopes)
+    if mass > 1.0 - 1.0 / math.e:
+        # Each side of a log-concave density's mean holds at least 1/e of its
+        # mass, so an interval holding more than 1 - 1/e holds the mean.
+        assert hdi.lower < post1.mean - post2.mean < hdi.upper
+
+
+# Shapes that leave d's density hard to interpolate: below 2 at one end of
+# both posteriors (an x^b singularity at 0), one posterior 1,000 times
+# narrower than the other at the same end (a cliff at 0), d next to -1, and
+# masses far from 0.95.
+HARD_CASES = [
+    ((2.5, 1.1), (3.0, 1.1), 0.95), ((1.5, 40.0), (1.2, 45.0), 0.5),
+    ((1.3, 1.3), (1.3, 1.3), 0.95), ((1.0, 1.5), (1.5, 1.0), 0.95),
+    ((1.0, 101.0), (1.0, 100_001.0), 0.95), ((1.0, 101.0), (1.0, 100_001.0), 0.3),
+    ((1.0, 51.0), (51.0, 1.0), 0.95), ((5.0, 3.0), (60.0, 40.0), 0.01),
+    ((5.0, 3.0), (60.0, 40.0), 0.999999),
+]
+
+
+@pytest.mark.parametrize("shapes1,shapes2,mass", HARD_CASES)
+def test_hdi_of_difference_matches_scipy_where_the_density_is_hard(shapes1, shapes2, mass):
+    post1, post2 = BetaParams(*shapes1), BetaParams(*shapes2)
+    hdi = hdi_of_difference(post1, post2, mass)
+    lower, upper = DifferenceReference(post1, post2).hdi(mass)
+    assert abs(hdi.lower - lower) <= 1e-9 and abs(hdi.upper - upper) <= 1e-9
+
+
+@pytest.mark.parametrize("label", sorted(PRIOR_PRESETS))
+@pytest.mark.parametrize("counts", [((0, 50), (3, 50)), ((10, 10), (10, 10)),
+                                    ((1721, 2376), (1637, 2376))])
+def test_hdi_of_difference_at_full_mass_is_the_support(label, counts):
+    assert hdi_of_difference(*_preset_posteriors(label, counts), 1.0) == Hdi(-1.0, 1.0, 1.0)
+
+
+def test_hdi_of_difference_easy_frozen():
+    # scipy quad + brentq, as recorded in the ROADMAP: [0.0094627, 0.0611800].
+    hdi = hdi_of_difference(EASY_POSTS.post1, EASY_POSTS.post2, 0.95)
+    assert hdi.lower == pytest.approx(0.009462702, abs=1e-9)
+    assert hdi.upper == pytest.approx(0.061180024, abs=1e-9)
+
+
+def test_hdi_of_difference_triangle_closed_form():
+    # Two uniform posteriors: d is triangular on [-1, 1], with its kink at 0,
+    # and the central interval holding mass m ends at 1 - sqrt(1 - m).
+    for mass in (0.1, 0.5, 0.95, 0.999):
+        hdi = hdi_of_difference(UNIFORM, UNIFORM, mass)
+        end = 1.0 - math.sqrt(1.0 - mass)
+        assert hdi.lower == pytest.approx(-end, abs=1e-12)
+        assert hdi.upper == pytest.approx(end, abs=1e-12)
+
+
+def test_hdi_of_difference_validation():
+    easy = EASY_POSTS.post1
+    for mass in (0.0, -0.1, 1.5, float("nan")):
+        with pytest.raises(DomainError, match="mass must lie in"):
+            hdi_of_difference(easy, easy, mass)
+    for shapes in ((0.5, 3.0), (3.0, 0.999)):
+        for pair in ((BetaParams(*shapes), easy), (easy, BetaParams(*shapes))):
+            with pytest.raises(DomainError, match="shape below 1"):
+                hdi_of_difference(*pair, 0.95)

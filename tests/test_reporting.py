@@ -4,11 +4,14 @@ import hashlib
 import importlib.resources
 import json
 import math
+import tracemalloc
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from paircompare.bayes import PRIOR_PRESETS
 from paircompare.config import parse_config, parse_config_file, render_config
@@ -16,6 +19,7 @@ from paircompare.errors import AssessmentError, ConfigError
 from paircompare.reporting import (
     MISCONCEPTION_CAUTIONS,
     REPORT_FORMAT,
+    _sorted_histogram_density,
     assumptions_checklist,
     emit_plot_data,
     lint_phrasing,
@@ -353,11 +357,10 @@ def integrate(rows):
 
 
 def test_plot_histograms_integrate_to_one(tmp_path):
-    import numpy as np
     gen = np.random.default_rng(3)
     theta1 = gen.beta(20, 5, size=5000)
     theta2 = gen.beta(18, 6, size=5000)
-    paths = emit_plot_data(theta1, theta2, tmp_path, {"note": 1})
+    paths = emit_plot_data(theta1, theta2, theta1 - theta2, tmp_path, {"note": 1})
     for path in paths:
         if path.suffix == ".csv":
             rows = read_histogram(path)
@@ -368,9 +371,8 @@ def test_plot_histograms_integrate_to_one(tmp_path):
 
 
 def test_plot_constant_samples_single_bin(tmp_path):
-    import numpy as np
     samples = np.full(100, 0.25)
-    emit_plot_data(samples, samples * 0.0, tmp_path)
+    emit_plot_data(samples, samples * 0.0, samples.copy(), tmp_path)
     rows = read_histogram(tmp_path / "posterior_theta1.csv")
     occupied = [r for r in rows if r[2] > 0]
     assert len(occupied) == 1
@@ -389,3 +391,54 @@ def test_plot_diff_mass_covers_annotated_hdi(tmp_path, monkeypatch, configs_dir)
     mass = integrate(overlapping)
     assert mass >= hdi["mass"] - 1e-9
     assert math.isfinite(mass)
+
+
+# Sample values with ties, both zeros and NaN draws, which np.sort puts last.
+HISTOGRAM_DRAWS = hnp.arrays(
+    np.float64, st.integers(1, 80),
+    elements=st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0, float("nan")])
+    | st.floats(-1.0, 2.0, width=64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(HISTOGRAM_DRAWS, st.integers(1, 12), st.floats(-0.5, 0.5), st.floats(0.1, 2.0))
+def test_sorted_histogram_density_equals_numpy_histogram(samples, bins, lo, span):
+    # The plot data's rule on a sorted sample, bit for bit against numpy's,
+    # including edges that fall on sample values.
+    edges = np.linspace(lo, lo + span, bins + 1)
+    if np.count_nonzero((samples >= edges[0]) & (samples <= edges[-1])) == 0:
+        return  # no sample in range: both divide by a zero count
+    expected = np.histogram(samples, bins=edges, density=True)[0]
+    got = _sorted_histogram_density(np.sort(samples), edges)
+    assert [float(d).hex() for d in got] == [float(d).hex() for d in expected]
+
+
+def test_plot_data_sorts_its_samples_in_place(tmp_path):
+    gen = np.random.default_rng(5)
+    theta1, theta2 = gen.beta(20, 5, size=2000), gen.beta(18, 6, size=2000)
+    diff = theta1 - theta2
+    expected = {name: np.histogram(x, bins=np.linspace(x.min(), x.max(), 101), density=True)[0]
+                for name, x in (("theta1", theta1), ("theta2", theta2), ("diff", diff))}
+    emit_plot_data(theta1, theta2, diff, tmp_path)
+    for name, x in (("theta1", theta1), ("theta2", theta2), ("diff", diff)):
+        assert np.all(x[:-1] <= x[1:])
+        rows = read_histogram(tmp_path / f"posterior_{name}.csv")
+        assert [r[2] for r in rows] == expected[name].tolist()
+
+
+def test_analysis_peak_memory_holds_three_samples(tmp_path, monkeypatch):
+    # With MCMC off, the sample's peak is theta2's draw next to theta1 (about
+    # 3.6 x 8 n_mc bytes); the difference is taken once and sorted in place,
+    # and the plot data reads the three arrays in place.  A fourth n_mc array
+    # alive at once, or a copy of one, passes 4 x 8 n_mc.
+    monkeypatch.chdir(tmp_path)
+    n_mc = 100_000
+    config = parse_config(EASY_TEXT.replace("n_mc = 20000", f"n_mc = {n_mc}"))
+    run_analysis(config, write=True)  # lazy imports and first-use caches
+    tracemalloc.start()
+    try:
+        run_analysis(config, write=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * n_mc, peak / (8 * n_mc)

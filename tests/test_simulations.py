@@ -400,14 +400,14 @@ EASY_COUNTS = ((1721, 2376), (1637, 2376))
 
 
 def test_prior_sweep_rows_sorted_and_deterministic():
-    rows = prior_sensitivity_sweep(EASY_COUNTS, PRIOR_PRESETS, 0.01, 20_000, 42)
-    again = prior_sensitivity_sweep(EASY_COUNTS, PRIOR_PRESETS, 0.01, 20_000, 42)
+    rows = prior_sensitivity_sweep(EASY_COUNTS, PRIOR_PRESETS, 0.01)
+    again = prior_sensitivity_sweep(EASY_COUNTS, PRIOR_PRESETS, 0.01)
     assert [r.label for r in rows] == sorted(PRIOR_PRESETS)
     assert rows == again
 
 
 def test_prior_sweep_posterior_means_match_conjugate():
-    rows = prior_sensitivity_sweep(EASY_COUNTS, PRIOR_PRESETS, 0.01, 20_000, 42)
+    rows = prior_sensitivity_sweep(EASY_COUNTS, PRIOR_PRESETS, 0.01)
     for row in rows:
         post1 = conjugate_update(row.prior, *EASY_COUNTS[0])
         post2 = conjugate_update(row.prior, *EASY_COUNTS[1])
@@ -415,7 +415,7 @@ def test_prior_sweep_posterior_means_match_conjugate():
 
 
 def test_prior_sweep_bayes_factor_moves_more_than_hdi():
-    rows = prior_sensitivity_sweep(EASY_COUNTS, PRIOR_PRESETS, 0.01, 100_000, 42)
+    rows = prior_sensitivity_sweep(EASY_COUNTS, PRIOR_PRESETS, 0.01)
     bfs = [r.bf01 for r in rows]
     widths = [r.hdi.width for r in rows]
     bf_spread = max(bfs) / min(bfs)
@@ -431,12 +431,11 @@ def test_prior_sweep_bayes_factor_moves_more_than_hdi():
 
 def test_prior_sweep_rejects_empty_priors():
     with pytest.raises(DomainError):
-        prior_sensitivity_sweep(EASY_COUNTS, {}, 0.01, 10_000, 1)
+        prior_sensitivity_sweep(EASY_COUNTS, {}, 0.01)
 
 
 def test_prior_sweep_single_custom_prior():
-    rows = prior_sensitivity_sweep(((9, 12), (6, 12)), {"flat": BetaParams(1.0, 1.0)},
-                                   0.05, 10_000, 3)
+    rows = prior_sensitivity_sweep(((9, 12), (6, 12)), {"flat": BetaParams(1.0, 1.0)}, 0.05)
     assert len(rows) == 1
     assert rows[0].prior == BetaParams(1.0, 1.0)
     assert math.isfinite(rows[0].bf01)
