@@ -114,13 +114,6 @@ class DecisionValue(Enum):
     UNDECIDED = "undecided"
 
 
-class Decision(Record):
-    """Outcome of a procedure plus the procedure that produced it."""
-
-    value: DecisionValue
-    basis: str
-
-
 class Hypothesis(Record):
     """A claim about the latent accuracy difference theta1 - theta2.
 

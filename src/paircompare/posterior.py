@@ -11,7 +11,7 @@ from enum import Enum
 import numpy as np
 
 from .bayes import BetaParams, PosteriorPair
-from .core import Decision, DecisionValue, Record
+from .core import DecisionValue, Record
 from .errors import DomainError, TooFewSamples, UnstableEstimate
 
 MIN_HDI_SAMPLES = 100
@@ -71,13 +71,6 @@ class RopeRelation(Enum):
     OVERLAP = "overlap"
 
 
-class RopeVerdict(Record):
-    relation: RopeRelation
-    decision: Decision
-    hdi: Hdi
-    rope: tuple[float, float]
-
-
 class BayesFactorResult(Record):
     """Interval-null Bayes factor BF01 and the two probabilities it is built from.
 
@@ -117,9 +110,10 @@ def hdi_from_samples(samples, mass: float = 0.95) -> Hdi:
     return Hdi(float(x[i]), float(x[i + window - 1]), mass)
 
 
-def rope_decision(hdi: Hdi, rope_radius: float) -> RopeVerdict:
+def rope_decision(hdi: Hdi, rope_radius: float) -> tuple[RopeRelation, DecisionValue]:
     """Trichotomous comparison of an HDI against the region of practical
-    equivalence ``[-rope_radius, rope_radius]`` around a zero difference.
+    equivalence ``[-rope_radius, rope_radius]`` around a zero difference,
+    and the decision it supports (Kruschke 2018).
 
     Intervals are closed: touching endpoints count as overlap.  The three
     relations map onto decisions as
@@ -130,17 +124,11 @@ def rope_decision(hdi: Hdi, rope_radius: float) -> RopeVerdict:
     """
     if rope_radius <= 0.0:
         raise DomainError(f"rope_radius must be positive, got {rope_radius!r}")
-    lo, hi = -rope_radius, rope_radius
-    if lo < hdi.lower and hdi.upper < hi:
-        relation = RopeRelation.HDI_INSIDE_ROPE
-        value = DecisionValue.ACCEPT_NULL
-    elif hdi.upper < lo or hdi.lower > hi:
-        relation = RopeRelation.HDI_OUTSIDE_ROPE
-        value = DecisionValue.REJECT_NULL
-    else:
-        relation = RopeRelation.OVERLAP
-        value = DecisionValue.UNDECIDED
-    return RopeVerdict(relation, Decision(value, "hdi_rope"), hdi, (lo, hi))
+    if -rope_radius < hdi.lower and hdi.upper < rope_radius:
+        return RopeRelation.HDI_INSIDE_ROPE, DecisionValue.ACCEPT_NULL
+    if hdi.upper < -rope_radius or hdi.lower > rope_radius:
+        return RopeRelation.HDI_OUTSIDE_ROPE, DecisionValue.REJECT_NULL
+    return RopeRelation.OVERLAP, DecisionValue.UNDECIDED
 
 
 def _panels(params: BetaParams, radius: float) -> tuple[np.ndarray, np.ndarray]:
@@ -388,7 +376,13 @@ def _crossing(model: _DifferenceModel, level: float, a: float, f_a: float, b: fl
     the mode (f_b > level), with f' and F there: Newton's method from
     ``guess`` (or the chord), kept inside the bracket and halving it where a
     step would leave."""
-    x = guess if min(a, b) < guess < max(a, b) else a + (b - a) * (level - f_a) / (f_b - f_a)
+    if min(a, b) < guess < max(a, b):
+        x = guess
+    elif f_b == f_a:  # no chord to follow
+        raise UnstableEstimate("the density of the difference is flat to rounding "
+                               "where the HDI would end")
+    else:
+        x = a + (b - a) * (level - f_a) / (f_b - f_a)
     for _ in range(_NEWTON_STEPS):
         f, slope, cdf = model.at(x)
         if f > level:
@@ -520,8 +514,9 @@ def hdi_of_difference(post1: BetaParams, post2: BetaParams, mass: float = 0.95) 
         If ``mass`` is outside (0, 1], or a shape is below 1, where d's
         density need not be unimodal and its HDI need not be one interval.
     UnstableEstimate
-        If the density does not settle on ``_MAX_PANELS`` panels, or Newton's
-        method does not converge.
+        If the density does not settle on ``_MAX_PANELS`` panels, is flat to
+        rounding where an end must be placed (a Beta(1, 1) posterior against
+        a narrower one can leave it so), or Newton's method does not converge.
     """
     if not 0.0 < mass <= 1.0:
         raise DomainError(f"mass must lie in (0, 1], got {mass!r}")

@@ -1,10 +1,11 @@
 """Analysis orchestration and report emission.
 
-``run_analysis`` wires the statistical layers together for one config:
-frequentist test and interval, conjugate-posterior summaries, an optional
-MCMC cross-check, the interval-null Bayes factor, a fixed assumptions
-checklist, and carefully qualified phrasing.  Reports are JSON with a
-stable key order, so identical configs and seeds reproduce identical bytes.
+``run_analysis`` wires the statistical layers together for one config.
+Each method (frequentist test and interval, HDI against a ROPE, and the
+interval-null Bayes factor, with an optional MCMC cross-check) is one entry
+of ``_METHODS``, giving its result block, decision and sentence; the report
+adds a fixed assumptions checklist.  Reports are JSON with a stable key
+order, so identical configs and seeds reproduce identical bytes.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bayes import event_probability_from_samples, event_probability_from_sorted, posterior_pair
+from .bayes import event_probability_from_sorted, posterior_pair
 from .config import AnalysisConfig, Observations, load_observations, render_config
-from .core import Decision, DecisionValue, Direction, Hypothesis, HypothesisKind, Record
+from .core import DecisionValue, Direction, Hypothesis, HypothesisKind, Record
 from .errors import TooFewSamples
 from .frequentist import diff_confidence_interval, two_proportion_z_test
 from .fsio import atomic_write_text, json_text, plain
@@ -161,21 +162,18 @@ MISCONCEPTION_CAUTIONS = [
 
 
 def run_analysis(config: AnalysisConfig, write: bool = True) -> AnalysisOutcome:
-    """Run every configured method and assemble the report.
+    """Run every configured method, in ``_METHODS`` order, and assemble the report.
 
-    Bayesian methods always use the exact conjugate posterior; when MCMC is
-    enabled the same summaries are recomputed from the chains and any
-    disagreement is recorded rather than hidden; the chains run before the
-    posterior draws, so their temporaries are gone before the sample exists.
-    One sample of ``n_mc`` draws per posterior, from stream ``(seed,
-    10_000)``, feeds the HDI, the event probabilities and the plot data: the
-    difference theta1 - theta2 is taken once and sorted in place, and every
-    summary reads that sorted array, with no copy and no mask.  The Bayes
-    factor is exact quadrature; the sample's frequency of ``|theta1 -
-    theta2| < rope_radius`` is recorded next to it as a Monte Carlo twin of
-    ``post_p0``, so nothing is drawn for the Bayes factor itself.  With
-    ``write`` set, the
-    report, posterior plot data, and chain traces are written to the paths in
+    Each method is one entry of ``_METHODS``; the loop writes its result
+    block, its decision and its vetted sentence.  The first Bayesian entry
+    builds the posterior sample (see :func:`_posterior_sample`), which every
+    later one reads: the Bayesian methods always use the exact conjugate
+    posterior, and when MCMC is enabled the same summaries are recomputed
+    from the chains and any disagreement is recorded rather than hidden.
+    The Bayes factor is exact quadrature; the sample's frequency of
+    ``|theta1 - theta2| < rope_radius`` is recorded next to it as a Monte
+    Carlo twin of ``post_p0``.  With ``write`` set, the report, posterior
+    plot data, and chain traces are written to the paths in
     ``config.output`` (each file atomically).
 
     Raises
@@ -188,106 +186,22 @@ def run_analysis(config: AnalysisConfig, write: bool = True) -> AnalysisOutcome:
     """
     obs = load_observations(config)
     counts = obs.counts
-    (c1, t1), (c2, t2) = counts
-    opts = config.analysis
-
-    methods = opts.methods
-    needs_posterior = "hdi_rope" in methods or "bayes_factor" in methods
-    results: dict = {}
-    decisions: dict[str, Decision] = {}
-    phrasing: dict = {}
-
-    if "pvalue" in methods:
-        ztest = two_proportion_z_test(c1, t1, c2, t2, opts.direction)
-        results["pvalue"] = plain(ztest)
-        rejected = ztest.p_value < opts.alpha
-        decisions["pvalue"] = Decision(
-            DecisionValue.REJECT_NULL if rejected else DecisionValue.UNDECIDED, "pvalue")
-        qualifier = "" if rejected else "not "
-        gap = {Direction.GREATER: f"at least as large as {ztest.diff:.4f}",
-               Direction.LESS: f"at most as large as {ztest.diff:.4f}",
-               Direction.TWO_SIDED: (f"at least as large as {abs(ztest.diff):.4f} "
-                                     f"in either direction")}[ztest.direction]
-        phrasing["pvalue"] = _vetted(
-            f"If both systems shared one correctness rate, an accuracy gap "
-            f"{gap} would occur with probability "
-            f"{ztest.p_value:.4g}; at level {opts.alpha:g} the observed "
-            f"difference is {qualifier}statistically significant."
-        )
-
-    if "ci" in methods:
-        ci = diff_confidence_interval(c1, t1, c2, t2, opts.ci_level, opts.ci_mode)
-        results["ci"] = plain(ci)
-        excluded = ci.lower > 0.0 or ci.upper < 0.0
-        decisions["ci"] = Decision(
-            DecisionValue.REJECT_NULL if excluded else DecisionValue.UNDECIDED, "ci")
-        if excluded:
-            tail = ("Zero lies outside the interval, a statistically "
-                    "significant difference at the matching level.")
-        else:
-            tail = ("Zero lies inside the interval, so equal accuracy "
-                    "remains compatible with the data.")
-        phrasing["ci"] = _vetted(
-            f"The {ci.level:.0%} interval for the accuracy difference runs "
-            f"from {ci.lower:.4f} to {ci.upper:.4f}. " + tail
-        )
-
-    trace: Trace | None = None
-    samples = None
-    if needs_posterior:
-        posts = posterior_pair(config.model.prior, counts)
-        if config.mcmc.enabled:
-            trace = run_chains(config.model.prior, counts, config.mcmc, opts.seed)
-        samples = _posterior_sample(posts, opts.n_mc, opts.seed)
-
-        if "hdi_rope" in methods:
-            block, decision, sentence = _hdi_rope_block(posts, samples[2], trace, opts)
-            results["hdi_rope"] = block
-            decisions["hdi_rope"] = decision
-            phrasing["hdi_rope"] = _vetted(sentence)
-
-        if "bayes_factor" in methods:
-            bf = bayes_factor_interval_null(config.model.prior, posts, opts.rope_radius)
-            interval_null = Hypothesis(HypothesisKind.INTERVAL_NULL, 0.0, opts.rope_radius)
-            mcmc_block = None
-            if trace is not None:
-                post_p0 = event_probability_from_samples(trace.diff_samples(), interval_null)
-                p = post_p0.estimate
-                odds_prior = bf.prior_p0 / (1.0 - bf.prior_p0)
-                mcmc_block = {
-                    "post_p0": p,
-                    "post_p0_se": post_p0.mc_se,
-                    # No draw in the band, or none outside it: no ratio to estimate.
-                    "bf01": p / (1.0 - p) / odds_prior if 0.0 < p < 1.0 else None,
-                }
-            results["bayes_factor"] = {
-                "bf01": bf.bf01,
-                "epsilon": opts.rope_radius,
-                "quadrature": {"prior_p0": bf.prior_p0, "post_p0": bf.post_p0},
-                "monte_carlo": plain(event_probability_from_sorted(samples[2], interval_null)),
-                "mcmc": mcmc_block,
-            }
-            if bf.bf01 >= BF_ACCEPT_THRESHOLD:
-                value = DecisionValue.ACCEPT_NULL
-                verdict = ("the data favor treating the systems as "
-                           "practically equivalent")
-            elif bf.bf01 <= BF_REJECT_THRESHOLD:
-                value = DecisionValue.REJECT_NULL
-                verdict = "the data favor a real difference"
-            else:
-                value = DecisionValue.UNDECIDED
-                verdict = "the data barely move the prior odds either way"
-            decisions["bayes_factor"] = Decision(value, "bayes_factor")
-            phrasing["bayes_factor"] = _vetted(
-                f"The Bayes factor for a difference within {opts.rope_radius:g} of zero, "
-                f"against one outside it, is {bf.bf01:.3g}: {verdict}."
-            )
+    results, decisions, phrasing = {}, {}, {}
+    trace = sample = None
+    for name, (entry, reads_sample) in _METHODS.items():
+        if name not in config.analysis.methods:
+            continue
+        if reads_sample and sample is None:
+            trace, sample = _posterior_sample(config, counts)
+        results[name], value, sentence = entry(config, counts, sample)
+        decisions[name] = {"value": value.value, "basis": name}
+        phrasing[name] = _vetted(sentence)
 
     report = AssessmentReport(
         provenance=_provenance(config),
         data=_data_block(obs),
         results=results,
-        decisions={name: plain(d) for name, d in decisions.items()},
+        decisions=decisions,
         phrasing={**phrasing, "cautions": [_vetted(c) for c in MISCONCEPTION_CAUTIONS]},
         assumptions=assumptions_checklist(counts),
         mcmc=_mcmc_block(trace, config),
@@ -298,29 +212,68 @@ def run_analysis(config: AnalysisConfig, write: bool = True) -> AnalysisOutcome:
     trace_paths: list[Path] = []
     if write:
         report_path = atomic_write_text(Path(config.output.report), report.to_json())
-        if samples is not None:
-            annotations = None
-            if "hdi_rope" in results:
-                annotations = results["hdi_rope"]["conjugate"]
-            plot_paths = emit_plot_data(*samples, Path(config.output.plot_dir), annotations)
-            samples = None  # its last reader: the trace export runs without it
+        if sample is not None:
+            annotations = results["hdi_rope"]["conjugate"] if "hdi_rope" in results else None
+            plot_paths = emit_plot_data(*sample[1:4], Path(config.output.plot_dir), annotations)
+            sample = None  # its last reader: the trace export runs without it
         if trace is not None:
             trace_paths = export_trace(trace, Path(config.output.trace_dir))
     return AnalysisOutcome(report, trace, report_path, plot_paths, trace_paths)
 
 
-def _posterior_sample(posts, n_mc: int, seed: int):
-    """theta1 and theta2, ``n_mc`` draws each from stream ``(seed, 10_000)``,
-    and their difference, taken once and sorted in place."""
-    gen = stream(seed, STREAM_POSTERIOR_DRAWS)
-    theta1 = sample_beta(posts.post1.alpha, posts.post1.beta, gen, size=n_mc)
-    theta2 = sample_beta(posts.post2.alpha, posts.post2.beta, gen, size=n_mc)
+def _posterior_sample(config: AnalysisConfig, counts):
+    """The MCMC trace, or None with MCMC off, and the sample every Bayesian
+    entry reads: the posteriors; theta1 and theta2, ``n_mc`` draws each from
+    stream ``(seed, 10_000)``; their difference, taken once and sorted in
+    place; and the chains' difference, sorted once, or None.  The chains run
+    before the draws, so their temporaries are gone before the sample exists."""
+    opts = config.analysis
+    posts = posterior_pair(config.model.prior, counts)
+    trace = chain_diff = None
+    if config.mcmc.enabled:
+        trace = run_chains(config.model.prior, counts, config.mcmc, opts.seed)
+        chain_diff = trace.diff_samples()
+        chain_diff.sort()
+    gen = stream(opts.seed, STREAM_POSTERIOR_DRAWS)
+    theta1 = sample_beta(posts.post1.alpha, posts.post1.beta, gen, size=opts.n_mc)
+    theta2 = sample_beta(posts.post2.alpha, posts.post2.beta, gen, size=opts.n_mc)
     diff = theta1 - theta2
     diff.sort()
-    return theta1, theta2, diff
+    return trace, (posts, theta1, theta2, diff, chain_diff)
 
 
-def _hdi_rope_block(posts, diff, trace, opts):
+def _pvalue(config, counts, sample):
+    opts = config.analysis
+    (c1, t1), (c2, t2) = counts
+    ztest = two_proportion_z_test(c1, t1, c2, t2, opts.direction)
+    rejected = ztest.p_value < opts.alpha
+    gap = {Direction.GREATER: f"at least as large as {ztest.diff:.4f}",
+           Direction.LESS: f"at most as large as {ztest.diff:.4f}",
+           Direction.TWO_SIDED: (f"at least as large as {abs(ztest.diff):.4f} "
+                                 f"in either direction")}[ztest.direction]
+    return plain(ztest), DecisionValue.REJECT_NULL if rejected else DecisionValue.UNDECIDED, (
+        f"If both systems shared one correctness rate, an accuracy gap "
+        f"{gap} would occur with probability "
+        f"{ztest.p_value:.4g}; at level {opts.alpha:g} the observed "
+        f"difference is {'' if rejected else 'not '}statistically significant.")
+
+
+def _ci(config, counts, sample):
+    opts = config.analysis
+    (c1, t1), (c2, t2) = counts
+    ci = diff_confidence_interval(c1, t1, c2, t2, opts.ci_level, opts.ci_mode)
+    excluded = ci.lower > 0.0 or ci.upper < 0.0
+    tail = ("Zero lies outside the interval, a statistically significant difference at "
+            "the matching level." if excluded else
+            "Zero lies inside the interval, so equal accuracy remains compatible with the data.")
+    return plain(ci), DecisionValue.REJECT_NULL if excluded else DecisionValue.UNDECIDED, (
+        f"The {ci.level:.0%} interval for the accuracy difference runs "
+        f"from {ci.lower:.4f} to {ci.upper:.4f}. " + tail)
+
+
+def _hdi_rope(config, counts, sample):
+    opts = config.analysis
+    posts, _, _, diff, chain_diff = sample
     margin_hyp = Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, opts.margin,
                             direction=Direction.GREATER)
     positive_hyp = Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.0,
@@ -328,28 +281,28 @@ def _hdi_rope_block(posts, diff, trace, opts):
 
     def summarize(diffs):  # diffs in ascending order
         hdi = hdi_from_samples(diffs, opts.hdi_mass)
-        verdict = rope_decision(hdi, opts.rope_radius)
+        relation, value = rope_decision(hdi, opts.rope_radius)
         return {
             "hdi": plain(hdi),
-            "relation": verdict.relation.value,
+            "relation": relation.value,
             "prob_positive": plain(event_probability_from_sorted(diffs, positive_hyp)),
             "prob_beyond_margin": plain(event_probability_from_sorted(diffs, margin_hyp)),
-        }, verdict
+        }, value
 
-    conjugate, verdict = summarize(diff)
+    conjugate, value = summarize(diff)
     conjugate = {
         "posterior1": _beta_dict(posts.post1),
         "posterior2": _beta_dict(posts.post2),
         "n_samples": int(diff.size),
         **conjugate,
-        "rope": {"lower": verdict.rope[0], "upper": verdict.rope[1],
+        "rope": {"lower": -opts.rope_radius, "upper": opts.rope_radius,
                  "center": 0.0, "radius": opts.rope_radius},
         "margin": opts.margin,
     }
     block = {"conjugate": conjugate, "mcmc": None, "disagreement": None}
-    if trace is not None:
+    if chain_diff is not None:
         try:
-            mcmc_summary, mcmc_verdict = summarize(np.sort(trace.diff_samples()))
+            mcmc_summary = summarize(chain_diff)[0]
         except TooFewSamples:
             # Fewer samples than an HDI needs also caps the ESS below its 400
             # threshold, so the trace is already marked unconverged.
@@ -359,25 +312,65 @@ def _hdi_rope_block(posts, diff, trace, opts):
             block["disagreement"] = {
                 "hdi_lower_delta": mcmc_summary["hdi"]["lower"] - conjugate["hdi"]["lower"],
                 "hdi_upper_delta": mcmc_summary["hdi"]["upper"] - conjugate["hdi"]["upper"],
-                "relation_match": mcmc_verdict.relation is verdict.relation,
+                "relation_match": mcmc_summary["relation"] == conjugate["relation"],
             }
 
-    decision = verdict.decision
-    rope_note = f"within {opts.rope_radius:g} of zero"
-    if decision.value is DecisionValue.ACCEPT_NULL:
-        sentence = (f"The {opts.hdi_mass:.0%} highest-density interval sits "
-                    f"entirely {rope_note}: the accuracy difference is "
-                    f"practically negligible at that tolerance.")
-    elif decision.value is DecisionValue.REJECT_NULL:
-        sentence = (f"The {opts.hdi_mass:.0%} highest-density interval lies "
-                    f"entirely beyond {rope_note}: a practically significant "
-                    f"difference at that tolerance.")
+    interval, rope_note = (f"The {opts.hdi_mass:.0%} highest-density interval",
+                           f"within {opts.rope_radius:g} of zero")
+    return block, value, {
+        DecisionValue.ACCEPT_NULL: (f"{interval} sits entirely {rope_note}: the accuracy "
+                                    f"difference is practically negligible at that tolerance."),
+        DecisionValue.REJECT_NULL: (f"{interval} lies entirely beyond {rope_note}: a "
+                                    f"practically significant difference at that tolerance."),
+        DecisionValue.UNDECIDED: (f"{interval} and the region {rope_note} overlap, so the "
+                                  f"data neither establish nor rule out a practically "
+                                  f"significant difference; more data would be needed."),
+    }[value]
+
+
+def _bayes_factor(config, counts, sample):
+    opts = config.analysis
+    posts, _, _, diff, chain_diff = sample
+    bf = bayes_factor_interval_null(config.model.prior, posts, opts.rope_radius)
+    interval_null = Hypothesis(HypothesisKind.INTERVAL_NULL, 0.0, opts.rope_radius)
+    mcmc_block = None
+    if chain_diff is not None:
+        post_p0 = event_probability_from_sorted(chain_diff, interval_null)
+        p = post_p0.estimate
+        odds_prior = bf.prior_p0 / (1.0 - bf.prior_p0)
+        mcmc_block = {
+            "post_p0": p,
+            "post_p0_se": post_p0.mc_se,
+            # No draw in the band, or none outside it: no ratio to estimate.
+            "bf01": p / (1.0 - p) / odds_prior if 0.0 < p < 1.0 else None,
+        }
+    block = {
+        "bf01": bf.bf01,
+        "epsilon": opts.rope_radius,
+        "quadrature": {"prior_p0": bf.prior_p0, "post_p0": bf.post_p0},
+        "monte_carlo": plain(event_probability_from_sorted(diff, interval_null)),
+        "mcmc": mcmc_block,
+    }
+    if bf.bf01 >= BF_ACCEPT_THRESHOLD:
+        value, verdict = (DecisionValue.ACCEPT_NULL,
+                          "the data favor treating the systems as practically equivalent")
+    elif bf.bf01 <= BF_REJECT_THRESHOLD:
+        value, verdict = DecisionValue.REJECT_NULL, "the data favor a real difference"
     else:
-        sentence = (f"The {opts.hdi_mass:.0%} highest-density interval and the "
-                    f"region {rope_note} overlap, so the data neither establish "
-                    f"nor rule out a practically significant difference; more "
-                    f"data would be needed.")
-    return block, decision, sentence
+        value, verdict = DecisionValue.UNDECIDED, "the data barely move the prior odds either way"
+    return block, value, (
+        f"The Bayes factor for a difference within {opts.rope_radius:g} of zero, "
+        f"against one outside it, is {bf.bf01:.3g}: {verdict}.")
+
+
+# Each method's entry, in config.KNOWN_METHODS order, and whether it reads the
+# posterior sample: (config, counts, sample) -> (result block, decision, sentence).
+_METHODS = {
+    "pvalue": (_pvalue, False),
+    "ci": (_ci, False),
+    "hdi_rope": (_hdi_rope, True),
+    "bayes_factor": (_bayes_factor, True),
+}
 
 
 def _provenance(config: AnalysisConfig) -> dict:

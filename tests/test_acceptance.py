@@ -94,9 +94,9 @@ def test_criterion_04_hdi_overlaps_one_point_rope():
     hdi = hdi_from_samples(diff, 0.95)
     assert hdi.lower == pytest.approx(0.00939, abs=3e-3)
     assert hdi.upper == pytest.approx(0.0612, abs=3e-3)
-    verdict = rope_decision(hdi, 0.01)
-    assert verdict.relation is RopeRelation.OVERLAP
-    assert verdict.decision.value is DecisionValue.UNDECIDED
+    relation, value = rope_decision(hdi, 0.01)
+    assert relation is RopeRelation.OVERLAP
+    assert value is DecisionValue.UNDECIDED
 
 
 def test_criterion_05_interval_null_bayes_factor():
@@ -117,9 +117,9 @@ def test_criterion_06_pooled_counts_clear_a_wider_rope():
     _, diff = posterior_diff_samples(POOLED, 100_000)
     hdi = hdi_from_samples(diff, 0.95)
     assert hdi.lower > 0.02
-    verdict = rope_decision(hdi, 0.02)
-    assert verdict.relation is RopeRelation.HDI_OUTSIDE_ROPE
-    assert verdict.decision.value is DecisionValue.REJECT_NULL
+    relation, value = rope_decision(hdi, 0.02)
+    assert relation is RopeRelation.HDI_OUTSIDE_ROPE
+    assert value is DecisionValue.REJECT_NULL
     assert time.perf_counter() - started < 30.0
 
 

@@ -1,0 +1,115 @@
+"""Metamorphic relations on ``run_analysis``: pairs of configs whose reports
+must agree, so no reference implementation is needed.
+
+- The method table is the config grammar's method list, in order.
+- Permuting ``methods`` changes only the config digest.
+- A method run alone reports what it reports in the full run.
+- Per-item rows and their folded counts give one report.
+- Pooling does not depend on the files' order, or on summing them first.
+
+Each relation runs on the four shipped configs, in process, without
+writing; the method relations run with MCMC both on and off.
+"""
+
+import csv
+import functools
+
+import pytest
+
+from paircompare import reporting
+from paircompare.config import KNOWN_METHODS, DataConfig, parse_config_file
+from paircompare.core import ObservationMode
+from paircompare.fsio import json_text
+
+from conftest import REPO_ROOT
+
+CONFIGS = ("arc_easy", "arc_challenge", "arc_pooled", "per_item_demo")
+MCMC = [pytest.param(False, id="mcmc-off"), pytest.param(True, id="mcmc-on")]
+PERMUTATIONS = (tuple(reversed(KNOWN_METHODS)), ("hdi_rope", "pvalue", "bayes_factor", "ci"))
+
+
+@functools.cache
+def shipped(name: str, mcmc: bool):
+    config = parse_config_file(REPO_ROOT / "configs" / f"{name}.cfg")
+    return config.replace(mcmc=config.mcmc.replace(enabled=mcmc))
+
+
+def report(config) -> dict:
+    return reporting.run_analysis(config, write=False).report.to_dict()
+
+
+@functools.cache
+def full_report(name: str, mcmc: bool) -> dict:
+    assert shipped(name, mcmc).analysis.methods == KNOWN_METHODS
+    return report(shipped(name, mcmc))
+
+
+def without_digest(payload: dict) -> str:
+    """The report's JSON text, key order included, without ``provenance.config_sha256``,
+    the one field a config's text sets."""
+    provenance = {k: v for k, v in payload["provenance"].items() if k != "config_sha256"}
+    return json_text({**payload, "provenance": provenance})
+
+
+def with_methods(config, methods):
+    return config.replace(analysis=config.analysis.replace(methods=methods))
+
+
+def test_the_method_table_is_the_grammar_method_list():
+    assert tuple(reporting._METHODS) == KNOWN_METHODS
+
+
+@pytest.mark.parametrize("mcmc", MCMC)
+@pytest.mark.parametrize("name", CONFIGS)
+def test_permuted_methods_change_only_the_config_digest(name, mcmc):
+    full = full_report(name, mcmc)
+    for methods in PERMUTATIONS:
+        permuted = report(with_methods(shipped(name, mcmc), methods))
+        assert permuted["provenance"]["config_sha256"] != full["provenance"]["config_sha256"]
+        assert without_digest(permuted) == without_digest(full)
+
+
+@pytest.mark.parametrize("mcmc", MCMC)
+@pytest.mark.parametrize("name", CONFIGS)
+def test_each_method_alone_reports_what_the_full_run_does(name, mcmc):
+    full = full_report(name, mcmc)
+    for method in KNOWN_METHODS:
+        alone = report(with_methods(shipped(name, mcmc), (method,)))
+        assert list(alone["results"]) == list(alone["decisions"]) == [method]
+        for block in ("results", "decisions", "phrasing"):
+            assert json_text(alone[block][method]) == json_text(full[block][method])
+
+
+def aggregate(config, counts, name: str):
+    """``config`` with its data replaced by inline ``counts`` under dataset ``name``."""
+    return config.replace(data=DataConfig(ObservationMode.AGGREGATE, config.data.systems,
+                                          counts=counts, names=(name,)))
+
+
+def test_per_item_rows_and_their_folded_counts_give_one_report():
+    config = shipped("per_item_demo", False)
+    with (REPO_ROOT / "data" / "per_item_demo.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    folded = tuple((sum(int(row[system]) for row in rows), len(rows))
+                   for system in config.data.systems)
+    [name] = config.data.dataset_names
+    assert (without_digest(report(aggregate(config, folded, name)))
+            == without_digest(full_report("per_item_demo", False)))
+
+
+def test_pooling_is_free_of_file_order_and_of_summing_first():
+    config = shipped("arc_pooled", False)
+    data = config.data
+    expected = without_digest(full_report("arc_pooled", False))
+
+    reordered = config.replace(data=data.replace(files=data.files[::-1], names=data.names[::-1]))
+    assert without_digest(report(reordered)) == expected
+
+    per_file = []
+    for file_name in data.files:
+        with (REPO_ROOT / "configs" / file_name).open(newline="") as fh:
+            rows = {row["system"]: row for row in csv.DictReader(fh)}
+        per_file.append([(int(rows[s]["correct"]), int(rows[s]["total"])) for s in data.systems])
+    summed = tuple((sum(f[k][0] for f in per_file), sum(f[k][1] for f in per_file))
+                   for k in (0, 1))
+    assert without_digest(report(aggregate(config, summed, "pooled"))) == expected

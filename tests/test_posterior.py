@@ -115,31 +115,33 @@ def test_hdi_mass_domain(mass):
 
 
 def test_rope_decision_trichotomy_cases():
-    inside = rope_decision(Hdi(-0.005, 0.005, 0.95), 0.01)
-    assert inside.relation is RopeRelation.HDI_INSIDE_ROPE
-    assert inside.decision.value is DecisionValue.ACCEPT_NULL
+    relation, value = rope_decision(Hdi(-0.005, 0.005, 0.95), 0.01)
+    assert relation is RopeRelation.HDI_INSIDE_ROPE
+    assert value is DecisionValue.ACCEPT_NULL
 
-    outside = rope_decision(Hdi(0.02, 0.05, 0.95), 0.01)
-    assert outside.relation is RopeRelation.HDI_OUTSIDE_ROPE
-    assert outside.decision.value is DecisionValue.REJECT_NULL
+    relation, value = rope_decision(Hdi(0.02, 0.05, 0.95), 0.01)
+    assert relation is RopeRelation.HDI_OUTSIDE_ROPE
+    assert value is DecisionValue.REJECT_NULL
 
-    overlap = rope_decision(Hdi(0.005, 0.05, 0.95), 0.01)
-    assert overlap.relation is RopeRelation.OVERLAP
-    assert overlap.decision.value is DecisionValue.UNDECIDED
+    relation, value = rope_decision(Hdi(0.005, 0.05, 0.95), 0.01)
+    assert relation is RopeRelation.OVERLAP
+    assert value is DecisionValue.UNDECIDED
 
 
 def test_rope_touching_endpoint_counts_as_overlap():
     # Closed intervals: sharing a single point is still contact.
-    touching = rope_decision(Hdi(0.01, 0.05, 0.95), 0.01)
-    assert touching.relation is RopeRelation.OVERLAP
-    exact_cover = rope_decision(Hdi(-0.01, 0.01, 0.95), 0.01)
-    assert exact_cover.relation is RopeRelation.OVERLAP
+    touching, _ = rope_decision(Hdi(0.01, 0.05, 0.95), 0.01)
+    assert touching is RopeRelation.OVERLAP
+    exact_cover, _ = rope_decision(Hdi(-0.01, 0.01, 0.95), 0.01)
+    assert exact_cover is RopeRelation.OVERLAP
 
 
 def test_rope_is_centred_on_zero():
-    verdict = rope_decision(Hdi(0.39, 0.41, 0.95), 0.05)
-    assert verdict.relation is RopeRelation.HDI_OUTSIDE_ROPE
-    assert verdict.rope == (-0.05, 0.05)
+    # [0.39, 0.41] lies outside [-0.05, 0.05] but inside a band of that
+    # radius centred on the HDI.  The report's rope block carries the
+    # bounds (-radius, radius).
+    relation, _ = rope_decision(Hdi(0.39, 0.41, 0.95), 0.05)
+    assert relation is RopeRelation.HDI_OUTSIDE_ROPE
 
 
 def test_rope_radius_domain():
@@ -150,16 +152,16 @@ def test_rope_radius_domain():
 @given(st.floats(-0.5, 0.5), st.floats(0.0, 0.5), st.floats(0.001, 0.3))
 @settings(max_examples=200)
 def test_rope_relations_are_exhaustive_and_exclusive(lower, width, radius):
-    verdict = rope_decision(Hdi(lower, lower + width, 0.95), radius)
+    relation, _ = rope_decision(Hdi(lower, lower + width, 0.95), radius)
     lo, hi = -radius, radius
     strictly_inside = lo < lower and lower + width < hi
     strictly_outside = lower + width < lo or lower > hi
     if strictly_inside:
-        assert verdict.relation is RopeRelation.HDI_INSIDE_ROPE
+        assert relation is RopeRelation.HDI_INSIDE_ROPE
     elif strictly_outside:
-        assert verdict.relation is RopeRelation.HDI_OUTSIDE_ROPE
+        assert relation is RopeRelation.HDI_OUTSIDE_ROPE
     else:
-        assert verdict.relation is RopeRelation.OVERLAP
+        assert relation is RopeRelation.OVERLAP
 
 
 def test_quadrature_uniform_pair_closed_form():
@@ -556,6 +558,20 @@ def test_hdi_of_difference_easy_frozen():
     hdi = hdi_of_difference(EASY_POSTS.post1, EASY_POSTS.post2, 0.95)
     assert hdi.lower == pytest.approx(0.009462702, abs=1e-9)
     assert hdi.upper == pytest.approx(0.061180024, abs=1e-9)
+
+
+# One posterior exactly Beta(1, 1) against a narrower one: d's density is
+# flat to rounding at its top, so no chord places an end.
+FLAT_CASES = [
+    ((197941.1487171353, 6.208792736594822), (1.0, 1.0), 0.999),
+    ((1.0, 1.0), (5907.294689107835, 3027.272505032943), 0.01),
+]
+
+
+@pytest.mark.parametrize("shapes1,shapes2,mass", FLAT_CASES)
+def test_hdi_of_difference_raises_where_the_density_is_flat_to_rounding(shapes1, shapes2, mass):
+    with pytest.raises(UnstableEstimate, match="flat to rounding"):
+        hdi_of_difference(BetaParams(*shapes1), BetaParams(*shapes2), mass)
 
 
 def test_hdi_of_difference_triangle_closed_form():

@@ -27,8 +27,6 @@ from paircompare.config import (
     SimulateConfig,
 )
 from paircompare.core import (
-    Decision,
-    DecisionValue,
     Direction,
     Hypothesis,
     HypothesisKind,
@@ -39,7 +37,7 @@ from paircompare.errors import ConfigError, DomainError
 from paircompare.frequentist import CiMode, ConfidenceInterval, ZTestResult
 from paircompare.fsio import plain
 from paircompare.mcmc import McmcConfig, Trace
-from paircompare.posterior import BayesFactorResult, Hdi, RopeRelation, RopeVerdict
+from paircompare.posterior import BayesFactorResult, Hdi
 from paircompare.reporting import AnalysisOutcome, AssessmentReport
 from paircompare.simulations import OptionalStoppingReport, PriorSweepRow, StoppingComparison
 
@@ -53,8 +51,6 @@ OPTIONS = AnalysisOptions(seed=1)
 
 # Two unequal instances of every record class.
 SAMPLES = {
-    Decision: (Decision(DecisionValue.REJECT_NULL, "pvalue"),
-               Decision(DecisionValue.UNDECIDED, "hdi_rope")),
     Hypothesis: (Hypothesis(HypothesisKind.INTERVAL_NULL, 0.0, 0.01),
                  Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, margin=0.02,
                             direction=Direction.LESS)),
@@ -69,11 +65,6 @@ SAMPLES = {
         ConfidenceInterval(0.01, 0.09, 0.95, CiMode.STANDARD_TWO_SIDED, 0.05, 0.02, 1.96),
         ConfidenceInterval(0.02, 0.08, 0.95, CiMode.ONE_SIDED_POOLED_Z, 0.05, 0.02, 1.64)),
     Hdi: (HDI, Hdi(0.01, 0.05, 0.9)),
-    RopeVerdict: (RopeVerdict(RopeRelation.OVERLAP, Decision(DecisionValue.UNDECIDED, "hdi_rope"),
-                              HDI, (-0.01, 0.01)),
-                  RopeVerdict(RopeRelation.HDI_OUTSIDE_ROPE,
-                              Decision(DecisionValue.REJECT_NULL, "hdi_rope"), HDI,
-                              (-0.01, 0.01))),
     BayesFactorResult: (BayesFactorResult(0.5, 0.1, 0.05), BayesFactorResult(2.0, 0.1, 0.18)),
     StoppingComparison: (StoppingComparison(7, 24, 0.5, 0.03, 0.02),
                          StoppingComparison(7, 25, 0.5, 0.03, 0.02)),
@@ -160,7 +151,7 @@ CASES = [pytest.param(cls, id=cls.__name__) for cls in SAMPLES]
 
 def test_every_record_class_has_samples():
     assert package_records() == set(SAMPLES)
-    assert len(SAMPLES) == 24
+    assert len(SAMPLES) == 22
 
 
 @pytest.mark.parametrize("cls", CASES)
