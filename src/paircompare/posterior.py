@@ -422,17 +422,17 @@ def _mode(model: _DifferenceModel, a: float, b: float, tol: float) -> float:
 
 
 def _solve_hdi(model: _DifferenceModel, mass: float, tol: float):
-    """The level set {f >= c} holding ``mass``, or None if the window cannot
-    hold it.  f is unimodal, so for each level c the ends l(c) and u(c) are
-    crossings on either side of the mode, and the mass F(u(c)) - F(l(c))
-    falls as c rises, with slope c (1 / f'(u) - 1 / f'(l)).  Newton's method
-    on c, kept inside a bracket, solves for ``mass``; it starts from the
-    level of the densest cells between nodes that hold ``mass``, and stops
-    when the ends move by less than ``tol`` or than rounding decides."""
+    """The level set {f >= c} holding ``mass``.  f is unimodal, so for each
+    level c the ends l(c) and u(c) are crossings on either side of the mode,
+    and the mass F(u(c)) - F(l(c)) falls as c rises, with slope
+    c (1 / f'(u) - 1 / f'(l)).  Newton's method on c, kept inside a bracket,
+    solves for ``mass``; it starts from the level of the densest cells
+    between nodes that hold ``mass``, and stops when the ends move by less
+    than ``tol`` or than rounding decides."""
     nodes, density = model.nodes, model.density
     top = int(np.argmax(density))
     if not 0 < top < density.size - 1:
-        return None
+        raise UnstableEstimate("the mode of the difference lies at its window's end")
     # f is flat at a smooth mode: 1e3 tol places it to well within rounding of f there.
     peak = _mode(model, float(nodes[top - 1]), float(nodes[top + 1]), 1e3 * tol)
     high = model.at(peak)[0]
@@ -451,7 +451,7 @@ def _solve_hdi(model: _DifferenceModel, mass: float, tol: float):
 
     low = float(max(density[0], density[-1]))
     if ends(low, (math.nan, math.nan))[2] < mass:  # lower levels reach past the window
-        return None
+        raise UnstableEstimate(f"the window's interpolant holds less than mass {mass!r}")
     cells = np.minimum(density[:-1], density[1:])
     order = np.argsort(-cells, kind="stable")
     densest = min(int(np.searchsorted(np.cumsum(np.diff(model.cdf)[order]), mass)), order.size - 1)
@@ -490,8 +490,20 @@ def hdi_of_difference(post1: BetaParams, post2: BetaParams, mass: float = 0.95) 
     window, mean +- (2 + ln(1 / (1 - mass))) sd, on panels split at 0 and
     halved until each series settles; F is the integral of the
     interpolant.  Newton's method on the level c, kept inside a bracket,
-    solves F(u(c)) - F(l(c)) = ``mass``.  The window doubles while the level
-    set reaches past it.  ``mass`` 1 gives d's support, [-1, 1].
+    solves F(u(c)) - F(l(c)) = ``mass``.  ``mass`` 1 gives d's support, [-1, 1].
+
+    The window is set by the HDI's level c.  The chords of log f from the
+    mode through l and u bound f from below inside [l, u] and from above
+    outside it, so the tails hold at most c / max f of the mass: c >= (1 -
+    mass) max f.  Any log-concave density falls below that within mean +-
+    (3.25 + ln(1 / (1 - mass))) sd, since its mode lies within sqrt(3) sd of
+    its mean, max f >= 1 / (sqrt(12) sd), and its tail past mean + s sd
+    holds at most e^(1 - s) (Lovasz and Vempala 2007, sec. 5).  Densities of
+    two exponential pieces, cut or not, which meet each of those bounds,
+    fall below it within mean +- (sqrt(3) + ln(1 / (1 - mass))) sd; the
+    window's reach lies between.  No input tried has reached past it, but
+    where the interpolant's own error, 1e-14 to 1e-12 of the mass, leaves
+    the window's F short of a ``mass`` that close to 1.
 
     Worst endpoint error against scipy's ``quad`` and ``brentq``, at masses
     0.5 and 0.95.  The rounding of each node's log density, about (a + b)
@@ -505,8 +517,9 @@ def hdi_of_difference(post1: BetaParams, post2: BetaParams, mass: float = 0.95) 
     ===================================================================  =======
 
     Where F's rounding, about 1e-16 as it nears 1, cannot place the ends
-    (``mass`` within 1e-9 of 1 at 10^7 items or more), or the panels do not
-    settle, it raises rather than return a rough interval.
+    (``mass`` within 1e-9 of 1 at 10^7 items or more), where the window
+    cannot hold the level set, or where the panels do not settle, it raises
+    rather than return a rough interval.
 
     Raises
     ------
@@ -516,7 +529,8 @@ def hdi_of_difference(post1: BetaParams, post2: BetaParams, mass: float = 0.95) 
     UnstableEstimate
         If the density does not settle on ``_MAX_PANELS`` panels, is flat to
         rounding where an end must be placed (a Beta(1, 1) posterior against
-        a narrower one can leave it so), or Newton's method does not converge.
+        a narrower one can leave it so), the window's interpolant holds less
+        than ``mass``, or Newton's method does not converge.
     """
     if not 0.0 < mass <= 1.0:
         raise DomainError(f"mass must lie in (0, 1], got {mass!r}")
@@ -531,12 +545,6 @@ def hdi_of_difference(post1: BetaParams, post2: BetaParams, mass: float = 0.95) 
     (starts1, ends_c1), (starts2, ends_c2) = _panels(post1, 0.0), _panels(post2, 0.0)
     support = (starts1[0] - (1.0 - ends_c2[-1]), 1.0 - ends_c1[-1] - starts2[0])
     reach = 2.0 + math.log(1.0 / (1.0 - mass))
-    while True:
-        lo, hi = max(support[0], mean - reach * sd), min(support[1], mean + reach * sd)
-        model = _DifferenceModel(post1, post2, lo, hi)
-        found = _solve_hdi(model, mass, _NEWTON_TOL * sd)
-        if found is not None:
-            return Hdi(float(found[0]), float(found[1]), mass)
-        if (lo, hi) == support:
-            raise UnstableEstimate("the HDI of the difference did not converge")
-        reach *= 2.0
+    lo, hi = max(support[0], mean - reach * sd), min(support[1], mean + reach * sd)
+    lower, upper = _solve_hdi(_DifferenceModel(post1, post2, lo, hi), mass, _NEWTON_TOL * sd)
+    return Hdi(float(lower), float(upper), mass)

@@ -187,12 +187,12 @@ def run_analysis(config: AnalysisConfig, write: bool = True) -> AnalysisOutcome:
     obs = load_observations(config)
     counts = obs.counts
     results, decisions, phrasing = {}, {}, {}
-    trace = sample = None
+    trace = sample = histograms = None
     for name, (entry, reads_sample) in _METHODS.items():
         if name not in config.analysis.methods:
             continue
         if reads_sample and sample is None:
-            trace, sample = _posterior_sample(config, counts)
+            trace, histograms, sample = _posterior_sample(config, counts, write)
         results[name], value, sentence = entry(config, counts, sample)
         decisions[name] = {"value": value.value, "basis": name}
         phrasing[name] = _vetted(sentence)
@@ -214,32 +214,37 @@ def run_analysis(config: AnalysisConfig, write: bool = True) -> AnalysisOutcome:
         report_path = atomic_write_text(Path(config.output.report), report.to_json())
         if sample is not None:
             annotations = results["hdi_rope"]["conjugate"] if "hdi_rope" in results else None
-            plot_paths = emit_plot_data(*sample[1:4], Path(config.output.plot_dir), annotations)
+            plot_paths = emit_plot_data(*histograms, sample[1], Path(config.output.plot_dir),
+                                        annotations)
             sample = None  # its last reader: the trace export runs without it
         if trace is not None:
             trace_paths = export_trace(trace, Path(config.output.trace_dir))
     return AnalysisOutcome(report, trace, report_path, plot_paths, trace_paths)
 
 
-def _posterior_sample(config: AnalysisConfig, counts):
-    """The MCMC trace, or None with MCMC off, and the sample every Bayesian
-    entry reads: the posteriors; theta1 and theta2, ``n_mc`` draws each from
-    stream ``(seed, 10_000)``; their difference, taken once and sorted in
-    place; and the chains' difference, sorted once, or None.  The chains run
-    before the draws, so their temporaries are gone before the sample exists."""
+def _posterior_sample(config: AnalysisConfig, counts, plots: bool):
+    """The MCMC trace, or None with MCMC off; theta1's and theta2's plot
+    histograms, or None without ``plots``; and the sample every Bayesian
+    entry reads: the posteriors, theta1 - theta2 sorted in place, and the
+    chains' difference, sorted once, or None.  theta1 and theta2 (``n_mc``
+    draws each from stream ``(seed, 10_000)``) are gone before the chains
+    run, on streams of their own, so one ``n_mc`` array stays alive past the
+    draw and the bytes are those of any order."""
     opts = config.analysis
     posts = posterior_pair(config.model.prior, counts)
-    trace = chain_diff = None
-    if config.mcmc.enabled:
-        trace = run_chains(config.model.prior, counts, config.mcmc, opts.seed)
-        chain_diff = trace.diff_samples()
-        chain_diff.sort()
     gen = stream(opts.seed, STREAM_POSTERIOR_DRAWS)
     theta1 = sample_beta(posts.post1.alpha, posts.post1.beta, gen, size=opts.n_mc)
     theta2 = sample_beta(posts.post2.alpha, posts.post2.beta, gen, size=opts.n_mc)
     diff = theta1 - theta2
     diff.sort()
-    return trace, (posts, theta1, theta2, diff, chain_diff)
+    histograms = (_histogram_csv(theta1), _histogram_csv(theta2)) if plots else None
+    del theta1, theta2
+    trace = chain_diff = None
+    if config.mcmc.enabled:
+        trace = run_chains(config.model.prior, counts, config.mcmc, opts.seed)
+        chain_diff = trace.diff_samples()
+        chain_diff.sort()
+    return trace, histograms, (posts, diff, chain_diff)
 
 
 def _pvalue(config, counts, sample):
@@ -273,7 +278,7 @@ def _ci(config, counts, sample):
 
 def _hdi_rope(config, counts, sample):
     opts = config.analysis
-    posts, _, _, diff, chain_diff = sample
+    posts, diff, chain_diff = sample
     margin_hyp = Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, opts.margin,
                             direction=Direction.GREATER)
     positive_hyp = Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.0,
@@ -330,7 +335,7 @@ def _hdi_rope(config, counts, sample):
 
 def _bayes_factor(config, counts, sample):
     opts = config.analysis
-    posts, _, _, diff, chain_diff = sample
+    posts, diff, chain_diff = sample
     bf = bayes_factor_interval_null(config.model.prior, posts, opts.rope_radius)
     interval_null = Hypothesis(HypothesisKind.INTERVAL_NULL, 0.0, opts.rope_radius)
     mcmc_block = None
@@ -429,9 +434,11 @@ def emit_plot_data(theta1_samples, theta2_samples, diff_samples, out_dir,
     ``posterior_diff.csv`` (columns ``bin_left,bin_right,density`` over
     ``PLOT_BINS`` equal-width bins; the densities integrate to one), and
     ``annotations.json`` carrying whatever summary dict the caller supplies
-    (HDI, ROPE, and event probabilities in reports).  Each sample is sorted
-    in place, so a float array passed here comes back in ascending order;
-    each bin count is then two binary searches on the edges.
+    (HDI, ROPE, and event probabilities in reports).  Each of the three is a
+    sample or its histogram text, as ``run_analysis`` passes theta1 and
+    theta2 once their arrays are gone.  A sample is sorted in place, so a
+    float array passed here comes back in ascending order; each bin count is
+    then two binary searches on the edges.
     """
     out = Path(out_dir)
     named = [
@@ -441,15 +448,17 @@ def emit_plot_data(theta1_samples, theta2_samples, diff_samples, out_dir,
     ]
     written = []
     for name, samples in named:
-        samples = np.asarray(samples, dtype=float)
-        samples.sort()
-        written.append(atomic_write_text(out / name, _histogram_csv(samples)))
+        text = samples if isinstance(samples, str) else _histogram_csv(samples)
+        written.append(atomic_write_text(out / name, text))
     written.append(atomic_write_text(out / "annotations.json",
                                      json_text({"annotations": annotations, "bins": PLOT_BINS})))
     return written
 
 
-def _histogram_csv(samples: np.ndarray) -> str:
+def _histogram_csv(samples) -> str:
+    """A sample's histogram CSV text; a float array is sorted in place."""
+    samples = np.asarray(samples, dtype=float)
+    samples.sort()
     lo = float(samples.min())
     hi = float(samples.max())
     if lo == hi:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import seed_sequence_generator
 from paircompare.bayes import BetaParams, posterior_pair
@@ -26,6 +27,7 @@ from paircompare.mcmc import (
     InitStrategy,
     McmcConfig,
     Trace,
+    _autocovariance,
     ess,
     export_trace,
     log_density,
@@ -118,6 +120,28 @@ def test_ess_ar1_matches_theory():
 
 def test_ess_constant_chain_floors_at_one():
     assert ess(np.full((1, 100), 3.14)) == 1.0
+
+
+# Chains of rates, wide-ranging values, constant chains and chains of 8 draws,
+# the fewest an ESS estimate takes.
+ACOV_CHAINS = st.one_of(
+    hnp.arrays(np.float64, st.integers(8, 600), elements=st.floats(0.0, 1.0)),
+    hnp.arrays(np.float64, st.integers(8, 600), elements=st.floats(-1e6, 1e6)),
+    st.builds(np.full, st.integers(8, 600), st.floats(-1e6, 1e6)),
+    hnp.arrays(np.float64, 8, elements=st.floats(-1.0, 1.0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ACOV_CHAINS)
+def test_autocovariance_product_in_place_keeps_every_bit(x):
+    # The in-place spectrum product is the same complex multiply as the
+    # f * conj(f) product form, so the ESS reads the same doubles.
+    n = x.size
+    size = 1 << (2 * n - 1).bit_length()
+    f = np.fft.rfft(x - x.mean(), size)
+    expected = np.fft.irfft(f * np.conj(f), size)[:n] / n
+    assert _autocovariance(x).tobytes() == expected.tobytes()
 
 
 def test_ess_input_validation():

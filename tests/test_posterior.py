@@ -574,6 +574,24 @@ def test_hdi_of_difference_raises_where_the_density_is_flat_to_rounding(shapes1,
         hdi_of_difference(BetaParams(*shapes1), BetaParams(*shapes2), mass)
 
 
+# Masses so close to 1 that the interpolant's own error, 1e-14 to 1e-12 of the
+# mass, leaves the window's F short of them.  A window doubled until its F
+# happened to reach the mass gave ends no better than that error: for the
+# first pair and its mirror, one and the same d, uppers 0.2593356 and 0.2593844.
+WINDOW_SHORT_CASES = [
+    ((1.0, 100.0), (1.0, 10_000.0), 1.0 - 1e-14),
+    ((10_000.0, 1.0), (100.0, 1.0), 1.0 - 1e-14),
+    ((1.0, 30.0), (1.0, 100_000.0), 1.0 - 1e-12),
+]
+
+
+@pytest.mark.parametrize("shapes1,shapes2,mass", WINDOW_SHORT_CASES)
+def test_hdi_of_difference_raises_where_its_window_falls_short_of_the_mass(shapes1, shapes2,
+                                                                           mass):
+    with pytest.raises(UnstableEstimate, match="holds less than mass"):
+        hdi_of_difference(BetaParams(*shapes1), BetaParams(*shapes2), mass)
+
+
 def test_hdi_of_difference_triangle_closed_form():
     # Two uniform posteriors: d is triangular on [-1, 1], with its kink at 0,
     # and the central interval holding mass m ends at 1 - sqrt(1 - m).

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from paircompare import reporting
 from paircompare.bayes import PRIOR_PRESETS
 from paircompare.config import parse_config, parse_config_file, render_config
 from paircompare.errors import AssessmentError, ConfigError
@@ -426,19 +427,65 @@ def test_plot_data_sorts_its_samples_in_place(tmp_path):
         assert [r[2] for r in rows] == expected[name].tolist()
 
 
-def test_analysis_peak_memory_holds_three_samples(tmp_path, monkeypatch):
-    # With MCMC off, the sample's peak is theta2's draw next to theta1 (about
-    # 3.6 x 8 n_mc bytes); the difference is taken once and sorted in place,
-    # and the plot data reads the three arrays in place.  A fourth n_mc array
-    # alive at once, or a copy of one, passes 4 x 8 n_mc.
-    monkeypatch.chdir(tmp_path)
-    n_mc = 100_000
-    config = parse_config(EASY_TEXT.replace("n_mc = 20000", f"n_mc = {n_mc}"))
+def _mc_config(n_mc, mcmc):
+    return parse_config(EASY_TEXT.replace("n_mc = 20000", f"n_mc = {n_mc}")
+                        .replace("enabled = false", f"enabled = {str(mcmc).lower()}"))
+
+
+def _traced_peak(config):
     run_analysis(config, write=True)  # lazy imports and first-use caches
     tracemalloc.start()
     try:
         run_analysis(config, write=True)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_analysis_peak_memory_holds_three_samples(tmp_path, monkeypatch):
+    # With MCMC off, the peak is theta2's draw next to theta1 (about 3.4 x
+    # 8 n_mc bytes).  The difference is taken once and sorted in place, and
+    # theta1 and theta2 are sorted in place, turned into their plot text and
+    # released before any later stage, so a fourth n_mc array alive at once,
+    # or a copy of one, passes 4 x 8 n_mc.
+    monkeypatch.chdir(tmp_path)
+    n_mc = 100_000
+    peak = _traced_peak(_mc_config(n_mc, mcmc=False))
     assert peak <= 4 * 8 * n_mc, peak / (8 * n_mc)
+
+
+def test_analysis_peak_memory_with_mcmc_stays_within_four_samples(tmp_path, monkeypatch):
+    # The chains run after theta1 and theta2 are gone, next to the sorted
+    # difference alone, so the peak stays the draw's (about 3.4 x 8 n_mc
+    # bytes).  Chains that ran next to three n_mc arrays, or draws next to
+    # the trace, pass 4 x.
+    monkeypatch.chdir(tmp_path)
+    n_mc = 100_000
+    peak = _traced_peak(_mc_config(n_mc, mcmc=True))
+    assert peak <= 4 * 8 * n_mc, peak / (8 * n_mc)
+
+
+@pytest.mark.parametrize("mcmc", [False, True])
+def test_bayes_factor_runs_next_to_one_sample(tmp_path, monkeypatch, mcmc):
+    # From the methods on, one n_mc array is alive: the sorted difference
+    # (with MCMC on, the trace and the chains' sorted difference add about
+    # 0.6 x 8 n_mc bytes).  theta1 or theta2 kept alive passes 2 x.
+    monkeypatch.chdir(tmp_path)
+    n_mc = 100_000
+    config = _mc_config(n_mc, mcmc)
+    quadrature = reporting.bayes_factor_interval_null
+    live = []
+
+    def measured(*args, **kwargs):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(reporting, "bayes_factor_interval_null", measured)
+    run_analysis(config, write=True)  # lazy imports and first-use caches
+    tracemalloc.start()
+    try:
+        run_analysis(config, write=True)
+    finally:
+        tracemalloc.stop()
+    assert len(live) == 2
+    assert live[-1] <= 2 * 8 * n_mc, live[-1] / (8 * n_mc)
