@@ -40,8 +40,8 @@ _BLOCK_ROWS = (1 << 16) // (8 * _DE_T.size)
 MIN_SHAPE = 0.2
 MAX_SHAPE_SUM = 1.5e10
 # hdi_of_difference: the degree of the Chebyshev series on each panel of the
-# difference's window, and the Newton steps each solve may take, the last
-# under this many sd of the difference.
+# difference's window, and the steps each root-find may take, the last under
+# this many sd of the difference.
 _CHEBYSHEV_DEGREE = 64
 _NEWTON_STEPS = 50
 _NEWTON_TOL = 1e-12
@@ -304,8 +304,8 @@ class _DifferenceModel:
     settled, its last coefficients above ``_RESOLVED`` times the largest
     density, is halved, at most ``_MAX_PANELS`` panels in all: a posterior
     much narrower than the other, at the same end of [0, 1], leaves a cliff
-    at 0 that no one series resolves.  ``at`` gives f, f' and the integral
-    of f from lo anywhere in the window."""
+    at 0 that no one series resolves.  ``at`` gives f and the integral of f
+    from lo anywhere in the window; ``cdf`` holds that integral at the nodes."""
 
     def __init__(self, post1: BetaParams, post2: BetaParams, lo: float, hi: float):
         n = _CHEBYSHEV_DEGREE
@@ -322,25 +322,24 @@ class _DifferenceModel:
                 0.5 * (ends[:, 1] - ends[:, 0]), basis[:, 1])
             values = _difference_density(post1, post2, points.ravel()).reshape(points.shape)
             peak = max(peak, float(values.max()))
-            weighted = values.copy()
-            weighted[:, [0, -1]] *= 0.5
-            coefficients = (2.0 / n) * (weighted @ basis[:, :n + 1])
+            values[:, [0, -1]] *= 0.5
+            coefficients = (2.0 / n) * (values @ basis[:, :n + 1])
             coefficients[:, [0, -1]] *= 0.5
             settled = np.abs(coefficients[:, -_TAIL:]).max(axis=1) <= resolved * peak
             split = []
-            for (a, b), x, v, c, ok in zip(pending, points, values, coefficients, settled):
+            for (a, b), x, c, ok in zip(pending, points, coefficients, settled):
                 if ok:
-                    panels.append((a, b, x, v, c))
+                    panels.append((a, b, x, c))
                 else:
                     split += [(a, 0.5 * (a + b)), (0.5 * (a + b), b)]
             pending = split
         panels.sort(key=lambda panel: panel[0])
         signs = (-1.0) ** np.arange(1, n + 2)
         self.ends = [b for _, b, *_ in panels]
-        self.degrees = np.arange(n + 2)
-        self.series, self.nodes, self.density, self.cdf = [], [], [], []
+        self.degrees = np.arange(n + 2.0)
+        self.series, self.nodes, self.cdf = [], [], []
         start = 0.0
-        for a, b, x, v, c in panels:
+        for a, b, x, c in panels:
             half = 0.5 * (b - a)
             # The integral's series: T_k integrates to T_(k+1)/(2(k+1)) - T_(k-1)/(2(k-1)).
             padded = np.concatenate((c, [0.0, 0.0]))
@@ -348,134 +347,97 @@ class _DifferenceModel:
             integral = np.empty(n + 2)
             integral[1:] = half * (padded[:n + 1] - padded[2:]) / (2.0 * np.arange(1, n + 2))
             integral[0] = -(integral[1:] @ signs)  # zero at the panel's start, y = -1
-            derivative = [0.0] * (n + 2)
-            for k in range(n, 0, -1):
-                derivative[k - 1] = derivative[k + 1] + 2.0 * k * c[k]
-            derivative[0] *= 0.5
-            # Rows: f, f' and F - F(a), each a series in T_0 .. T_(n+1).
-            rows = np.array([[*c, 0.0], np.array(derivative) / half, integral])
-            self.series.append((0.5 * (a + b), half, rows, start))
+            # Rows: f and F - F(a), each a series in T_0 .. T_(n+1).
+            self.series.append((0.5 * (a + b), half, np.array([[*c, 0.0], integral]), start))
             self.nodes.append(x[::-1])
-            self.density.append(v[::-1])
             self.cdf.append(start + (basis @ integral)[::-1])
             start += integral.sum()
-        self.nodes, self.density, self.cdf = (np.concatenate(a) for a in
-                                              (self.nodes, self.density, self.cdf))
+        self.nodes, self.cdf = np.concatenate(self.nodes), np.concatenate(self.cdf)
 
-    def at(self, x: float) -> tuple[float, float, float]:
+    def at(self, x: float) -> tuple[float, float]:
         mid, half, rows, start = self.series[min(bisect.bisect_left(self.ends, x),
                                                  len(self.series) - 1)]
         y = min(1.0, max(-1.0, (x - mid) / half))
-        f, slope, cdf = (rows @ np.cos(self.degrees * math.acos(y))).tolist()
-        return f, slope, start + cdf
+        f, cdf = rows.dot(np.cos(self.degrees * math.acos(y))).tolist()
+        return f, start + cdf
 
 
-def _crossing(model: _DifferenceModel, level: float, a: float, f_a: float, b: float,
-              f_b: float, guess: float, tol: float) -> tuple[float, float, float]:
-    """Where f falls to ``level`` between ``a`` (f_a <= level) and ``b``, nearer
-    the mode (f_b > level), with f' and F there: Newton's method from
-    ``guess`` (or the chord), kept inside the bracket and halving it where a
-    step would leave."""
-    if min(a, b) < guess < max(a, b):
-        x = guess
-    elif f_b == f_a:  # no chord to follow
-        raise UnstableEstimate("the density of the difference is flat to rounding "
-                               "where the HDI would end")
-    else:
-        x = a + (b - a) * (level - f_a) / (f_b - f_a)
+def _quantile(model: _DifferenceModel, p: float, tol: float) -> tuple[float, float]:
+    """Where F reaches ``p``, and f there: Newton's method on F, with f as its
+    slope, from the chord between the two nodes whose F brackets ``p``, kept
+    inside that bracket and halving it where a step would leave."""
+    k = min(max(int(np.searchsorted(model.cdf, p)), 1), model.cdf.size - 1)
+    (a, b), (cdf_a, cdf_b) = model.nodes[k - 1:k + 1].tolist(), model.cdf[k - 1:k + 1].tolist()
+    x = a + (b - a) * (p - cdf_a) / (cdf_b - cdf_a) if cdf_a < p < cdf_b else (
+        a if p <= cdf_a else b)
     for _ in range(_NEWTON_STEPS):
-        f, slope, cdf = model.at(x)
-        if f > level:
-            b = x
-        else:
+        f, cdf = model.at(x)
+        if cdf < p:
             a = x
-        step = (level - f) / slope if slope else math.inf
-        if abs(step) <= max(tol, 4.0 * math.ulp(x)):
-            return x, slope, cdf
-        x = x + step if min(a, b) < x + step < max(a, b) else 0.5 * (a + b)
-        if abs(b - a) <= max(tol, 4.0 * math.ulp(x)):
-            return (x, *model.at(x)[1:])
+        else:
+            b = x
+        step = (p - cdf) / f if f > 0.0 else math.inf
+        if min(abs(step), b - a) <= max(tol, 4.0 * math.ulp(x)):
+            return x, f
+        x = x + step if a < x + step < b else 0.5 * (a + b)
     raise UnstableEstimate("the HDI of the difference did not converge")
 
 
-def _mode(model: _DifferenceModel, a: float, b: float, tol: float) -> float:
-    """Where f' changes sign between ``a`` (f' > 0) and ``b`` (f' < 0): the
-    Illinois form of false position, which also finds a kink."""
-    slope_a, slope_b = model.at(a)[1], model.at(b)[1]
+def _solve_hdi(model: _DifferenceModel, mass: float, tol: float) -> tuple[float, float]:
+    """The interval [l, u] holding ``mass`` with f(l) = f(u).  Each lower end l
+    has its upper end u(l), where F reaches F(l) + ``mass``; f is unimodal, so
+    g(l) = f(u(l)) - f(l) changes sign once, from + to -, at the HDI.
+    Bisection over the nodes below l_max, whose u is hi, and l_max itself
+    brackets that change; the Illinois form of false position closes the
+    bracket to ``tol``."""
+    total = float(model.cdf[-1])
+    if total < mass:
+        raise UnstableEstimate(f"the window's interpolant holds less than mass {mass!r}")
+
+    def gap(lower):  # g(lower), u(lower) and the larger f of the two ends
+        f_l, cdf = model.at(lower)
+        upper, f_u = _quantile(model, cdf + mass, tol)
+        return f_u - f_l, upper, max(f_l, f_u)
+
+    flat = UnstableEstimate("the density of the difference is flat to rounding "
+                            "where the HDI would end")
+    l_max, f_max = _quantile(model, total - mass, tol)
+    points = [*model.nodes[model.nodes < l_max].tolist(), l_max]
+    i, j = 0, len(points) - 1
+    g_a, g_b = gap(points[i])[0], model.at(float(model.nodes[-1]))[0] - f_max
+    if not g_a > 0.0 >= g_b:
+        raise flat
+    while j - i > 1:
+        k = (i + j) // 2
+        g = gap(points[k])[0]
+        if g > 0.0:
+            i, g_a = k, g
+        else:
+            j, g_b = k, g
+    a, b = points[i], points[j]
     kept = 0  # the end kept by the last step: -1 for a, +1 for b
-    while b - a > max(tol, 4.0 * math.ulp(max(abs(a), abs(b)))):
-        x = (a * slope_b - b * slope_a) / (slope_b - slope_a)
+    for _ in range(_NEWTON_STEPS):
+        x = (a * g_b - b * g_a) / (g_b - g_a)
         if not a < x < b:
             x = 0.5 * (a + b)
-        slope = model.at(x)[1]
-        if slope > 0.0:
-            a, slope_a = x, slope
-            slope_b *= 0.5 if kept == 1 else 1.0  # b kept twice: halve its weight
+        g, upper, f_end = gap(x)
+        if g > 0.0:
+            a, g_a = x, g
+            g_b *= 0.5 if kept == 1 else 1.0  # b kept twice: halve its weight
             kept = 1
-        elif slope < 0.0:
-            b, slope_b = x, slope
-            slope_a *= 0.5 if kept == -1 else 1.0
+        elif g < 0.0:
+            b, g_b = x, g
+            g_a *= 0.5 if kept == -1 else 1.0
             kept = -1
-        else:
-            return x
-    return 0.5 * (a + b)
-
-
-def _solve_hdi(model: _DifferenceModel, mass: float, tol: float):
-    """The level set {f >= c} holding ``mass``.  f is unimodal, so for each
-    level c the ends l(c) and u(c) are crossings on either side of the mode,
-    and the mass F(u(c)) - F(l(c)) falls as c rises, with slope
-    c (1 / f'(u) - 1 / f'(l)).  Newton's method on c, kept inside a bracket,
-    solves for ``mass``; it starts from the level of the densest cells
-    between nodes that hold ``mass``, and stops when the ends move by less
-    than ``tol`` or than rounding decides."""
-    nodes, density = model.nodes, model.density
-    top = int(np.argmax(density))
-    if not 0 < top < density.size - 1:
-        raise UnstableEstimate("the mode of the difference lies at its window's end")
-    # f is flat at a smooth mode: 1e3 tol places it to well within rounding of f there.
-    peak = _mode(model, float(nodes[top - 1]), float(nodes[top + 1]), 1e3 * tol)
-    high = model.at(peak)[0]
-    sides = np.flatnonzero(nodes < peak), np.flatnonzero(nodes > peak)[::-1]  # far to near
-
-    def ends(level, guesses):
-        found = []
-        for side, guess in zip(sides, guesses):
-            k = int(np.flatnonzero(density[side] <= level)[-1])
-            b, f_b = ((float(nodes[side[k + 1]]), float(density[side[k + 1]]))
-                      if k + 1 < side.size else (peak, high))
-            found.append(_crossing(model, level, float(nodes[side[k]]), float(density[side[k]]),
-                                   b, f_b, guess, tol))
-        (lower, slope_l, cdf_l), (upper, slope_u, cdf_u) = found
-        return lower, upper, cdf_u - cdf_l, slope_l, slope_u
-
-    low = float(max(density[0], density[-1]))
-    if ends(low, (math.nan, math.nan))[2] < mass:  # lower levels reach past the window
-        raise UnstableEstimate(f"the window's interpolant holds less than mass {mass!r}")
-    cells = np.minimum(density[:-1], density[1:])
-    order = np.argsort(-cells, kind="stable")
-    densest = min(int(np.searchsorted(np.cumsum(np.diff(model.cdf)[order]), mass)), order.size - 1)
-    level = float(cells[order[densest]])
-    if not low < level < high:
-        level = 0.5 * (low + high)
-    lower = upper = math.nan
-    for _ in range(_NEWTON_STEPS):
-        previous = lower, upper
-        lower, upper, held, slope_l, slope_u = ends(level, previous)
-        # Below this, rounding decides a move: F's, about 1e-16, over f, and x's spacing.
-        floor = 4.0 * (math.ulp(1.0) / level if level > 0.0 else 0.0) + 4.0 * math.ulp(
-            max(abs(lower), abs(upper)))
-        if max(abs(lower - previous[0]), abs(upper - previous[1])) <= max(tol, floor):
-            return lower, upper
-        if held >= mass:
-            low = level
-        else:
-            high = level
-        # d(held)/d(level) = level / f'(u) - level / f'(l), negative
-        rate = level * (slope_l - slope_u) / (slope_l * slope_u) if slope_l * slope_u else 0.0
-        target = level + (mass - held) / rate if rate < 0.0 else high
-        level = target if low < target < high else 0.5 * (low + high)
-    raise UnstableEstimate("the HDI of the difference did not converge")
+        if g == 0.0 or b - a <= max(tol, 4.0 * math.ulp(max(abs(a), abs(b)))):
+            break
+    else:
+        raise UnstableEstimate("the HDI of the difference did not converge")
+    # On a flat top the ends are rounding's choice: f must rise between them.
+    f_mid = model.at(0.5 * (x + upper))[0]
+    if f_mid - f_end <= _RESOLVED * f_mid:
+        raise flat
+    return x, upper
 
 
 def hdi_of_difference(post1: BetaParams, post2: BetaParams, mass: float = 0.95) -> Hdi:
@@ -489,8 +451,10 @@ def hdi_of_difference(post1: BetaParams, post2: BetaParams, mass: float = 0.95) 
     :func:`interval_probability_quadrature` at the Chebyshev points of d's
     window, mean +- (2 + ln(1 / (1 - mass))) sd, on panels split at 0 and
     halved until each series settles; F is the integral of the
-    interpolant.  Newton's method on the level c, kept inside a bracket,
-    solves F(u(c)) - F(l(c)) = ``mass``.  ``mass`` 1 gives d's support, [-1, 1].
+    interpolant.  For each lower end l, Newton's method on F places u(l),
+    where F reaches F(l) + ``mass``; f(u(l)) - f(l) changes sign once, at the
+    HDI, and one root-find over l, bisection over the nodes and then false
+    position, places it.  ``mass`` 1 gives d's support, [-1, 1].
 
     The window is set by the HDI's level c.  The chords of log f from the
     mode through l and u bound f from below inside [l, u] and from above
@@ -516,10 +480,11 @@ def hdi_of_difference(post1: BetaParams, post2: BetaParams, mass: float = 0.95) 
     shapes 1.1 to 1.5 at one end of both posteriors (custom priors)      1.1e-11
     ===================================================================  =======
 
-    Where F's rounding, about 1e-16 as it nears 1, cannot place the ends
-    (``mass`` within 1e-9 of 1 at 10^7 items or more), where the window
-    cannot hold the level set, or where the panels do not settle, it raises
-    rather than return a rough interval.
+    Near ``mass`` 1 the ends lose accuracy without a raise: F's error,
+    over the small f at the ends, moves them.  Mirrored posteriors give one
+    d, Beta(1, a) - Beta(1, b) and Beta(b, 1) - Beta(a, 1); over a != b in
+    10 .. 10^5 their ends lie up to 2e-13 apart at ``mass`` 0.95, 1.5e-11 at
+    0.9999, 3e-9 at 1 - 1e-6, 5.7e-7 at 1 - 1e-9 and 3.2e-3 at 1 - 1e-12.
 
     Raises
     ------
@@ -530,7 +495,7 @@ def hdi_of_difference(post1: BetaParams, post2: BetaParams, mass: float = 0.95) 
         If the density does not settle on ``_MAX_PANELS`` panels, is flat to
         rounding where an end must be placed (a Beta(1, 1) posterior against
         a narrower one can leave it so), the window's interpolant holds less
-        than ``mass``, or Newton's method does not converge.
+        than ``mass``, or a root-find does not converge.
     """
     if not 0.0 < mass <= 1.0:
         raise DomainError(f"mass must lie in (0, 1], got {mass!r}")

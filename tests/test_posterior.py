@@ -5,6 +5,7 @@ the exact beta densities, frozen or recomputed here; they check the
 package's own tanh-sinh evaluation from the outside.
 """
 
+import itertools
 import math
 import re
 import warnings
@@ -527,14 +528,14 @@ def test_hdi_of_difference_matches_scipy(label, counts, mass):
 
 # Shapes that leave d's density hard to interpolate: below 2 at one end of
 # both posteriors (an x^b singularity at 0), one posterior 1,000 times
-# narrower than the other at the same end (a cliff at 0), d next to -1, and
-# masses far from 0.95.
+# narrower than the other at the same end (a cliff at 0), d next to -1 or
+# with an end next to 1, and masses far from 0.95.
 HARD_CASES = [
     ((2.5, 1.1), (3.0, 1.1), 0.95), ((1.5, 40.0), (1.2, 45.0), 0.5),
     ((1.3, 1.3), (1.3, 1.3), 0.95), ((1.0, 1.5), (1.5, 1.0), 0.95),
     ((1.0, 101.0), (1.0, 100_001.0), 0.95), ((1.0, 101.0), (1.0, 100_001.0), 0.3),
     ((1.0, 51.0), (51.0, 1.0), 0.95), ((5.0, 3.0), (60.0, 40.0), 0.01),
-    ((5.0, 3.0), (60.0, 40.0), 0.999999),
+    ((5.0, 3.0), (60.0, 40.0), 0.999999), ((11.0, 1.0), (1.0, 11.0), 0.95),
 ]
 
 
@@ -544,6 +545,18 @@ def test_hdi_of_difference_matches_scipy_where_the_density_is_hard(shapes1, shap
     hdi = hdi_of_difference(post1, post2, mass)
     lower, upper = DifferenceReference(post1, post2).hdi(mass)
     assert abs(hdi.lower - lower) <= 1e-9 and abs(hdi.upper - upper) <= 1e-9
+
+
+@pytest.mark.parametrize("mass", [0.01, 0.5, 0.95, 0.99, 0.999, 0.9999])
+def test_hdi_of_difference_is_the_same_for_the_mirrored_posteriors(mass):
+    # With theta1 ~ Beta(1, a) and theta2 ~ Beta(1, b), 1 - theta2 ~ Beta(b, 1)
+    # and 1 - theta1 ~ Beta(a, 1) differ by the same d, built from the other
+    # end of [0, 1]: its windows, panels and nodes all change, its HDI must not.
+    sizes = [10.0**k for k in range(1, 6)]
+    for a, b in itertools.permutations(sizes, 2):
+        hdi = hdi_of_difference(BetaParams(1.0, a), BetaParams(1.0, b), mass)
+        mirror = hdi_of_difference(BetaParams(b, 1.0), BetaParams(a, 1.0), mass)
+        assert abs(hdi.lower - mirror.lower) <= 1e-10 and abs(hdi.upper - mirror.upper) <= 1e-10
 
 
 @pytest.mark.parametrize("label", sorted(PRIOR_PRESETS))
