@@ -478,6 +478,7 @@ def hdi_of_difference(post1: BetaParams, post2: BetaParams, mass: float = 0.95) 
     the three presets, 10^9 items per system                             2.4e-10
     the presets at 0 or all of n right (a shape of 1 or 1.5), n <= 1000  2.3e-11
     shapes 1.1 to 1.5 at one end of both posteriors (custom priors)      1.1e-11
+    ``mass`` 3e-4 and 1e-3, uniform prior, ARC, demo and 10^6 items      1.6e-10
     ===================================================================  =======
 
     Near ``mass`` 1 the ends lose accuracy without a raise: F's error,
@@ -494,8 +495,10 @@ def hdi_of_difference(post1: BetaParams, post2: BetaParams, mass: float = 0.95) 
     UnstableEstimate
         If the density does not settle on ``_MAX_PANELS`` panels, is flat to
         rounding where an end must be placed (a Beta(1, 1) posterior against
-        a narrower one can leave it so), the window's interpolant holds less
-        than ``mass``, or a root-find does not converge.
+        a narrower one can leave it so, and on the counts of the table's last
+        row so does any ``mass`` of 1e-4 or less, whose ends lie in d's flat
+        top), the window's interpolant holds less than ``mass``, or a
+        root-find does not converge.
     """
     if not 0.0 < mass <= 1.0:
         raise DomainError(f"mass must lie in (0, 1], got {mass!r}")

@@ -196,6 +196,7 @@ def run_analysis(config: AnalysisConfig, write: bool = True) -> AnalysisOutcome:
         results[name], value, sentence = entry(config, counts, sample)
         decisions[name] = {"value": value.value, "basis": name}
         phrasing[name] = _vetted(sentence)
+    sample = None  # the methods were its readers; the report and files need none of it
 
     report = AssessmentReport(
         provenance=_provenance(config),
@@ -212,24 +213,22 @@ def run_analysis(config: AnalysisConfig, write: bool = True) -> AnalysisOutcome:
     trace_paths: list[Path] = []
     if write:
         report_path = atomic_write_text(Path(config.output.report), report.to_json())
-        if sample is not None:
+        if histograms is not None:
             annotations = results["hdi_rope"]["conjugate"] if "hdi_rope" in results else None
-            plot_paths = emit_plot_data(*histograms, sample[1], Path(config.output.plot_dir),
-                                        annotations)
-            sample = None  # its last reader: the trace export runs without it
+            plot_paths = emit_plot_data(histograms, Path(config.output.plot_dir), annotations)
         if trace is not None:
             trace_paths = export_trace(trace, Path(config.output.trace_dir))
     return AnalysisOutcome(report, trace, report_path, plot_paths, trace_paths)
 
 
 def _posterior_sample(config: AnalysisConfig, counts, plots: bool):
-    """The MCMC trace, or None with MCMC off; theta1's and theta2's plot
-    histograms, or None without ``plots``; and the sample every Bayesian
-    entry reads: the posteriors, theta1 - theta2 sorted in place, and the
-    chains' difference, sorted once, or None.  theta1 and theta2 (``n_mc``
-    draws each from stream ``(seed, 10_000)``) are gone before the chains
-    run, on streams of their own, so one ``n_mc`` array stays alive past the
-    draw and the bytes are those of any order."""
+    """The MCMC trace, or None with MCMC off; the histogram texts of theta1,
+    theta2 and theta1 - theta2, or None without ``plots``; and the sample
+    every Bayesian entry reads: the posteriors, the difference and the
+    chains' difference, or None, each sorted in place once.  theta1 and
+    theta2 (``n_mc`` draws each from stream ``(seed, 10_000)``) are sorted
+    after the difference is formed and gone before the chains run, on streams
+    of their own, so one ``n_mc`` array outlives the draw."""
     opts = config.analysis
     posts = posterior_pair(config.model.prior, counts)
     gen = stream(opts.seed, STREAM_POSTERIOR_DRAWS)
@@ -237,7 +236,11 @@ def _posterior_sample(config: AnalysisConfig, counts, plots: bool):
     theta2 = sample_beta(posts.post2.alpha, posts.post2.beta, gen, size=opts.n_mc)
     diff = theta1 - theta2
     diff.sort()
-    histograms = (_histogram_csv(theta1), _histogram_csv(theta2)) if plots else None
+    histograms = None
+    if plots:
+        theta1.sort()
+        theta2.sort()
+        histograms = tuple(_histogram_csv(x) for x in (theta1, theta2, diff))
     del theta1, theta2
     trace = chain_diff = None
     if config.mcmc.enabled:
@@ -426,39 +429,24 @@ def _beta_dict(params) -> dict:
     return {"alpha": params.alpha, "beta": params.beta, "mean": params.mean}
 
 
-def emit_plot_data(theta1_samples, theta2_samples, diff_samples, out_dir,
-                   annotations: dict | None = None) -> list[Path]:
-    """Write ready-to-plot posterior histograms plus an annotation sidecar.
-
-    Creates ``posterior_theta1.csv``, ``posterior_theta2.csv``, and
-    ``posterior_diff.csv`` (columns ``bin_left,bin_right,density`` over
-    ``PLOT_BINS`` equal-width bins; the densities integrate to one), and
-    ``annotations.json`` carrying whatever summary dict the caller supplies
-    (HDI, ROPE, and event probabilities in reports).  Each of the three is a
-    sample or its histogram text, as ``run_analysis`` passes theta1 and
-    theta2 once their arrays are gone.  A sample is sorted in place, so a
-    float array passed here comes back in ascending order; each bin count is
-    then two binary searches on the edges.
-    """
+def emit_plot_data(histograms, out_dir, annotations: dict | None = None) -> list[Path]:
+    """Write the ``_histogram_csv`` texts of theta1, theta2 and their
+    difference, as :func:`_posterior_sample` makes them, to
+    ``posterior_theta1.csv``, ``posterior_theta2.csv`` and ``posterior_diff.csv``
+    (columns ``bin_left,bin_right,density`` over ``PLOT_BINS`` equal-width
+    bins; the densities integrate to one), and ``annotations.json`` carrying
+    whatever summary dict the caller supplies (HDI, ROPE, and event
+    probabilities in reports)."""
     out = Path(out_dir)
-    named = [
-        ("posterior_theta1.csv", theta1_samples),
-        ("posterior_theta2.csv", theta2_samples),
-        ("posterior_diff.csv", diff_samples),
-    ]
-    written = []
-    for name, samples in named:
-        text = samples if isinstance(samples, str) else _histogram_csv(samples)
-        written.append(atomic_write_text(out / name, text))
+    names = ("posterior_theta1.csv", "posterior_theta2.csv", "posterior_diff.csv")
+    written = [atomic_write_text(out / name, text) for name, text in zip(names, histograms)]
     written.append(atomic_write_text(out / "annotations.json",
                                      json_text({"annotations": annotations, "bins": PLOT_BINS})))
     return written
 
 
-def _histogram_csv(samples) -> str:
-    """A sample's histogram CSV text; a float array is sorted in place."""
-    samples = np.asarray(samples, dtype=float)
-    samples.sort()
+def _histogram_csv(samples: np.ndarray) -> str:
+    """The histogram CSV text of an ascending float array."""
     lo = float(samples.min())
     hi = float(samples.max())
     if lo == hi:

@@ -6,11 +6,13 @@ must agree, so no reference implementation is needed.
 - A method run alone reports what it reports in the full run.
 - Per-item rows and their folded counts give one report.
 - Pooling does not depend on the files' order, or on summing them first.
+- The seed moves only the Monte Carlo and MCMC fields.
 
 Each relation runs on the four shipped configs, in process, without
-writing; the method relations run with MCMC both on and off.
+writing; the method and seed relations run with MCMC both on and off.
 """
 
+import copy
 import csv
 import functools
 
@@ -113,3 +115,40 @@ def test_pooling_is_free_of_file_order_and_of_summing_first():
     summed = tuple((sum(f[k][0] for f in per_file), sum(f[k][1] for f in per_file))
                    for k in (0, 1))
     assert without_digest(report(aggregate(config, summed, "pooled"))) == expected
+
+
+# What the seed may move: the seed itself and the config digest that renders
+# it, the sampled HDI and event counts, the Bayes factor's Monte Carlo twin,
+# and everything MCMC.  The hdi_rope decision and sentence follow the sampled
+# HDI's relation to the ROPE, so they move with it.
+SEEDED_FIELDS = (
+    "provenance.seed", "provenance.config_sha256",
+    *(f"results.hdi_rope.conjugate.{key}"
+      for key in ("hdi", "relation", "prob_positive", "prob_beyond_margin")),
+    "results.hdi_rope.mcmc", "results.hdi_rope.disagreement",
+    "results.bayes_factor.monte_carlo", "results.bayes_factor.mcmc",
+    "mcmc", "decisions.hdi_rope", "phrasing.hdi_rope",
+)
+
+
+def without_seeded(payload: dict) -> str:
+    """The report's JSON text without ``SEEDED_FIELDS``, each of which it must hold."""
+    payload = copy.deepcopy(payload)
+    for path in SEEDED_FIELDS:
+        *parents, leaf = path.split(".")
+        node = payload
+        for key in parents:
+            node = node[key]
+        del node[leaf]
+    return json_text(payload)
+
+
+@pytest.mark.parametrize("mcmc", MCMC)
+@pytest.mark.parametrize("name", CONFIGS)
+def test_the_seed_moves_only_monte_carlo_and_mcmc_fields(name, mcmc):
+    config = shipped(name, mcmc)
+    config = config.replace(mcmc=config.mcmc.replace(warmup=200, draws=400))
+    seeded = [report(config.replace(analysis=config.analysis.replace(seed=seed)))
+              for seed in (11, 12)]
+    assert json_text(seeded[0]) != json_text(seeded[1])
+    assert without_seeded(seeded[0]) == without_seeded(seeded[1])

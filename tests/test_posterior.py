@@ -547,6 +547,18 @@ def test_hdi_of_difference_matches_scipy_where_the_density_is_hard(shapes1, shap
     assert abs(hdi.lower - lower) <= 1e-9 and abs(hdi.upper - upper) <= 1e-9
 
 
+def test_hdi_of_difference_refuses_a_mass_whose_ends_lie_in_the_flat_top():
+    # On arc_easy's counts (uniform prior) d's density is flat to rounding
+    # across the HDI of mass 1e-4; 3e-4 is the smallest mass measured to
+    # place both ends.
+    post1, post2 = EASY_POSTS.post1, EASY_POSTS.post2
+    with pytest.raises(UnstableEstimate, match="flat to rounding"):
+        hdi_of_difference(post1, post2, 1e-4)
+    hdi = hdi_of_difference(post1, post2, 3e-4)
+    lower, upper = DifferenceReference(post1, post2).hdi(3e-4)
+    assert abs(hdi.lower - lower) <= 1e-9 and abs(hdi.upper - upper) <= 1e-9
+
+
 @pytest.mark.parametrize("mass", [0.01, 0.5, 0.95, 0.99, 0.999, 0.9999])
 def test_hdi_of_difference_is_the_same_for_the_mirrored_posteriors(mass):
     # With theta1 ~ Beta(1, a) and theta2 ~ Beta(1, b), 1 - theta2 ~ Beta(b, 1)

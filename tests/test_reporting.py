@@ -13,13 +13,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import seed_sequence_generator
 from paircompare import reporting
 from paircompare.bayes import PRIOR_PRESETS
 from paircompare.config import parse_config, parse_config_file, render_config
 from paircompare.errors import AssessmentError, ConfigError
+from paircompare.numerics import sample_beta
 from paircompare.reporting import (
     MISCONCEPTION_CAUTIONS,
     REPORT_FORMAT,
+    _histogram_csv,
     _sorted_histogram_density,
     assumptions_checklist,
     emit_plot_data,
@@ -357,11 +360,16 @@ def integrate(rows):
     return sum((right - left) * density for left, right, density in rows)
 
 
+def histogram_texts(*samples):
+    return tuple(_histogram_csv(np.sort(x)) for x in samples)
+
+
 def test_plot_histograms_integrate_to_one(tmp_path):
     gen = np.random.default_rng(3)
     theta1 = gen.beta(20, 5, size=5000)
     theta2 = gen.beta(18, 6, size=5000)
-    paths = emit_plot_data(theta1, theta2, theta1 - theta2, tmp_path, {"note": 1})
+    paths = emit_plot_data(histogram_texts(theta1, theta2, theta1 - theta2), tmp_path,
+                           {"note": 1})
     for path in paths:
         if path.suffix == ".csv":
             rows = read_histogram(path)
@@ -373,7 +381,7 @@ def test_plot_histograms_integrate_to_one(tmp_path):
 
 def test_plot_constant_samples_single_bin(tmp_path):
     samples = np.full(100, 0.25)
-    emit_plot_data(samples, samples * 0.0, samples.copy(), tmp_path)
+    emit_plot_data(histogram_texts(samples, samples * 0.0, samples.copy()), tmp_path)
     rows = read_histogram(tmp_path / "posterior_theta1.csv")
     occupied = [r for r in rows if r[2] > 0]
     assert len(occupied) == 1
@@ -414,17 +422,25 @@ def test_sorted_histogram_density_equals_numpy_histogram(samples, bins, lo, span
     assert [float(d).hex() for d in got] == [float(d).hex() for d in expected]
 
 
-def test_plot_data_sorts_its_samples_in_place(tmp_path):
-    gen = np.random.default_rng(5)
-    theta1, theta2 = gen.beta(20, 5, size=2000), gen.beta(18, 6, size=2000)
-    diff = theta1 - theta2
-    expected = {name: np.histogram(x, bins=np.linspace(x.min(), x.max(), 101), density=True)[0]
-                for name, x in (("theta1", theta1), ("theta2", theta2), ("diff", diff))}
-    emit_plot_data(theta1, theta2, diff, tmp_path)
-    for name, x in (("theta1", theta1), ("theta2", theta2), ("diff", diff)):
-        assert np.all(x[:-1] <= x[1:])
-        rows = read_histogram(tmp_path / f"posterior_{name}.csv")
-        assert [r[2] for r in rows] == expected[name].tolist()
+def test_plot_data_is_numpy_histogram_of_the_posterior_draws(tmp_path, monkeypatch,
+                                                             configs_dir):
+    # theta1, theta2 and theta1 - theta2, paired by index, redrawn from
+    # stream (seed, 10_000) through numpy's own SeedSequence: each CSV is
+    # np.histogram of its draws over 100 bins from min to max, bit for bit.
+    monkeypatch.chdir(tmp_path)
+    config = parse_config_file(configs_dir / "per_item_demo.cfg")
+    outcome = run_analysis(config, write=True)
+    conjugate = outcome.report.results["hdi_rope"]["conjugate"]
+    gen = seed_sequence_generator(config.analysis.seed, 10_000)
+    theta1, theta2 = (sample_beta(conjugate[name]["alpha"], conjugate[name]["beta"], gen,
+                                  size=config.analysis.n_mc)
+                      for name in ("posterior1", "posterior2"))
+    for name, x in (("theta1", theta1), ("theta2", theta2), ("diff", theta1 - theta2)):
+        density, edges = np.histogram(x, bins=np.linspace(x.min(), x.max(), 101), density=True)
+        expected = [(float(left).hex(), float(right).hex(), float(d).hex())
+                    for left, right, d in zip(edges[:-1], edges[1:], density)]
+        rows = read_histogram(tmp_path / config.output.plot_dir / f"posterior_{name}.csv")
+        assert [tuple(v.hex() for v in row) for row in rows] == expected
 
 
 def _mc_config(n_mc, mcmc):
