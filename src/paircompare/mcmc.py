@@ -35,6 +35,9 @@ ESS_THRESHOLD = 400.0
 
 _MIN_ESS_DRAWS = 8
 
+# Rows of a chain file formatted at a time by export_trace.
+_EXPORT_BLOCK = 1024
+
 
 class InitStrategy(Enum):
     # Start at the smoothed observed rate (correct + 1) / (total + 2) with a
@@ -342,27 +345,38 @@ def finite_or_null(values) -> list:
     return [v if math.isfinite(v) else None for v in values]
 
 
+def _csv_block(rows: np.ndarray, first: int) -> str:
+    """The CSV lines of ``rows``, numbered from ``first``, each ending in a newline."""
+    changed = np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))
+    starts = np.flatnonzero(changed | (rows == 0.0).any(axis=1))
+    texts = [f"{a!r},{b!r}\n" for a, b in rows[starts].tolist()]
+    runs = np.diff(starts, append=len(rows)).tolist()
+    row_texts = itertools.chain.from_iterable(map(itertools.repeat, texts, runs))
+    prefixes = [f"{i}," for i in range(first, first + len(rows))]
+    return "".join(map(operator.add, prefixes, row_texts))
+
+
 def export_trace(trace: Trace, out_dir) -> list[Path]:
     """Write one CSV per chain plus a JSON diagnostics sidecar.
 
     Chain files are named ``chain_0.csv`` onward with header
     ``draw,theta1,theta2``.  Files are written to a temporary name and
-    renamed, so a crash never leaves a partial file behind.  Each run of
-    equal rows, as rejected draws leave, is formatted once; a row holding a
-    zero starts a run of its own, since ``0.0 == -0.0`` prints two ways.
+    renamed, so a crash never leaves a partial file behind.  Each chain's
+    text is built in blocks of 1,024 rows, and only one block's line strings
+    are alive at a time, so the writer holds a chain file's text about twice:
+    as its block texts and as their join.  Within a block each run of equal
+    rows, as rejected draws leave, is formatted once; a row holding a zero,
+    or a block's first row, starts a run of its own, since ``0.0 == -0.0``
+    prints two ways.
     """
     out = Path(out_dir)
     written = []
-    prefixes = [f"{i}," for i in range(trace.samples.shape[1])]
     for chain, rows in enumerate(trace.samples):
-        changed = np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))
-        starts = np.flatnonzero(changed | (rows == 0.0).any(axis=1))
-        texts = [f"{a!r},{b!r}" for a, b in rows[starts].tolist()]
-        runs = np.diff(starts, append=len(rows)).tolist()
-        row_texts = itertools.chain.from_iterable(map(itertools.repeat, texts, runs))
-        lines = map(operator.add, prefixes, row_texts)
+        blocks = ["draw,theta1,theta2\n"]
+        blocks.extend(_csv_block(rows[lo:lo + _EXPORT_BLOCK], lo)
+                      for lo in range(0, len(rows), _EXPORT_BLOCK))
         path = out / f"chain_{chain}.csv"
-        atomic_write_text(path, "\n".join(("draw,theta1,theta2", *lines)) + "\n")
+        atomic_write_text(path, "".join(blocks))
         written.append(path)
     diagnostics = {
         "accept_rates": list(trace.accept_rates),

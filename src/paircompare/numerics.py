@@ -21,6 +21,11 @@ rejection round draws all its normals, then its uniforms; a shape below 1 then
 draws one boost uniform per draw.  In blocks of 4,096, n draws need the two
 n-long outputs, an n-byte rejection mask, the redraws (about 5% of n at shape
 1, fewer above) and about 250 kB of block temporaries: 17-18 bytes per draw.
+
+Pinned bytes hold for one numpy build and SIMD level.  numpy's AVX-512
+(``X86_V4``) kernels change the last bits of ``power``, ``log`` and ``exp``,
+so ``sample_beta``'s draws, and the quadrature and the exact HDI built on the
+same ufuncs, differ in their last bits on CPUs without AVX-512.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ import pytest
 
 import paircompare
 from paircompare.cli import EXIT_ERROR, EXIT_NONCONVERGENCE, EXIT_OK, main
-from paircompare.fsio import json_text
+from paircompare.fsio import atomic_write_text, json_text
 from paircompare.posterior import COMPONENT_PER_SHAPE, MAX_SHAPE_SUM, MIN_COMPONENT, MIN_SHAPE
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -518,6 +518,29 @@ def test_unusable_chain_start_or_report_path_is_a_handled_error(
     assert err.startswith("error: ")
     assert message in err
     assert "Traceback" not in err
+
+
+def test_a_failed_write_leaves_no_temp_file(fixture_tree, monkeypatch, capsys):
+    # The report's temp file is written whole; renaming it onto a directory
+    # then fails.  Exit 1 writes no file, so the temp file goes too.
+    (fixture_tree / "out" / "report.json").mkdir(parents=True)
+    code = run_cli(monkeypatch, fixture_tree,
+                   "oracle", "--config", "configs/arc_easy.cfg",
+                   "--set", "output.report=out/report.json")
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write out/report.json: ")
+    assert len(err.splitlines()) == 1
+    assert list(fixture_tree.rglob("*.tmp")) == []
+    assert list((fixture_tree / "out").rglob("*")) == [fixture_tree / "out" / "report.json"]
+
+
+def test_sliced_writes_keep_every_character(tmp_path):
+    # Multi-byte characters sit on both sides of each 64 KiB slice boundary.
+    text = ("é" + "x" * 65533 + "θ₁") * 3 + "\n"
+    path = atomic_write_text(tmp_path / "a" / "text.txt", text)
+    assert path.read_bytes() == text.encode("utf-8")
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 def test_package_exports_what_the_cli_and_report_use():
