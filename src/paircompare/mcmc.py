@@ -37,6 +37,8 @@ _MIN_ESS_DRAWS = 8
 
 # Rows of a chain file formatted at a time by export_trace.
 _EXPORT_BLOCK = 1024
+# Pre-drawn normals or uniforms a chain turns into Python floats at a time.
+_FLOAT_SLICE = 1024
 
 
 class InitStrategy(Enum):
@@ -152,8 +154,10 @@ def run_chains(prior: BetaParams, counts: Counts, config: McmcConfig,
     Both rates share ``prior``.  Identical inputs reproduce the trace bit for
     bit; ``config.enabled`` is the caller's business and is not read here.
     Each step runs on Python floats and one shared softplus term per rate
-    (``log_density``).  After warmup a chain keeps each accepted state once,
-    as its sigmoid pair with its run length, and repeats it by that length.
+    (``log_density``).  A chain draws all its normals and uniforms before
+    its first step and turns them into Python floats 1,024 at a time.  After
+    warmup it keeps each accepted state once, as its sigmoid pair with its
+    run length, and repeats it by that length.
 
     Convergence is flagged, not fatal: the returned trace carries
     ``converged`` plus human-readable warnings whenever the split-chain
@@ -218,8 +222,8 @@ def _run_single_chain(log_post, prior, counts, config: McmcConfig, master_seed: 
         e1, e2 = map(_logit, draws)
 
     total = config.warmup + config.draws
-    noise = iter(gen.standard_normal(2 * total).tolist())  # a (total, 2) draw, read in pairs
-    unifs = iter(gen.random(total).tolist())
+    noise = _floats(gen.standard_normal(2 * total))  # a (total, 2) draw, read in pairs
+    unifs = _floats(gen.random(total))
 
     step = _INITIAL_STEP
     lp = log_post(e1, e2)
@@ -248,6 +252,12 @@ def _run_single_chain(log_post, prior, counts, config: McmcConfig, master_seed: 
             runs[-1] += 1
     rows = np.repeat(states, runs, axis=0)
     return rows, (len(states) - 1) / config.draws, step
+
+
+def _floats(values: np.ndarray):
+    """An iterator over ``values`` as Python floats, made ``_FLOAT_SLICE`` at a time."""
+    return itertools.chain.from_iterable(values[lo:lo + _FLOAT_SLICE].tolist()
+                                         for lo in range(0, values.size, _FLOAT_SLICE))
 
 
 def rhat(chain_samples) -> float:

@@ -19,8 +19,9 @@ it, and polishes that with Newton steps against the CDF.
 all of Gamma(a) before Gamma(b).  Pinned bytes rest on that draw order: each
 rejection round draws all its normals, then its uniforms; a shape below 1 then
 draws one boost uniform per draw.  In blocks of 4,096, n draws need the two
-n-long outputs, an n-byte rejection mask, the redraws (about 5% of n at shape
-1, fewer above) and about 250 kB of block temporaries: 17-18 bytes per draw.
+n-long outputs, the rejected indices, 8 bytes each, kept block by block (about
+5% of n at shape 1, fewer above), the redraws and about 250 kB of block
+temporaries: 16-17 bytes per draw beside those 250 kB.
 
 Pinned bytes hold for one numpy build and SIMD level.  numpy's AVX-512
 (``X86_V4``) kernels change the last bits of ``power``, ``log`` and ``exp``,
@@ -302,7 +303,7 @@ def _sample_gamma(shape: float, gen: np.random.Generator, size: int) -> np.ndarr
     d = shape - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
     out = gen.standard_normal(size)  # each block's draws overwrite its normals
-    rejected = np.empty(size, dtype=bool)
+    rejected = [np.empty(0, dtype=np.intp)]  # each block's rejected indices, in order
     for lo in range(0, size, _GAMMA_BLOCK):
         z = out[lo:lo + _GAMMA_BLOCK]
         u = gen.random(z.size)
@@ -310,11 +311,11 @@ def _sample_gamma(shape: float, gen: np.random.Generator, size: int) -> np.ndarr
         ok = v > 0.0
         logv = np.log(np.where(ok, v, 1.0))
         accept = ok & (np.log(u) < 0.5 * z * z + d - d * v + d * logv)
-        np.logical_not(accept, out=rejected[lo:lo + z.size])
+        rejected.append(np.flatnonzero(~accept) + lo)
         np.multiply(d, v, out=z)
-    redraw = np.flatnonzero(rejected)
-    if redraw.size:  # the next round redraws the rejected, in order, as a sample
-        out[redraw] = _sample_gamma(shape, gen, redraw.size)
+    rejected = np.concatenate(rejected)
+    if rejected.size:  # the next round redraws the rejected, in order, as a sample
+        out[rejected] = _sample_gamma(shape, gen, rejected.size)
     return out
 
 

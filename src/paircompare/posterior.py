@@ -23,11 +23,9 @@ COMPONENT_PER_SHAPE = 6e-11
 # Tanh-sinh (double-exponential) rule on (0, 1), Takahasi & Mori (1974):
 # u = 1 / (1 + exp(-pi sinh t)) at t = k h, |t| <= 4, h = 1/32.  The
 # complement 1 - u comes from the mirrored formula, not by subtraction, so no
-# node rounds onto an endpoint; the outermost sit 6e-38 from it.
-_DE_T = np.arange(-128, 129) / 32.0
-_DE_NODES = 1.0 / (1.0 + np.exp(-np.pi * np.sinh(_DE_T)))
-_DE_COMPLEMENTS = 1.0 / (1.0 + np.exp(np.pi * np.sinh(_DE_T)))
-_DE_LOG_WEIGHTS = np.log(np.pi * np.cosh(_DE_T) * _DE_NODES * _DE_COMPLEMENTS / 32.0)
+# node rounds onto an endpoint; the outermost sit 6e-38 from it.  Built by
+# _de_rule on first use.
+_DE_POINTS = 257  # k = -128 .. 128
 # A density with both shapes >= 2 holds under 1e-8 of its mass beyond this
 # many sd of its mean; lower shapes pile mass against an endpoint.
 _WINDOW_SD = 14.0
@@ -35,7 +33,7 @@ _WINDOW_SD = 14.0
 # they move a probability by under 1e-17.
 _NEGLIGIBLE_TERM = 1e-20
 # Outer nodes per block of inner integrals, for temporaries under 64 KiB.
-_BLOCK_ROWS = (1 << 16) // (8 * _DE_T.size)
+_BLOCK_ROWS = (1 << 16) // (8 * _DE_POINTS)
 # Beyond these shapes the interval probability's measured error passes 1e-6.
 MIN_SHAPE = 0.2
 MAX_SHAPE_SUM = 1.5e10
@@ -131,6 +129,17 @@ def rope_decision(hdi: Hdi, rope_radius: float) -> tuple[RopeRelation, DecisionV
     return RopeRelation.OVERLAP, DecisionValue.UNDECIDED
 
 
+@functools.cache
+def _de_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tanh-sinh nodes u, their complements 1 - u, and the log weights;
+    built on first use, since the first sinh and exp load numpy kernels that
+    a command with no quadrature never runs."""
+    t = np.arange(-128, 129) / 32.0
+    nodes = 1.0 / (1.0 + np.exp(-np.pi * np.sinh(t)))
+    complements = 1.0 / (1.0 + np.exp(np.pi * np.sinh(t)))
+    return nodes, complements, np.log(np.pi * np.cosh(t) * nodes * complements / 32.0)
+
+
 def _panels(params: BetaParams, radius: float) -> tuple[np.ndarray, np.ndarray]:
     # Panel starts and complements of panel ends: the window, cut at radius and 1 - radius.
     lo, hi = 0.0, 1.0
@@ -152,10 +161,11 @@ def _log_density(params: BetaParams, t: np.ndarray, t_c: np.ndarray) -> np.ndarr
 def _rule(params: BetaParams, lo: np.ndarray, hi_c: np.ndarray):
     """Tanh-sinh nodes t and 1 - t on each panel [lo, 1 - hi_c], a row each, and
     log(weight x Beta density / its value at the mean) there."""
+    nodes, complements, log_weights = _de_rule()
     width = 1.0 - hi_c - lo
-    t = lo[:, None] + np.multiply.outer(width, _DE_NODES)
-    t_c = hi_c[:, None] + np.multiply.outer(width, _DE_COMPLEMENTS)
-    return t, t_c, _log_density(params, t, t_c) + (_DE_LOG_WEIGHTS + np.log(width)[:, None])
+    t = lo[:, None] + np.multiply.outer(width, nodes)
+    t_c = hi_c[:, None] + np.multiply.outer(width, complements)
+    return t, t_c, _log_density(params, t, t_c) + (log_weights + np.log(width)[:, None])
 
 
 def interval_probability_quadrature(params1: BetaParams, params2: BetaParams,
@@ -274,6 +284,7 @@ def _difference_density(post1: BetaParams, post2: BetaParams, x: np.ndarray) -> 
     (lo1, c1, norm1), (lo2, c2, norm2) = (
         (starts[0], ends_c[-1], np.exp(_rule(p, starts, ends_c)[2]).sum())
         for p in (post1, post2) for starts, ends_c in [_panels(p, 0.0)])
+    de_nodes, de_complements, log_weights = _de_rule()
     density = np.zeros(x.size)
     for start in range(0, x.size, _BLOCK_ROWS):
         shift = x[start:start + _BLOCK_ROWS]
@@ -282,10 +293,10 @@ def _difference_density(post1: BetaParams, post2: BetaParams, x: np.ndarray) -> 
         width = 1.0 - t_c - t_lo
         rows = np.flatnonzero(width > 0.0)  # the windows overlap
         width = width[rows, None]
-        nodes, complements = width * _DE_NODES, width * _DE_COMPLEMENTS
+        nodes, complements = width * de_nodes, width * de_complements
         log_terms = (_log_density(post1, t_lo[rows, None] + nodes, t_c[rows, None] + complements)
                      + _log_density(post2, s_lo[rows, None] + nodes, s_c[rows, None] + complements)
-                     + (_DE_LOG_WEIGHTS + np.log(width)))
+                     + (log_weights + np.log(width)))
         density[start + rows] = np.exp(log_terms).sum(axis=1)
     return density / (norm1 * norm2)
 

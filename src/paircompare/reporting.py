@@ -166,8 +166,10 @@ def run_analysis(config: AnalysisConfig, write: bool = True) -> AnalysisOutcome:
 
     Each method is one entry of ``_METHODS``; the loop writes its result
     block, its decision and its vetted sentence.  The first Bayesian entry
-    builds the posterior sample (see :func:`_posterior_sample`), which every
-    later one reads: the Bayesian methods always use the exact conjugate
+    draws the posterior sample and summarizes it (see
+    :func:`_posterior_sample`); every later one reads those summaries, so no
+    ``n_mc`` array is alive during the chains, the quadrature, the report or
+    the writes.  The Bayesian methods always use the exact conjugate
     posterior, and when MCMC is enabled the same summaries are recomputed
     from the chains and any disagreement is recorded rather than hidden.
     The Bayes factor is exact quadrature; the sample's frequency of
@@ -223,12 +225,13 @@ def run_analysis(config: AnalysisConfig, write: bool = True) -> AnalysisOutcome:
 
 def _posterior_sample(config: AnalysisConfig, counts, plots: bool):
     """The MCMC trace, or None with MCMC off; the histogram texts of theta1,
-    theta2 and theta1 - theta2, or None without ``plots``; and the sample
-    every Bayesian entry reads: the posteriors, the difference and the
-    chains' difference, or None, each sorted in place once.  theta1 and
-    theta2 (``n_mc`` draws each from stream ``(seed, 10_000)``) are sorted
-    after the difference is formed and gone before the chains run, on streams
-    of their own, so one ``n_mc`` array outlives the draw."""
+    theta2 and theta1 - theta2, or None without ``plots``; and what every
+    Bayesian entry reads: the posteriors and the ``_summary`` of the
+    difference and of the chains' difference, or None.  theta1 and theta2
+    (``n_mc`` draws each from stream ``(seed, 10_000)``) are sorted after the
+    difference is formed and gone before it is summarized; the difference is
+    gone before the chains run, on streams of their own, so no ``n_mc`` array
+    outlives the draw."""
     opts = config.analysis
     posts = posterior_pair(config.model.prior, counts)
     gen = stream(opts.seed, STREAM_POSTERIOR_DRAWS)
@@ -242,12 +245,37 @@ def _posterior_sample(config: AnalysisConfig, counts, plots: bool):
         theta2.sort()
         histograms = tuple(_histogram_csv(x) for x in (theta1, theta2, diff))
     del theta1, theta2
-    trace = chain_diff = None
+    conjugate = _summary(diff, opts)
+    del diff
+    trace = chains = None
     if config.mcmc.enabled:
         trace = run_chains(config.model.prior, counts, config.mcmc, opts.seed)
         chain_diff = trace.diff_samples()
         chain_diff.sort()
-    return trace, histograms, (posts, diff, chain_diff)
+        chains = _summary(chain_diff, opts)
+    return trace, histograms, (posts, conjugate, chains)
+
+
+def _summary(diffs: np.ndarray, opts) -> dict:
+    """What the Bayesian entries read of ``diffs``, a sample of theta1 - theta2
+    in ascending order: its HDI, or None below the least size an HDI takes,
+    and the frequencies of d > 0, d > margin and |d| < rope_radius, each over
+    the whole sample."""
+    try:
+        hdi = hdi_from_samples(diffs, opts.hdi_mass)
+    except TooFewSamples:
+        # Fewer samples than an HDI needs also caps the ESS below its 400
+        # threshold, so the trace is already marked unconverged.
+        hdi = None
+    events = {
+        "prob_positive": Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.0,
+                                    direction=Direction.GREATER),
+        "prob_beyond_margin": Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, opts.margin,
+                                         direction=Direction.GREATER),
+        "prob_in_rope": Hypothesis(HypothesisKind.INTERVAL_NULL, 0.0, opts.rope_radius),
+    }
+    return {"hdi": hdi, **{name: event_probability_from_sorted(diffs, hypothesis)
+                           for name, hypothesis in events.items()}}
 
 
 def _pvalue(config, counts, sample):
@@ -281,47 +309,36 @@ def _ci(config, counts, sample):
 
 def _hdi_rope(config, counts, sample):
     opts = config.analysis
-    posts, diff, chain_diff = sample
-    margin_hyp = Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, opts.margin,
-                            direction=Direction.GREATER)
-    positive_hyp = Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.0,
-                              direction=Direction.GREATER)
+    posts, conjugate_summary, chain_summary = sample
 
-    def summarize(diffs):  # diffs in ascending order
-        hdi = hdi_from_samples(diffs, opts.hdi_mass)
-        relation, value = rope_decision(hdi, opts.rope_radius)
+    def rope_block(summary):
+        relation, value = rope_decision(summary["hdi"], opts.rope_radius)
         return {
-            "hdi": plain(hdi),
+            "hdi": plain(summary["hdi"]),
             "relation": relation.value,
-            "prob_positive": plain(event_probability_from_sorted(diffs, positive_hyp)),
-            "prob_beyond_margin": plain(event_probability_from_sorted(diffs, margin_hyp)),
+            "prob_positive": plain(summary["prob_positive"]),
+            "prob_beyond_margin": plain(summary["prob_beyond_margin"]),
         }, value
 
-    conjugate, value = summarize(diff)
+    conjugate, value = rope_block(conjugate_summary)
     conjugate = {
         "posterior1": _beta_dict(posts.post1),
         "posterior2": _beta_dict(posts.post2),
-        "n_samples": int(diff.size),
+        "n_samples": conjugate_summary["prob_positive"].n,
         **conjugate,
         "rope": {"lower": -opts.rope_radius, "upper": opts.rope_radius,
                  "center": 0.0, "radius": opts.rope_radius},
         "margin": opts.margin,
     }
     block = {"conjugate": conjugate, "mcmc": None, "disagreement": None}
-    if chain_diff is not None:
-        try:
-            mcmc_summary = summarize(chain_diff)[0]
-        except TooFewSamples:
-            # Fewer samples than an HDI needs also caps the ESS below its 400
-            # threshold, so the trace is already marked unconverged.
-            pass
-        else:
-            block["mcmc"] = mcmc_summary
-            block["disagreement"] = {
-                "hdi_lower_delta": mcmc_summary["hdi"]["lower"] - conjugate["hdi"]["lower"],
-                "hdi_upper_delta": mcmc_summary["hdi"]["upper"] - conjugate["hdi"]["upper"],
-                "relation_match": mcmc_summary["relation"] == conjugate["relation"],
-            }
+    if chain_summary is not None and chain_summary["hdi"] is not None:
+        mcmc_summary = rope_block(chain_summary)[0]
+        block["mcmc"] = mcmc_summary
+        block["disagreement"] = {
+            "hdi_lower_delta": mcmc_summary["hdi"]["lower"] - conjugate["hdi"]["lower"],
+            "hdi_upper_delta": mcmc_summary["hdi"]["upper"] - conjugate["hdi"]["upper"],
+            "relation_match": mcmc_summary["relation"] == conjugate["relation"],
+        }
 
     interval, rope_note = (f"The {opts.hdi_mass:.0%} highest-density interval",
                            f"within {opts.rope_radius:g} of zero")
@@ -338,12 +355,11 @@ def _hdi_rope(config, counts, sample):
 
 def _bayes_factor(config, counts, sample):
     opts = config.analysis
-    posts, diff, chain_diff = sample
+    posts, conjugate, chains = sample
     bf = bayes_factor_interval_null(config.model.prior, posts, opts.rope_radius)
-    interval_null = Hypothesis(HypothesisKind.INTERVAL_NULL, 0.0, opts.rope_radius)
     mcmc_block = None
-    if chain_diff is not None:
-        post_p0 = event_probability_from_sorted(chain_diff, interval_null)
+    if chains is not None:
+        post_p0 = chains["prob_in_rope"]
         p = post_p0.estimate
         odds_prior = bf.prior_p0 / (1.0 - bf.prior_p0)
         mcmc_block = {
@@ -356,7 +372,7 @@ def _bayes_factor(config, counts, sample):
         "bf01": bf.bf01,
         "epsilon": opts.rope_radius,
         "quadrature": {"prior_p0": bf.prior_p0, "post_p0": bf.post_p0},
-        "monte_carlo": plain(event_probability_from_sorted(diff, interval_null)),
+        "monte_carlo": plain(conjugate["prob_in_rope"]),
         "mcmc": mcmc_block,
     }
     if bf.bf01 >= BF_ACCEPT_THRESHOLD:

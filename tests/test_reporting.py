@@ -459,49 +459,57 @@ def _traced_peak(config):
 
 
 def test_analysis_peak_memory_holds_three_samples(tmp_path, monkeypatch):
-    # With MCMC off, the peak is theta2's draw next to theta1 (about 3.4 x
+    # With MCMC off, the peak is theta2's draw next to theta1 (about 3.3 x
     # 8 n_mc bytes).  The difference is taken once and sorted in place, and
     # theta1 and theta2 are sorted in place, turned into their plot text and
-    # released before any later stage, so a fourth n_mc array alive at once,
-    # or a copy of one, passes 4 x 8 n_mc.
+    # released before any later stage.  A copy of an n_mc array, or the
+    # sampler's n-byte rejection mask (0.125 x), passes 3.4 x 8 n_mc.
     monkeypatch.chdir(tmp_path)
     n_mc = 100_000
     peak = _traced_peak(_mc_config(n_mc, mcmc=False))
-    assert peak <= 4 * 8 * n_mc, peak / (8 * n_mc)
+    assert peak <= 3.4 * 8 * n_mc, peak / (8 * n_mc)
 
 
-def test_analysis_peak_memory_with_mcmc_stays_within_four_samples(tmp_path, monkeypatch):
-    # The chains run after theta1 and theta2 are gone, next to the sorted
-    # difference alone, so the peak stays the draw's (about 3.4 x 8 n_mc
-    # bytes).  Chains that ran next to three n_mc arrays, or draws next to
-    # the trace, pass 4 x.
+def test_analysis_peak_memory_with_mcmc_holds_three_samples(tmp_path, monkeypatch):
+    # The chains run after every n_mc array is gone, so the peak stays the
+    # draw's (about 3.3 x 8 n_mc bytes).  Chains that ran next to an n_mc
+    # array, or draws next to the trace, pass 3.4 x.
     monkeypatch.chdir(tmp_path)
     n_mc = 100_000
     peak = _traced_peak(_mc_config(n_mc, mcmc=True))
-    assert peak <= 4 * 8 * n_mc, peak / (8 * n_mc)
+    assert peak <= 3.4 * 8 * n_mc, peak / (8 * n_mc)
 
 
 @pytest.mark.parametrize("mcmc", [False, True])
 def test_bayes_factor_runs_next_to_one_sample(tmp_path, monkeypatch, mcmc):
-    # From the methods on, one n_mc array is alive: the sorted difference
-    # (with MCMC on, the trace and the chains' sorted difference add about
-    # 0.6 x 8 n_mc bytes).  theta1 or theta2 kept alive passes 2 x.
+    # No n_mc array outlives the draw: the methods read summaries of the
+    # sorted difference, which is gone before the chains run (both under
+    # 0.05 x 8 n_mc bytes live).  With MCMC on, the quadrature runs next to
+    # one sample, the trace, and its summary (about 0.45 x).  The sorted
+    # difference kept alive passes 0.1 x and 0.6 x.
     monkeypatch.chdir(tmp_path)
     n_mc = 100_000
     config = _mc_config(n_mc, mcmc)
-    quadrature = reporting.bayes_factor_interval_null
-    live = []
+    live = {"run_chains": [], "bayes_factor_interval_null": []}
 
-    def measured(*args, **kwargs):
-        live.append(tracemalloc.get_traced_memory()[0])
-        return quadrature(*args, **kwargs)
+    def measured(name):
+        stage = getattr(reporting, name)
 
-    monkeypatch.setattr(reporting, "bayes_factor_interval_null", measured)
+        def wrapper(*args, **kwargs):
+            live[name].append(tracemalloc.get_traced_memory()[0] / (8 * n_mc))
+            return stage(*args, **kwargs)
+        monkeypatch.setattr(reporting, name, wrapper)
+
+    for name in live:
+        measured(name)
     run_analysis(config, write=True)  # lazy imports and first-use caches
     tracemalloc.start()
     try:
         run_analysis(config, write=True)
     finally:
         tracemalloc.stop()
-    assert len(live) == 2
-    assert live[-1] <= 2 * 8 * n_mc, live[-1] / (8 * n_mc)
+    chains, quadrature = live["run_chains"], live["bayes_factor_interval_null"]
+    assert (len(chains), len(quadrature)) == (2 if mcmc else 0, 2)
+    if mcmc:
+        assert chains[-1] <= 0.1, live
+    assert quadrature[-1] <= (0.6 if mcmc else 0.1), live
