@@ -5,8 +5,8 @@ report, plot data, and traces; ``oracle`` is the same pipeline with MCMC
 forced off (conjugate results only, fast); ``simulate`` runs one of the
 pitfall demonstrations; ``version`` prints the package version.
 
-Exit codes: 0 on success, 1 on any handled error (bad config, unreadable
-data, invalid values), 2 when MCMC ran but failed its convergence checks.
+Exit codes: 0 on success, 1 on a handled error (bad config or data, invalid
+values, out of memory), 2 when MCMC ran but failed its convergence checks.
 """
 
 from __future__ import annotations
@@ -155,8 +155,9 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             return _cmd_analyze(args, conjugate_only=True)
         return _cmd_simulate(args)
-    except AssessmentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (AssessmentError, MemoryError) as exc:
+        reason = "out of memory: " if isinstance(exc, MemoryError) else ""
+        print(f"error: {reason}{exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

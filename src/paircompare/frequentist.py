@@ -56,7 +56,7 @@ def _check_counts(correct1: int, total1: int, correct2: int, total2: int) -> Non
 
 
 def pooled_statistic(correct1, total1, correct2, total2):
-    """``(z, pooled_rate, sigma)`` of the pooled z-test, on numbers or arrays.
+    """``(z, pooled_rate, sigma)`` of :func:`two_proportion_z_test`, on numbers or arrays.
 
     Each step is one correctly rounded operation, so array cells equal scalar
     results bit for bit.  A pooled rate of 0 or 1 gives ``sigma`` 0, ``z`` NaN.
@@ -68,39 +68,14 @@ def pooled_statistic(correct1, total1, correct2, total2):
     return z, pooled, sigma
 
 
-def pooled_z(correct1: int, total1: int, correct2: int, total2: int,
-             direction: Direction) -> tuple[float, float, float, float]:
-    """``(z, p_value, pooled_rate, sigma)`` of the pooled two-proportion z-test.
-
-    The scalar test behind :func:`two_proportion_z_test`, the pooled interval
-    and optional-stopping looks near their critical value; counts are not checked.
-
-    Raises
-    ------
-    DegenerateTest
-        When the pooled rate is exactly 0 or 1, which makes ``sigma`` zero.
-    """
-    z, pooled, sigma = pooled_statistic(correct1, total1, correct2, total2)
-    if pooled == 0.0 or pooled == 1.0:
-        raise DegenerateTest(
-            f"pooled rate is {pooled:g}; the z statistic is undefined for these counts"
-        )
-    if direction is Direction.GREATER:
-        p_value = std_normal_cdf(-z)
-    elif direction is Direction.LESS:
-        p_value = std_normal_cdf(z)
-    else:
-        p_value = min(1.0, 2.0 * std_normal_cdf(-abs(z)))
-    return float(z), p_value, pooled, float(sigma)
-
-
 def two_proportion_z_test(correct1: int, total1: int, correct2: int, total2: int,
                           direction: Direction = Direction.GREATER) -> ZTestResult:
     """Test whether two observed proportions share one underlying rate.
 
     The statistic is ``(p1 - p2) / sigma`` with the standard error pooled
     under the null: ``sigma = sqrt(pt (1 - pt) (1/n1 + 1/n2))`` where ``pt``
-    is the combined success rate.  No continuity correction is applied.
+    is the combined success rate (:func:`pooled_statistic`).  No continuity
+    correction.  The pooled interval and optional stopping's looks call it too.
 
     Raises
     ------
@@ -108,14 +83,22 @@ def two_proportion_z_test(correct1: int, total1: int, correct2: int, total2: int
         When the pooled rate is exactly 0 or 1, which makes ``sigma`` zero.
     """
     _check_counts(correct1, total1, correct2, total2)
-    z, p_value, pooled, sigma = pooled_z(correct1, total1, correct2, total2, direction)
+    z, pooled, sigma = pooled_statistic(correct1, total1, correct2, total2)
+    if pooled == 0.0 or pooled == 1.0:
+        raise DegenerateTest(f"pooled rate is {pooled:g}; the z statistic is undefined for these counts")
+    if direction is Direction.GREATER:
+        p_value = std_normal_cdf(-z)
+    elif direction is Direction.LESS:
+        p_value = std_normal_cdf(z)
+    else:
+        p_value = min(1.0, 2.0 * std_normal_cdf(-abs(z)))
     return ZTestResult(
-        z=z,
+        z=float(z),
         p_value=p_value,
         direction=direction,
         diff=correct1 / total1 - correct2 / total2,
         pooled_rate=pooled,
-        sigma=sigma,
+        sigma=float(sigma),
     )
 
 
@@ -144,7 +127,7 @@ def diff_confidence_interval(correct1: int, total1: int, correct2: int, total2: 
     p2 = correct2 / total2
     diff = p1 - p2
     if mode is CiMode.ONE_SIDED_POOLED_Z:
-        sigma = pooled_z(correct1, total1, correct2, total2, Direction.GREATER)[3]
+        sigma = two_proportion_z_test(correct1, total1, correct2, total2).sigma
         critical = std_normal_quantile(level)
     else:
         sigma = math.sqrt(p1 * (1.0 - p1) / total1 + p2 * (1.0 - p2) / total2)

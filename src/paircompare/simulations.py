@@ -16,7 +16,7 @@ import numpy as np
 from .bayes import BetaParams, posterior_pair
 from .core import Counts, Direction, Record
 from .errors import DomainError
-from .frequentist import pooled_statistic, pooled_z
+from .frequentist import pooled_statistic, two_proportion_z_test
 from .numerics import log_binomial_coefficient, std_normal_pdf, std_normal_quantile, stream_keys
 from .posterior import Hdi, bayes_factor_interval_null, hdi_of_difference
 
@@ -122,12 +122,12 @@ _BLOCK_DRAWS = 1 << 13
 
 
 def _look_test(direction: Direction, alpha: float):
-    """``rejects(c1, c2, n)``: ``pooled_z(c1, n, c2, n)[1] < alpha`` for (rows, looks)
-    count arrays and (looks,) sizes.  ``z`` is bit-identical to ``pooled_z``'s and
-    the p-value falls as ``s`` (``z``, ``-z`` or ``|z|``) rises, so only p-value
-    rounding can disagree with ``s > critical``: cells within ``band`` of it (1e-6,
-    plus eight ulps of the tail for subnormal ``alpha``) take ``pooled_z``'s
-    decision.  A NaN ``z`` (pooled rate 0 or 1) never rejects.
+    """``rejects(c1, c2, n)``: ``two_proportion_z_test(c1, n, c2, n).p_value < alpha``
+    for (rows, looks) count arrays and (looks,) sizes.  ``z`` is the test's own
+    ``pooled_statistic`` and the p-value falls as ``s`` (``z``, ``-z`` or ``|z|``)
+    rises, so only p-value rounding can disagree with ``s > critical``: cells within
+    ``band`` of it (1e-6, plus eight ulps of the tail for subnormal ``alpha``) are
+    decided by that z-test's p-value.  A NaN ``z`` (pooled rate 0 or 1) never rejects.
     """
     tail = max(alpha / 2.0 if direction is Direction.TWO_SIDED else alpha, math.ulp(0.0))
     critical = -std_normal_quantile(tail)
@@ -139,7 +139,8 @@ def _look_test(direction: Direction, alpha: float):
         s = np.abs(z) if sign is None else sign * z
         reject = s > critical
         for i, j in np.argwhere(np.abs(s - critical) <= band):
-            reject[i, j] = pooled_z(c1[i, j], n[j], c2[i, j], n[j], direction)[1] < alpha
+            reject[i, j] = two_proportion_z_test(
+                c1[i, j], n[j], c2[i, j], n[j], direction).p_value < alpha
         return reject
 
     return rejects

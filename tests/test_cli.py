@@ -520,6 +520,25 @@ def test_unusable_chain_start_or_report_path_is_a_handled_error(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,override", [
+    ("oracle", "analysis.n_mc=1000000000000000"),
+    ("analyze", "mcmc.draws=1000000000000000"),
+])
+def test_a_size_numpy_refuses_is_a_handled_error(
+        fixture_tree, monkeypatch, capsys, command, override):
+    # 10^15 doubles lie past the 128 TiB user address space, so numpy refuses
+    # the first such array at once.  Sizes it can map but the machine cannot
+    # back end in an out-of-memory kill, not an exception, and are not run.
+    code = run_cli(monkeypatch, fixture_tree,
+                   command, "--config", "configs/arc_easy.cfg", "--set", override)
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert list((fixture_tree / "out").rglob("*")) == []
+
+
 def test_a_failed_write_leaves_no_temp_file(fixture_tree, monkeypatch, capsys):
     # The report's temp file is written whole; renaming it onto a directory
     # then fails.  Exit 1 writes no file, so the temp file goes too.

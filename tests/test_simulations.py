@@ -16,7 +16,7 @@ from conftest import seed_sequence_generator
 from paircompare.bayes import PRIOR_PRESETS, BetaParams, conjugate_update
 from paircompare.core import Direction
 from paircompare.errors import DegenerateTest, DomainError
-from paircompare.frequentist import pooled_z, two_proportion_z_test
+from paircompare.frequentist import two_proportion_z_test
 from paircompare.numerics import stream_keys
 from paircompare.simulations import (
     _BLOCK_DRAWS,
@@ -124,29 +124,6 @@ def test_stopping_comparison_same_data_different_pvalues():
     assert result.fixed_trials_pvalue > 0.025 > result.fixed_successes_pvalue
 
 
-def test_zsubtest_agrees_with_public_ztest():
-    # The optional-stopping looks near their critical value call the shared
-    # pooled_z kernel (see test_look_test_matches_pooled_z_on_every_cell);
-    # it must give exactly the public z-test's statistic and p-value, and
-    # treat the same counts as degenerate.
-    gen = np.random.default_rng(404)
-    for _ in range(300):
-        n = int(gen.integers(2, 400))
-        c1 = int(gen.integers(0, n + 1))
-        c2 = int(gen.integers(0, n + 1))
-        if c1 + c2 == 0 or c1 + c2 == 2 * n:
-            with pytest.raises(DegenerateTest):
-                pooled_z(c1, n, c2, n, Direction.TWO_SIDED)
-            with pytest.raises(DegenerateTest):
-                two_proportion_z_test(c1, n, c2, n, Direction.TWO_SIDED)
-            continue
-        for direction in Direction:
-            public = two_proportion_z_test(c1, n, c2, n, direction)
-            z, p_value, pooled, sigma = pooled_z(c1, n, c2, n, direction)
-            assert (z, p_value, pooled, sigma) == (
-                public.z, public.p_value, public.pooled_rate, public.sigma)
-
-
 # Per-direction outcome of 500 null trials with 20 looks (seed 1729): the
 # false-positive count and each look's first rejections, pinned so that any
 # change to the per-look z-test or the trial streams shows up exactly.
@@ -235,27 +212,28 @@ def test_optional_stopping_refuses_bad_seeds(seed):
 
 
 def _scalar_first_rejection(looks, theta, alpha, seed, t, direction):
-    """Reference for one trial: two draws from its stream, then pooled_z at
+    """Reference for one trial: two draws from its stream, then the z-test at
     each look until the first rejection.  Returns that look's index or None."""
     gen = seed_sequence_generator(seed, t)
     cum1 = np.cumsum(gen.random(looks[-1]) < theta)
     cum2 = np.cumsum(gen.random(looks[-1]) < theta)
     for i, n in enumerate(looks):
         try:
-            if pooled_z(int(cum1[n - 1]), n, int(cum2[n - 1]), n, direction)[1] < alpha:
+            if two_proportion_z_test(int(cum1[n - 1]), n, int(cum2[n - 1]), n,
+                                     direction).p_value < alpha:
                 return i
         except DegenerateTest:
             pass
     return None
 
 
-def _assert_look_test_matches_pooled_z(c1, c2, n, alphas):
+def _assert_look_test_matches_z_test(c1, c2, n, alphas):
     c1, c2 = c1.reshape(-1, 1), c2.reshape(-1, 1)
     degenerate = (c1[:, 0] + c2[:, 0]) % (2 * n) == 0
     for direction in Direction:
-        p_values = np.array([math.nan if d else pooled_z(a, n, b, n, direction)[1]
-                             for a, b, d in zip(c1[:, 0].tolist(), c2[:, 0].tolist(),
-                                                degenerate)])
+        p_values = np.array([
+            math.nan if d else two_proportion_z_test(a, n, b, n, direction).p_value
+            for a, b, d in zip(c1[:, 0].tolist(), c2[:, 0].tolist(), degenerate)])
         for alpha in alphas:
             mask = _look_test(direction, alpha)(c1, c2, np.array([n]))[:, 0]
             assert not mask[degenerate].any()
@@ -265,10 +243,11 @@ def _assert_look_test_matches_pooled_z(c1, c2, n, alphas):
 
 @pytest.mark.parametrize("n", [2, 3, 10, 57, 150])
 def test_look_test_matches_pooled_z_on_every_cell(n):
-    # The array look test must reject exactly where pooled_z's p-value is
-    # below alpha, on every (c1, c2) cell, and never on a degenerate one.
+    # The array look test must reject exactly where the pooled z-test's
+    # p-value is below alpha, on every (c1, c2) cell, and never on a
+    # degenerate one.
     c1, c2 = np.meshgrid(np.arange(n + 1), np.arange(n + 1))
-    _assert_look_test_matches_pooled_z(c1, c2, n, (1e-320, 1e-12, 0.05, 0.5, 0.9999999))
+    _assert_look_test_matches_z_test(c1, c2, n, (1e-320, 1e-12, 0.05, 0.5, 0.9999999))
 
 
 @pytest.mark.parametrize("n", [740, 795, 833])
@@ -279,7 +258,7 @@ def test_look_test_matches_pooled_z_at_subnormal_alpha(n):
     # get cells wrong at each of these alphas.
     low, high = np.meshgrid(np.arange(121), np.arange(n - 120, n + 1))
     for c1, c2 in ((high, low), (low, high)):
-        _assert_look_test_matches_pooled_z(c1, c2, n, (5e-324, 1e-323, 1e-320))
+        _assert_look_test_matches_z_test(c1, c2, n, (5e-324, 1e-323, 1e-320))
 
 
 def _exact_fpr(looks, theta, alpha, direction):
