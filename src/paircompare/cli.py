@@ -73,7 +73,7 @@ def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
     for item in args.overrides:
         key, sep, value = item.partition("=")
         key = key.strip()
-        if not sep or "." not in key:
+        if not sep:  # parse_config checks the key's section.key shape
             raise ConfigError(f"--set expects SECTION.KEY=VALUE, got {item!r}")
         overrides[key] = value.strip()
     if args.seed is not None:

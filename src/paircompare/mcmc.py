@@ -23,8 +23,7 @@ from .errors import DomainError, check_config
 from .fsio import atomic_write_text, json_text
 from .numerics import FIRST_RESERVED_STREAM, sample_beta, stream
 
-# Post-adaptation acceptance rates are expected to land in this band.
-TARGET_ACCEPT_BAND = (0.2, 0.5)
+# Acceptance rate warmup steers each chain's proposal step toward.
 _ADAPT_TARGET = 0.35
 # Logit-scale proposal step each chain starts warmup with.
 _INITIAL_STEP = 0.5

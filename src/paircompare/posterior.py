@@ -1,5 +1,5 @@
-"""Posterior summaries and decisions: highest-density intervals, ROPE
-verdicts, and interval-null Bayes factors."""
+"""Posterior summaries and decisions: Monte Carlo event frequencies,
+highest-density intervals, ROPE verdicts, and interval-null Bayes factors."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from enum import Enum
 import numpy as np
 
 from .bayes import BetaParams, PosteriorPair
-from .core import DecisionValue, Record
+from .core import DecisionValue, Direction, Hypothesis, HypothesisKind, Record
 from .errors import DomainError, TooFewSamples, UnstableEstimate
 
 MIN_HDI_SAMPLES = 100
@@ -49,6 +49,19 @@ _TAIL = 8
 _RESOLVED = 1e-8
 _ROUNDING = 1e-16
 _MAX_PANELS = 64
+
+
+class EventProbability(Record):
+    """Monte Carlo estimate of a posterior event probability.
+
+    ``mc_se`` is ``sqrt(p (1 - p) / n)`` over ``n`` draws; ``halfwidth95`` is
+    the 1.96 * mc_se margin reported next to the estimate.
+    """
+
+    estimate: float
+    mc_se: float
+    halfwidth95: float
+    n: int
 
 
 class Hdi(Record):
@@ -106,6 +119,48 @@ def hdi_from_samples(samples, mass: float = 0.95) -> Hdi:
     widths = x[window - 1:] - x[: x.size - window + 1]
     i = int(np.argmin(widths))  # argmin takes the first minimum: smallest lower endpoint
     return Hdi(float(x[i]), float(x[i + window - 1]), mass)
+
+
+def event_probability_from_sorted(sorted_diffs, hypothesis: Hypothesis) -> EventProbability:
+    """Frequency of ``hypothesis``'s event in a sample of difference draws in
+    ascending order, NaNs last, as ``numpy.sort`` leaves them.  The count
+    comes from binary searches, so the sample is read in place, with no mask."""
+    diffs = np.asarray(sorted_diffs, dtype=float)
+    if diffs.ndim != 1 or diffs.size == 0:
+        raise DomainError("sorted_diffs must be a non-empty 1-D array")
+    return _frequency(_sorted_event_count(diffs, hypothesis), diffs.size)
+
+
+def _frequency(hits: int, n: int) -> EventProbability:
+    estimate = float(hits) / n
+    mc_se = math.sqrt(estimate * (1.0 - estimate) / n)
+    return EventProbability(estimate, mc_se, 1.96 * mc_se, n)
+
+
+def _sorted_event_count(diffs: np.ndarray, hypothesis: Hypothesis) -> int:
+    """How many of the ascending ``diffs`` hold the event: d > margin, d < margin
+    or |d| > margin for a directional margin, and |d - margin| < rope_radius,
+    with ``d - margin`` rounded, for an interval null.
+
+    Each event is a run of the sorted sample, or the complement of one, so
+    its ends are binary searches.  The interval null tests the rounded
+    ``diffs - margin``, which is monotone in ``diffs``, so its ends are
+    searched on that rounded value; no event holds for a NaN.
+    """
+    margin = hypothesis.margin
+    n = int(np.searchsorted(diffs, np.nan))  # NaNs sort last
+    if hypothesis.kind is HypothesisKind.DIRECTIONAL_MARGIN:
+        above = n - int(np.searchsorted(diffs, margin, "right"))  # d > m
+        if hypothesis.direction is Direction.GREATER:
+            return above
+        if hypothesis.direction is Direction.LESS:
+            return int(np.searchsorted(diffs, margin))  # d < m
+        # |d| > m: d > m or d < -m, which overlap to cover every d when m < 0.
+        return min(n, above + int(np.searchsorted(diffs, -margin)))
+    radius = hypothesis.rope_radius
+    start = bisect.bisect_left(diffs, True, 0, n, key=lambda d: d - margin > -radius)
+    stop = bisect.bisect_left(diffs, True, 0, n, key=lambda d: d - margin >= radius)
+    return max(0, stop - start)
 
 
 def rope_decision(hdi: Hdi, rope_radius: float) -> tuple[RopeRelation, DecisionValue]:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bayes import event_probability_from_sorted, posterior_pair
+from .bayes import posterior_pair
 from .config import AnalysisConfig, Observations, load_observations, render_config
 from .core import DecisionValue, Direction, Hypothesis, HypothesisKind, Record
 from .errors import TooFewSamples
@@ -27,7 +27,8 @@ from .frequentist import diff_confidence_interval, two_proportion_z_test
 from .fsio import atomic_write_text, json_text, plain
 from .mcmc import Trace, export_trace, finite_or_null, run_chains
 from .numerics import STREAM_POSTERIOR_DRAWS, sample_beta, stream
-from .posterior import bayes_factor_interval_null, hdi_from_samples, rope_decision
+from .posterior import (bayes_factor_interval_null, event_probability_from_sorted,
+                        hdi_from_samples, rope_decision)
 
 REPORT_FORMAT = "two-system-assessment/2"
 

@@ -17,12 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import seed_sequence_generator
-from paircompare.bayes import (
-    PRIOR_PRESETS,
-    BetaParams,
-    event_probability_from_samples,
-    posterior_pair,
-)
+from paircompare.bayes import PRIOR_PRESETS, BetaParams, posterior_pair
 from paircompare.core import (
     DecisionValue,
     Direction,
@@ -35,6 +30,7 @@ from paircompare.numerics import sample_beta
 from paircompare.posterior import (
     RopeRelation,
     bayes_factor_interval_null,
+    event_probability_from_sorted,
     hdi_from_samples,
     rope_decision,
 )
@@ -76,7 +72,7 @@ def test_criterion_03_superiority_probability_by_both_routes():
     _, diff = posterior_diff_samples(EASY, 100_000, stream=0)
     superiority = Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.0,
                              direction=Direction.GREATER)
-    conjugate = event_probability_from_samples(diff, superiority)
+    conjugate = event_probability_from_sorted(np.sort(diff), superiority)
     assert conjugate.estimate == pytest.approx(0.996, abs=0.003)
 
     trace = run_chains(UNIFORM, EASY, McmcConfig(chains=4, warmup=1000, draws=5000), 1729)

@@ -1,4 +1,5 @@
-"""Conjugate beta-binomial layer."""
+"""Conjugate beta-binomial layer, and the Monte Carlo event frequencies
+``posterior`` counts in its sorted posterior draws."""
 
 import numpy as np
 import pytest
@@ -8,19 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import seed_sequence_generator
-from paircompare.bayes import (
-    PRIOR_PRESETS,
-    BetaParams,
-    conjugate_update,
-    _event_mask,
-    _sorted_event_count,
-    event_probability_from_samples,
-    event_probability_from_sorted,
-    posterior_pair,
-)
+from paircompare.bayes import PRIOR_PRESETS, BetaParams, conjugate_update, posterior_pair
 from paircompare.core import Direction, Hypothesis, HypothesisKind
 from paircompare.errors import DomainError
 from paircompare.numerics import sample_beta
+from paircompare.posterior import _sorted_event_count, event_probability_from_sorted
 
 UNIFORM = BetaParams(1.0, 1.0)
 EASY = ((1721, 2376), (1637, 2376))
@@ -88,18 +81,30 @@ def test_posterior_pair_easy():
 
 
 def easy_diffs(n, seed, stream):
-    """Paired posterior draws of theta1 - theta2 on the worked example."""
+    """Paired posterior draws of theta1 - theta2 on the worked example, sorted."""
     posts = posterior_pair(UNIFORM, EASY)
     gen = seed_sequence_generator(seed, stream)
-    return (sample_beta(posts.post1.alpha, posts.post1.beta, gen, size=n)
-            - sample_beta(posts.post2.alpha, posts.post2.beta, gen, size=n))
+    return np.sort(sample_beta(posts.post1.alpha, posts.post1.beta, gen, size=n)
+                   - sample_beta(posts.post2.alpha, posts.post2.beta, gen, size=n))
+
+
+def event_mask(diffs, hypothesis):
+    """Which draws hold ``hypothesis``'s event, element by element: the
+    reference the sorted counts are held to."""
+    if hypothesis.kind is HypothesisKind.DIRECTIONAL_MARGIN:
+        if hypothesis.direction is Direction.GREATER:
+            return diffs > hypothesis.margin
+        if hypothesis.direction is Direction.LESS:
+            return diffs < hypothesis.margin
+        return np.abs(diffs) > hypothesis.margin
+    return np.abs(diffs - hypothesis.margin) < hypothesis.rope_radius
 
 
 def test_event_probability_superiority_easy():
     # P(theta1 > theta2) on the worked example; center frozen from a
     # quadrature evaluation (0.996276), tolerance covers Monte Carlo noise.
     hyp = Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.0, direction=Direction.GREATER)
-    result = event_probability_from_samples(easy_diffs(100_000, 42, 0), hyp)
+    result = event_probability_from_sorted(easy_diffs(100_000, 42, 0), hyp)
     assert result.estimate == pytest.approx(0.996276, abs=0.003)
     assert result.n == 100_000
     assert result.halfwidth95 == pytest.approx(1.96 * result.mc_se, rel=1e-12)
@@ -108,14 +113,14 @@ def test_event_probability_superiority_easy():
 def test_event_probability_beyond_margin_easy():
     # P(theta1 - theta2 > 0.01); frozen quadrature value 0.972497.
     hyp = Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.01, direction=Direction.GREATER)
-    result = event_probability_from_samples(easy_diffs(100_000, 42, 1), hyp)
+    result = event_probability_from_sorted(easy_diffs(100_000, 42, 1), hyp)
     assert result.estimate == pytest.approx(0.972497, abs=0.004)
 
 
 def test_event_probability_deterministic():
     hyp = Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.0)
-    a = event_probability_from_samples(easy_diffs(5000, 9, 4), hyp)
-    b = event_probability_from_samples(easy_diffs(5000, 9, 4), hyp)
+    a = event_probability_from_sorted(easy_diffs(5000, 9, 4), hyp)
+    b = event_probability_from_sorted(easy_diffs(5000, 9, 4), hyp)
     assert a == b
 
 
@@ -124,8 +129,8 @@ def test_event_probability_rejects_small_n():
     # zero Monte Carlo error.
     hyp = Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.0)
     with pytest.raises(DomainError):
-        event_probability_from_samples(easy_diffs(1, 1, 0)[:0], hyp)
-    one = event_probability_from_samples(easy_diffs(1, 1, 0), hyp)
+        event_probability_from_sorted(easy_diffs(1, 1, 0)[:0], hyp)
+    one = event_probability_from_sorted(easy_diffs(1, 1, 0), hyp)
     assert one.n == 1
     assert one.estimate in (0.0, 1.0)
     assert one.mc_se == 0.0
@@ -136,25 +141,26 @@ def test_event_masks_from_samples():
 
     greater = Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.015,
                          direction=Direction.GREATER)
-    assert event_probability_from_samples(diffs, greater).estimate == 2 / 5
+    assert event_probability_from_sorted(diffs, greater).estimate == 2 / 5
 
     less = Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.0, direction=Direction.LESS)
-    assert event_probability_from_samples(diffs, less).estimate == 2 / 5
+    assert event_probability_from_sorted(diffs, less).estimate == 2 / 5
 
     two_sided = Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.1,
                            direction=Direction.TWO_SIDED)
-    assert event_probability_from_samples(diffs, two_sided).estimate == 2 / 5
+    assert event_probability_from_sorted(diffs, two_sided).estimate == 2 / 5
 
     interval = Hypothesis(HypothesisKind.INTERVAL_NULL, 0.0, rope_radius=0.05)
-    assert event_probability_from_samples(diffs, interval).estimate == 3 / 5
+    assert event_probability_from_sorted(diffs, interval).estimate == 3 / 5
 
 
 def test_event_probability_from_samples_validation():
+    # A plain sequence is checked as an array is.
     hyp = Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.0)
     with pytest.raises(DomainError):
-        event_probability_from_samples(np.array([]), hyp)
+        event_probability_from_sorted([], hyp)
     with pytest.raises(DomainError):
-        event_probability_from_samples(np.zeros((3, 3)), hyp)
+        event_probability_from_sorted([[0.0] * 3] * 3, hyp)
 
 
 # Draws with ties, both zeros, values on and next to the margins, infinities
@@ -187,10 +193,10 @@ def test_sorted_event_counts_equal_the_mask_counts(draws, hypothesis):
     # Each event is a run of the sorted sample or its complement, so binary
     # searches count exactly what the mask does, ties and rounding included.
     sorted_draws = np.sort(draws)
-    assert _sorted_event_count(sorted_draws, hypothesis) == np.count_nonzero(
-        _event_mask(draws, hypothesis))
-    assert (event_probability_from_sorted(sorted_draws, hypothesis)
-            == event_probability_from_samples(draws, hypothesis))
+    hits = np.count_nonzero(event_mask(draws, hypothesis))
+    assert _sorted_event_count(sorted_draws, hypothesis) == hits
+    result = event_probability_from_sorted(sorted_draws, hypothesis)
+    assert (result.estimate, result.n) == (hits / draws.size, draws.size)
 
 
 def test_sorted_event_probability_validation():

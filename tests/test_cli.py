@@ -86,6 +86,26 @@ def test_malformed_set_flag(fixture_tree, monkeypatch, capsys, bad):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("item,message", [
+    # The CLI refuses only a missing "="; parse_config checks the key's shape.
+    ("foo=1", "error: override 'foo' must look like section.key"),
+    ("a.b.c=1", "error: override 'a.b.c' must look like section.key"),
+    ("foo", "error: --set expects SECTION.KEY=VALUE, got 'foo'"),
+    (".=1", "error: unknown section (expected one of "),
+])
+def test_a_set_key_of_the_wrong_shape_is_one_error_line(
+        fixture_tree, monkeypatch, capsys, item, message):
+    before = sorted(fixture_tree.rglob("*"))
+    code = run_cli(monkeypatch, fixture_tree,
+                   "analyze", "--config", "configs/arc_easy.cfg", "--set", item)
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert sorted(fixture_tree.rglob("*")) == before
+
+
 def test_invalid_override_value(fixture_tree, monkeypatch, capsys):
     code = run_cli(monkeypatch, fixture_tree,
                    "analyze", "--config", "configs/per_item_demo.cfg",

@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 from scipy import integrate, optimize, special, stats
 
 from conftest import seed_sequence_generator
-from paircompare.bayes import (PRIOR_PRESETS, BetaParams, PosteriorPair,
-                               event_probability_from_samples)
+from paircompare.bayes import PRIOR_PRESETS, BetaParams, PosteriorPair
 from paircompare.core import DecisionValue, Direction, Hypothesis, HypothesisKind
 from paircompare.errors import DomainError, TooFewSamples, UnstableEstimate
 from paircompare.numerics import sample_beta
@@ -29,6 +28,7 @@ from paircompare.posterior import (
     Hdi,
     RopeRelation,
     bayes_factor_interval_null,
+    event_probability_from_sorted,
     hdi_from_samples,
     hdi_of_difference,
     interval_probability_quadrature,
@@ -386,7 +386,7 @@ def test_margin_assessment_easy_frozen():
     # P(theta1 - theta2 > 0.01) = 0.972497 by quadrature; a margin is assessed
     # through the one event-probability route.
     margin = Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.01, direction=Direction.GREATER)
-    result = event_probability_from_samples(easy_diffs(21, 0), margin)
+    result = event_probability_from_sorted(np.sort(easy_diffs(21, 0)), margin)
     assert result.estimate == pytest.approx(0.972497, abs=0.004)
     assert result.mc_se == pytest.approx(
         math.sqrt(result.estimate * (1 - result.estimate) / 100_000), rel=1e-9)
@@ -396,8 +396,8 @@ def test_margin_assessment_validation():
     with pytest.raises(DomainError):
         Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 1.5)
     with pytest.raises(DomainError):
-        event_probability_from_samples(np.array([]),
-                                       Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.0))
+        event_probability_from_sorted(np.array([]),
+                                      Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.0))
 
 
 @settings(max_examples=60, deadline=None)

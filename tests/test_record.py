@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import paircompare
-from paircompare.bayes import BetaParams, EventProbability, PosteriorPair
+from paircompare.bayes import BetaParams, PosteriorPair
 from paircompare.config import (
     AnalysisConfig,
     AnalysisOptions,
@@ -37,7 +37,7 @@ from paircompare.errors import ConfigError, DomainError
 from paircompare.frequentist import CiMode, ConfidenceInterval, ZTestResult
 from paircompare.fsio import plain
 from paircompare.mcmc import McmcConfig, Trace
-from paircompare.posterior import BayesFactorResult, Hdi
+from paircompare.posterior import BayesFactorResult, EventProbability, Hdi
 from paircompare.reporting import AnalysisOutcome, AssessmentReport
 from paircompare.simulations import OptionalStoppingReport, PriorSweepRow, StoppingComparison
 

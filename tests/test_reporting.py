@@ -16,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 from conftest import seed_sequence_generator
 from paircompare import reporting
 from paircompare.bayes import PRIOR_PRESETS
-from paircompare.config import KNOWN_METHODS, parse_config, parse_config_file, render_config
+from paircompare.config import parse_config, parse_config_file, render_config
 from paircompare.errors import AssessmentError, ConfigError
 from paircompare.numerics import sample_beta
 from paircompare.reporting import (
@@ -100,12 +100,6 @@ def test_assumptions_flag_thin_samples(counts):
     by_name = {e["name"]: e for e in assumptions_checklist(counts)}
     assert by_name["sample_size_adequacy"]["status"] == "caution"
     assert "n * p_hat * (1 - p_hat) of at least 9" in by_name["sample_size_adequacy"]["detail"]
-
-
-def test_method_table_matches_the_config_grammar():
-    # A method the config accepts with no entry here would be skipped
-    # silently by run_analysis; the report's order is the grammar's.
-    assert tuple(reporting._METHODS) == KNOWN_METHODS
 
 
 def test_single_method_produces_single_block():
