@@ -5,10 +5,10 @@ Config files are INI-style: ``[section]`` headers, ``key = value`` lines,
 comma-separated.  ``render_config`` writes the canonical form, and
 ``parse_config(render_config(c))`` always reproduces ``c``.
 
-Each section is a record (``core.Record``) whose fields are its keys; a
-field's annotation picks the codec that reads and writes its text.  Every
-range and cross-field rule lives in the ``__post_init__`` of the record
-holding the value, so a config built or ``replace``-d in code is checked
+Each of the six sections is a record (``core.Record``) defined here, whose
+fields are its keys; a field's annotation picks the codec that reads and
+writes its text.  Every range and cross-field rule lives in the record's
+``__post_init__``, so a config built or ``replace``-d in code is checked
 exactly as one parsed.
 """
 
@@ -25,7 +25,7 @@ from .bayes import BetaParams, PRIOR_PRESETS
 from .core import Counts, Direction, ObservationMode, Record
 from .errors import ConfigError, DomainError, IngestError, IoError, check_config
 from .frequentist import CiMode
-from .mcmc import McmcConfig
+from .numerics import FIRST_RESERVED_STREAM
 
 KNOWN_METHODS = ("pvalue", "ci", "hdi_rope", "bayes_factor")
 
@@ -123,6 +123,36 @@ class AnalysisOptions(Record):
             ("rope_radius", 0.0 < self.rope_radius < 1.0, "rope_radius must lie in (0, 1)"),
             ("margin", -1.0 <= self.margin <= 1.0, "margin must lie in [-1, 1]"),
             ("n_mc", self.n_mc >= 1000, "n_mc must be at least 1000"),
+        ])
+
+
+class InitStrategy(Enum):
+    # Start at the smoothed observed rate (correct + 1) / (total + 2) with a
+    # little logit-space noise.
+    MLE_JITTER = "mle_jitter"
+    PRIOR_DRAW = "prior_draw"
+
+
+class McmcConfig(Record):
+    """The ``[mcmc]`` section, read by ``mcmc.run_chains``.
+
+    Chain k draws from RNG stream k, so ``chains`` stays below
+    ``FIRST_RESERVED_STREAM``, where the streams of other draws begin.
+    """
+
+    enabled: bool = True
+    chains: int = 4
+    warmup: int = 1000
+    draws: int = 5000
+    init: InitStrategy = InitStrategy.MLE_JITTER
+
+    def __post_init__(self):
+        check_config("mcmc", [
+            ("chains", self.chains >= 2, "need at least 2 chains"),
+            ("chains", self.chains < FIRST_RESERVED_STREAM,
+             f"chains must stay below {FIRST_RESERVED_STREAM}, the first reserved stream index"),
+            ("warmup", self.warmup >= 0, "warmup must be non-negative"),
+            ("draws", self.draws >= 1, "draws must be positive"),
         ])
 
 
@@ -307,9 +337,9 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> Analysis
     raw = _raw_parse(text)
     if overrides:
         for dotted, value in overrides.items():
-            if dotted.count(".") != 1:
+            section, _, key = dotted.partition(".")
+            if not section or not key or "." in key:
                 raise ConfigError(f"override {dotted!r} must look like section.key")
-            section, key = dotted.split(".")
             raw.setdefault(section, {})[key] = value
 
     for section in raw:

@@ -12,16 +12,16 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from .bayes import BetaParams
+from .config import InitStrategy, McmcConfig
 from .core import Counts, Record
-from .errors import DomainError, check_config
+from .errors import DomainError
 from .fsio import atomic_write_text, json_text
-from .numerics import FIRST_RESERVED_STREAM, sample_beta, stream
+from .numerics import sample_beta, stream
 
 # Acceptance rate warmup steers each chain's proposal step toward.
 _ADAPT_TARGET = 0.35
@@ -38,36 +38,6 @@ _MIN_ESS_DRAWS = 8
 _EXPORT_BLOCK = 1024
 # Pre-drawn normals or uniforms a chain turns into Python floats at a time.
 _FLOAT_SLICE = 1024
-
-
-class InitStrategy(Enum):
-    # Start at the smoothed observed rate (correct + 1) / (total + 2) with a
-    # little logit-space noise.
-    MLE_JITTER = "mle_jitter"
-    PRIOR_DRAW = "prior_draw"
-
-
-class McmcConfig(Record):
-    """The ``[mcmc]`` section; building it, from text or in code, checks its ranges.
-
-    Chain k draws from RNG stream k, so ``chains`` stays below
-    ``FIRST_RESERVED_STREAM``, where the streams of other draws begin.
-    """
-
-    enabled: bool = True
-    chains: int = 4
-    warmup: int = 1000
-    draws: int = 5000
-    init: InitStrategy = InitStrategy.MLE_JITTER
-
-    def __post_init__(self):
-        check_config("mcmc", [
-            ("chains", self.chains >= 2, "need at least 2 chains"),
-            ("chains", self.chains < FIRST_RESERVED_STREAM,
-             f"chains must stay below {FIRST_RESERVED_STREAM}, the first reserved stream index"),
-            ("warmup", self.warmup >= 0, "warmup must be non-negative"),
-            ("draws", self.draws >= 1, "draws must be positive"),
-        ])
 
 
 class Trace(Record):
@@ -156,7 +126,8 @@ def run_chains(prior: BetaParams, counts: Counts, config: McmcConfig,
     (``log_density``).  A chain draws all its normals and uniforms before
     its first step and turns them into Python floats 1,024 at a time.  After
     warmup it keeps each accepted state once, as its sigmoid pair with its
-    run length, and repeats it by that length.
+    run length, and repeats it by that length into its own slice of the
+    trace's array, which is allocated once for all chains.
 
     Convergence is flagged, not fatal: the returned trace carries
     ``converged`` plus human-readable warnings whenever the split-chain
@@ -165,13 +136,13 @@ def run_chains(prior: BetaParams, counts: Counts, config: McmcConfig,
     returns and adds a warning of its own, ahead of the threshold warnings.
     """
     log_post = log_density(prior, counts)
-    rows, accept_rates, step_sizes = zip(*(
-        _run_single_chain(log_post, prior, counts, config, master_seed, chain)
+    samples = np.empty((config.chains, config.draws, 2))
+    accept_rates, step_sizes = zip(*(
+        _run_single_chain(log_post, prior, counts, config, master_seed, chain, samples[chain])
         for chain in range(config.chains)))
-    all_samples = np.stack(rows)
 
-    rhats = [rhat(all_samples[:, :, param]) for param in range(2)]
-    esses = [ess(all_samples[:, :, param]) for param in range(2)]
+    rhats = [rhat(samples[:, :, param]) for param in range(2)]
+    esses = [ess(samples[:, :, param]) for param in range(2)]
     warnings = []
     for param, (r, e) in enumerate(zip(rhats, esses)):
         if r == math.inf:
@@ -189,7 +160,7 @@ def run_chains(prior: BetaParams, counts: Counts, config: McmcConfig,
             warnings.append(f"parameter {param + 1}: effective sample size {e:.0f} below {ESS_THRESHOLD:.0f}")
 
     return Trace(
-        samples=all_samples,
+        samples=samples,
         accept_rates=tuple(accept_rates),
         step_sizes=tuple(step_sizes),
         rhat=(rhats[0], rhats[1]),
@@ -202,7 +173,8 @@ def run_chains(prior: BetaParams, counts: Counts, config: McmcConfig,
 
 
 def _run_single_chain(log_post, prior, counts, config: McmcConfig, master_seed: int,
-                      chain: int):
+                      chain: int, rows: np.ndarray):
+    """Fill ``rows`` with one chain's draws; return its acceptance rate and step."""
     (c1, t1), (c2, t2) = counts
     gen = stream(master_seed, chain)
 
@@ -249,8 +221,8 @@ def _run_single_chain(log_post, prior, counts, config: McmcConfig, master_seed: 
             runs.append(1)
         else:
             runs[-1] += 1
-    rows = np.repeat(states, runs, axis=0)
-    return rows, (len(states) - 1) / config.draws, step
+    rows[:] = np.repeat(states, runs, axis=0)
+    return (len(states) - 1) / config.draws, step
 
 
 def _floats(values: np.ndarray):
@@ -322,16 +294,13 @@ def _ess_single(x: np.ndarray) -> float:
     acov = _autocovariance(x)
     if acov[0] <= 0.0:
         return 1.0
-    rho = (acov / acov[0]).tolist()  # Python floats: the same doubles, and a float ESS
-    # Geyer pairs: keep (rho_2m + rho_2m+1) while positive.
-    pair_sum = 0.0
-    m = 0
-    while 2 * m + 1 < n:
-        gamma = rho[2 * m] + rho[2 * m + 1]
-        if gamma <= 0.0:
-            break
-        pair_sum += gamma
-        m += 1
+    rho = acov / acov[0]
+    # Geyer pairs (rho_2m + rho_2m+1), kept up to the first that is not
+    # positive (a NaN pair is kept); cumsum adds them in order, as a loop would.
+    k = n // 2
+    pairs = rho[0:2 * k:2] + rho[1:2 * k:2]
+    stop = np.flatnonzero(pairs <= 0.0).min(initial=k)
+    pair_sum = float(np.cumsum(pairs[:stop])[-1]) if stop else 0.0
     tau = max(2.0 * pair_sum - 1.0, 1e-12)
     return max(n / tau, 1.0)
 

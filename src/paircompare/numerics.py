@@ -182,8 +182,8 @@ def log_binomial_coefficient(n: int, k: int) -> float:
 # consumers; optional stopping asks for one batch of trials and resets one
 # Philox to each trial's key, with no generator built per trial.
 #
-# ``[mcmc] chains`` must stay below FIRST_RESERVED_STREAM, which ``McmcConfig``
-# enforces whenever one is built, from config text or in code.
+# ``[mcmc] chains`` must stay below FIRST_RESERVED_STREAM, which
+# ``config.McmcConfig`` enforces whenever one is built, from text or in code.
 STREAM_POSTERIOR_DRAWS = 10_000
 FIRST_RESERVED_STREAM = STREAM_POSTERIOR_DRAWS
 

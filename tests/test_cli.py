@@ -91,7 +91,7 @@ def test_malformed_set_flag(fixture_tree, monkeypatch, capsys, bad):
     ("foo=1", "error: override 'foo' must look like section.key"),
     ("a.b.c=1", "error: override 'a.b.c' must look like section.key"),
     ("foo", "error: --set expects SECTION.KEY=VALUE, got 'foo'"),
-    (".=1", "error: unknown section (expected one of "),
+    (".=1", "error: override '.' must look like section.key"),
 ])
 def test_a_set_key_of_the_wrong_shape_is_one_error_line(
         fixture_tree, monkeypatch, capsys, item, message):

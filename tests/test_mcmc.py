@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import seed_sequence_generator
+from paircompare import mcmc
 from paircompare.bayes import BetaParams, posterior_pair
 from paircompare.config import parse_config_file
 from paircompare.errors import DomainError
@@ -27,6 +28,7 @@ from paircompare.mcmc import (
     McmcConfig,
     Trace,
     _autocovariance,
+    _ess_single,
     ess,
     export_trace,
     log_density,
@@ -143,6 +145,76 @@ def test_autocovariance_product_in_place_keeps_every_bit(x):
     f = np.fft.rfft(x - x.mean(), size)
     expected = np.fft.irfft(f * np.conj(f), size)[:n] / n
     assert _autocovariance(x).tobytes() == expected.tobytes()
+
+
+def geyer_loop_ess(x: np.ndarray) -> float:
+    """One chain's ESS with its Geyer pairs summed by a loop over Python
+    floats: the reference that ``_ess_single``'s array sum is held to, bit
+    for bit."""
+    n = x.size
+    if np.ptp(x) == 0.0:
+        return 1.0
+    acov = mcmc._autocovariance(x)
+    if acov[0] <= 0.0:
+        return 1.0
+    rho = (acov / acov[0]).tolist()
+    pair_sum = 0.0
+    m = 0
+    while 2 * m + 1 < n:
+        gamma = rho[2 * m] + rho[2 * m + 1]
+        if gamma <= 0.0:
+            break
+        pair_sum += gamma
+        m += 1
+    tau = max(2.0 * pair_sum - 1.0, 1e-12)
+    return max(n / tau, 1.0)
+
+
+def ar1_chain(phi: float, n: int, seed: int) -> np.ndarray:
+    innovations = np.random.default_rng(seed).normal(size=n).tolist()
+    x = [innovations[0]]
+    for e in innovations[1:]:
+        x.append(phi * x[-1] + e)
+    return np.array(x)
+
+
+GEYER_CHAINS = {
+    **{f"ar1_phi_{phi}": ar1_chain(phi, 5000, seed)
+       for seed, phi in enumerate((-0.9, -0.5, 0.0, 0.5, 0.9, 0.99))},
+    "eight_draws": ar1_chain(0.5, 8, 7),
+    "odd_length": ar1_chain(0.8, 1001, 8),
+    "constant_tail": np.concatenate([ar1_chain(0.9, 300, 9), np.full(700, 0.25)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GEYER_CHAINS))
+def test_ess_single_sums_its_geyer_pairs_as_the_loop_does(name):
+    x = GEYER_CHAINS[name]
+    assert _ess_single(x).hex() == geyer_loop_ess(x).hex()
+
+
+# Autocovariances no real chain yields, to pin where the pair sum stops: a
+# first pair below 0 or at exactly 0, and a NaN pair, which the loop keeps.
+CRAFTED_ACOVS = {
+    "first_pair_negative": [2.0, -2.5, 1.0, 0.5, 0.25, 0.1, 0.0, 0.0],
+    "first_pair_zero": [2.0, -2.0, 1.0, 0.5, 0.25, 0.1, 0.0, 0.0],
+    "third_pair_zero": [2.0, 1.0, 0.5, 0.25, 0.1, -0.1, 1.0, 1.0],
+    "nan_pair": [2.0, 1.0, 0.5, math.nan, 0.25, 0.1, -1.0, 0.0, 0.5],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CRAFTED_ACOVS))
+def test_ess_single_stops_where_the_loop_stops(monkeypatch, name):
+    acov = np.array(CRAFTED_ACOVS[name])
+    monkeypatch.setattr(mcmc, "_autocovariance", lambda x: acov)
+    x = np.arange(acov.size, dtype=float)
+    assert _ess_single(x).hex() == geyer_loop_ess(x).hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(ACOV_CHAINS)
+def test_ess_single_matches_the_loop_on_drawn_chains(x):
+    assert _ess_single(x).hex() == geyer_loop_ess(x).hex()
 
 
 def test_ess_input_validation():
@@ -556,12 +628,14 @@ def test_export_trace_matches_a_row_by_row_formatter(trace):
 
 
 def test_run_chains_and_export_trace_peaks_stay_flat(tmp_path):
-    # The arc_easy trace, 4 x 5,000 draws.  Stored as runs of accepted
-    # states, the sampler peaked at 1.1-1.2 MB over six seeds; rows held one
-    # by one had peaked at 1.7-1.9 MB.  The writer holds one chain's text
-    # twice, as its block texts and as their join: 0.57 MB at 5,000 draws and
-    # 4.5 MB at 50,000 for 0.21 and 2.18 MB chain files, where whole-chain
-    # line lists had peaked at 1.23 and 12.5 MB.
+    # The arc_easy trace, 4 x 5,000 draws.  With each chain writing its rows
+    # into one trace array and the ESS summing its Geyer pairs as an array,
+    # the sampler peaked at 0.71 MB over six seeds, against 1.03 MB with the
+    # chains' rows stacked into a copy and the autocorrelations turned into
+    # Python floats; rows held one by one had peaked at 1.7-1.9 MB.  The
+    # writer holds one chain's text twice, as its block texts and as their
+    # join: 0.57 MB at 5,000 draws and 4.5 MB at 50,000 for 0.21 and 2.18 MB
+    # chain files, where whole-chain line lists had peaked at 1.23 and 12.5 MB.
     def writer_peak(trace):
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
@@ -578,7 +652,7 @@ def test_run_chains_and_export_trace_peaks_stay_flat(tmp_path):
             tracemalloc.reset_peak()
             trace = run_chains(UNIFORM, EASY, McmcConfig(), seed)
             sampler_peak = tracemalloc.get_traced_memory()[1]
-            assert sampler_peak < 1.5e6, seed
+            assert sampler_peak < 1.0e6, (seed, sampler_peak)
             peak, bound = writer_peak(trace)
             assert peak < bound, (seed, peak, bound)
             del trace
