@@ -180,7 +180,11 @@ def log_binomial_coefficient(n: int, k: int) -> float:
 # Every draw starts from its index's Philox key, which ``stream_keys`` hashes
 # for a range of indices: ``stream`` asks for one, for the first two
 # consumers; optional stopping asks for one batch of trials and resets one
-# Philox to each trial's key, with no generator built per trial.
+# Philox to each trial's key, with no generator built per trial.  A trial
+# reads raw words (``random_raw``, fixed bit for bit by NEP 19), not doubles:
+# ceil(2 n_max / 8) words, one byte per item, then one word per item whose
+# byte ties floor(256 theta).  Its items are hits with probability
+# ceil(theta 2**61) / 2**61, exact to 2**-61.
 #
 # ``[mcmc] chains`` must stay below FIRST_RESERVED_STREAM, which
 # ``config.McmcConfig`` enforces whenever one is built, from text or in code.

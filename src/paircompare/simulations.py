@@ -115,10 +115,26 @@ def stopping_comparison(successes: int, trials: int, null_rate: float) -> Stoppi
     )
 
 
-# Uniforms per draw block, and 64-bit count and key words per look-test batch:
-# 64 KB each, below the allocator's mmap threshold.  Batches of whole blocks
-# let one look test cover dozens of trials, not one block of a few.
+# 64-bit words in 64 KB, below the allocator's mmap threshold.  A batch's
+# trials fill about six times this: per trial, n_max / 2 words of raw words
+# and hit flags, and 9 words per look of counts and look-test temporaries.
 _BLOCK_DRAWS = 1 << 13
+# Fallback words a trial draws after its item words, for about 2 n_max / 256
+# ties; a trial with more reads its stream again, so this changes no result.
+_PREFETCH = 16
+
+
+def _item_rule(theta: float) -> tuple[int, int]:
+    """``(t8, bound)``: an item whose byte ``b`` and fallback word ``w`` are drawn
+    is a hit iff ``b < t8``, or ``b == t8`` and ``w >> 11 < bound``.
+
+    That is exactly ``(2**53 b + (w >> 11)) / 2**61 < theta``: a 61-bit uniform
+    below ``theta``, so P(hit) = ceil(theta 2**61) / 2**61.  ``256 theta`` and its
+    fractional part are exact in floating point, so ``bound`` is too.
+    """
+    scaled = 256.0 * theta
+    t8 = math.floor(scaled)
+    return t8, math.ceil(math.ldexp(scaled - t8, 53))
 
 
 def _look_test(direction: Direction, alpha: float):
@@ -153,27 +169,42 @@ def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int
 
     Both systems share the true rate ``theta``, so every rejection is a
     false positive.  A trial counts as rejected if the test crosses
-    ``nominal_alpha`` at any look.  Trial ``t`` draws from the stream
+    ``nominal_alpha`` at any look.  Trial ``t`` reads the stream
     ``(master_seed, t)``: trials are independent, reproducible, and the same
-    seed reuses the same outcome paths for any subset of looks.
+    seed replays the same outcome paths for any subset of looks with the
+    same ``n_max``.
 
-    Trials run in draw blocks of ``_BLOCK_DRAWS`` uniforms (at least one
-    trial's): trial ``t`` fills its row with system 1's ``n_max`` outcomes,
-    then system 2's, as two ``random(n_max)`` calls would.  Each block adds
-    its successes in each look's new items to the counts of a batch, whole
-    blocks whose counts and Philox keys fill about ``_BLOCK_DRAWS`` 64-bit
-    words: ``_BLOCK_DRAWS // (2 (len(looks) + 1))`` trials, rounded down to
-    whole blocks, at least one.  Per batch, one cumulative sum over looks and
-    one array z-test decide every (trial, look) cell exactly (``_look_test``).
+    A trial's items, system 1's ``n_max`` then system 2's, come from the raw
+    Philox words of its stream (``random_raw``, whose bits NEP 19 fixes).
+    Item ``i`` is byte ``i % 8`` of word ``i // 8``, least significant first,
+    of its first ``W = ceil(2 n_max / 8)`` words.  With ``t8 = floor(256 theta)``
+    a byte below ``t8`` is a hit and one above it a miss; the ``j``-th item
+    whose byte equals ``t8`` reads word ``W + j`` and is a hit iff that word's
+    top 53 bits lie below ``ceil((256 theta - t8) 2**53)`` (``_item_rule``).
+    An item is thus a hit exactly when a 61-bit uniform lies below ``theta``:
+    P(hit) = ceil(theta 2**61) / 2**61.  One item in 256 reads a second word
+    (Knuth & Yao's lazy comparison, 1976); at ``theta`` a multiple of 1/256
+    the bound is 0 and none needs to.
 
-    One Philox generator serves every trial: set to counter 0 under trial
-    ``t``'s key, it draws exactly what ``stream(master_seed, t)`` would.  The
-    keys are hashed once per batch, as the index range
-    ``stream_keys(master_seed, first trial, batch size)``.
-    At 50 looks x 10k trials (80 trials a batch) the draws and state resets
-    take about 60% of the time, the block counts and the look tests 15%
-    each, and the keys 6%.  Memory is flat in ``trials``: the draw block,
-    one batch's counts and keys, and its look test's temporaries.
+    One Philox serves every trial: set to counter 0 under trial ``t``'s key,
+    it draws exactly what ``stream(master_seed, t)`` would.  Each trial draws
+    its ``W`` words and ``_PREFETCH`` fallback words in one call; a trial with
+    more ties draws its stream again.  Trials run in batches of
+    ``6 _BLOCK_DRAWS // (n_max // 2 + 9 len(looks))`` trials, at least one,
+    whose keys are hashed once, as the index range
+    ``stream_keys(master_seed, first trial, batch size)``.  Per batch, one
+    comparison decodes every byte, one ``reduceat`` counts each look's new
+    successes, and one cumulative sum over looks and one array z-test decide
+    every (trial, look) cell exactly (``_look_test``).
+
+    At 50 looks x 10k trials and theta 0.5 (70 trials a batch, about 50 ms
+    on a Xeon with AVX-512), the state resets and ``random_raw`` calls take
+    about 40% of the time, some 2 us a trial, which is the floor; the counts
+    25%, the look tests 22%, the keys 8% and the byte decode 2%.  At 250
+    looks the counts take 42% and the look tests 32%: ``reduceat`` pays per
+    look.  At theta 0.3 the ties' fallback words take 13%.  Memory is flat
+    in ``trials``: one batch's words, hit flags, counts and keys, and its
+    look test's temporaries, about 400 KB on both schedules.
     """
     looks = tuple(looks)
     if not all(isinstance(n, Integral) for n in (*looks, trials)):
@@ -192,31 +223,51 @@ def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int
     sizes = np.array(looks)
     starts = np.array((0,) + looks[:-1])
     rejects = _look_test(direction, nominal_alpha)
-    block = np.empty((max(1, _BLOCK_DRAWS // (2 * n_max)), 2 * n_max))
-    batch = len(block) * max(1, _BLOCK_DRAWS // (2 * (len(looks) + 1) * len(block)))
+    t8, bound = _item_rule(theta)
+    # The narrowest sum type that holds a look's new items; uint8 casts no flags.
+    new_type = np.min_scalar_type(int((sizes - starts).max()))
+    item_words = -(-2 * n_max // 8)
+    batch = max(1, 6 * _BLOCK_DRAWS // (n_max // 2 + 9 * len(looks)))
+    # Little-endian words, so byte i % 8 of word i // 8 is item i on any host.
+    words = np.empty((batch, item_words + _PREFETCH), dtype="<u8")
+    items = words.view(np.uint8)[:, :2 * n_max]
     counts = np.empty((batch, 2, len(looks)), dtype=np.int64)
     first_rejections = np.zeros(len(looks), dtype=np.int64)
     bitgen = np.random.Philox(0)
-    gen = np.random.Generator(bitgen)
     state = bitgen.state  # counter 0 and an empty buffer; each trial sets the key
     fresh = state["state"]
     # As Python ints, which the state setter reads fastest.
     fresh["counter"] = tuple(fresh["counter"].tolist())
     state["buffer"] = tuple(state["buffer"].tolist())
     for lo in range(0, trials, batch):
-        tally = counts[:trials - lo]  # this batch's trials
-        keys = stream_keys(master_seed, lo, len(tally))
-        for start in range(0, len(tally), len(block)):
-            rows = block[:len(tally) - start]
-            for row, key in zip(rows, keys[start:start + len(rows)].tolist()):
-                fresh["key"] = key
+        rows = words[:trials - lo]  # this batch's trials
+        keys = stream_keys(master_seed, lo, len(rows)).tolist()
+        for row, key in zip(rows, keys):
+            fresh["key"] = key
+            bitgen.state = state
+            row[:] = bitgen.random_raw(len(row))
+        drawn = items[:len(rows)]
+        hits = drawn < t8
+        if bound:  # at bound 0 every tie is a miss, whatever its fallback word
+            tie = np.flatnonzero(drawn == t8)  # trial by trial, in item order
+            trial = tie // (2 * n_max)
+            ties = np.bincount(trial, minlength=len(rows))
+            lead = np.cumsum(ties) - ties  # each trial's first tie
+            rank = np.arange(len(tie)) - lead[trial]
+            fallback = np.empty(len(tie), dtype=np.uint64)
+            prefetched = rank < _PREFETCH
+            fallback[prefetched] = rows[trial[prefetched], item_words + rank[prefetched]]
+            for t in np.flatnonzero(ties > _PREFETCH).tolist():
+                fresh["key"] = keys[t]
                 bitgen.state = state
-                gen.random(out=row)
-            hits = (rows < theta).reshape(len(rows), 2, n_max)
-            # Successes in each look's new items.
-            np.add.reduceat(hits, starts, axis=2, dtype=np.int64,
-                            out=tally[start:start + len(rows)])
-        np.cumsum(tally, axis=2, out=tally)  # successes up to each look
+                reread = bitgen.random_raw(item_words + int(ties[t]))
+                fallback[lead[t]:lead[t] + ties[t]] = reread[item_words:]
+            hits.reshape(-1)[tie] = fallback >> np.uint64(11) < np.uint64(bound)
+        tally = counts[:len(rows)]
+        # Successes in each look's new items, then up to each look.
+        new_hits = np.add.reduceat(hits.view(np.uint8).reshape(len(rows), 2, n_max), starts,
+                                   axis=2, dtype=new_type)
+        np.cumsum(new_hits, axis=2, dtype=np.int64, out=tally)
         reject = rejects(tally[:, 0], tally[:, 1], sizes)
         first = reject.argmax(axis=1)[reject.any(axis=1)]
         first_rejections += np.bincount(first, minlength=len(looks))

@@ -128,9 +128,9 @@ def test_stopping_comparison_same_data_different_pvalues():
 # false-positive count and each look's first rejections, pinned so that any
 # change to the per-look z-test or the trial streams shows up exactly.
 PINNED_PEEKING = {
-    Direction.GREATER: (99, (30, 8, 11, 3, 3, 8, 5, 8, 3, 1, 0, 2, 0, 3, 3, 1, 3, 5, 2, 0)),
-    Direction.LESS: (103, (20, 9, 7, 8, 7, 11, 9, 2, 3, 5, 1, 6, 2, 2, 2, 3, 1, 3, 1, 1)),
-    Direction.TWO_SIDED: (113, (22, 10, 10, 9, 8, 10, 5, 5, 7, 6, 0, 2, 4, 3, 3, 1, 4, 2, 1, 1)),
+    Direction.GREATER: (114, (34, 10, 13, 6, 7, 12, 3, 0, 3, 1, 6, 3, 2, 2, 2, 5, 2, 2, 1, 0)),
+    Direction.LESS: (117, (24, 15, 19, 8, 4, 7, 7, 3, 4, 3, 3, 1, 1, 4, 3, 0, 1, 5, 1, 4)),
+    Direction.TWO_SIDED: (129, (21, 19, 17, 15, 4, 10, 7, 3, 5, 2, 3, 1, 4, 0, 2, 2, 2, 4, 2, 6)),
 }
 
 
@@ -212,11 +212,30 @@ def test_optional_stopping_refuses_bad_seeds(seed):
 
 
 def _scalar_first_rejection(looks, theta, alpha, seed, t, direction):
-    """Reference for one trial: two draws from its stream, then the z-test at
-    each look until the first rejection.  Returns that look's index or None."""
-    gen = seed_sequence_generator(seed, t)
-    cum1 = np.cumsum(gen.random(looks[-1]) < theta)
-    cum2 = np.cumsum(gen.random(looks[-1]) < theta)
+    """Reference for one trial, item by item, then the z-test at each look
+    until the first rejection.  Returns that look's index or None.
+
+    Item i of the trial's 2 n_max (system 1's n_max, then system 2's) is byte
+    i % 8, least significant first, of raw word i // 8 of its stream.  A byte
+    other than floor(256 theta) decides the item alone; the j-th item whose
+    byte equals it reads the j-th word after the item words.  Each such item
+    is a hit iff the 61-bit fraction (2**53 byte + (word >> 11)) / 2**61 lies
+    below theta, compared exactly."""
+    n_max = looks[-1]
+    bitgen = seed_sequence_generator(seed, t).bit_generator
+    words = bitgen.random_raw(-(-2 * n_max // 8)).tolist()
+    exact = Fraction(theta)
+    tie = math.floor(256 * exact)
+    hits = []
+    for i in range(2 * n_max):
+        byte = words[i // 8] >> 8 * (i % 8) & 0xFF
+        if byte == tie:
+            fraction = Fraction(2**53 * byte + (int(bitgen.random_raw()) >> 11), 2**61)
+            hits.append(fraction < exact)
+        else:
+            hits.append(byte < tie)
+    cum1 = np.cumsum(hits[:n_max])
+    cum2 = np.cumsum(hits[n_max:])
     for i, n in enumerate(looks):
         try:
             if two_proportion_z_test(int(cum1[n - 1]), n, int(cum2[n - 1]), n,
@@ -225,6 +244,23 @@ def _scalar_first_rejection(looks, theta, alpha, seed, t, direction):
         except DegenerateTest:
             pass
     return None
+
+
+@pytest.mark.parametrize("theta", [2.0**-70, 1e-300, 1 / 256, 0.3, 0.5, 1 - 2.0**-53], ids=repr)
+def test_item_rule_is_the_exact_61_bit_comparison(theta):
+    # An item with byte b is a hit iff b < t8, or b == t8 and its fallback
+    # word's top 53 bits k fall below the bound: exactly when the 61-bit
+    # fraction (2**53 b + k) / 2**61 lies below theta, on both sides of the
+    # bound and at k's extremes.
+    from paircompare.simulations import _item_rule
+
+    t8, bound = _item_rule(theta)
+    assert 0 <= bound < 2**53
+    exact = Fraction(theta)
+    for byte in range(256):
+        for k in {bound - 1, bound, 0, 2**53 - 1} - {-1}:
+            hit = byte < t8 or (byte == t8 and k < bound)
+            assert hit == (Fraction(2**53 * byte + k, 2**61) < exact), (byte, k)
 
 
 def _assert_look_test_matches_z_test(c1, c2, n, alphas):
@@ -296,30 +332,33 @@ def _exact_fpr(looks, theta, alpha, direction):
     return rate
 
 
-@pytest.mark.parametrize("looks,direction", [
-    (tuple(range(10, 501, 10)), Direction.TWO_SIDED),  # criterion 9's schedule
-    ((500,), Direction.GREATER),                       # criterion 12's single look
-])
-def test_optional_stopping_within_4se_of_exact_rate(looks, direction):
-    trials = 10_000
-    exact = _exact_fpr(looks, 0.5, 0.05, direction)
-    report = optional_stopping_fpr(looks, 0.5, 0.05, trials, 20260815, direction)
+@pytest.mark.parametrize("looks,theta,direction,trials", [
+    (tuple(range(10, 501, 10)), 0.5, Direction.TWO_SIDED, 10_000),  # criterion 9's schedule
+    ((500,), 0.5, Direction.GREATER, 10_000),                       # criterion 12's single look
+    (tuple(range(2, 501, 2)), 0.5, Direction.TWO_SIDED, 4_000),     # the dense peeking run
+    (tuple(range(10, 501, 10)), 0.03, Direction.GREATER, 10_000),   # rates off 1/256's grid,
+    (tuple(range(10, 501, 10)), 0.9, Direction.LESS, 10_000),       # where ties read a word more
+], ids=["looks0-Direction.TWO_SIDED", "looks1-Direction.GREATER", "dense-Direction.TWO_SIDED",
+        "theta=0.03-Direction.GREATER", "theta=0.9-Direction.LESS"])
+def test_optional_stopping_within_4se_of_exact_rate(looks, theta, direction, trials):
+    exact = _exact_fpr(looks, theta, 0.05, direction)
+    report = optional_stopping_fpr(looks, theta, 0.05, trials, 20260815, direction)
     se = math.sqrt(exact * (1.0 - exact) / trials)
     assert abs(report.false_positive_rate - exact) <= 4.0 * se, (report, exact)
 
 
 def test_optional_stopping_block_boundaries(monkeypatch):
     # Trial t reads only its own stream, so N trials report what N - 1 do plus
-    # trial N - 1's own first rejection, wherever the draw-block and batch
-    # boundaries fall.  A batch is whole draw blocks whose counts and keys
-    # fill about _BLOCK_DRAWS words: here nine blocks, two (the dense peeking
-    # schedule) and one block of one trial.  A seed of 2**32 or more takes
-    # two entropy words.
+    # trial N - 1's own first rejection, wherever the batch boundaries fall.
+    # A batch is the trials whose words, counts and look cells fill about
+    # 6 _BLOCK_DRAWS words: here 175, 19 (the dense peeking schedule) and one.
+    # At theta 0.5 every byte decides its item; at 0.3 one in 256 reads a
+    # fallback word.  A seed of 2**32 or more takes two entropy words.
     from paircompare import simulations
 
-    for looks, block, batch in ((tuple(range(10, 201, 10)), 20, 180),
-                                (tuple(range(2, 501, 2)), 8, 16),
-                                (tuple(range(2, _BLOCK_DRAWS // 2 + 4)), 1, 1)):
+    for looks, batch in ((tuple(range(10, 201, 10)), 175),
+                         (tuple(range(2, 501, 2)), 19),
+                         (tuple(range(2, _BLOCK_DRAWS // 2 + 4)), 1)):
         # Keys are hashed once per batch, so the hashed ranges show where the
         # batches fall.
         hashed = []
@@ -334,34 +373,53 @@ def test_optional_stopping_block_boundaries(monkeypatch):
         assert hashed == [range(0, batch), range(batch, 2 * batch),
                           range(2 * batch, 2 * batch + 1)], len(looks)
 
-        counts = {1, block - 1, block, block + 1, 2 * block + 1,
-                  batch - 1, batch, batch + 1, 2 * batch + 1} - {0}
-        for seed in (1729, 2**40 + 1729):
-            for direction in Direction:
-                for trials in sorted(counts):
-                    report = optional_stopping_fpr(looks, 0.5, 0.2, trials, seed, direction)
-                    before = ([0] * len(looks) if trials == 1 else list(
-                        optional_stopping_fpr(looks, 0.5, 0.2, trials - 1, seed,
-                                              direction).first_rejection_counts))
-                    first = _scalar_first_rejection(looks, 0.5, 0.2, seed, trials - 1,
-                                                    direction)
-                    if first is not None:
-                        before[first] += 1
-                    assert report.first_rejection_counts == tuple(before), \
-                        (len(looks), seed, direction, trials)
-                    assert report.false_positives == sum(before)
+        counts = {1, batch - 1, batch, batch + 1, 2 * batch + 1} - {0}
+        for theta in (0.5, 0.3):
+            for seed in (1729, 2**40 + 1729):
+                for direction in Direction:
+                    for trials in sorted(counts):
+                        report = optional_stopping_fpr(looks, theta, 0.2, trials, seed,
+                                                       direction)
+                        before = ([0] * len(looks) if trials == 1 else list(
+                            optional_stopping_fpr(looks, theta, 0.2, trials - 1, seed,
+                                                  direction).first_rejection_counts))
+                        first = _scalar_first_rejection(looks, theta, 0.2, seed, trials - 1,
+                                                        direction)
+                        if first is not None:
+                            before[first] += 1
+                        assert report.first_rejection_counts == tuple(before), \
+                            (len(looks), theta, seed, direction, trials)
+                        assert report.false_positives == sum(before)
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.3])
+def test_optional_stopping_prefetch_changes_no_result(monkeypatch, theta):
+    # A trial expects 2 n_max / 256 ties, items whose byte is floor(256 theta):
+    # about 16 at n_max = 2000, so with no prefetched fallback word, or one,
+    # every trial draws its stream again.  At theta 0.5 the fallback bound is
+    # 0 and no tie reads its word at all.
+    from paircompare import simulations
+
+    looks = tuple(range(100, 2001, 100))
+    expected = {direction: optional_stopping_fpr(looks, theta, 0.2, 60, 1729, direction)
+                for direction in Direction}
+    for prefetch in (0, 1):
+        monkeypatch.setattr(simulations, "_PREFETCH", prefetch)
+        for direction in Direction:
+            assert optional_stopping_fpr(looks, theta, 0.2, 60, 1729,
+                                         direction) == expected[direction], (prefetch, direction)
 
 
 @pytest.mark.parametrize("looks,trials", [
-    (tuple(range(10, 501, 10)), 400),  # the default peeking schedule, 5 batches
-    (tuple(range(2, 501, 2)), 160),    # the dense one, 10 batches
+    (tuple(range(10, 501, 10)), 400),  # the default peeking schedule, 6 batches
+    (tuple(range(2, 501, 2)), 160),    # the dense one, 9 batches
 ], ids=["50-looks", "250-looks"])
 def test_optional_stopping_memory_flat_in_trials(looks, trials):
-    # The run holds one draw block, one batch of counts and the keys and look
-    # test of one batch, whatever ``trials`` is: 10x the trials must not
-    # raise the traced peak.  The block and the counts are 64 KB each, and
-    # the look test's temporaries bring the peak to about 350 KB with numpy
-    # 2.4; the bound is eight 64 KB buffers.
+    # The run holds one batch's raw words, hit flags, counts and keys, and its
+    # look test's temporaries, whatever ``trials`` is: 10x the trials must
+    # not raise the traced peak.  A batch is sized to fill about six 64 KB
+    # buffers, and the peak is about 400 KB on both schedules with numpy 2.4;
+    # the bound is eight 64 KB buffers.
     optional_stopping_fpr(looks, 0.5, 0.05, trials, 3)  # caches filled outside the trace
     peaks = []
     for n in (trials, 10 * trials):
