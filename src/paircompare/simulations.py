@@ -115,13 +115,12 @@ def stopping_comparison(successes: int, trials: int, null_rate: float) -> Stoppi
     )
 
 
-# 64-bit words in 64 KB, below the allocator's mmap threshold.  A batch's
-# trials fill about six times this: per trial, n_max / 2 words of raw words
-# and hit flags, and 9 words per look of counts and look-test temporaries.
-_BLOCK_DRAWS = 1 << 13
-# Fallback words a trial draws after its item words, for about 2 n_max / 256
-# ties; a trial with more reads its stream again, so this changes no result.
-_PREFETCH = 16
+# 64-bit words a batch of trials fills: per trial, n_max / 2 words of raw
+# words and hit flags, and 9 words per look of counts and look-test
+# temporaries.  At 384 KB a batch is large enough to spread each batch's
+# numpy calls over many trials, and a run's traced peak, keys included, stays
+# under the 512 KB that the memory-flat test allows.
+_BATCH_WORDS = 6 << 13
 
 
 def _item_rule(theta: float) -> tuple[int, int]:
@@ -135,6 +134,11 @@ def _item_rule(theta: float) -> tuple[int, int]:
     scaled = 256.0 * theta
     t8 = math.floor(scaled)
     return t8, math.ceil(math.ldexp(scaled - t8, 53))
+
+
+def _tie_hits(fallback, bound: int):
+    """Which tied items are hits, from their fallback words (``_item_rule``)."""
+    return fallback >> np.uint64(11) < np.uint64(bound)
 
 
 def _look_test(direction: Direction, alpha: float):
@@ -188,9 +192,9 @@ def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int
 
     One Philox serves every trial: set to counter 0 under trial ``t``'s key,
     it draws exactly what ``stream(master_seed, t)`` would.  Each trial draws
-    its ``W`` words and ``_PREFETCH`` fallback words in one call; a trial with
-    more ties draws its stream again.  Trials run in batches of
-    ``6 _BLOCK_DRAWS // (n_max // 2 + 9 len(looks))`` trials, at least one,
+    its ``W`` words in one call; a trial with ``j`` ties draws its stream
+    again, ``W + j`` words, and keeps the last ``j``.  Trials run in batches of
+    ``_BATCH_WORDS // (n_max // 2 + 9 len(looks))`` trials, at least one,
     whose keys are hashed once, as the index range
     ``stream_keys(master_seed, first trial, batch size)``.  Per batch, one
     comparison decodes every byte, one ``reduceat`` counts each look's new
@@ -202,9 +206,11 @@ def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int
     about 40% of the time, some 2 us a trial, which is the floor; the counts
     25%, the look tests 22%, the keys 8% and the byte decode 2%.  At 250
     looks the counts take 42% and the look tests 32%: ``reduceat`` pays per
-    look.  At theta 0.3 the ties' fallback words take 13%.  Memory is flat
-    in ``trials``: one batch's words, hit flags, counts and keys, and its
-    look test's temporaries, about 400 KB on both schedules.
+    look.  At theta 0.3 nearly every trial has a tie and so a second reset
+    and ``random_raw`` call, which adds about 3 us a trial, a third of the
+    time.  Memory is flat in ``trials``: one batch's words, hit flags,
+    counts and keys, and its look test's temporaries, 360 to 390 KB on both
+    schedules.
     """
     looks = tuple(looks)
     if not all(isinstance(n, Integral) for n in (*looks, trials)):
@@ -227,9 +233,9 @@ def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int
     # The narrowest sum type that holds a look's new items; uint8 casts no flags.
     new_type = np.min_scalar_type(int((sizes - starts).max()))
     item_words = -(-2 * n_max // 8)
-    batch = max(1, 6 * _BLOCK_DRAWS // (n_max // 2 + 9 * len(looks)))
+    batch = max(1, _BATCH_WORDS // (n_max // 2 + 9 * len(looks)))
     # Little-endian words, so byte i % 8 of word i // 8 is item i on any host.
-    words = np.empty((batch, item_words + _PREFETCH), dtype="<u8")
+    words = np.empty((batch, item_words), dtype="<u8")
     items = words.view(np.uint8)[:, :2 * n_max]
     counts = np.empty((batch, 2, len(looks)), dtype=np.int64)
     first_rejections = np.zeros(len(looks), dtype=np.int64)
@@ -250,19 +256,16 @@ def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int
         hits = drawn < t8
         if bound:  # at bound 0 every tie is a miss, whatever its fallback word
             tie = np.flatnonzero(drawn == t8)  # trial by trial, in item order
-            trial = tie // (2 * n_max)
-            ties = np.bincount(trial, minlength=len(rows))
-            lead = np.cumsum(ties) - ties  # each trial's first tie
-            rank = np.arange(len(tie)) - lead[trial]
+            ties = np.bincount(tie // (2 * n_max), minlength=len(rows)).tolist()
             fallback = np.empty(len(tie), dtype=np.uint64)
-            prefetched = rank < _PREFETCH
-            fallback[prefetched] = rows[trial[prefetched], item_words + rank[prefetched]]
-            for t in np.flatnonzero(ties > _PREFETCH).tolist():
-                fresh["key"] = keys[t]
-                bitgen.state = state
-                reread = bitgen.random_raw(item_words + int(ties[t]))
-                fallback[lead[t]:lead[t] + ties[t]] = reread[item_words:]
-            hits.reshape(-1)[tie] = fallback >> np.uint64(11) < np.uint64(bound)
+            end = 0
+            for key, n in zip(keys, ties):
+                if n:  # the trial's stream again, up to its last tie's word
+                    fresh["key"] = key
+                    bitgen.state = state
+                    fallback[end:end + n] = bitgen.random_raw(item_words + n)[item_words:]
+                    end += n
+            hits.reshape(-1)[tie] = _tie_hits(fallback, bound)
         tally = counts[:len(rows)]
         # Successes in each look's new items, then up to each look.
         new_hits = np.add.reduceat(hits.view(np.uint8).reshape(len(rows), 2, n_max), starts,

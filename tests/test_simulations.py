@@ -19,8 +19,9 @@ from paircompare.errors import DegenerateTest, DomainError
 from paircompare.frequentist import two_proportion_z_test
 from paircompare.numerics import stream_keys
 from paircompare.simulations import (
-    _BLOCK_DRAWS,
+    _item_rule,
     _look_test,
+    _tie_hits,
     optional_stopping_fpr,
     prior_sensitivity_sweep,
     pvalue_fixed_n,
@@ -251,15 +252,15 @@ def test_item_rule_is_the_exact_61_bit_comparison(theta):
     # An item with byte b is a hit iff b < t8, or b == t8 and its fallback
     # word's top 53 bits k fall below the bound: exactly when the 61-bit
     # fraction (2**53 b + k) / 2**61 lies below theta, on both sides of the
-    # bound and at k's extremes.
-    from paircompare.simulations import _item_rule
-
+    # bound and at k's extremes.  The word's low 11 bits, here all set, must
+    # not count.
     t8, bound = _item_rule(theta)
     assert 0 <= bound < 2**53
     exact = Fraction(theta)
     for byte in range(256):
         for k in {bound - 1, bound, 0, 2**53 - 1} - {-1}:
-            hit = byte < t8 or (byte == t8 and k < bound)
+            word = np.array([k << 11 | 0x7FF], dtype=np.uint64)
+            hit = byte < t8 or (byte == t8 and bool(_tie_hits(word, bound)[0]))
             assert hit == (Fraction(2**53 * byte + k, 2**61) < exact), (byte, k)
 
 
@@ -351,14 +352,14 @@ def test_optional_stopping_block_boundaries(monkeypatch):
     # Trial t reads only its own stream, so N trials report what N - 1 do plus
     # trial N - 1's own first rejection, wherever the batch boundaries fall.
     # A batch is the trials whose words, counts and look cells fill about
-    # 6 _BLOCK_DRAWS words: here 175, 19 (the dense peeking schedule) and one.
+    # 48K 64-bit words: here 175, 19 (the dense peeking schedule) and one.
     # At theta 0.5 every byte decides its item; at 0.3 one in 256 reads a
     # fallback word.  A seed of 2**32 or more takes two entropy words.
     from paircompare import simulations
 
     for looks, batch in ((tuple(range(10, 201, 10)), 175),
                          (tuple(range(2, 501, 2)), 19),
-                         (tuple(range(2, _BLOCK_DRAWS // 2 + 4)), 1)):
+                         (tuple(range(2, 4100)), 1)):
         # Keys are hashed once per batch, so the hashed ranges show where the
         # batches fall.
         hashed = []
@@ -392,24 +393,6 @@ def test_optional_stopping_block_boundaries(monkeypatch):
                         assert report.false_positives == sum(before)
 
 
-@pytest.mark.parametrize("theta", [0.5, 0.3])
-def test_optional_stopping_prefetch_changes_no_result(monkeypatch, theta):
-    # A trial expects 2 n_max / 256 ties, items whose byte is floor(256 theta):
-    # about 16 at n_max = 2000, so with no prefetched fallback word, or one,
-    # every trial draws its stream again.  At theta 0.5 the fallback bound is
-    # 0 and no tie reads its word at all.
-    from paircompare import simulations
-
-    looks = tuple(range(100, 2001, 100))
-    expected = {direction: optional_stopping_fpr(looks, theta, 0.2, 60, 1729, direction)
-                for direction in Direction}
-    for prefetch in (0, 1):
-        monkeypatch.setattr(simulations, "_PREFETCH", prefetch)
-        for direction in Direction:
-            assert optional_stopping_fpr(looks, theta, 0.2, 60, 1729,
-                                         direction) == expected[direction], (prefetch, direction)
-
-
 @pytest.mark.parametrize("looks,trials", [
     (tuple(range(10, 501, 10)), 400),  # the default peeking schedule, 6 batches
     (tuple(range(2, 501, 2)), 160),    # the dense one, 9 batches
@@ -417,9 +400,8 @@ def test_optional_stopping_prefetch_changes_no_result(monkeypatch, theta):
 def test_optional_stopping_memory_flat_in_trials(looks, trials):
     # The run holds one batch's raw words, hit flags, counts and keys, and its
     # look test's temporaries, whatever ``trials`` is: 10x the trials must
-    # not raise the traced peak.  A batch is sized to fill about six 64 KB
-    # buffers, and the peak is about 400 KB on both schedules with numpy 2.4;
-    # the bound is eight 64 KB buffers.
+    # not raise the traced peak.  A batch is sized to fill about 384 KB, and
+    # the peak is 360 to 390 KB on both schedules with numpy 2.4.
     optional_stopping_fpr(looks, 0.5, 0.05, trials, 3)  # caches filled outside the trace
     peaks = []
     for n in (trials, 10 * trials):
@@ -430,7 +412,7 @@ def test_optional_stopping_memory_flat_in_trials(looks, trials):
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) <= 8192, peaks
-    assert peaks[1] <= 8 * 8 * _BLOCK_DRAWS, peaks
+    assert peaks[1] <= 512 * 1024, peaks
 
 
 EASY_COUNTS = ((1721, 2376), (1637, 2376))
