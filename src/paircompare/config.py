@@ -459,7 +459,7 @@ def _open_rows(path: Path):
 
 def _read_aggregate_csv(path: Path, systems: tuple[str, str]) -> Counts:
     rows = _open_rows(path)
-    if next(rows, None) != ["system", "correct", "total"]:
+    if [cell.strip() for cell in next(rows, ())] != ["system", "correct", "total"]:
         raise IngestError("expected header 'system,correct,total'", path=str(path), row=1)
     by_system: dict[str, tuple[int, int]] = {}
     for lineno, row in enumerate(rows, start=2):

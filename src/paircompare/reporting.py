@@ -96,8 +96,6 @@ class AnalysisOutcome(Record):
     report: AssessmentReport
     trace: Trace | None
     report_path: Path | None
-    plot_paths: list[Path]
-    trace_paths: list[Path]
 
 
 def assumptions_checklist(counts) -> list[dict]:
@@ -212,16 +210,14 @@ def run_analysis(config: AnalysisConfig, write: bool = True) -> AnalysisOutcome:
     )
 
     report_path = None
-    plot_paths: list[Path] = []
-    trace_paths: list[Path] = []
     if write:
         report_path = atomic_write_text(Path(config.output.report), report.to_json())
         if histograms is not None:
             annotations = results["hdi_rope"]["conjugate"] if "hdi_rope" in results else None
-            plot_paths = emit_plot_data(histograms, Path(config.output.plot_dir), annotations)
+            emit_plot_data(histograms, Path(config.output.plot_dir), annotations)
         if trace is not None:
-            trace_paths = export_trace(trace, Path(config.output.trace_dir))
-    return AnalysisOutcome(report, trace, report_path, plot_paths, trace_paths)
+            export_trace(trace, Path(config.output.trace_dir))
+    return AnalysisOutcome(report, trace, report_path)
 
 
 def _posterior_sample(config: AnalysisConfig, counts, plots: bool):

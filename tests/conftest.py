@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from paircompare.numerics import sample_beta
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 # Tests that start `python -m paircompare.cli` run it from a temporary
@@ -40,3 +42,12 @@ def seed_sequence_generator(seed: int, index: int) -> np.random.Generator:
     """
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed,
                                                                        spawn_key=(index,))))
+
+
+def posterior_diff_draws(posts, n: int, seed: int, index: int) -> np.ndarray:
+    """``n`` draws of theta1 - theta2 under the posterior pair ``posts``:
+    theta1's ``n`` draws, then theta2's, from stream ``(seed, index)``, as
+    ``reporting._posterior_sample`` draws them, unsorted."""
+    gen = seed_sequence_generator(seed, index)
+    theta1 = sample_beta(posts.post1.alpha, posts.post1.beta, gen, size=n)
+    return theta1 - sample_beta(posts.post2.alpha, posts.post2.beta, gen, size=n)

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import seed_sequence_generator
+from conftest import posterior_diff_draws
 from paircompare.bayes import PRIOR_PRESETS, BetaParams, posterior_pair
 from paircompare.core import (
     DecisionValue,
@@ -26,7 +26,6 @@ from paircompare.core import (
 )
 from paircompare.frequentist import CiMode, diff_confidence_interval, two_proportion_z_test
 from paircompare.mcmc import McmcConfig, run_chains
-from paircompare.numerics import sample_beta
 from paircompare.posterior import (
     RopeRelation,
     bayes_factor_interval_null,
@@ -43,10 +42,7 @@ UNIFORM = BetaParams(1.0, 1.0)
 
 def posterior_diff_samples(counts, n, seed=1729, stream=10_000):
     posts = posterior_pair(UNIFORM, counts)
-    gen = seed_sequence_generator(seed, stream)
-    theta1 = sample_beta(posts.post1.alpha, posts.post1.beta, gen, size=n)
-    theta2 = sample_beta(posts.post2.alpha, posts.post2.beta, gen, size=n)
-    return posts, theta1 - theta2
+    return posts, posterior_diff_draws(posts, n, seed, stream)
 
 
 def test_criterion_01_one_sided_z_test_on_benchmark_counts():

