@@ -18,6 +18,7 @@ from hypothesis.extra import numpy as hnp
 from conftest import seed_sequence_generator
 from paircompare import mcmc
 from paircompare.bayes import BetaParams, posterior_pair
+from paircompare.config import parse_config_file
 from paircompare.errors import DomainError
 from paircompare.mcmc import (
     ESS_THRESHOLD,
@@ -35,6 +36,8 @@ from paircompare.mcmc import (
     run_chains,
 )
 from paircompare.numerics import sample_beta
+from paircompare.reporting import run_analysis
+from test_cli import PINNED_OUTPUT, output_digest
 
 UNIFORM = BetaParams(1.0, 1.0)
 EASY = ((1721, 2376), (1637, 2376))
@@ -424,6 +427,24 @@ def test_log_density_matches_the_four_softplus_sum_bit_for_bit(counts1, counts2,
     got = log_density(prior, counts)(e1, e2)
     want = four_softplus_log_density(prior, counts, e1, e2)
     assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
+# run_analysis, as the package exports it, called from a library rather
+# than through main: it must write every file PINNED_OUTPUT pins for the
+# matching analyze command, byte for byte.
+LIBRARY_OVERRIDES = {
+    "arc_easy": {},
+    "prior_draw": {"mcmc.init": "prior_draw"},
+    "jeffreys_3_chains": {"model.prior": "0.5, 0.5", "mcmc.chains": "3"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_OVERRIDES))
+def test_analyze_trace_and_plot_bytes_pinned(tmp_path, monkeypatch, configs_dir, name):
+    _, _, digests = PINNED_OUTPUT[f"analyze-{name}"]
+    monkeypatch.chdir(tmp_path)
+    run_analysis(parse_config_file(configs_dir / "arc_easy.cfg", LIBRARY_OVERRIDES[name]))
+    assert {rel: output_digest(tmp_path / "out" / rel) for rel in digests} == digests
 
 
 def _reference_sigmoid(x):
