@@ -331,6 +331,19 @@ PINNED_OUTPUT = {
         "easy/simulations/optional_stopping.json":
             "c6961dc72de7669a30dd496f53c82369cd32b8855dcbc8259410fc916d786304",
     }),
+    # The dense schedule (250 looks) and theta 0.3, where nearly every trial
+    # has tied bytes that read fallback words.
+    "optional-stopping-dense": (("simulate", "optional-stopping", *ARC_EASY,
+                                 "--set", "simulate.looks_step=2",
+                                 "--set", "simulate.os_trials=4000"), EXIT_OK, {
+        "easy/simulations/optional_stopping.json":
+            "98d7a3d09098e4f78adfab869340f527cef6cb5eabb97013db72eae7065c0032",
+    }),
+    "optional-stopping-theta_0_3": (("simulate", "optional-stopping", *ARC_EASY,
+                                     "--set", "simulate.os_theta=0.3"), EXIT_OK, {
+        "easy/simulations/optional_stopping.json":
+            "382db8c23503588fb369807fc9d7686429be7604a729ce20a53c5dbcde825ad6",
+    }),
 }
 
 
