@@ -115,12 +115,24 @@ def stopping_comparison(successes: int, trials: int, null_rate: float) -> Stoppi
     )
 
 
-# 64-bit words a batch of trials fills: per trial, n_max / 2 words of raw
-# words and hit flags, and 9 words per look of counts and look-test
-# temporaries.  At 384 KB a batch is large enough to spread each batch's
-# numpy calls over many trials, and a run's traced peak, keys included, stays
-# under the 512 KB that the memory-flat test allows.
+# 64-bit words a batch of trials fills: per trial, its raw words and a zero
+# word, and per (trial, look) cell the counts and decision temporaries,
+# _CELL_WORDS of them with a threshold window and more where every cell takes
+# the array z-test.  A window's table comes out of the same budget.  At 384 KB
+# a batch is large enough to spread each batch's numpy calls over many
+# trials, and a run's traced peak, keys included, stays under the 512 KB that
+# the memory-flat test allows.
 _BATCH_WORDS = 6 << 13
+_TRIAL_WORDS = 21
+_LOOK_BYTES = 18
+# A word of 0/1 bytes times this holds in byte k the sum of its bytes 0..k:
+# at most 8, so no carry crosses a byte.  Products wrap modulo 2**64.
+_PREFIX_SUMS = np.uint64(0x0101010101010101)
+# A look's threshold window spans its pooled count's mean +- (this many sd + 1),
+# and is built only when it has at most one entry per _CELLS_PER_ENTRY cells.
+_WINDOW_SDS = 8.0
+_CELLS_PER_ENTRY = 8
+_WINDOW_CHUNK = 1024  # entries checked per _look_test call while a window is built
 
 
 def _item_rule(theta: float) -> tuple[int, int]:
@@ -141,6 +153,13 @@ def _tie_hits(fallback, bound: int):
     return fallback >> np.uint64(11) < np.uint64(bound)
 
 
+def _critical(direction: Direction, alpha: float) -> tuple[float, float]:
+    """``(tail, critical)``: the one-sided tail ``alpha`` leaves, at least the least
+    subnormal, and the statistic above which the test rejects, ``-quantile(tail)``."""
+    tail = max(alpha / 2.0 if direction is Direction.TWO_SIDED else alpha, math.ulp(0.0))
+    return tail, -std_normal_quantile(tail)
+
+
 def _look_test(direction: Direction, alpha: float):
     """``rejects(c1, c2, n)``: ``two_proportion_z_test(c1, n, c2, n).p_value < alpha``
     for (rows, looks) count arrays and (looks,) sizes.  ``z`` is the test's own
@@ -149,8 +168,7 @@ def _look_test(direction: Direction, alpha: float):
     ``band`` of it (1e-6, plus eight ulps of the tail for subnormal ``alpha``) are
     decided by that z-test's p-value.  A NaN ``z`` (pooled rate 0 or 1) never rejects.
     """
-    tail = max(alpha / 2.0 if direction is Direction.TWO_SIDED else alpha, math.ulp(0.0))
-    critical = -std_normal_quantile(tail)
+    tail, critical = _critical(direction, alpha)
     band = 1e-6 + 8.0 * math.ulp(tail) / std_normal_pdf(critical)
     sign = {Direction.GREATER: 1.0, Direction.LESS: -1.0}.get(direction)
 
@@ -164,6 +182,131 @@ def _look_test(direction: Direction, alpha: float):
         return reject
 
     return rejects
+
+
+def _rejects_at(rejects, direction: Direction, n, s, e):
+    """``rejects`` at pooled counts ``s`` and differences ``e`` (``c1 - c2``, ``c2 - c1``
+    for ``less``), for (rows, cells) ``e`` and (cells,) ``n`` and ``s``."""
+    high, low = (s + e) // 2, (s - e) // 2
+    return rejects(low, high, n) if direction is Direction.LESS else rejects(high, low, n)
+
+
+class _ThresholdWindow:
+    """Each look's rejection threshold on ``e`` at the pooled counts ``s = c1 + c2``
+    near their mean, where ``e`` is ``c1 - c2``, ``c2 - c1`` for ``less`` or
+    ``|c1 - c2|`` for ``two_sided``, and has ``s``'s parity.
+
+    Look ``n``'s window covers ``s`` in ``[lo, hi]``, ``2 n theta +- (8 sd + 1)``
+    with ``sd = sqrt(2 n theta (1 - theta))``, clipped to ``[0, 2 n]``
+    (``_threshold_window``).  Its entry for ``s`` is the least ``e`` of ``s``'s
+    parity at which ``_look_test`` rejects, or ``min(s, 2 n - s) + 2`` where none
+    does.  Each entry starts from the closed form ``floor(critical sqrt(s (2 n -
+    s) / 2 n)) + 1``, raised to ``s``'s parity, and moves by 2 until
+    ``_look_test`` rejects at it and not at 2 below it.  The entries are built
+    ``_WINDOW_CHUNK`` at a time, so the build's temporaries stay below a batch's.
+
+    At fixed ``(n, s)`` the computed ``z`` cannot fall as ``c1`` rises, each
+    step being a correctly rounded monotone operation, and cells 2 apart in
+    ``e`` differ by at least 2.8 / sqrt(n) in ``z``, far more than
+    ``_look_test``'s band.  So the rejected cells of each ``(n, s)`` are those at
+    or above one ``e``, and the table gives ``_look_test``'s decisions.
+    """
+
+    def __init__(self, sizes, lo, hi, direction: Direction, alpha: float):
+        self.sizes, self.lo, self.hi, self.direction = sizes, lo, hi, direction
+        self.test = _look_test(direction, alpha)
+        width = hi - lo + 1
+        start = np.cumsum(width) - width
+        self.base = start - lo  # look j's entry for s is s + base[j]
+        self.table = np.empty(int(width.sum()), dtype=np.min_scalar_type(-2 * int(sizes[-1]) - 3))
+        critical = _critical(direction, alpha)[1]
+        for first in range(0, len(self.table), _WINDOW_CHUNK):
+            entry = np.arange(first, min(first + _WINDOW_CHUNK, len(self.table)))
+            look = np.searchsorted(start, entry, side="right") - 1
+            n = sizes[look]
+            s = entry - self.base[look]
+            top = np.minimum(s, 2 * n - s)  # the largest e at this s
+            least = s & 1 if direction is Direction.TWO_SIDED else -top
+            e = np.floor(critical * np.sqrt(s * (2 * n - s) / (2.0 * n))).astype(np.int64) + 1
+            e += (e - s) & 1
+            np.clip(e, least, top + 2, out=e)
+            while True:
+                # The test at e and at e - 2, each clipped to a cell that exists.
+                at = _rejects_at(self.test, direction, n, s,
+                                 np.stack((np.minimum(e, top), np.maximum(e - 2, least))))
+                up = (e <= top) & ~at[0]
+                down = (e - 2 >= least) & at[1]
+                if not (up.any() or down.any()):
+                    break
+                e[up] += 2
+                e[down] -= 2
+            self.table[first:first + len(e)] = e
+        self.words = (self.table.nbytes + 24 * len(sizes)) // 8  # with lo, hi and base
+
+    def rejects(self, c1, c2, looks=slice(None)):
+        """Which cells of the (looks, trials) counts ``c1`` and ``c2`` at ``looks``
+        reject; it overwrites the counts with ``e`` and ``s``.  A cell whose ``s``
+        lies outside its look's window takes ``_look_test``."""
+        e, s = (c2, c1) if self.direction is Direction.LESS else (c1, c2)
+        e -= s
+        s <<= 1
+        s += e  # c1 + c2
+        if self.direction is Direction.TWO_SIDED:
+            np.abs(e, out=e)
+        lo, hi = self.lo[looks, None], self.hi[looks, None]
+        outside = None
+        if (s.min(axis=1, keepdims=True) < lo).any() or (s.max(axis=1, keepdims=True) > hi).any():
+            outside = np.nonzero((s < lo) | (s > hi))
+            test = _rejects_at(self.test, self.direction, self.sizes[looks][outside[0]],
+                               s[outside], e[outside][None])[0]
+        s += self.base[looks, None]
+        e -= self.table.take(s, mode="clip")
+        reject = e >= 0
+        if outside is not None:
+            reject[outside] = test
+        return reject
+
+
+def _threshold_window(sizes, theta: float, direction: Direction, alpha: float, cells: int):
+    """The looks' ``_ThresholdWindow``, or None where it would hold more than one
+    entry per ``_CELLS_PER_ENTRY`` of the run's ``cells``."""
+    mean = 2.0 * theta * sizes
+    half = _WINDOW_SDS * np.sqrt(mean * (1.0 - theta)) + 1.0
+    lo = np.maximum(np.floor(mean - half), 0.0).astype(np.int64)
+    hi = np.minimum(np.ceil(mean + half), 2 * sizes).astype(np.int64)
+    if _CELLS_PER_ENTRY * int((hi - lo + 1).sum()) > cells:
+        return None
+    return _ThresholdWindow(sizes, lo, hi, direction, alpha)
+
+
+def _look_counts(words, sizes):
+    """``(c1, c2)``: each system's (looks, trials) hit counts from a batch's (rows,
+    trials) words of hit flags, item ``i`` in byte ``i % 8`` of row ``i // 8 + 1``
+    under a row of zeros, which it overwrites."""
+    ends = np.concatenate((sizes, sizes[-1] + sizes)) - 1  # each look's last item, per system
+    np.multiply(words, _PREFIX_SUMS, out=words)
+    last = words.view(np.uint8).reshape(len(words), -1, 8)[ends // 8 + 1, :, ends % 8]
+    np.right_shift(words, np.uint64(56), out=words)
+    np.cumsum(words, axis=0, out=words)
+    counts = words.take(ends // 8, axis=0)  # the hits in the words before each end's,
+    counts += last  # and in its own up to it
+    c1, c2 = counts.view(np.int64).reshape(2, len(sizes), -1)
+    c2 -= c1[-1]  # system 2's items follow system 1's n_max
+    return c1, c2
+
+
+def _first_rejections(words, sizes, window, rejects):
+    """How many of a batch's trials first reject at each look, from its words of
+    hit flags (``_look_counts``)."""
+    c1, c2 = _look_counts(words, sizes)
+    if window is not None:
+        reject = window.rejects(c1, c2)
+    else:
+        reject = np.empty(c1.shape, dtype=bool)
+        step = max(1, len(sizes) // 64)  # looks a call, so its temporaries stay small
+        for j in range(0, len(sizes), step):
+            reject[j:j + step] = rejects(c1[j:j + step].T, c2[j:j + step].T, sizes[j:j + step]).T
+    return np.bincount(reject.argmax(axis=0)[reject.any(axis=0)], minlength=len(sizes))
 
 
 def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int,
@@ -193,24 +336,33 @@ def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int
     One Philox serves every trial: set to counter 0 under trial ``t``'s key,
     it draws exactly what ``stream(master_seed, t)`` would.  Each trial draws
     its ``W`` words in one call; a trial with ``j`` ties draws its stream
-    again, ``W + j`` words, and keeps the last ``j``.  Trials run in batches of
-    ``_BATCH_WORDS // (n_max // 2 + 9 len(looks))`` trials, at least one,
-    whose keys are hashed once, as the index range
-    ``stream_keys(master_seed, first trial, batch size)``.  Per batch, one
-    comparison decodes every byte, one ``reduceat`` counts each look's new
-    successes, and one cumulative sum over looks and one array z-test decide
-    every (trial, look) cell exactly (``_look_test``).
+    again, ``W + j`` words, and keeps the last ``j``.  Trials run in batches
+    that fill ``_BATCH_WORDS``, at least one trial, whose keys are hashed
+    once, as the index range ``stream_keys(master_seed, first trial, batch
+    size)``.
 
-    At 50 looks x 10k trials and theta 0.5 (70 trials a batch, about 50 ms
-    on a Xeon with AVX-512), the state resets and ``random_raw`` calls take
-    about 40% of the time, some 2 us a trial, which is the floor; the counts
-    25%, the look tests 22%, the keys 8% and the byte decode 2%.  At 250
-    looks the counts take 42% and the look tests 32%: ``reduceat`` pays per
-    look.  At theta 0.3 nearly every trial has a tie and so a second reset
-    and ``random_raw`` call, which adds about 3 us a trial, a third of the
-    time.  Memory is flat in ``trials``: one batch's words, hit flags,
-    counts and keys, and its look test's temporaries, 360 to 390 KB on both
-    schedules.
+    Per batch, one comparison turns every byte into its 0/1 hit flag in
+    place.  Counts: a word of flags times ``0x0101010101010101`` holds in
+    byte ``k`` the hits of its bytes 0..k, and its top byte, summed over the
+    words before it, gives the hits before it; so the hits among items
+    ``0..i`` are that sum at word ``i // 8`` plus byte ``i % 8`` of its product.
+    System 1's count at look ``n`` reads item ``n - 1``, system 2's item
+    ``n_max + n - 1`` less system 1's total.  Decisions: where the window
+    has at most one entry per 8 (trial, look) cells (``_threshold_window``),
+    a cell whose pooled count lies in its look's window is decided by one
+    gather and compare against the table (``_ThresholdWindow``), and any
+    other cell by ``_look_test``; otherwise every cell takes ``_look_test``,
+    a slice of looks at a time.  Either way each (trial, look) cell's
+    decision is the z-test's.
+
+    At 50 looks x 10k trials and theta 0.5 (a window of 8.6k entries; 130
+    trials a batch, about 45 ms on a Xeon with AVX-512), the state resets
+    and ``random_raw`` calls take about half the time, some 2 us a trial,
+    which is the floor.  At 250 looks x 4k trials (42k entries) ...
+    At theta 0.3 nearly every trial has a tie and so a second reset
+    and ``random_raw`` call, which adds about 3 us a trial.  Memory is flat
+    in ``trials``: one batch's words, counts and keys, its decision
+    temporaries and the window, under 512 KB on both schedules.
     """
     looks = tuple(looks)
     if not all(isinstance(n, Integral) for n in (*looks, trials)):
@@ -227,17 +379,15 @@ def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int
 
     n_max = looks[-1]
     sizes = np.array(looks)
-    starts = np.array((0,) + looks[:-1])
+    window = _threshold_window(sizes, theta, direction, nominal_alpha, trials * len(looks))
     rejects = _look_test(direction, nominal_alpha)
     t8, bound = _item_rule(theta)
-    # The narrowest sum type that holds a look's new items; uint8 casts no flags.
-    new_type = np.min_scalar_type(int((sizes - starts).max()))
     item_words = -(-2 * n_max // 8)
-    batch = max(1, _BATCH_WORDS // (n_max // 2 + 9 * len(looks)))
-    # Little-endian words, so byte i % 8 of word i // 8 is item i on any host.
-    words = np.empty((batch, item_words), dtype="<u8")
-    items = words.view(np.uint8)[:, :2 * n_max]
-    counts = np.empty((batch, 2, len(looks)), dtype=np.int64)
+    # Row i // 8 + 1 of a batch's words holds item i of each trial (column) in
+    # byte i % 8, little-endian on any host; row 0 stays zero.
+    spare = _BATCH_WORDS - (0 if window is None else window.words)
+    batch = max(1, spare // (_TRIAL_WORDS + item_words + _LOOK_BYTES * len(looks) // 8))
+    words = np.empty(batch * (1 + item_words), dtype="<u8")
     first_rejections = np.zeros(len(looks), dtype=np.int64)
     bitgen = np.random.Philox(0)
     state = bitgen.state  # counter 0 and an empty buffer; each trial sets the key
@@ -246,18 +396,21 @@ def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int
     fresh["counter"] = tuple(fresh["counter"].tolist())
     state["buffer"] = tuple(state["buffer"].tolist())
     for lo in range(0, trials, batch):
-        rows = words[:trials - lo]  # this batch's trials
-        keys = stream_keys(master_seed, lo, len(rows)).tolist()
-        for row, key in zip(rows, keys):
+        keys = stream_keys(master_seed, lo, int(min(batch, trials - lo))).tolist()
+        block = words[:len(keys) * (1 + item_words)].reshape(1 + item_words, -1)  # contiguous
+        block[0] = 0
+        for t, key in enumerate(keys):
             fresh["key"] = key
             bitgen.state = state
-            row[:] = bitgen.random_raw(len(row))
-        drawn = items[:len(rows)]
-        hits = drawn < t8
+            block[1:, t] = bitgen.random_raw(item_words)
+        items = block.view(np.uint8).reshape(len(block), -1, 8)  # (word row, trial, byte)
         if bound:  # at bound 0 every tie is a miss, whatever its fallback word
-            tie = np.flatnonzero(drawn == t8)  # trial by trial, in item order
-            ties = np.bincount(tie // (2 * n_max), minlength=len(rows)).tolist()
-            fallback = np.empty(len(tie), dtype=np.uint64)
+            row, trial, byte = np.unravel_index(np.flatnonzero(items[1:] == t8), items[1:].shape)
+            keep = np.argsort(trial, kind="stable")  # trial by trial, in item order,
+            keep = keep[8 * row[keep] + byte[keep] < 2 * n_max]  # up to the last item
+            row, trial, byte = row[keep] + 1, trial[keep], byte[keep]
+            ties = np.bincount(trial, minlength=len(keys)).tolist()
+            fallback = np.empty(len(trial), dtype=np.uint64)
             end = 0
             for key, n in zip(keys, ties):
                 if n:  # the trial's stream again, up to its last tie's word
@@ -265,15 +418,10 @@ def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int
                     bitgen.state = state
                     fallback[end:end + n] = bitgen.random_raw(item_words + n)[item_words:]
                     end += n
-            hits.reshape(-1)[tie] = _tie_hits(fallback, bound)
-        tally = counts[:len(rows)]
-        # Successes in each look's new items, then up to each look.
-        new_hits = np.add.reduceat(hits.view(np.uint8).reshape(len(rows), 2, n_max), starts,
-                                   axis=2, dtype=new_type)
-        np.cumsum(new_hits, axis=2, dtype=np.int64, out=tally)
-        reject = rejects(tally[:, 0], tally[:, 1], sizes)
-        first = reject.argmax(axis=1)[reject.any(axis=1)]
-        first_rejections += np.bincount(first, minlength=len(looks))
+        np.less(items[1:], t8, out=items[1:].view(bool))  # flags past item 2 n_max - 1 go unread
+        if bound:
+            items[row, trial, byte] = _tie_hits(fallback, bound)
+        first_rejections += _first_rejections(block, sizes, window, rejects)
     false_positives = int(first_rejections.sum())
     return OptionalStoppingReport(
         looks=looks,

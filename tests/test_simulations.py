@@ -351,28 +351,40 @@ def test_optional_stopping_within_4se_of_exact_rate(looks, theta, direction, tri
 def test_optional_stopping_block_boundaries(monkeypatch):
     # Trial t reads only its own stream, so N trials report what N - 1 do plus
     # trial N - 1's own first rejection, wherever the batch boundaries fall.
-    # A batch is the trials whose words, counts and look cells fill about
-    # 48K 64-bit words: here 175, 19 (the dense peeking schedule) and one.
-    # At theta 0.5 every byte decides its item; at 0.3 one in 256 reads a
-    # fallback word.  A seed of 2**32 or more takes two entropy words.
+    # A batch is the trials whose words, counts and keys fill about 48K 64-bit
+    # words, less a threshold window's: here 423, 69 (the dense peeking
+    # schedule) and 4 trials with no window, and 766 with one.  Only the
+    # 9-look Fibonacci schedule has few enough window entries per cell to
+    # build one at these trial counts; the 4,098-look run takes the array
+    # z-test on every cell.  At theta 0.5 every byte decides its item; at 0.3
+    # one in 256 reads a fallback word.  A seed of 2**32 or more takes two
+    # entropy words.
     from paircompare import simulations
 
-    for looks, batch in ((tuple(range(10, 201, 10)), 175),
-                         (tuple(range(2, 501, 2)), 19),
-                         (tuple(range(2, 4100)), 1)):
+    for looks, batch, windowed in ((tuple(range(10, 201, 10)), 423, False),
+                                   (tuple(range(2, 501, 2)), 69, False),
+                                   (tuple(range(2, 4100)), 4, False),
+                                   ((2, 3, 5, 8, 13, 21, 34, 55, 89), 766, True)):
         # Keys are hashed once per batch, so the hashed ranges show where the
         # batches fall.
-        hashed = []
+        hashed, built = [], []
 
         def recording(seed, start, count):
             hashed.append(range(start, start + count))
             return stream_keys(seed, start, count)
 
+        def window(*args, build=simulations._threshold_window):
+            built.append(build(*args))
+            return built[-1]
+
         monkeypatch.setattr(simulations, "stream_keys", recording)
-        optional_stopping_fpr(looks, 0.5, 0.2, 2 * batch + 1, 1729)
+        with monkeypatch.context() as patch:
+            patch.setattr(simulations, "_threshold_window", window)
+            optional_stopping_fpr(looks, 0.5, 0.2, 2 * batch + 1, 1729)
         monkeypatch.undo()
         assert hashed == [range(0, batch), range(batch, 2 * batch),
                           range(2 * batch, 2 * batch + 1)], len(looks)
+        assert [w is not None for w in built] == [windowed], len(looks)
 
         counts = {1, batch - 1, batch, batch + 1, 2 * batch + 1} - {0}
         for theta in (0.5, 0.3):
