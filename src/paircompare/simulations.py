@@ -115,13 +115,14 @@ def stopping_comparison(successes: int, trials: int, null_rate: float) -> Stoppi
     )
 
 
-# 64-bit words a batch of trials fills: per trial, its raw words and a zero
-# word, and per (trial, look) cell the counts and decision temporaries,
-# _CELL_WORDS of them with a threshold window and more where every cell takes
-# the array z-test.  A window's table comes out of the same budget.  At 384 KB
-# a batch is large enough to spread each batch's numpy calls over many
-# trials, and a run's traced peak, keys included, stays under the 512 KB that
-# the memory-flat test allows.
+# 64-bit words a batch of trials fills.  Per trial: its raw words, a zero
+# word and its key as Python ints (_TRIAL_WORDS); per look, _LOOK_BYTES of
+# counts, 8 per system, and of each count's last word.  The decisions reuse
+# the counts' memory, and a threshold window's table comes out of the same
+# budget, so a run's traced peak is the same whether it builds a window or
+# not.  At 384 KB a batch spreads each batch's numpy calls over many trials,
+# and the peak, with numpy's ufunc buffers, stays under the 512 KB that the
+# memory-flat test allows.
 _BATCH_WORDS = 6 << 13
 _TRIAL_WORDS = 21
 _LOOK_BYTES = 18
@@ -241,7 +242,7 @@ class _ThresholdWindow:
                 e[up] += 2
                 e[down] -= 2
             self.table[first:first + len(e)] = e
-        self.words = (self.table.nbytes + 24 * len(sizes)) // 8  # with lo, hi and base
+        self.nbytes = self.table.nbytes + 24 * len(sizes)  # with lo, hi and base
 
     def rejects(self, c1, c2, looks=slice(None)):
         """Which cells of the (looks, trials) counts ``c1`` and ``c2`` at ``looks``
@@ -303,7 +304,7 @@ def _first_rejections(words, sizes, window, rejects):
         reject = window.rejects(c1, c2)
     else:
         reject = np.empty(c1.shape, dtype=bool)
-        step = max(1, len(sizes) // 64)  # looks a call, so its temporaries stay small
+        step = max(1, len(sizes) // 64)  # looks per call, so its temporaries stay small
         for j in range(0, len(sizes), step):
             reject[j:j + step] = rejects(c1[j:j + step].T, c2[j:j + step].T, sizes[j:j + step]).T
     return np.bincount(reject.argmax(axis=0)[reject.any(axis=0)], minlength=len(sizes))
@@ -385,7 +386,7 @@ def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int
     item_words = -(-2 * n_max // 8)
     # Row i // 8 + 1 of a batch's words holds item i of each trial (column) in
     # byte i % 8, little-endian on any host; row 0 stays zero.
-    spare = _BATCH_WORDS - (0 if window is None else window.words)
+    spare = _BATCH_WORDS - (0 if window is None else window.nbytes // 8)
     batch = max(1, spare // (_TRIAL_WORDS + item_words + _LOOK_BYTES * len(looks) // 8))
     words = np.empty(batch * (1 + item_words), dtype="<u8")
     first_rejections = np.zeros(len(looks), dtype=np.int64)
@@ -404,8 +405,9 @@ def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int
             bitgen.state = state
             block[1:, t] = bitgen.random_raw(item_words)
         items = block.view(np.uint8).reshape(len(block), -1, 8)  # (word row, trial, byte)
+        drawn = items[1:]
         if bound:  # at bound 0 every tie is a miss, whatever its fallback word
-            row, trial, byte = np.unravel_index(np.flatnonzero(items[1:] == t8), items[1:].shape)
+            row, trial, byte = np.unravel_index(np.flatnonzero(drawn == t8), drawn.shape)
             keep = np.argsort(trial, kind="stable")  # trial by trial, in item order,
             keep = keep[8 * row[keep] + byte[keep] < 2 * n_max]  # up to the last item
             row, trial, byte = row[keep] + 1, trial[keep], byte[keep]
@@ -418,7 +420,7 @@ def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int
                     bitgen.state = state
                     fallback[end:end + n] = bitgen.random_raw(item_words + n)[item_words:]
                     end += n
-        np.less(items[1:], t8, out=items[1:].view(bool))  # flags past item 2 n_max - 1 go unread
+        np.less(drawn, t8, out=drawn.view(bool))  # flags past item 2 n_max - 1 go unread
         if bound:
             items[row, trial, byte] = _tie_hits(fallback, bound)
         first_rejections += _first_rejections(block, sizes, window, rejects)

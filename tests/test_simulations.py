@@ -21,6 +21,7 @@ from paircompare.numerics import stream_keys
 from paircompare.simulations import (
     _item_rule,
     _look_test,
+    _threshold_window,
     _tie_hits,
     optional_stopping_fpr,
     prior_sensitivity_sweep,
@@ -403,6 +404,72 @@ def test_optional_stopping_block_boundaries(monkeypatch):
                         assert report.first_rejection_counts == tuple(before), \
                             (len(looks), theta, seed, direction, trials)
                         assert report.false_positives == sum(before)
+
+
+FIBONACCI_LOOKS = (2, 3, 5, 8, 13, 21, 34, 55, 89)
+
+
+def _window_cells(window, j):
+    """Every (c1, c2) of look ``j`` whose pooled count lies in its window, as
+    (1, cells) arrays."""
+    n = int(window.sizes[j])
+    c1, s = np.meshgrid(np.arange(n + 1), np.arange(window.lo[j], window.hi[j] + 1))
+    inside = (s - c1 >= 0) & (s - c1 <= n)
+    return c1[inside][None], (s - c1)[inside][None]
+
+
+def _no_fallback(*args):
+    raise AssertionError("a cell inside the window took the z-test")
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.03])
+@pytest.mark.parametrize("looks", [tuple(range(10, 501, 10)), tuple(range(2, 501, 2)),
+                                   FIBONACCI_LOOKS], ids=["default", "dense", "fibonacci"])
+def test_threshold_window_matches_look_test(monkeypatch, looks, theta):
+    # Each cell whose pooled count lies in its look's window is decided by the
+    # table alone, and must get _look_test's decision: at subnormal, tiny,
+    # usual and large alpha, in every direction.
+    from paircompare import simulations
+
+    sizes = np.array(looks)
+    for direction in Direction:
+        for alpha in (1e-320, 1e-12, 0.05, 0.5):
+            window = _threshold_window(sizes, theta, direction, alpha, 10**9)
+            rejects = _look_test(direction, alpha)
+            with monkeypatch.context() as patch:
+                patch.setattr(simulations, "_rejects_at", _no_fallback)
+                for j, n in enumerate(looks):
+                    c1, c2 = _window_cells(window, j)
+                    expected = rejects(c1, c2, np.full(c1.shape[1], n))
+                    decided = window.rejects(c1.copy(), c2.copy(), [j])
+                    assert np.array_equal(decided, expected), (direction, alpha, n)
+
+
+def test_narrow_window_falls_back_to_look_test(monkeypatch):
+    # With a window of half a standard deviation, many cells fall outside it
+    # and take _look_test; every report must match the full window's and that
+    # of a run with no window.
+    from paircompare import simulations
+
+    looks = tuple(range(10, 201, 10))
+    fallbacks = []
+
+    def counting(rejects, direction, n, s, e, rejects_at=simulations._rejects_at):
+        fallbacks.append(len(e) == 1)  # the build tests two rows, e and e - 2
+        return rejects_at(rejects, direction, n, s, e)
+
+    for theta in (0.5, 0.3):
+        for direction in Direction:
+            full = optional_stopping_fpr(looks, theta, 0.2, 1000, 7, direction)
+            with monkeypatch.context() as patch:
+                patch.setattr(simulations, "_CELLS_PER_ENTRY", 10**9)
+                assert optional_stopping_fpr(looks, theta, 0.2, 1000, 7, direction) == full
+            with monkeypatch.context() as patch:
+                patch.setattr(simulations, "_WINDOW_SDS", 0.5)
+                patch.setattr(simulations, "_rejects_at", counting)
+                fallbacks.clear()
+                assert optional_stopping_fpr(looks, theta, 0.2, 1000, 7, direction) == full
+                assert any(fallbacks), (theta, direction)
 
 
 @pytest.mark.parametrize("looks,trials", [
