@@ -120,10 +120,10 @@ def stopping_comparison(successes: int, trials: int, null_rate: float) -> Stoppi
 # counts, 8 per system, and of each count's last word.  The decisions reuse
 # the counts' memory, and a threshold window's table comes out of the same
 # budget, so a run's traced peak is the same whether it builds a window or
-# not.  At 384 KB a batch spreads each batch's numpy calls over many trials,
-# and the peak, with numpy's ufunc buffers, stays under the 512 KB that the
-# memory-flat test allows.
-_BATCH_WORDS = 6 << 13
+# not.  At 320 KB a batch spreads each batch's numpy calls over many trials,
+# and the peak, with numpy's ufunc buffers, stays near 400 KB, under the
+# 512 KB that the memory-flat test allows.
+_BATCH_WORDS = 5 << 13
 _TRIAL_WORDS = 21
 _LOOK_BYTES = 18
 # A word of 0/1 bytes times this holds in byte k the sum of its bytes 0..k:
@@ -342,28 +342,33 @@ def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int
     once, as the index range ``stream_keys(master_seed, first trial, batch
     size)``.
 
-    Per batch, one comparison turns every byte into its 0/1 hit flag in
-    place.  Counts: a word of flags times ``0x0101010101010101`` holds in
-    byte ``k`` the hits of its bytes 0..k, and its top byte, summed over the
-    words before it, gives the hits before it; so the hits among items
-    ``0..i`` are that sum at word ``i // 8`` plus byte ``i % 8`` of its product.
-    System 1's count at look ``n`` reads item ``n - 1``, system 2's item
-    ``n_max + n - 1`` less system 1's total.  Decisions: where the window
-    has at most one entry per 8 (trial, look) cells (``_threshold_window``),
-    a cell whose pooled count lies in its look's window is decided by one
-    gather and compare against the table (``_ThresholdWindow``), and any
-    other cell by ``_look_test``; otherwise every cell takes ``_look_test``,
-    a slice of looks at a time.  Either way each (trial, look) cell's
-    decision is the z-test's.
+    A batch's words are laid out trial by column: row ``w + 1`` holds word
+    ``w`` of every trial, under a row of zeros.  Per batch, one comparison
+    turns every byte into its 0/1 hit flag in place.  Counts: a word of flags
+    times ``0x0101010101010101`` holds in byte ``k`` the hits of its bytes
+    0..k, and its top byte, summed down the rows before it, the hits before
+    it; so the hits among items ``0..i`` are that sum above row ``i // 8 + 1``
+    plus byte ``i % 8`` of that row's product.  System 1's count at look ``n``
+    reads item ``n - 1``, system 2's item ``n_max + n - 1`` less system 1's
+    total (``_look_counts``).  Decisions: a run whose threshold window holds
+    at most one entry per 8 (trial, look) cells builds it
+    (``_threshold_window``), and a cell whose pooled count ``s`` lies in its
+    look's window is then decided by integer adds on its counts, one gather
+    from the table and one compare (``_ThresholdWindow``); a cell outside it,
+    or every cell of a run with no window, takes ``_look_test``.  Either way each
+    (trial, look) cell's decision is the z-test's.  Both peeking schedules
+    build a window (8.7k entries against 500k cells at 50 looks, 43k against
+    1M at 250); the 4,098-look block-boundary test does not.
 
-    At 50 looks x 10k trials and theta 0.5 (a window of 8.6k entries; 130
-    trials a batch, about 45 ms on a Xeon with AVX-512), the state resets
-    and ``random_raw`` calls take about half the time, some 2 us a trial,
-    which is the floor.  At 250 looks x 4k trials (42k entries) ...
-    At theta 0.3 nearly every trial has a tie and so a second reset
-    and ``random_raw`` call, which adds about 3 us a trial.  Memory is flat
-    in ``trials``: one batch's words, counts and keys, its decision
-    temporaries and the window, under 512 KB on both schedules.
+    On a Xeon with AVX-512 at theta 0.5, 50 looks x 10k trials (149 trials a
+    batch) take about 41 ms: the state resets and ``random_raw`` calls 58%,
+    some 2.4 us a trial, which is the floor; the counts 18%, the keys 8%,
+    the look tests 8% and the window's build 3%.  250 looks x 4k trials (41
+    a batch) take about 37 ms: raw words 28%, counts 22%, look tests 19%,
+    the window's build 15% and keys 8%.  At theta 0.3 nearly every trial has
+    a tie and so a second reset and ``random_raw`` call, which adds about
+    3 us a trial.  Memory is flat in ``trials``: one batch's words, keys and
+    counts and the window, about 400 KB traced on both schedules.
     """
     looks = tuple(looks)
     if not all(isinstance(n, Integral) for n in (*looks, trials)):
@@ -386,7 +391,8 @@ def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int
     item_words = -(-2 * n_max // 8)
     # Row i // 8 + 1 of a batch's words holds item i of each trial (column) in
     # byte i % 8, little-endian on any host; row 0 stays zero.
-    spare = _BATCH_WORDS - (0 if window is None else window.nbytes // 8)
+    # A window comes out of the budget, down to half of it.
+    spare = _BATCH_WORDS - (0 if window is None else min(window.nbytes // 8, _BATCH_WORDS // 2))
     batch = max(1, spare // (_TRIAL_WORDS + item_words + _LOOK_BYTES * len(looks) // 8))
     words = np.empty(batch * (1 + item_words), dtype="<u8")
     first_rejections = np.zeros(len(looks), dtype=np.int64)

@@ -349,12 +349,15 @@ def test_optional_stopping_within_4se_of_exact_rate(looks, theta, direction, tri
     assert abs(report.false_positive_rate - exact) <= 4.0 * se, (report, exact)
 
 
+FIBONACCI_LOOKS = (2, 3, 5, 8, 13, 21, 34, 55, 89)
+
+
 def test_optional_stopping_block_boundaries(monkeypatch):
     # Trial t reads only its own stream, so N trials report what N - 1 do plus
     # trial N - 1's own first rejection, wherever the batch boundaries fall.
-    # A batch is the trials whose words, counts and keys fill about 48K 64-bit
-    # words, less a threshold window's: here 423, 69 (the dense peeking
-    # schedule) and 4 trials with no window, and 766 with one.  Only the
+    # A batch is the trials whose words, counts and keys fill about 40K 64-bit
+    # words, less a threshold window's: here 353, 57 (the dense peeking
+    # schedule) and 3 trials with no window, and 638 with one.  Only the
     # 9-look Fibonacci schedule has few enough window entries per cell to
     # build one at these trial counts; the 4,098-look run takes the array
     # z-test on every cell.  At theta 0.5 every byte decides its item; at 0.3
@@ -362,10 +365,10 @@ def test_optional_stopping_block_boundaries(monkeypatch):
     # entropy words.
     from paircompare import simulations
 
-    for looks, batch, windowed in ((tuple(range(10, 201, 10)), 423, False),
-                                   (tuple(range(2, 501, 2)), 69, False),
-                                   (tuple(range(2, 4100)), 4, False),
-                                   ((2, 3, 5, 8, 13, 21, 34, 55, 89), 766, True)):
+    for looks, batch, windowed in ((tuple(range(10, 201, 10)), 353, False),
+                                   (tuple(range(2, 501, 2)), 57, False),
+                                   (tuple(range(2, 4100)), 3, False),
+                                   (FIBONACCI_LOOKS, 638, True)):
         # Keys are hashed once per batch, so the hashed ranges show where the
         # batches fall.
         hashed, built = [], []
@@ -404,9 +407,6 @@ def test_optional_stopping_block_boundaries(monkeypatch):
                         assert report.first_rejection_counts == tuple(before), \
                             (len(looks), theta, seed, direction, trials)
                         assert report.false_positives == sum(before)
-
-
-FIBONACCI_LOOKS = (2, 3, 5, 8, 13, 21, 34, 55, 89)
 
 
 def _window_cells(window, j):
@@ -477,10 +477,12 @@ def test_narrow_window_falls_back_to_look_test(monkeypatch):
     (tuple(range(2, 501, 2)), 160),    # the dense one, 9 batches
 ], ids=["50-looks", "250-looks"])
 def test_optional_stopping_memory_flat_in_trials(looks, trials):
-    # The run holds one batch's raw words, hit flags, counts and keys, and its
-    # look test's temporaries, whatever ``trials`` is: 10x the trials must
-    # not raise the traced peak.  A batch is sized to fill about 384 KB, and
-    # the peak is 360 to 390 KB on both schedules with numpy 2.4.
+    # The run holds one batch's words, keys and counts, whatever ``trials``
+    # is: 10x the trials must not raise the traced peak.  A batch is sized to
+    # fill about 320 KB with its threshold window's table, so the peak holds
+    # though the 10x run builds a window and the 1x run does not (too few
+    # cells per entry).  It is about 400 KB on both schedules with numpy 2.4,
+    # whose ufunc buffers take up to 64 KB more.
     optional_stopping_fpr(looks, 0.5, 0.05, trials, 3)  # caches filled outside the trace
     peaks = []
     for n in (trials, 10 * trials):
