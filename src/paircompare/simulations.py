@@ -355,16 +355,16 @@ def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int
     (``_threshold_window``), and a cell whose pooled count ``s`` lies in its
     look's window is then decided by integer adds on its counts, one gather
     from the table and one compare (``_ThresholdWindow``); a cell outside it,
-    or every cell of a run with no window, takes ``_look_test``.  Either way each
-    (trial, look) cell's decision is the z-test's.  Both peeking schedules
+    or every cell of a run with no window, takes ``_look_test``.  Either way
+    each (trial, look) cell's decision is the z-test's.  Both peeking schedules
     build a window (8.7k entries against 500k cells at 50 looks, 43k against
-    1M at 250); the 4,098-look block-boundary test does not.
+    1M at 250); a few trials over looks 2 to 4,099 do not.
 
     On a Xeon with AVX-512 at theta 0.5, 50 looks x 10k trials (149 trials a
     batch) take about 41 ms: the state resets and ``random_raw`` calls 58%,
     some 2.4 us a trial, which is the floor; the counts 18%, the keys 8%,
     the look tests 8% and the window's build 3%.  250 looks x 4k trials (41
-    a batch) take about 37 ms: raw words 28%, counts 22%, look tests 19%,
+    a batch) take about 34 ms: raw words 28%, counts 22%, look tests 19%,
     the window's build 15% and keys 8%.  At theta 0.3 nearly every trial has
     a tie and so a second reset and ``random_raw`` call, which adds about
     3 us a trial.  Memory is flat in ``trials``: one batch's words, keys and
