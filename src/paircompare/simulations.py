@@ -389,11 +389,11 @@ def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int
     rejects = _look_test(direction, nominal_alpha)
     t8, bound = _item_rule(theta)
     item_words = -(-2 * n_max // 8)
-    # Row i // 8 + 1 of a batch's words holds item i of each trial (column) in
-    # byte i % 8, little-endian on any host; row 0 stays zero.
-    # A window comes out of the budget, down to half of it.
+    # A window's table comes out of the budget, down to half of it.
     spare = _BATCH_WORDS - (0 if window is None else min(window.nbytes // 8, _BATCH_WORDS // 2))
     batch = max(1, spare // (_TRIAL_WORDS + item_words + _LOOK_BYTES * len(looks) // 8))
+    # Row i // 8 + 1 of a batch's words holds item i of each trial (column) in
+    # byte i % 8, little-endian on any host; row 0 stays zero.
     words = np.empty(batch * (1 + item_words), dtype="<u8")
     first_rejections = np.zeros(len(looks), dtype=np.int64)
     bitgen = np.random.Philox(0)
