@@ -10,7 +10,7 @@ import numpy as np
 
 from .core import Direction, Record
 from .errors import DegenerateTest, DomainError
-from .numerics import std_normal_cdf, std_normal_quantile
+from .numerics import std_normal_cdf, std_normal_pdf, std_normal_quantile
 
 
 class CiMode(Enum):
@@ -66,6 +66,67 @@ def pooled_statistic(correct1, total1, correct2, total2):
     with np.errstate(invalid="ignore"):
         z = (correct1 / total1 - correct2 / total2) / sigma
     return z, pooled, sigma
+
+
+def rejection_boundary(total, pooled_count, direction: Direction, alpha: float):
+    """``T(n, s)``: for totals ``n`` and pooled count ``s = c1 + c2``, the least ``e``
+    of ``s``'s parity at which ``two_proportion_z_test(c1, n, c2, n, direction)``
+    has ``p_value < alpha``, or ``min(s, 2 n - s) + 2`` where none does; ``e`` is
+    ``c1 - c2``, ``c2 - c1`` for ``less`` and ``|c1 - c2|`` for ``two_sided``.
+    ``total`` and ``pooled_count`` are integer arrays that broadcast.
+
+    The cell at ``e`` has ``z = e / r`` on the tested side, ``r = sqrt(s (2 n - s)
+    / 2 n)``, and the test rejects where ``z > critical = -quantile(tail)``, except
+    that within ``band`` of ``critical`` (1e-6, plus 8 ulps of the tail over
+    ``pdf(critical)`` for a subnormal ``alpha``) the p-value's rounding can move
+    the crossing.  So ``T`` is ``floor(critical r) + 1``, raised to ``s``'s parity
+    and clipped, wherever neither the cell at ``e`` nor at ``e - 2`` lies in the
+    band: the formula's few ulps of rounding matter only where ``critical r`` lies
+    that close to an integer of ``s``'s parity.  Where one does, the scalar test
+    moves ``e`` by 2 until it rejects at ``e`` and not at ``e - 2``.  At fixed
+    ``(n, s)`` the test's ``z`` cannot fall as ``c1`` rises, each step being a
+    correctly rounded monotone operation, and its p-value falls as ``z`` rises,
+    so the rejected cells are those at or above ``T``.  Where ``|critical| <=
+    band`` only the cell at ``e = 0`` can lie in the band (any other has ``|z| >=
+    sqrt(2 / n)``, above 2e-6 for ``n`` below 5e11).  It needs no confirmation:
+    ``c1 = c2`` makes ``z`` exactly 0, whose p-value (0.5, or 1 two-sided) lies
+    below ``alpha`` exactly when ``critical < 0``, as ``std_normal_quantile``
+    keeps the sign of ``tail - 0.5``.  A pooled rate of 0 or 1 never rejects.
+    """
+    tail = max(alpha / 2.0 if direction is Direction.TWO_SIDED else alpha, math.ulp(0.0))
+    critical = -std_normal_quantile(tail)
+    band = 1e-6 + 8.0 * math.ulp(tail) / std_normal_pdf(critical)
+    s = pooled_count
+    top = np.minimum(s, 2 * total - s)  # the largest e at this s
+    r = np.sqrt(s * (2 * total - s) / (2.0 * total))  # the cell at e has z = e / r
+    x = critical * r
+    e = np.floor(x).astype(np.int64) + 1
+    e += (e - s) & 1  # the least e of s's parity above x
+    # x - e lies in [-2, 0), and the cell at e or e - 2 in the band where
+    # |x - e + 1| lies within band r of 1.
+    near = np.nonzero(np.abs(x - e + 1) + band * r > 1.0) if abs(critical) > band else ()
+    np.clip(e, s & 1 if direction is Direction.TWO_SIDED else -top, top + 2, out=e)
+    n, s = np.broadcast_arrays(total, s)
+    for i in zip(*near):
+        e[i] = _confirmed(int(n[i]), int(s[i]), int(e[i]), direction, alpha)
+    return e
+
+
+def _confirmed(n: int, s: int, e: int, direction: Direction, alpha: float) -> int:
+    """:func:`rejection_boundary`'s entry at ``(n, s)``, moved from ``e`` by the scalar test."""
+    top = min(s, 2 * n - s)
+    least = s & 1 if direction is Direction.TWO_SIDED else -top
+    sign = -1 if direction is Direction.LESS else 1  # e is c2 - c1 under less
+
+    def rejects(d):
+        return two_proportion_z_test((s + sign * d) // 2, n, (s - sign * d) // 2, n,
+                                     direction).p_value < alpha
+
+    while e - 2 >= least and rejects(e - 2):
+        e -= 2
+    while e <= top and not rejects(e):
+        e += 2
+    return e
 
 
 def two_proportion_z_test(correct1: int, total1: int, correct2: int, total2: int,

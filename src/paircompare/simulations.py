@@ -16,8 +16,8 @@ import numpy as np
 from .bayes import BetaParams, posterior_pair
 from .core import Counts, Direction, Record
 from .errors import DomainError
-from .frequentist import pooled_statistic, two_proportion_z_test
-from .numerics import log_binomial_coefficient, std_normal_pdf, std_normal_quantile, stream_keys
+from .frequentist import rejection_boundary
+from .numerics import log_binomial_coefficient, stream_keys
 from .posterior import Hdi, bayes_factor_interval_null, hdi_of_difference
 
 
@@ -126,6 +126,12 @@ def stopping_comparison(successes: int, trials: int, null_rate: float) -> Stoppi
 _BATCH_WORDS = 5 << 13
 _TRIAL_WORDS = 21
 _LOOK_BYTES = 18
+# rejection_boundary takes about _BOUNDARY_BYTES a cell with its inputs, so it
+# runs on whole looks of about _PIECE_BYTES: the cast buffer a batch's counts
+# already take, so a batch its window does not cover peaks no higher.  A window
+# is built before any batch, in pieces 4 times that size.
+_BOUNDARY_BYTES = 72
+_PIECE_BYTES = 1 << 16
 # A word of 0/1 bytes times this holds in byte k the sum of its bytes 0..k:
 # at most 8, so no carry crosses a byte.  Products wrap modulo 2**64.
 _PREFIX_SUMS = np.uint64(0x0101010101010101)
@@ -133,7 +139,6 @@ _PREFIX_SUMS = np.uint64(0x0101010101010101)
 # and is built only when it has at most one entry per _CELLS_PER_ENTRY cells.
 _WINDOW_SDS = 8.0
 _CELLS_PER_ENTRY = 8
-_WINDOW_CHUNK = 1024  # entries checked per _look_test call while a window is built
 
 
 def _item_rule(theta: float) -> tuple[int, int]:
@@ -154,118 +159,42 @@ def _tie_hits(fallback, bound: int):
     return fallback >> np.uint64(11) < np.uint64(bound)
 
 
-def _critical(direction: Direction, alpha: float) -> tuple[float, float]:
-    """``(tail, critical)``: the one-sided tail ``alpha`` leaves, at least the least
-    subnormal, and the statistic above which the test rejects, ``-quantile(tail)``."""
-    tail = max(alpha / 2.0 if direction is Direction.TWO_SIDED else alpha, math.ulp(0.0))
-    return tail, -std_normal_quantile(tail)
-
-
-def _look_test(direction: Direction, alpha: float):
-    """``rejects(c1, c2, n)``: ``two_proportion_z_test(c1, n, c2, n).p_value < alpha``
-    for (rows, looks) count arrays and (looks,) sizes.  ``z`` is the test's own
-    ``pooled_statistic`` and the p-value falls as ``s`` (``z``, ``-z`` or ``|z|``)
-    rises, so only p-value rounding can disagree with ``s > critical``: cells within
-    ``band`` of it (1e-6, plus eight ulps of the tail for subnormal ``alpha``) are
-    decided by that z-test's p-value.  A NaN ``z`` (pooled rate 0 or 1) never rejects.
-    """
-    tail, critical = _critical(direction, alpha)
-    band = 1e-6 + 8.0 * math.ulp(tail) / std_normal_pdf(critical)
-    sign = {Direction.GREATER: 1.0, Direction.LESS: -1.0}.get(direction)
-
-    def rejects(c1, c2, n):
-        z = pooled_statistic(c1, n, c2, n)[0]
-        s = np.abs(z) if sign is None else sign * z
-        reject = s > critical
-        for i, j in np.argwhere(np.abs(s - critical) <= band):
-            reject[i, j] = two_proportion_z_test(
-                c1[i, j], n[j], c2[i, j], n[j], direction).p_value < alpha
-        return reject
-
-    return rejects
-
-
-def _rejects_at(rejects, direction: Direction, n, s, e):
-    """``rejects`` at pooled counts ``s`` and differences ``e`` (``c1 - c2``, ``c2 - c1``
-    for ``less``), for (rows, cells) ``e`` and (cells,) ``n`` and ``s``."""
-    high, low = (s + e) // 2, (s - e) // 2
-    return rejects(low, high, n) if direction is Direction.LESS else rejects(high, low, n)
-
-
 class _ThresholdWindow:
-    """Each look's rejection threshold on ``e`` at the pooled counts ``s = c1 + c2``
-    near their mean, where ``e`` is ``c1 - c2``, ``c2 - c1`` for ``less`` or
-    ``|c1 - c2|`` for ``two_sided``, and has ``s``'s parity.
-
-    Look ``n``'s window covers ``s`` in ``[lo, hi]``, ``2 n theta +- (8 sd + 1)``
-    with ``sd = sqrt(2 n theta (1 - theta))``, clipped to ``[0, 2 n]``
-    (``_threshold_window``).  Its entry for ``s`` is the least ``e`` of ``s``'s
-    parity at which ``_look_test`` rejects, or ``min(s, 2 n - s) + 2`` where none
-    does.  Each entry starts from the closed form ``floor(critical sqrt(s (2 n -
-    s) / 2 n)) + 1``, raised to ``s``'s parity, and moves by 2 until
-    ``_look_test`` rejects at it and not at 2 below it.  The entries are built
-    ``_WINDOW_CHUNK`` at a time, so the build's temporaries stay below a batch's.
-
-    At fixed ``(n, s)`` the computed ``z`` cannot fall as ``c1`` rises, each
-    step being a correctly rounded monotone operation, and cells 2 apart in
-    ``e`` differ by at least 2.8 / sqrt(n) in ``z``, far more than
-    ``_look_test``'s band.  So the rejected cells of each ``(n, s)`` are those at
-    or above one ``e``, and the table gives ``_look_test``'s decisions.
+    """Each look's rejection boundary ``T(n, s)`` (:func:`frequentist.rejection_boundary`)
+    at the pooled counts ``s`` in ``[lo, hi]``, ``2 n theta +- (8 sd + 1)`` with
+    ``sd = sqrt(2 n theta (1 - theta))`` clipped to ``[0, 2 n]``
+    (``_threshold_window``): look ``j``'s entry for ``s`` is ``table[s + base[j]]``.
     """
 
     def __init__(self, sizes, lo, hi, direction: Direction, alpha: float):
-        self.sizes, self.lo, self.hi, self.direction = sizes, lo, hi, direction
-        self.test = _look_test(direction, alpha)
+        self.lo, self.hi = lo, hi
         width = hi - lo + 1
         start = np.cumsum(width) - width
-        self.base = start - lo  # look j's entry for s is s + base[j]
+        self.base = start - lo
         self.table = np.empty(int(width.sum()), dtype=np.min_scalar_type(-2 * int(sizes[-1]) - 3))
-        critical = _critical(direction, alpha)[1]
-        for first in range(0, len(self.table), _WINDOW_CHUNK):
-            entry = np.arange(first, min(first + _WINDOW_CHUNK, len(self.table)))
-            look = np.searchsorted(start, entry, side="right") - 1
-            n = sizes[look]
-            s = entry - self.base[look]
-            top = np.minimum(s, 2 * n - s)  # the largest e at this s
-            least = s & 1 if direction is Direction.TWO_SIDED else -top
-            e = np.floor(critical * np.sqrt(s * (2 * n - s) / (2.0 * n))).astype(np.int64) + 1
-            e += (e - s) & 1
-            np.clip(e, least, top + 2, out=e)
-            while True:
-                # The test at e and at e - 2, each clipped to a cell that exists.
-                at = _rejects_at(self.test, direction, n, s,
-                                 np.stack((np.minimum(e, top), np.maximum(e - 2, least))))
-                up = (e <= top) & ~at[0]
-                down = (e - 2 >= least) & at[1]
-                if not (up.any() or down.any()):
-                    break
-                e[up] += 2
-                e[down] -= 2
-            self.table[first:first + len(e)] = e
+        for looks in _pieces(width, 4 * _PIECE_BYTES):
+            first = start[looks.start]
+            n = np.repeat(sizes[looks], width[looks])
+            s = np.arange(first, first + len(n)) - np.repeat(self.base[looks], width[looks])
+            self.table[first:first + len(n)] = rejection_boundary(n, s, direction, alpha)
         self.nbytes = self.table.nbytes + 24 * len(sizes)  # with lo, hi and base
 
-    def rejects(self, c1, c2, looks=slice(None)):
-        """Which cells of the (looks, trials) counts ``c1`` and ``c2`` at ``looks``
-        reject; it overwrites the counts with ``e`` and ``s``.  A cell whose ``s``
-        lies outside its look's window takes ``_look_test``."""
-        e, s = (c2, c1) if self.direction is Direction.LESS else (c1, c2)
-        e -= s
-        s <<= 1
-        s += e  # c1 + c2
-        if self.direction is Direction.TWO_SIDED:
-            np.abs(e, out=e)
-        lo, hi = self.lo[looks, None], self.hi[looks, None]
-        outside = None
-        if (s.min(axis=1, keepdims=True) < lo).any() or (s.max(axis=1, keepdims=True) > hi).any():
-            outside = np.nonzero((s < lo) | (s > hi))
-            test = _rejects_at(self.test, self.direction, self.sizes[looks][outside[0]],
-                               s[outside], e[outside][None])[0]
-        s += self.base[looks, None]
+    def rejects(self, e, s):
+        """``e >= T(n, s)`` on (looks, trials) arrays by one gather, overwriting both,
+        or None where a pooled count ``s`` lies outside its look's window."""
+        if (s.min(axis=1) < self.lo).any() or (s.max(axis=1) > self.hi).any():
+            return None
+        s += self.base[:, None]
         e -= self.table.take(s, mode="clip")
-        reject = e >= 0
-        if outside is not None:
-            reject[outside] = test
-        return reject
+        return e >= 0
+
+
+def _pieces(cells, size=_PIECE_BYTES):
+    """Slices of consecutive looks, look ``j`` with ``cells[j]`` cells, that each
+    hold rejection_boundary's temporaries in about ``size`` bytes."""
+    piece = np.cumsum(cells) * _BOUNDARY_BYTES // size
+    cuts = [0, *(np.flatnonzero(np.diff(piece)) + 1).tolist(), len(cells)]
+    return map(slice, cuts[:-1], cuts[1:])
 
 
 def _threshold_window(sizes, theta: float, direction: Direction, alpha: float, cells: int):
@@ -296,17 +225,23 @@ def _look_counts(words, sizes):
     return c1, c2
 
 
-def _first_rejections(words, sizes, window, rejects):
+def _first_rejections(words, sizes, window, direction: Direction, alpha: float):
     """How many of a batch's trials first reject at each look, from its words of
-    hit flags (``_look_counts``)."""
+    hit flags (``_look_counts``): where ``e >= T(n, s)``, gathered from the window
+    where it covers the batch and computed in pieces of looks where not."""
     c1, c2 = _look_counts(words, sizes)
-    if window is not None:
-        reject = window.rejects(c1, c2)
-    else:
-        reject = np.empty(c1.shape, dtype=bool)
-        step = max(1, len(sizes) // 64)  # looks per call, so its temporaries stay small
-        for j in range(0, len(sizes), step):
-            reject[j:j + step] = rejects(c1[j:j + step].T, c2[j:j + step].T, sizes[j:j + step]).T
+    e, s = (c2, c1) if direction is Direction.LESS else (c1, c2)
+    e -= s
+    s <<= 1
+    s += e  # c1 + c2
+    if direction is Direction.TWO_SIDED:
+        np.abs(e, out=e)
+    reject = None if window is None else window.rejects(e, s)
+    if reject is None:
+        reject = np.empty(e.shape, dtype=bool)
+        for looks in _pieces(np.full(len(sizes), e.shape[1])):
+            reject[looks] = e[looks] >= rejection_boundary(sizes[looks, None], s[looks],
+                                                           direction, alpha)
     return np.bincount(reject.argmax(axis=0)[reject.any(axis=0)], minlength=len(sizes))
 
 
@@ -350,25 +285,28 @@ def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int
     it; so the hits among items ``0..i`` are that sum above row ``i // 8 + 1``
     plus byte ``i % 8`` of that row's product.  System 1's count at look ``n``
     reads item ``n - 1``, system 2's item ``n_max + n - 1`` less system 1's
-    total (``_look_counts``).  Decisions: a run whose threshold window holds
-    at most one entry per 8 (trial, look) cells builds it
-    (``_threshold_window``), and a cell whose pooled count ``s`` lies in its
-    look's window is then decided by integer adds on its counts, one gather
-    from the table and one compare (``_ThresholdWindow``); a cell outside it,
-    or every cell of a run with no window, takes ``_look_test``.  Either way
-    each (trial, look) cell's decision is the z-test's.  Both peeking schedules
+    total (``_look_counts``).  Decisions: a (trial, look) cell rejects exactly
+    when its ``e`` reaches the look's rejection boundary ``T(n, s)``
+    (:func:`frequentist.rejection_boundary`), which gives the z-test's
+    decision.  A run whose threshold window holds at most one entry per 8 cells
+    builds it: T at each look's pooled counts within ``2 n theta +- (8 sd + 1)``
+    (``_threshold_window``).  A batch whose pooled counts all lie in their
+    windows is then decided by integer adds on its counts, one gather from the
+    table and one compare; any other batch, and every batch of a run with no
+    window, takes T on its cells.  The scalar z-test runs only inside T, on the
+    rare entries within 1e-6 in ``z`` of a decision.  Both peeking schedules
     build a window (8.7k entries against 500k cells at 50 looks, 43k against
     1M at 250); a few trials over looks 2 to 4,099 do not.
 
     On a Xeon with AVX-512 at theta 0.5, 50 looks x 10k trials (149 trials a
-    batch) take about 41 ms: the state resets and ``random_raw`` calls 58%,
-    some 2.4 us a trial, which is the floor; the counts 18%, the keys 8%,
-    the look tests 8% and the window's build 3%.  250 looks x 4k trials (41
-    a batch) take about 34 ms: raw words 28%, counts 22%, look tests 19%,
-    the window's build 15% and keys 8%.  At theta 0.3 nearly every trial has
-    a tie and so a second reset and ``random_raw`` call, which adds about
-    3 us a trial.  Memory is flat in ``trials``: one batch's words, keys and
-    counts and the window, about 400 KB traced on both schedules.
+    batch) take about 37 ms: the state resets and ``random_raw`` calls 65%,
+    some 2.4 us a trial, which is the floor; the counts 18%, the decisions
+    10%, the keys 5% and the window's build 1%.  250 looks x 4k trials (41 a
+    batch) take about 31 ms: raw words 36%, decisions 27%, counts 25%, keys
+    8% and the build 3.5%.  At theta 0.3 nearly every trial has a tie and so a
+    second reset and ``random_raw`` call, which adds about 3 us a trial.
+    Memory is flat in ``trials``: one batch's words, keys and counts and the
+    window, about 400 KB traced on both schedules.
     """
     looks = tuple(looks)
     if not all(isinstance(n, Integral) for n in (*looks, trials)):
@@ -386,7 +324,6 @@ def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int
     n_max = looks[-1]
     sizes = np.array(looks)
     window = _threshold_window(sizes, theta, direction, nominal_alpha, trials * len(looks))
-    rejects = _look_test(direction, nominal_alpha)
     t8, bound = _item_rule(theta)
     item_words = -(-2 * n_max // 8)
     # A window's table comes out of the budget, down to half of it.
@@ -429,7 +366,7 @@ def optional_stopping_fpr(looks, theta: float, nominal_alpha: float, trials: int
         np.less(drawn, t8, out=drawn.view(bool))  # flags past item 2 n_max - 1 go unread
         if bound:
             items[row, trial, byte] = _tie_hits(fallback, bound)
-        first_rejections += _first_rejections(block, sizes, window, rejects)
+        first_rejections += _first_rejections(block, sizes, window, direction, nominal_alpha)
     false_positives = int(first_rejections.sum())
     return OptionalStoppingReport(
         looks=looks,

@@ -16,11 +16,10 @@ from conftest import seed_sequence_generator
 from paircompare.bayes import PRIOR_PRESETS, BetaParams, conjugate_update
 from paircompare.core import Direction
 from paircompare.errors import DegenerateTest, DomainError
-from paircompare.frequentist import two_proportion_z_test
-from paircompare.numerics import stream_keys
+from paircompare.frequentist import pooled_statistic, rejection_boundary, two_proportion_z_test
+from paircompare.numerics import std_normal_pdf, std_normal_quantile, stream_keys
 from paircompare.simulations import (
     _item_rule,
-    _look_test,
     _threshold_window,
     _tie_hits,
     optional_stopping_fpr,
@@ -265,6 +264,32 @@ def test_item_rule_is_the_exact_61_bit_comparison(theta):
             assert hit == (Fraction(2**53 * byte + k, 2**61) < exact), (byte, k)
 
 
+def _look_test(direction, alpha):
+    """Array reference for the look decisions: ``rejects(c1, c2, n)`` is
+    ``two_proportion_z_test(c1, n, c2, n, direction).p_value < alpha`` for (rows,
+    looks) count arrays and (looks,) sizes.  ``z`` is the test's own
+    ``pooled_statistic`` and the p-value falls as ``s`` (``z``, ``-z`` or ``|z|``)
+    rises, so only p-value rounding can disagree with ``s > critical``: cells
+    within ``band`` of it (1e-6, plus eight ulps of the tail for subnormal
+    ``alpha``) take the scalar test.  A NaN ``z`` (pooled rate 0 or 1) never
+    rejects."""
+    tail = max(alpha / 2.0 if direction is Direction.TWO_SIDED else alpha, math.ulp(0.0))
+    critical = -std_normal_quantile(tail)
+    band = 1e-6 + 8.0 * math.ulp(tail) / std_normal_pdf(critical)
+    sign = {Direction.GREATER: 1.0, Direction.LESS: -1.0}.get(direction)
+
+    def rejects(c1, c2, n):
+        z = pooled_statistic(c1, n, c2, n)[0]
+        s = np.abs(z) if sign is None else sign * z
+        reject = s > critical
+        for i, j in np.argwhere(np.abs(s - critical) <= band):
+            reject[i, j] = two_proportion_z_test(
+                int(c1[i, j]), int(n[j]), int(c2[i, j]), int(n[j]), direction).p_value < alpha
+        return reject
+
+    return rejects
+
+
 def _assert_look_test_matches_z_test(c1, c2, n, alphas):
     c1, c2 = c1.reshape(-1, 1), c2.reshape(-1, 1)
     degenerate = (c1[:, 0] + c2[:, 0]) % (2 * n) == 0
@@ -297,6 +322,74 @@ def test_look_test_matches_pooled_z_at_subnormal_alpha(n):
     low, high = np.meshgrid(np.arange(121), np.arange(n - 120, n + 1))
     for c1, c2 in ((high, low), (low, high)):
         _assert_look_test_matches_z_test(c1, c2, n, (5e-324, 1e-323, 1e-320))
+
+
+def _boundary_cells(n, s, direction, e):
+    """The (c1, c2) of the cells at ``e`` (``c1 - c2``, ``c2 - c1`` for ``less``,
+    ``|c1 - c2|`` two-sided) and pooled counts ``s``."""
+    high, low = (s + e) // 2, (s - e) // 2
+    return (low, high) if direction is Direction.LESS else (high, low)
+
+
+def _assert_boundary_matches_look_test(ns, alphas):
+    n = np.concatenate([np.full(2 * m + 1, m) for m in ns])
+    s = np.concatenate([np.arange(2 * m + 1) for m in ns])
+    top = np.minimum(s, 2 * n - s)
+    for direction in Direction:
+        least = s & 1 if direction is Direction.TWO_SIDED else -top
+        for alpha in alphas:
+            bound = rejection_boundary(n, s, direction, alpha)
+            assert ((bound - s) % 2 == 0).all() and (least <= bound).all() \
+                and (bound <= top + 2).all(), (direction, alpha)
+            rejects = _look_test(direction, alpha)
+            for e, want, exists in ((bound, True, bound <= top),
+                                    (bound - 2, False, bound - 2 >= least)):
+                c1, c2 = _boundary_cells(n[exists], s[exists], direction, e[exists])
+                decided = rejects(c1[None], c2[None], n[exists])[0]
+                assert (decided == want).all(), (direction, alpha, want)
+
+
+def test_rejection_boundary_matches_look_test():
+    # T(n, s) is the least e of s's parity at which the z-test rejects: the
+    # reference rejects at e = T and not at T - 2, for every (n, s) up to
+    # n = 400 with both ends of s, and at larger looks, where a subnormal
+    # alpha's critical value (about 38) is reached in the corners and the
+    # p-value's rounding moves decisions by up to 1e-2 in z: without its
+    # confirmation the closed form gets 176 of the 790,614 cells of
+    # test_look_test_matches_pooled_z_at_subnormal_alpha wrong.  At fixed
+    # (n, s) the look test's z cannot fall as e rises, so these two cells pin
+    # every decision.  T's cell at e = 0 relies on std_normal_quantile keeping
+    # the sign of p - 0.5.
+    _assert_boundary_matches_look_test(
+        range(2, 401), (0.5, 0.2, 0.05, 0.01, 1e-3, 1e-6, 1e-12, 1e-320))
+    _assert_boundary_matches_look_test((740, 795, 833), (5e-324, 1e-323, 1e-320))
+    assert std_normal_quantile(0.5) == 0.0
+    for toward in (0.0, 1.0):
+        p = 0.5
+        for _ in range(1000):
+            p = math.nextafter(p, toward)
+            assert (std_normal_quantile(p) > 0.0) == (p > 0.5), p
+
+
+def test_one_sided_half_alpha_build_confirms_few_entries(monkeypatch):
+    # At one-sided alpha 0.5 the critical value is 0, so every cell at e = 0
+    # lies at it; those cells' z is exactly 0 and needs no scalar test.  The
+    # dense schedule's window (43,042 entries) used to send 21,484 of them to
+    # the scalar test in each direction.
+    from paircompare import frequentist
+
+    calls = []
+    real = frequentist.two_proportion_z_test
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(frequentist, "two_proportion_z_test", counting)
+    sizes = np.arange(2, 501, 2)
+    for direction in (Direction.GREATER, Direction.LESS):
+        assert _threshold_window(sizes, 0.5, direction, 0.5, 10**9) is not None
+    assert len(calls) <= 4, len(calls)
 
 
 def _exact_fpr(looks, theta, alpha, direction):
@@ -359,8 +452,8 @@ def test_optional_stopping_block_boundaries(monkeypatch):
     # words, less a threshold window's: here 353, 57 (the dense peeking
     # schedule) and 3 trials with no window, and 638 with one.  Only the
     # 9-look Fibonacci schedule has few enough window entries per cell to
-    # build one at these trial counts; the 4,098-look run takes the array
-    # z-test on every cell.  At theta 0.5 every byte decides its item; at 0.3
+    # build one at these trial counts; the 4,098-look run takes the rejection
+    # boundary on every cell.  At theta 0.5 every byte decides its item; at 0.3
     # one in 256 reads a fallback word.  A seed of 2**32 or more takes two
     # entropy words.
     from paircompare import simulations
@@ -409,67 +502,57 @@ def test_optional_stopping_block_boundaries(monkeypatch):
                         assert report.false_positives == sum(before)
 
 
-def _window_cells(window, j):
-    """Every (c1, c2) of look ``j`` whose pooled count lies in its window, as
-    (1, cells) arrays."""
-    n = int(window.sizes[j])
-    c1, s = np.meshgrid(np.arange(n + 1), np.arange(window.lo[j], window.hi[j] + 1))
-    inside = (s - c1 >= 0) & (s - c1 <= n)
-    return c1[inside][None], (s - c1)[inside][None]
-
-
-def _no_fallback(*args):
-    raise AssertionError("a cell inside the window took the z-test")
-
-
 @pytest.mark.parametrize("theta", [0.5, 0.03])
 @pytest.mark.parametrize("looks", [tuple(range(10, 501, 10)), tuple(range(2, 501, 2)),
                                    FIBONACCI_LOOKS], ids=["default", "dense", "fibonacci"])
-def test_threshold_window_matches_look_test(monkeypatch, looks, theta):
-    # Each cell whose pooled count lies in its look's window is decided by the
-    # table alone, and must get _look_test's decision: at subnormal, tiny,
-    # usual and large alpha, in every direction.
-    from paircompare import simulations
-
+def test_threshold_window_matches_look_test(looks, theta):
+    # A cell whose pooled count lies in its look's window is decided by a
+    # gather from the table alone, which is built in pieces of whole looks.
+    # Every entry must be T(n, s), which test_rejection_boundary_matches_look_test
+    # holds to the look test: a cell at e = T must reject and one at T - 2 must
+    # not, at subnormal, tiny, usual and large alpha, in every direction.
     sizes = np.array(looks)
     for direction in Direction:
         for alpha in (1e-320, 1e-12, 0.05, 0.5):
             window = _threshold_window(sizes, theta, direction, alpha, 10**9)
-            rejects = _look_test(direction, alpha)
-            with monkeypatch.context() as patch:
-                patch.setattr(simulations, "_rejects_at", _no_fallback)
-                for j, n in enumerate(looks):
-                    c1, c2 = _window_cells(window, j)
-                    expected = rejects(c1, c2, np.full(c1.shape[1], n))
-                    decided = window.rejects(c1.copy(), c2.copy(), [j])
-                    assert np.array_equal(decided, expected), (direction, alpha, n)
+            width = window.hi - window.lo + 1
+            s = window.lo[:, None] + np.arange(width.max()) % width[:, None]  # every entry
+            bound = rejection_boundary(sizes[:, None], s, direction, alpha)
+            for below in (0, 2):
+                decided = window.rejects(bound - below, s.copy())
+                assert decided.all() if below == 0 else not decided.any(), (direction, alpha)
 
 
 def test_narrow_window_falls_back_to_look_test(monkeypatch):
-    # With a window of half a standard deviation, many cells fall outside it
-    # and take _look_test; every report must match the full window's and that
-    # of a run with no window.
+    # A batch whose pooled counts do not all lie in their looks' windows, and
+    # every batch of a run with no window, is decided by T itself
+    # (rejection_boundary on its cells).  With a window of half a standard
+    # deviation many batches are; every report must match the full window's,
+    # where none is, and that of a run with no window, where every cell is.
     from paircompare import simulations
 
     looks = tuple(range(10, 201, 10))
-    fallbacks = []
+    direct = []
 
-    def counting(rejects, direction, n, s, e, rejects_at=simulations._rejects_at):
-        fallbacks.append(len(e) == 1)  # the build tests two rows, e and e - 2
-        return rejects_at(rejects, direction, n, s, e)
+    def counting(n, s, direction, alpha, boundary=simulations.rejection_boundary):
+        if s.ndim == 2:  # a batch's (looks, trials) cells, not a window's entries
+            direct.append(s.size)
+        return boundary(n, s, direction, alpha)
 
+    monkeypatch.setattr(simulations, "rejection_boundary", counting)
     for theta in (0.5, 0.3):
         for direction in Direction:
+            direct.clear()
             full = optional_stopping_fpr(looks, theta, 0.2, 1000, 7, direction)
-            with monkeypatch.context() as patch:
-                patch.setattr(simulations, "_CELLS_PER_ENTRY", 10**9)
-                assert optional_stopping_fpr(looks, theta, 0.2, 1000, 7, direction) == full
-            with monkeypatch.context() as patch:
-                patch.setattr(simulations, "_WINDOW_SDS", 0.5)
-                patch.setattr(simulations, "_rejects_at", counting)
-                fallbacks.clear()
-                assert optional_stopping_fpr(looks, theta, 0.2, 1000, 7, direction) == full
-                assert any(fallbacks), (theta, direction)
+            assert not direct, (theta, direction)
+            for name, value in (("_CELLS_PER_ENTRY", 10**9), ("_WINDOW_SDS", 0.5)):
+                with monkeypatch.context() as patch:
+                    patch.setattr(simulations, name, value)
+                    direct.clear()
+                    assert optional_stopping_fpr(looks, theta, 0.2, 1000, 7, direction) == full
+                    assert 0 < sum(direct) <= 1000 * len(looks), (name, theta, direction)
+                    if name == "_CELLS_PER_ENTRY":
+                        assert sum(direct) == 1000 * len(looks)
 
 
 @pytest.mark.parametrize("looks,trials", [
