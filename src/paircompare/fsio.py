@@ -14,22 +14,28 @@ from .errors import IoError
 _WRITE_SLICE = 1 << 16  # characters encoded and written at a time
 
 
-def atomic_write_text(path, text: str) -> Path:
+def atomic_write_text(path, text) -> Path:
     """Write ``text`` to ``path`` via a temp file and rename.
 
-    The rename is atomic on POSIX, so readers never observe a partial file;
-    a crash mid-write leaves the previous content (or nothing) in place.
-    When the write or the rename fails, the temp file is removed before
-    ``IoError`` is raised.  The text is encoded and written in slices of
-    65,536 characters, so no encoded copy of the whole file is ever held.
+    ``text`` is a str, or a sequence of bytes-like pieces written one after
+    another as they are.  The rename is atomic on POSIX, so readers never
+    observe a partial file; a crash mid-write leaves the previous content (or
+    nothing) in place.  When the write or the rename fails, the temp file is
+    removed before ``IoError`` is raised.  A str is encoded and written in
+    slices of 65,536 characters, and each piece straight from its buffer, so
+    no copy of the whole file is ever held.
     """
     target = Path(path)
     tmp = target.with_name(target.name + ".tmp")
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for start in range(0, len(text), _WRITE_SLICE):
-                handle.write(text[start:start + _WRITE_SLICE])
+        if isinstance(text, str):
+            with open(tmp, "w", encoding="utf-8") as handle:
+                for start in range(0, len(text), _WRITE_SLICE):
+                    handle.write(text[start:start + _WRITE_SLICE])
+        else:
+            with open(tmp, "wb") as handle:
+                handle.writelines(text)
         os.replace(tmp, target)
     except OSError as exc:
         with contextlib.suppress(OSError):

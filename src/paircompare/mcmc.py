@@ -1,5 +1,5 @@
 """Random-walk Metropolis sampler for the two-rate model, with convergence
-diagnostics and trace export.
+diagnostics and trace export as one ``.npy`` array.
 
 Sampling happens on the logit scale so proposals never leave the support;
 the Jacobian of the transform folds into the target density.  Each chain
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +33,6 @@ ESS_THRESHOLD = 400.0
 
 _MIN_ESS_DRAWS = 8
 
-# Rows of a chain file formatted at a time by export_trace.
-_EXPORT_BLOCK = 1024
 # Pre-drawn normals or uniforms a chain turns into Python floats at a time.
 _FLOAT_SLICE = 1024
 
@@ -323,39 +320,31 @@ def finite_or_null(values) -> list:
     return [v if math.isfinite(v) else None for v in values]
 
 
-def _csv_block(rows: np.ndarray, first: int) -> str:
-    """The CSV lines of ``rows``, numbered from ``first``, each ending in a newline."""
-    changed = np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))
-    starts = np.flatnonzero(changed | (rows == 0.0).any(axis=1))
-    texts = [f"{a!r},{b!r}\n" for a, b in rows[starts].tolist()]
-    runs = np.diff(starts, append=len(rows)).tolist()
-    row_texts = itertools.chain.from_iterable(map(itertools.repeat, texts, runs))
-    prefixes = [f"{i}," for i in range(first, first + len(rows))]
-    return "".join(map(operator.add, prefixes, row_texts))
+def _npy_header(shape: tuple[int, ...]) -> bytes:
+    """The NEP 1 (.npy) version 1.0 header of a little-endian float64 C-order
+    array of ``shape``: magic string and version, the header length as a
+    little-endian uint16, then the dict text, padded with spaces and a closing
+    newline so that the data starts at a multiple of 64 bytes."""
+    text = f"{{'descr': '<f8', 'fortran_order': False, 'shape': {shape}, }}"
+    text += " " * (-(10 + len(text) + 1) % 64) + "\n"
+    return b"\x93NUMPY\x01\x00" + len(text).to_bytes(2, "little") + text.encode("ascii")
 
 
 def export_trace(trace: Trace, out_dir) -> list[Path]:
-    """Write one CSV per chain plus a JSON diagnostics sidecar.
+    """Write the samples as ``chains.npy`` plus a JSON diagnostics sidecar.
 
-    Chain files are named ``chain_0.csv`` onward with header
-    ``draw,theta1,theta2``.  Files are written to a temporary name and
-    renamed, so a crash never leaves a partial file behind.  Each chain's
-    text is built in blocks of 1,024 rows, and only one block's line strings
-    are alive at a time, so the writer holds a chain file's text about twice:
-    as its block texts and as their join.  Within a block each run of equal
-    rows, as rejected draws leave, is formatted once; a row holding a zero,
-    or a block's first row, starts a run of its own, since ``0.0 == -0.0``
-    prints two ways.
+    ``chains.npy`` holds the whole (chains, draws, 2) ``trace.samples`` array
+    as little-endian float64 in C order, so ``np.load`` returns it bit for
+    bit.  Its header comes from a fixed template, so the file's bytes do not
+    depend on the installed numpy's own writer.  The header and a memoryview
+    of the samples go to the writer as two pieces, so a C-contiguous float64
+    array, as ``run_chains`` makes, is never copied.  Files are written to a
+    temporary name and renamed, so a crash never leaves a partial file behind.
     """
     out = Path(out_dir)
-    written = []
-    for chain, rows in enumerate(trace.samples):
-        blocks = ["draw,theta1,theta2\n"]
-        blocks.extend(_csv_block(rows[lo:lo + _EXPORT_BLOCK], lo)
-                      for lo in range(0, len(rows), _EXPORT_BLOCK))
-        path = out / f"chain_{chain}.csv"
-        atomic_write_text(path, "".join(blocks))
-        written.append(path)
+    samples = np.ascontiguousarray(trace.samples, dtype="<f8")
+    header = _npy_header(samples.shape)
+    chains = atomic_write_text(out / "chains.npy", (header, memoryview(samples)))
     diagnostics = {
         "accept_rates": list(trace.accept_rates),
         "step_sizes": list(trace.step_sizes),
@@ -368,7 +357,4 @@ def export_trace(trace: Trace, out_dir) -> list[Path]:
         "converged": trace.converged,
         "warnings": list(trace.warnings),
     }
-    path = out / "diagnostics.json"
-    atomic_write_text(path, json_text(diagnostics))
-    written.append(path)
-    return written
+    return [chains, atomic_write_text(out / "diagnostics.json", json_text(diagnostics))]

@@ -197,7 +197,7 @@ def test_criterion_11_reruns_are_byte_identical(fixture_tree):
         path.relative_to(first)
         for path in (first / "out").rglob("*") if path.is_file())
     assert any(p.name == "report.json" for p in artifacts)
-    assert any(p.name == "chain_0.csv" for p in artifacts)
+    assert any(p.name == "chains.npy" for p in artifacts)
     assert any(p.name == "posterior_diff.csv" for p in artifacts)
     for rel in artifacts:
         assert (first / rel).read_bytes() == (second / rel).read_bytes(), rel

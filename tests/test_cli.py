@@ -225,14 +225,8 @@ JEFFREYS_0_3 = ("--set", "data.counts=0/50, 3/50", "--set", "model.prior=0.5, 0.
 PINNED_OUTPUT = {
     "analyze-arc_easy": (("analyze", *ARC_EASY), EXIT_OK, {
         "easy/report.json": "e812ed7ef25f72b5b66b641a5b5358d7db8ad40fe6a9acff1b8313d8d46d6d8a",
-        "easy/traces/chain_0.csv":
-            "dbbef6952e0894b2d94fa9a5f62da2d56b066d2330b2d800301aeb144cfc8e86",
-        "easy/traces/chain_1.csv":
-            "88ea556e09d65fb799e5821db0ac1349b1377c73e6aada6ebc5c1f9aaef4181b",
-        "easy/traces/chain_2.csv":
-            "8852bf8bc9891551d4e377c5de84ecec82de1e0b0a526b5a657d115cbef5651a",
-        "easy/traces/chain_3.csv":
-            "8e6fc335dd918ad3bb951bf7ba5ab9359bde39304d42a3bed3cab91b50a109a2",
+        "easy/traces/chains.npy":
+            "b0a94a274cb7fdae3b8d3ff358ecae2ed07ae7d846b0dd1d4000d7f233823514",
         "easy/traces/diagnostics.json":
             "2072887b71913dd2993475f038fcbe6cdb04fe2826a0486ed9482fb149c2a033",
         "easy/plots/posterior_theta1.csv":
@@ -243,14 +237,8 @@ PINNED_OUTPUT = {
             "9ffbda697f7994b8dc44c8893dfedbc665bf962883d068a60191862cd0820222",
     }),
     "analyze-prior_draw": (("analyze", *ARC_EASY, "--set", "mcmc.init=prior_draw"), EXIT_OK, {
-        "easy/traces/chain_0.csv":
-            "7d8dd1fffa50cffefcdb5b45fbaac435f9ee4c04d1f84425a4951c48b1634559",
-        "easy/traces/chain_1.csv":
-            "96afcc5dd1f6559dba999f07c1ebfc4b35726c9ca7d8089b8497034fd05adb64",
-        "easy/traces/chain_2.csv":
-            "1d4e21adb6ea366677c267df41c11c1579c3626fa1f7e41768966f5604e86407",
-        "easy/traces/chain_3.csv":
-            "27bc7b5aea8ea279186541803e192b780b8a25614aa6e4dd4b20d1ae8bd7d405",
+        "easy/traces/chains.npy":
+            "71857426d067327bfedfab7317e2e193d9fb358b0755da8a858a8ef3c8a6932c",
         "easy/traces/diagnostics.json":
             "b05df60021e102bc6ffc927143d96cfef5ff9f0470b522d8e6d72fbf5c5200ca",
         "easy/plots/posterior_theta1.csv":
@@ -262,12 +250,8 @@ PINNED_OUTPUT = {
     }),
     "analyze-jeffreys_3_chains": (("analyze", *ARC_EASY, "--set", "model.prior=0.5, 0.5",
                                    "--set", "mcmc.chains=3"), EXIT_OK, {
-        "easy/traces/chain_0.csv":
-            "37fa1b16330431ebfdac97f0ff8cbe13113a0643666d5d959e9d077b5c330770",
-        "easy/traces/chain_1.csv":
-            "58174d8c98aaddd363f2428b2888a732edd90399e7c4ecef71d42b677e116283",
-        "easy/traces/chain_2.csv":
-            "f74fc5811e8bedd69e63e37d9bafa9930ebd56b3c3917472d1b32fe5af36fac9",
+        "easy/traces/chains.npy":
+            "2b7d1f036f795a8c7a93b0b5a5d18aec7e90996ea30ea3eefd5873c73af9d704",
         "easy/traces/diagnostics.json":
             "c1b57363dbbbe34440b90454e98c35cfbde3376340d95ca42aa258df957ac2e3",
         "easy/plots/posterior_theta1.csv":
@@ -280,14 +264,8 @@ PINNED_OUTPUT = {
     # One draw per chain: the report leaves the MCMC HDI null, and the
     # convergence checks fail.
     "analyze-one_draw": (("analyze", *ARC_EASY, "--set", "mcmc.draws=1"), EXIT_NONCONVERGENCE, {
-        "easy/traces/chain_0.csv":
-            "fdbb48fb24315e23129674665f7212998d475db24901a0ea212c9c71af2617da",
-        "easy/traces/chain_1.csv":
-            "458567cd13d2021025cfc56a181f8c2aafab799d0f4175803e14d88a36c58ef6",
-        "easy/traces/chain_2.csv":
-            "a748817307c4c6a4a23944cef48f1cbf995baceebfa509839afd14db4a909f89",
-        "easy/traces/chain_3.csv":
-            "fa85251a7ed6ffb0677b04c4191b052b8ab4aebb4818971e5896001ecbcc60ea",
+        "easy/traces/chains.npy":
+            "fe771d0b86b2b8660095a054c70c83fbdc3e18486de0f733614e2b763bae1940",
         "easy/traces/diagnostics.json":
             "b009fd0db3312f14180daaa9198092c94b7989926dbcc4a84fb23064428da024",
     }),
@@ -616,7 +594,7 @@ def test_duplicate_dataset_names_are_a_handled_error(fixture_tree, monkeypatch, 
     ("oracle", ("output.report=",), "report must end in a file name"),
     # A trace directory under a regular file cannot be created.
     ("analyze", ("output.trace_dir=configs/arc_easy.cfg/traces",),
-     "cannot write configs/arc_easy.cfg/traces/chain_0.csv"),
+     "cannot write configs/arc_easy.cfg/traces/chains.npy"),
 ])
 def test_unusable_chain_start_or_report_path_is_a_handled_error(
         fixture_tree, monkeypatch, capsys, command, overrides, message):

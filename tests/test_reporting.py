@@ -347,8 +347,7 @@ def test_write_exports_traces_when_mcmc_enabled(tmp_path, monkeypatch):
     config = parse_config(text)
     run_analysis(config, write=True)
     names = sorted(p.name for p in (tmp_path / config.output.trace_dir).iterdir())
-    assert names == ["chain_0.csv", "chain_1.csv", "chain_2.csv",
-                     "chain_3.csv", "diagnostics.json"]
+    assert names == ["chains.npy", "diagnostics.json"]
 
 
 def read_histogram(path):
